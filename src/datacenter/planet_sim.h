@@ -33,6 +33,10 @@ class PlanetSimulator {
  public:
   using RegionConfig = FleetRegionConfig;
 
+  // Most regions a spec or CLI run may ask for; checked before any region
+  // is built, so a hostile count fails fast instead of exhausting memory.
+  static constexpr std::size_t kMaxRegions = 10000;
+
   struct Config {
     std::vector<RegionConfig> regions;
     Duration step = minutes(15.0);

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,11 +43,13 @@ using report::JsonValue;
 JsonValue num(double v) { return JsonValue::number(v); }
 JsonValue str(std::string s) { return JsonValue::string(std::move(s)); }
 
-// --- Shared grid / job schemas -------------------------------------------
+void append_docs(std::vector<ParamDoc>& docs, std::vector<ParamDoc> more) {
+  for (ParamDoc& d : more) {
+    docs.push_back(std::move(d));
+  }
+}
 
-constexpr const char* kGridKeys =
-    "name, solar_share, wind_share, firm_share, sunrise_hour, sunset_hour, "
-    "seed";
+// --- Shared grid / job schemas -------------------------------------------
 
 GridProfile profile_by_name(const Spec& spec, const std::string& key,
                             const std::string& fallback) {
@@ -194,8 +197,8 @@ ParsedFaults parse_faults(const Spec& params, std::uint64_t seed) {
   return out;
 }
 
-std::vector<ParamDoc> fault_param_docs() {
-  return {
+std::vector<ParamDoc> fault_param_docs(const std::string& prefix = "") {
+  std::vector<ParamDoc> docs = {
       {"faults.host_crash_per_day", "number", "0",
        "mean host-crash events per simulated day"},
       {"faults.preemption_per_day", "number", "0",
@@ -221,13 +224,24 @@ std::vector<ParamDoc> fault_param_docs() {
        "fraction of SDCs caught before they poison a run"},
       {"faults.seed", "int", "derived from run seed", "fault-schedule seed"},
   };
+  for (ParamDoc& d : docs) {
+    d.name = prefix + d.name;
+  }
+  return docs;
 }
 
 // Run-level gate for the closed-form simulations (no internal timeline):
 // host crashes restart the whole estimate from its last checkpoint. Returns
-// the report object; throws fault::RetriesExhaustedError when the crash
-// count exceeds the retry budget.
-fault::RunGateResult gate_run(const ParsedFaults& parsed, Duration horizon) {
+// nullopt when the spec has no enabled `faults` block; throws
+// fault::RetriesExhaustedError when the crash count exceeds the retry
+// budget.
+std::optional<fault::RunGateResult> gate_run(const Spec& params,
+                                             std::uint64_t seed,
+                                             Duration horizon) {
+  const ParsedFaults parsed = parse_faults(params, seed);
+  if (!parsed.present) {
+    return std::nullopt;
+  }
   return fault::evaluate_run_gate(parsed.spec.plan(horizon), horizon,
                                   parsed.spec.checkpoint, parsed.spec.retry);
 }
@@ -266,25 +280,27 @@ std::unique_ptr<datacenter::SchedulerPolicy> make_policy(
 
 // --- shared checkpoint driver --------------------------------------------
 
-// Drives any simulator that follows the engine checkpoint contract
-// (start/advance/done/checkpoint_json/parse_checkpoint, plus steps() as a
-// stride bound) through a segmented run: resume-or-start, then advance in
-// segments, round-tripping the snapshot through canonical JSON at every
-// boundary (and handing it to write_snapshot, when set). Returns false when
-// stop_after halted the run before completion — the caller then reports a
-// stopped RunResult instead of finalizing. Byte-identical to a single
-// sim.run() by the checkpoint contract (tests/resume_test.cc).
+// Runs any simulator that follows the engine checkpoint contract
+// (start/advance/done/checkpoint_json/parse_checkpoint/finalize, plus
+// steps() as a stride bound). Without an active request or segments it is
+// sim.run(); otherwise it resumes or starts, then advances in segments,
+// round-tripping the snapshot through canonical JSON at every boundary (and
+// handing it to write_snapshot, when set). Returns nullopt when stop_after
+// halted the run before completion — the caller then returns
+// stopped_result(). Byte-identical to a single sim.run() by the checkpoint
+// contract (tests/resume_test.cc).
 template <typename Sim>
-[[nodiscard]] bool drive_checkpointed(const Sim& sim, const RunContext& ctx,
-                                      long param_segments,
-                                      typename Sim::Checkpoint& cp) {
+auto run_checkpointable(const Sim& sim, const RunContext& ctx, long segments)
+    -> std::optional<decltype(sim.run())> {
   const CheckpointRequest& req = ctx.checkpoint;
-  if (!req.resume_text.empty()) {
-    cp = sim.parse_checkpoint(report::parse_json(req.resume_text));
-  } else {
-    cp = sim.start();
+  if (!req.active() && segments <= 1) {
+    return sim.run();
   }
-  const long segments = std::max(param_segments, req.segments);
+  typename Sim::Checkpoint cp =
+      req.resume_text.empty()
+          ? sim.start()
+          : sim.parse_checkpoint(report::parse_json(req.resume_text));
+  segments = std::max(segments, req.segments);
   long stride = req.segment_steps > 0
                     ? req.segment_steps
                     : (sim.steps() + segments - 1) / std::max(1L, segments);
@@ -303,10 +319,17 @@ template <typename Sim>
     ++done_segments;
     if (req.stop_after > 0 && done_segments >= req.stop_after &&
         !sim.done(cp)) {
-      return false;
+      return std::nullopt;
     }
   }
-  return true;
+  return sim.finalize(cp);
+}
+
+RunResult stopped_result(std::string scenario) {
+  RunResult stopped;
+  stopped.scenario = std::move(scenario);
+  stopped.stopped = true;
+  return stopped;
 }
 
 // Shared doc row for the sims that honor checkpoint_segments.
@@ -315,6 +338,146 @@ ParamDoc checkpoint_segments_doc() {
           "split the run into this many checkpointed segments, round-tripping "
           "the snapshot through canonical JSON between them (byte-identical "
           "to an uninterrupted run by contract)"};
+}
+
+// --- fleet regions: the fleet's params and each planet region ------------
+
+// One region's web + train cluster, grid, PUE, CFE and faults block: the
+// schema the fleet's params and every planet `regions[i]` share.
+struct ParsedRegion {
+  datacenter::FleetRegionConfig config;
+  ParsedFaults faults;
+};
+
+ParsedRegion parse_region(const Spec& region, std::uint64_t seed,
+                          std::uint64_t fault_seed, double default_pue,
+                          double default_cfe) {
+  using namespace datacenter;
+  ParsedRegion out;
+  FleetRegionConfig& rc = out.config;
+  rc.grid = parse_grid(region.optional_child("grid"), seed);
+  rc.pue = region.optional_double_in("pue", default_pue, 1.0, 3.0);
+  rc.cfe_coverage = region.optional_double_in("cfe", default_cfe, 0.0, 1.0);
+
+  const Spec web_load = region.optional_child("web_load");
+  web_load.allow_only({"trough", "peak", "peak_hour"});
+  ServerGroup web;
+  web.name = "web";
+  web.sku = hw::skus::web_tier();
+  web.count = static_cast<int>(
+      region.optional_int_in("web_servers", 300, 0, 10000000));
+  web.tier = Tier::kWeb;
+  web.load = DiurnalProfile{
+      web_load.optional_double_in("trough", 0.3, 0.0, 1.0),
+      web_load.optional_double_in("peak", 0.9, 0.0, 1.0),
+      web_load.optional_double_in("peak_hour", 20.0, 0.0, 24.0)};
+  web.autoscalable = true;
+  rc.cluster.add_group(web);
+
+  ServerGroup train;
+  train.name = "train";
+  train.sku = hw::skus::gpu_training_8x();
+  train.count = static_cast<int>(
+      region.optional_int_in("train_servers", 12, 0, 1000000));
+  train.tier = Tier::kAiTraining;
+  train.load = flat_profile(
+      region.optional_double_in("train_utilization", 0.5, 0.0, 1.0));
+  rc.cluster.add_group(train);
+
+  out.faults = parse_faults(region, fault_seed);
+  rc.faults = out.faults.spec;
+  return out;
+}
+
+std::vector<ParamDoc> region_param_docs(const std::string& prefix,
+                                        const std::string& pue_default,
+                                        const std::string& cfe_default) {
+  std::vector<ParamDoc> docs = {
+      {prefix + "pue", "number", pue_default,
+       "facility power usage effectiveness"},
+      {prefix + "cfe", "number", cfe_default,
+       "market-based carbon-free matching share"},
+      {prefix + "web_servers", "int", "300", "web-tier server count"},
+      {prefix + "train_servers", "int", "12", "8-GPU training host count"},
+      {prefix + "train_utilization", "number", "0.5",
+       "flat training-tier load"},
+      {prefix + "web_load.trough", "number", "0.3",
+       "overnight web utilization"},
+      {prefix + "web_load.peak", "number", "0.9", "peak web utilization"},
+      {prefix + "web_load.peak_hour", "number", "20",
+       "local hour of the web peak"},
+  };
+  append_docs(docs, grid_param_docs(prefix + "grid"));
+  append_docs(docs, fault_param_docs(prefix));
+  return docs;
+}
+
+// Run-wide knobs of a FleetSimulator or PlanetSimulator config.
+template <typename Config>
+void parse_fleet_run(const Spec& params, const RunContext& ctx,
+                     Config& config) {
+  config.enable_autoscaler = params.optional_bool("autoscaler", true);
+  config.opportunistic_training = params.optional_bool("opportunistic", true);
+  config.opportunistic_utilization =
+      params.optional_double_in("opportunistic_utilization", 0.90, 0.0, 1.0);
+  config.pool = ctx.pool;
+}
+
+std::vector<ParamDoc> fleet_run_docs() {
+  return {
+      {"autoscaler", "bool", "true", "consolidate web tiers off-peak"},
+      {"opportunistic", "bool", "true",
+       "run offline training on freed web servers"},
+      {"opportunistic_utilization", "number", "0.9",
+       "utilization of harvested servers"},
+      checkpoint_segments_doc(),
+  };
+}
+
+// checkpoint_segments, bounded by the simulator's chunk count.
+template <typename Sim>
+long chunk_segments(const Spec& params, const Sim& sim) {
+  return params.optional_int_in(
+      "checkpoint_segments", 1, 1,
+      std::max(1L, sim.steps() / sim.steps_per_chunk()));
+}
+
+// The energy and carbon totals of a fleet, a planet region, or a planet.
+template <typename Totals>
+void set_totals(JsonValue& j, const Totals& r) {
+  j.set("it_energy_j", num(to_joules(r.it_energy)));
+  j.set("facility_energy_j", num(to_joules(r.facility_energy)));
+  j.set("location_carbon_g", num(to_grams_co2e(r.location_carbon)));
+  j.set("market_carbon_g", num(to_grams_co2e(r.market_carbon)));
+  j.set("opportunistic_server_hours", num(r.opportunistic_server_hours));
+  j.set("opportunistic_energy_j", num(to_joules(r.opportunistic_energy)));
+}
+
+template <typename Totals>
+std::vector<std::string> total_notes(const Totals& r,
+                                     const std::string& facility_suffix) {
+  return {
+      "IT energy:        " + to_string(r.it_energy),
+      "facility energy:  " + to_string(r.facility_energy) + facility_suffix,
+      "location carbon:  " + to_string(r.location_carbon),
+      "market carbon:    " + to_string(r.market_carbon),
+      "opportunistic:    " + report::fmt(r.opportunistic_server_hours) +
+          " server-h, " + to_string(r.opportunistic_energy),
+  };
+}
+
+JsonValue fault_stats_json(const datacenter::FleetFaultStats& fs) {
+  JsonValue jf = JsonValue::object();
+  jf.set("host_crashes", num(static_cast<double>(fs.host_crashes)));
+  jf.set("sdc_events", num(static_cast<double>(fs.sdc_events)));
+  jf.set("grid_gaps", num(static_cast<double>(fs.grid_gaps)));
+  jf.set("checkpoints", num(static_cast<double>(fs.checkpoints)));
+  jf.set("lost_server_hours", num(fs.lost_server_hours));
+  jf.set("redone_work_hours", num(fs.redone_work_hours));
+  jf.set("wasted_energy_j", num(to_joules(fs.wasted_energy)));
+  jf.set("checkpoint_energy_j", num(to_joules(fs.checkpoint_energy)));
+  jf.set("measured_sdc_per_server_year", num(fs.measured_sdc_per_server_year));
+  return jf;
 }
 
 // --- fleet ----------------------------------------------------------------
@@ -335,29 +498,9 @@ class FleetSimulation final : public Simulation {
         {"step_min", "number", "15", "simulation step (minutes)"},
         {"chunk_steps", "int", "256",
          "steps per parallel chunk (determinism-neutral)"},
-        {"pue", "number", "1.1", "facility power usage effectiveness"},
-        {"cfe", "number", "0", "market-based carbon-free matching share"},
-        {"web_servers", "int", "300", "web-tier server count"},
-        {"train_servers", "int", "12", "8-GPU training host count"},
-        {"train_utilization", "number", "0.5", "flat training-tier load"},
-        {"web_load.trough", "number", "0.3", "overnight web utilization"},
-        {"web_load.peak", "number", "0.9", "peak web utilization"},
-        {"web_load.peak_hour", "number", "20", "local hour of the web peak"},
-        {"autoscaler", "bool", "true", "consolidate the web tier off-peak"},
-        {"opportunistic", "bool", "true",
-         "run offline training on freed web servers"},
-        {"opportunistic_utilization", "number", "0.9",
-         "utilization of harvested servers"},
-        {"use_intensity_table", "bool", "true",
-         "serve grid lookups from the prebuilt IntensityTable"},
-        checkpoint_segments_doc(),
     };
-    for (ParamDoc& d : grid_param_docs("grid")) {
-      docs.push_back(std::move(d));
-    }
-    for (ParamDoc& d : fault_param_docs()) {
-      docs.push_back(std::move(d));
-    }
+    append_docs(docs, fleet_run_docs());
+    append_docs(docs, region_param_docs("", "1.1", "0"));
     return docs;
   }
 
@@ -367,82 +510,39 @@ class FleetSimulation final : public Simulation {
     params.allow_only({"days", "step_min", "chunk_steps", "pue", "cfe",
                        "web_servers", "train_servers", "train_utilization",
                        "web_load", "autoscaler", "opportunistic",
-                       "opportunistic_utilization", "use_intensity_table",
-                       "checkpoint_segments", "grid", "faults"});
+                       "opportunistic_utilization", "checkpoint_segments",
+                       "grid", "faults"});
     using namespace datacenter;
 
-    const Spec web_load = params.optional_child("web_load");
-    web_load.allow_only({"trough", "peak", "peak_hour"});
-
-    Cluster cluster;
-    ServerGroup web;
-    web.name = "web";
-    web.sku = hw::skus::web_tier();
-    web.count = static_cast<int>(
-        params.optional_int_in("web_servers", 300, 0, 10000000));
-    web.tier = Tier::kWeb;
-    web.load = DiurnalProfile{
-        web_load.optional_double_in("trough", 0.3, 0.0, 1.0),
-        web_load.optional_double_in("peak", 0.9, 0.0, 1.0),
-        web_load.optional_double_in("peak_hour", 20.0, 0.0, 24.0)};
-    web.autoscalable = true;
-    cluster.add_group(web);
-
-    ServerGroup train;
-    train.name = "train";
-    train.sku = hw::skus::gpu_training_8x();
-    train.count = static_cast<int>(
-        params.optional_int_in("train_servers", 12, 0, 1000000));
-    train.tier = Tier::kAiTraining;
-    train.load = flat_profile(
-        params.optional_double_in("train_utilization", 0.5, 0.0, 1.0));
-    cluster.add_group(train);
-
+    ParsedRegion region =
+        parse_region(params, ctx.seed, ctx.seed, kHyperscalePue, 0.0);
     FleetSimulator::Config config;
-    config.cluster = cluster;
-    config.grid = parse_grid(params.optional_child("grid"), ctx.seed);
+    config.cluster = std::move(region.config.cluster);
+    config.grid = region.config.grid;
+    config.pue = region.config.pue;
+    config.cfe_coverage = region.config.cfe_coverage;
+    config.faults = region.config.faults;
     config.horizon = days(params.optional_double_in("days", 7.0, 0.01, 3650.0));
     config.step =
         minutes(params.optional_double_in("step_min", 15.0, 0.01, 1440.0));
     config.steps_per_chunk =
         params.optional_int_in("chunk_steps", 256, 1, 1000000);
-    config.pue = params.optional_double_in("pue", kHyperscalePue, 1.0, 3.0);
-    config.cfe_coverage = params.optional_double_in("cfe", 0.0, 0.0, 1.0);
-    config.enable_autoscaler = params.optional_bool("autoscaler", true);
-    config.opportunistic_training = params.optional_bool("opportunistic", true);
-    config.opportunistic_utilization =
-        params.optional_double_in("opportunistic_utilization", 0.90, 0.0, 1.0);
-    config.use_intensity_table =
-        params.optional_bool("use_intensity_table", true);
-    config.pool = ctx.pool;
-
-    const ParsedFaults parsed_faults = parse_faults(params, ctx.seed);
-    config.faults = parsed_faults.spec;
+    parse_fleet_run(params, ctx, config);
 
     const FleetSimulator sim(config);
-    const long segments = params.optional_int_in(
-        "checkpoint_segments", 1, 1,
-        std::max(1L, sim.steps() / sim.steps_per_chunk()));
-    FleetSimulator::Result result;
-    if (!ctx.checkpoint.active() && segments <= 1) {
-      result = sim.run();
-    } else {
-      FleetSimulator::Checkpoint cp;
-      if (!drive_checkpointed(sim, ctx, segments, cp)) {
-        RunResult stopped;
-        stopped.scenario = name();
-        stopped.stopped = true;
-        return stopped;
-      }
-      result = sim.finalize(cp);
+    const std::optional<FleetResult> ran =
+        run_checkpointable(sim, ctx, chunk_segments(params, sim));
+    if (!ran) {
+      return stopped_result(name());
     }
+    const FleetResult& result = *ran;
 
     RunResult out;
     out.scenario = name();
     out.summary_header = {"group", "tier", "IT energy", "mean util",
                           "freed server-h"};
     JsonValue groups = JsonValue::array();
-    for (const FleetSimulator::GroupResult& g : result.groups) {
+    for (const FleetGroupResult& g : result.groups) {
       out.summary_rows.push_back(
           {g.name, to_string(g.tier), to_string(g.it_energy),
            report::fmt(g.mean_utilization), report::fmt(g.freed_server_hours)});
@@ -454,49 +554,28 @@ class FleetSimulation final : public Simulation {
       jg.set("freed_server_hours", num(g.freed_server_hours));
       groups.append(std::move(jg));
     }
-    out.notes = {
-        "IT energy:        " + to_string(result.it_energy),
-        "facility energy:  " + to_string(result.facility_energy) + " (PUE " +
-            report::fmt(config.pue) + ")",
-        "location carbon:  " + to_string(result.location_carbon),
-        "market carbon:    " + to_string(result.market_carbon),
-        "opportunistic:    " + report::fmt(result.opportunistic_server_hours) +
-            " server-h, " + to_string(result.opportunistic_energy),
-    };
+    out.notes =
+        total_notes(result, " (PUE " + report::fmt(config.pue) + ")");
 
     JsonValue& rep = out.report;
-    rep.set("it_energy_j", num(to_joules(result.it_energy)));
-    rep.set("facility_energy_j", num(to_joules(result.facility_energy)));
-    rep.set("location_carbon_g", num(to_grams_co2e(result.location_carbon)));
-    rep.set("market_carbon_g", num(to_grams_co2e(result.market_carbon)));
-    rep.set("opportunistic_server_hours",
-            num(result.opportunistic_server_hours));
-    rep.set("opportunistic_energy_j",
-            num(to_joules(result.opportunistic_energy)));
+    set_totals(rep, result);
     rep.set("groups", std::move(groups));
 
-    if (parsed_faults.present) {
-      const FleetSimulator::FaultStats& fs = result.faults;
-      JsonValue jf = JsonValue::object();
-      jf.set("host_crashes", num(static_cast<double>(fs.host_crashes)));
-      jf.set("sdc_events", num(static_cast<double>(fs.sdc_events)));
-      jf.set("grid_gaps", num(static_cast<double>(fs.grid_gaps)));
-      jf.set("checkpoints", num(static_cast<double>(fs.checkpoints)));
-      jf.set("lost_server_hours", num(fs.lost_server_hours));
-      jf.set("redone_work_hours", num(fs.redone_work_hours));
-      jf.set("wasted_energy_j", num(to_joules(fs.wasted_energy)));
-      jf.set("checkpoint_energy_j", num(to_joules(fs.checkpoint_energy)));
-      jf.set("measured_sdc_per_server_year",
-             num(fs.measured_sdc_per_server_year));
+    if (region.faults.present) {
+      const FleetFaultStats& fs = result.faults;
+      JsonValue jf = fault_stats_json(fs);
       // Replacement-age policy re-derived from the SDC rate the fleet
-      // actually experienced, instead of the closed-form model input.
+      // actually experienced, instead of the closed-form model input. The
+      // training group is the cluster's last.
       mlcycle::MeasuredSdcRate measured;
       measured.events = fs.sdc_events;
-      measured.observed = config.horizon * static_cast<double>(train.count);
+      measured.observed =
+          config.horizon *
+          static_cast<double>(config.cluster.groups().back().count);
       jf.set("optimal_replacement_age_years",
              num(to_years(mlcycle::optimal_age_with_detection(
                  mlcycle::ReplacementPolicyConfig{},
-                 parsed_faults.sdc_detection_coverage, measured))));
+                 region.faults.sdc_detection_coverage, measured))));
       rep.set("faults", std::move(jf));
       out.notes.push_back(
           "faults:           " + std::to_string(fs.host_crashes) +
@@ -530,37 +609,19 @@ class PlanetSimulation final : public Simulation {
          "granule (determinism-neutral)"},
         {"pue", "number", "1.1", "default PUE for regions that omit one"},
         {"cfe", "number", "0", "default market CFE share for regions"},
-        {"autoscaler", "bool", "true", "consolidate web tiers off-peak"},
-        {"opportunistic", "bool", "true",
-         "run offline training on freed web servers"},
-        {"opportunistic_utilization", "number", "0.9",
-         "utilization of harvested servers"},
-        checkpoint_segments_doc(),
-        {"regions", "object list", "(required)", "region fleets (see below)"},
-        {"regions[i].name", "string", "region-<i>", "region label"},
-        {"regions[i].utc_offset_h", "number", "0",
-         "local solar time leads UTC by this many hours; must be a whole "
-         "number of steps"},
-        {"regions[i].pue", "number", "top-level pue", "region PUE"},
-        {"regions[i].cfe", "number", "top-level cfe", "region CFE share"},
-        {"regions[i].web_servers", "int", "300", "web-tier server count"},
-        {"regions[i].train_servers", "int", "12", "8-GPU training hosts"},
-        {"regions[i].train_utilization", "number", "0.5",
-         "flat training-tier load"},
-        {"regions[i].web_load.trough", "number", "0.3",
-         "overnight web utilization"},
-        {"regions[i].web_load.peak", "number", "0.9", "peak web utilization"},
-        {"regions[i].web_load.peak_hour", "number", "20",
-         "local hour of the web peak"},
     };
-    for (ParamDoc& d : grid_param_docs("regions[i].grid")) {
-      docs.push_back(std::move(d));
-    }
-    // Per-region faults block, same schema as the fleet's top-level one.
-    for (ParamDoc& d : fault_param_docs()) {
-      d.name = "regions[i]." + d.name;
-      docs.push_back(std::move(d));
-    }
+    append_docs(docs, fleet_run_docs());
+    append_docs(
+        docs,
+        {{"regions", "object list", "(required)",
+          "region fleets (see below), at most " +
+              std::to_string(datacenter::PlanetSimulator::kMaxRegions)},
+         {"regions[i].name", "string", "region-<i>", "region label"},
+         {"regions[i].utc_offset_h", "number", "0",
+          "local solar time leads UTC by this many hours; must be a whole "
+          "number of steps"}});
+    append_docs(docs, region_param_docs("regions[i].", "top-level pue",
+                                        "top-level cfe"));
     return docs;
   }
 
@@ -584,15 +645,14 @@ class PlanetSimulation final : public Simulation {
         minutes(params.optional_double_in("step_min", 60.0, 0.01, 1440.0));
     config.steps_per_chunk =
         params.optional_int_in("chunk_steps", 1024, 1, 1000000);
-    config.enable_autoscaler = params.optional_bool("autoscaler", true);
-    config.opportunistic_training = params.optional_bool("opportunistic", true);
-    config.opportunistic_utilization =
-        params.optional_double_in("opportunistic_utilization", 0.90, 0.0, 1.0);
-    config.pool = ctx.pool;
+    parse_fleet_run(params, ctx, config);
 
     const std::vector<Spec> region_specs = params.object_list("regions");
-    if (region_specs.empty()) {
-      throw SpecError(params.path() + ".regions: need at least one region");
+    if (region_specs.empty() ||
+        region_specs.size() > PlanetSimulator::kMaxRegions) {
+      throw SpecError(params.path() + ".regions: need 1 to " +
+                      std::to_string(PlanetSimulator::kMaxRegions) +
+                      " regions, got " + std::to_string(region_specs.size()));
     }
     std::vector<bool> region_faults_present;
     for (std::size_t i = 0; i < region_specs.size(); ++i) {
@@ -600,69 +660,30 @@ class PlanetSimulation final : public Simulation {
       region.allow_only({"name", "grid", "utc_offset_h", "pue", "cfe",
                          "web_servers", "train_servers", "train_utilization",
                          "web_load", "faults"});
-      PlanetSimulator::RegionConfig rc;
-      rc.name =
+      // Same grid seed for every region: regions naming the same grid share
+      // one physical grid — and therefore one memoized IntensityTable. Fault
+      // schedules fork off the run seed by region ordinal so sibling
+      // regions never share an event stream.
+      ParsedRegion parsed = parse_region(
+          region, ctx.seed,
+          ctx.seed ^ (0x51ed2701ULL * static_cast<std::uint64_t>(i + 1)),
+          default_pue, default_cfe);
+      parsed.config.name =
           region.optional_string("name", "region-" + std::to_string(i));
-      // Same base seed for every region: regions naming the same grid share
-      // one physical grid — and therefore one memoized IntensityTable.
-      rc.grid = parse_grid(region.optional_child("grid"), ctx.seed);
-      rc.utc_offset_hours =
+      parsed.config.utc_offset_hours =
           region.optional_double_in("utc_offset_h", 0.0, 0.0, 24.0);
-      rc.pue = region.optional_double_in("pue", default_pue, 1.0, 3.0);
-      rc.cfe_coverage = region.optional_double_in("cfe", default_cfe, 0.0, 1.0);
-
-      const Spec web_load = region.optional_child("web_load");
-      web_load.allow_only({"trough", "peak", "peak_hour"});
-      ServerGroup web;
-      web.name = "web";
-      web.sku = hw::skus::web_tier();
-      web.count = static_cast<int>(
-          region.optional_int_in("web_servers", 300, 0, 10000000));
-      web.tier = Tier::kWeb;
-      web.load = DiurnalProfile{
-          web_load.optional_double_in("trough", 0.3, 0.0, 1.0),
-          web_load.optional_double_in("peak", 0.9, 0.0, 1.0),
-          web_load.optional_double_in("peak_hour", 20.0, 0.0, 24.0)};
-      web.autoscalable = true;
-      rc.cluster.add_group(web);
-
-      ServerGroup train;
-      train.name = "train";
-      train.sku = hw::skus::gpu_training_8x();
-      train.count = static_cast<int>(
-          region.optional_int_in("train_servers", 12, 0, 1000000));
-      train.tier = Tier::kAiTraining;
-      train.load = flat_profile(
-          region.optional_double_in("train_utilization", 0.5, 0.0, 1.0));
-      rc.cluster.add_group(train);
-
-      // Per-region fault schedules fork off the run seed by region ordinal
-      // so sibling regions never share an event stream.
-      const std::uint64_t region_seed =
-          ctx.seed ^ (0x51ed2701ULL * static_cast<std::uint64_t>(i + 1));
-      const ParsedFaults parsed_faults = parse_faults(region, region_seed);
-      rc.faults = parsed_faults.spec;
-      region_faults_present.push_back(parsed_faults.present);
-      config.regions.push_back(std::move(rc));
+      region_faults_present.push_back(parsed.faults.present);
+      config.regions.push_back(std::move(parsed.config));
     }
 
     const PlanetSimulator sim(config);
-    const long segments = params.optional_int_in(
-        "checkpoint_segments", 1, 1,
-        std::max(1L, sim.steps() / sim.steps_per_chunk()));
-    PlanetSimulator::Result result;
-    if (!ctx.checkpoint.active() && segments <= 1) {
-      result = sim.run();
-    } else {
-      PlanetSimulator::Checkpoint cp;
-      if (!drive_checkpointed(sim, ctx, segments, cp)) {
-        RunResult stopped;
-        stopped.scenario = name();
-        stopped.stopped = true;
-        return stopped;
-      }
-      result = sim.finalize(cp);
+    const long segments = chunk_segments(params, sim);
+    const std::optional<PlanetSimulator::Result> ran =
+        run_checkpointable(sim, ctx, segments);
+    if (!ran) {
+      return stopped_result(name());
     }
+    const PlanetSimulator::Result& result = *ran;
 
     RunResult out;
     out.scenario = name();
@@ -678,28 +699,9 @@ class PlanetSimulation final : public Simulation {
            to_string(region.market_carbon)});
       JsonValue jr = JsonValue::object();
       jr.set("name", str(region.name));
-      jr.set("it_energy_j", num(to_joules(region.it_energy)));
-      jr.set("facility_energy_j", num(to_joules(region.facility_energy)));
-      jr.set("location_carbon_g", num(to_grams_co2e(region.location_carbon)));
-      jr.set("market_carbon_g", num(to_grams_co2e(region.market_carbon)));
-      jr.set("opportunistic_server_hours",
-             num(region.opportunistic_server_hours));
-      jr.set("opportunistic_energy_j",
-             num(to_joules(region.opportunistic_energy)));
+      set_totals(jr, region);
       if (region_faults_present[r]) {
-        const FleetSimulator::FaultStats& fs = region.faults;
-        JsonValue jf = JsonValue::object();
-        jf.set("host_crashes", num(static_cast<double>(fs.host_crashes)));
-        jf.set("sdc_events", num(static_cast<double>(fs.sdc_events)));
-        jf.set("grid_gaps", num(static_cast<double>(fs.grid_gaps)));
-        jf.set("checkpoints", num(static_cast<double>(fs.checkpoints)));
-        jf.set("lost_server_hours", num(fs.lost_server_hours));
-        jf.set("redone_work_hours", num(fs.redone_work_hours));
-        jf.set("wasted_energy_j", num(to_joules(fs.wasted_energy)));
-        jf.set("checkpoint_energy_j", num(to_joules(fs.checkpoint_energy)));
-        jf.set("measured_sdc_per_server_year",
-               num(fs.measured_sdc_per_server_year));
-        jr.set("faults", std::move(jf));
+        jr.set("faults", fault_stats_json(region.faults));
       }
       regions.append(std::move(jr));
     }
@@ -714,14 +716,7 @@ class PlanetSimulation final : public Simulation {
     }
 
     JsonValue& rep = out.report;
-    rep.set("it_energy_j", num(to_joules(result.it_energy)));
-    rep.set("facility_energy_j", num(to_joules(result.facility_energy)));
-    rep.set("location_carbon_g", num(to_grams_co2e(result.location_carbon)));
-    rep.set("market_carbon_g", num(to_grams_co2e(result.market_carbon)));
-    rep.set("opportunistic_server_hours",
-            num(result.opportunistic_server_hours));
-    rep.set("opportunistic_energy_j",
-            num(to_joules(result.opportunistic_energy)));
+    set_totals(rep, result);
     rep.set("tier_it_energy_j", std::move(tiers));
     rep.set("region_count", num(static_cast<double>(sim.region_count())));
     rep.set("distinct_intensity_tables",
@@ -740,18 +735,12 @@ class PlanetSimulation final : public Simulation {
     }
     out.csv_series.emplace_back("planet_series", csv.to_string());
 
-    out.notes = {
-        "regions:          " + std::to_string(sim.region_count()) + " (" +
-            std::to_string(sim.distinct_intensity_tables()) +
-            " distinct intensity tables)",
-        "IT energy:        " + to_string(result.it_energy),
-        "facility energy:  " + to_string(result.facility_energy),
-        "location carbon:  " + to_string(result.location_carbon),
-        "market carbon:    " + to_string(result.market_carbon),
-        "opportunistic:    " +
-            report::fmt(result.opportunistic_server_hours) + " server-h, " +
-            to_string(result.opportunistic_energy),
-    };
+    out.notes = total_notes(result, "");
+    out.notes.insert(out.notes.begin(),
+                     "regions:          " +
+                         std::to_string(sim.region_count()) + " (" +
+                         std::to_string(sim.distinct_intensity_tables()) +
+                         " distinct intensity tables)");
     return out;
   }
 };
@@ -780,12 +769,8 @@ class QueueScheduleSimulation final : public Simulation {
     docs.push_back({"policies", "string list", "[\"fifo\", \"greedy_green\"]",
                     "queue policies to compare (fifo, greedy_green)"});
     docs.push_back(checkpoint_segments_doc());
-    for (ParamDoc& d : grid_param_docs("grid")) {
-      docs.push_back(std::move(d));
-    }
-    for (ParamDoc& d : fault_param_docs()) {
-      docs.push_back(std::move(d));
-    }
+    append_docs(docs, grid_param_docs("grid"));
+    append_docs(docs, fault_param_docs());
     return docs;
   }
 
@@ -845,20 +830,13 @@ class QueueScheduleSimulation final : public Simulation {
         throw SpecError(params.path() + ".policies: unknown policy '" +
                         policy_name + "'; available: fifo, greedy_green");
       }
-      QueueSimResult r;
-      if (!ctx.checkpoint.active() && segments <= 1) {
-        r = run_queue_sim(jobs, config, policy);
-      } else {
-        const QueueSim sim(jobs, config, policy);
-        QueueSim::Checkpoint cp;
-        if (!drive_checkpointed(sim, ctx, segments, cp)) {
-          RunResult stopped;
-          stopped.scenario = name();
-          stopped.stopped = true;
-          return stopped;
-        }
-        r = sim.finalize(cp);
+      const QueueSim sim(jobs, config, policy);
+      const std::optional<QueueSimResult> ran =
+          run_checkpointable(sim, ctx, segments);
+      if (!ran) {
+        return stopped_result(name());
       }
+      const QueueSimResult& r = *ran;
       out.summary_rows.push_back(
           {r.policy_name, to_string(r.total_carbon),
            report::fmt(to_hours(r.mean_wait)), report::fmt(to_hours(r.makespan)),
@@ -927,12 +905,8 @@ class CrossRegionScheduleSimulation final : public Simulation {
     docs.push_back({"pue", "number", "1.1", "facility PUE"});
     docs.push_back({"regions", "object list", "(required)",
                     "candidate region grids; same schema as `grid`"});
-    for (ParamDoc& d : grid_param_docs("regions[i]")) {
-      docs.push_back(std::move(d));
-    }
-    for (ParamDoc& d : fault_param_docs()) {
-      docs.push_back(std::move(d));
-    }
+    append_docs(docs, grid_param_docs("regions[i]"));
+    append_docs(docs, fault_param_docs());
     return docs;
   }
 
@@ -966,18 +940,15 @@ class CrossRegionScheduleSimulation final : public Simulation {
 
     // Run-level fault gate: crashes restart the whole schedule; the gate
     // throws RetriesExhaustedError before the expensive simulation runs.
-    const ParsedFaults parsed_faults = parse_faults(params, ctx.seed);
-    fault::RunGateResult gate;
-    if (parsed_faults.present) {
-      Duration horizon;
-      for (const BatchJob& j : jobs) {
-        const Duration end = j.arrival + j.slack + j.duration;
-        if (to_seconds(end) > to_seconds(horizon)) {
-          horizon = end;
-        }
+    Duration horizon;
+    for (const BatchJob& j : jobs) {
+      const Duration end = j.arrival + j.slack + j.duration;
+      if (to_seconds(end) > to_seconds(horizon)) {
+        horizon = end;
       }
-      gate = gate_run(parsed_faults, horizon);
     }
+    const std::optional<fault::RunGateResult> gate =
+        gate_run(params, ctx.seed, horizon);
 
     const ScheduleResult result =
         run_cross_region_schedule(jobs, grids_list, *policy, pue);
@@ -1036,9 +1007,9 @@ class CrossRegionScheduleSimulation final : public Simulation {
     rep.set("mean_delay_s", num(to_seconds(result.mean_delay)));
     rep.set("peak_power_w", num(to_watts(result.peak_concurrent_power)));
     rep.set("regions", std::move(regions));
-    if (parsed_faults.present) {
+    if (gate) {
       // Redone schedule slices re-emit carbon in proportion to lost time.
-      rep.set("faults", gate_report(gate, to_grams_co2e(result.total_carbon),
+      rep.set("faults", gate_report(*gate, to_grams_co2e(result.total_carbon),
                                     "wasted_carbon_g"));
     }
     return out;
@@ -1085,9 +1056,7 @@ class FlRoundsSimulation final : public Simulation {
          "per-round client dropout probability"},
         {"population.seed", "int", "17", "population seed (module default)"},
     };
-    for (ParamDoc& d : fault_param_docs()) {
-      docs.push_back(std::move(d));
-    }
+    append_docs(docs, fault_param_docs());
     return docs;
   }
 
@@ -1141,11 +1110,8 @@ class FlRoundsSimulation final : public Simulation {
 
     // Run-level fault gate over the campaign window (server-side crashes
     // force round re-runs from the last aggregation checkpoint).
-    const ParsedFaults parsed_faults = parse_faults(params, ctx.seed);
-    fault::RunGateResult gate;
-    if (parsed_faults.present) {
-      gate = gate_run(parsed_faults, app.campaign);
-    }
+    const std::optional<fault::RunGateResult> gate =
+        gate_run(params, ctx.seed, app.campaign);
 
     const RoundSimulator sim(app, population);
     const std::vector<ClientLogEntry> log = sim.run();
@@ -1172,9 +1138,9 @@ class FlRoundsSimulation final : public Simulation {
     rep.set("communication_share", num(fp.communication_share()));
     rep.set("wasted_fraction", num(fp.wasted_fraction));
     rep.set("carbon_g", num(to_grams_co2e(fp.carbon)));
-    if (parsed_faults.present) {
+    if (gate) {
       rep.set("faults",
-              gate_report(gate,
+              gate_report(*gate,
                           to_joules(fp.compute_energy) +
                               to_joules(fp.communication_energy),
                           "wasted_energy_j"));
@@ -1231,9 +1197,7 @@ class LifecycleEstimateSimulation final : public Simulation {
          "online-training GPU-days"},
         {"custom.inference_gpu_days", "number", "0", "inference GPU-days"},
     };
-    for (ParamDoc& d : fault_param_docs()) {
-      docs.push_back(std::move(d));
-    }
+    append_docs(docs, fault_param_docs());
     return docs;
   }
 
@@ -1255,11 +1219,8 @@ class LifecycleEstimateSimulation final : public Simulation {
         params.optional_double_in("fleet_utilization", 0.45, 0.01, 1.0),
         window};
 
-    const ParsedFaults parsed_faults = parse_faults(params, ctx.seed);
-    fault::RunGateResult gate;
-    if (parsed_faults.present) {
-      gate = gate_run(parsed_faults, window);
-    }
+    const std::optional<fault::RunGateResult> gate =
+        gate_run(params, ctx.seed, window);
 
     const std::string model_name = params.optional_string("model", "LM");
     ProductionModel model;
@@ -1336,9 +1297,9 @@ class LifecycleEstimateSimulation final : public Simulation {
     rep.set("total_embodied_g", num(to_grams_co2e(total.embodied)));
     rep.set("embodied_fraction", num(footprint.embodied_fraction()));
     rep.set("phases", std::move(phases));
-    if (parsed_faults.present) {
+    if (gate) {
       rep.set("faults",
-              gate_report(gate, to_joules(total.energy), "wasted_energy_j"));
+              gate_report(*gate, to_joules(total.energy), "wasted_energy_j"));
     }
     return out;
   }
@@ -1370,9 +1331,7 @@ class ScalingSweepSimulation final : public Simulation {
         {"law.model_energy_exponent", "number", "0.6667",
          "per-step energy ~ model^e"},
     };
-    for (ParamDoc& d : fault_param_docs()) {
-      docs.push_back(std::move(d));
-    }
+    append_docs(docs, fault_param_docs());
     return docs;
   }
 
@@ -1416,12 +1375,8 @@ class ScalingSweepSimulation final : public Simulation {
     const ScalingGrid grid(law, data_factors, model_factors);
 
     // Run-level fault gate: one training-day per grid point.
-    const ParsedFaults parsed_faults = parse_faults(params, ctx.seed);
-    fault::RunGateResult gate;
-    if (parsed_faults.present) {
-      gate = gate_run(parsed_faults,
-                      days(static_cast<double>(grid.points().size())));
-    }
+    const std::optional<fault::RunGateResult> gate = gate_run(
+        params, ctx.seed, days(static_cast<double>(grid.points().size())));
 
     const std::vector<GridPoint> frontier = grid.pareto_frontier();
     const double exponent = grid.frontier_power_exponent();
@@ -1466,13 +1421,13 @@ class ScalingSweepSimulation final : public Simulation {
 
     JsonValue& rep = out.report;
     rep.set("frontier_power_exponent", num(exponent));
-    if (parsed_faults.present) {
+    if (gate) {
       double total_energy_rel = 0.0;
       for (const GridPoint& p : grid.points()) {
         total_energy_rel += p.total_energy;
       }
       rep.set("faults",
-              gate_report(gate, total_energy_rel, "wasted_energy_rel"));
+              gate_report(*gate, total_energy_rel, "wasted_energy_rel"));
     }
     rep.set("points", std::move(points));
     rep.set("frontier", std::move(frontier_json));

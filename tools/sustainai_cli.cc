@@ -10,10 +10,13 @@
 //   sustainai planet --regions 8 --years 1 --checkpoint /tmp/planet.ckpt
 //   sustainai run scenarios/fleet_week.json --out /tmp/fleet_week
 //   sustainai scenarios            # list registered scenario simulations
+//   sustainai fleet --help         # a translator's flags, params, defaults
 //
-// Each subcommand prints the same accounting the paper's figures use.
-#include <algorithm>
+// Each subcommand prints the same accounting the paper's figures use;
+// `fleet`, `planet` and `fl` build a scenario spec from their flags and run
+// it the way `run` does.
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -22,17 +25,10 @@
 #include <string>
 #include <vector>
 
-#include "core/equivalence.h"
-#include "datacenter/fleet_sim.h"
 #include "datacenter/planet_sim.h"
 #include "datacenter/scheduler.h"
 #include "engine/snapshot.h"
-#include "fl/round_sim.h"
-#include "hw/server.h"
 #include "mlcycle/model_zoo.h"
-#include "obs/export.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "report/table.h"
 #include "scenario/runner.h"
 #include "telemetry/model_card.h"
@@ -208,29 +204,6 @@ int cmd_model_card(const Flags& flags) {
   return 0;
 }
 
-int cmd_fl(const Flags& flags) {
-  using namespace sustainai::fl;
-  FlApplicationConfig app;
-  app.name = flag_string(flags, "name", "fl-app");
-  app.clients_per_round = static_cast<int>(flag_double(flags, "clients", 100.0));
-  app.rounds_per_day = flag_double(flags, "rounds-per-day", 24.0);
-  app.campaign = days(flag_double(flags, "days", 90.0));
-  app.model_size = megabytes(flag_double(flags, "model-mb", 20.0));
-  app.reference_compute_time =
-      minutes(flag_double(flags, "compute-min", 4.0));
-  const RoundSimulator sim(app, Population::Config{});
-  const FlFootprint fp =
-      estimate_footprint(app.name, sim.run(), default_fl_assumptions());
-  std::printf("federated campaign: %d rounds\n", sim.total_rounds());
-  std::printf("  energy: %s (comm share %.0f%%)\n",
-              to_string(fp.total_energy()).c_str(),
-              fp.communication_share() * 100.0);
-  std::printf("  carbon: %s (~%.0f passenger-vehicle miles)\n",
-              to_string(fp.carbon).c_str(),
-              to_passenger_vehicle_miles(fp.carbon));
-  return 0;
-}
-
 void write_text_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
   if (!out) {
@@ -249,342 +222,335 @@ std::string read_text_file(const std::string& path) {
   return buffer.str();
 }
 
-// --- checkpoint/resume flags (fleet, planet, run) -------------------------
+// --- spec-backed subcommands: run, fleet, planet, fl ----------------------
+//
+// `fleet`, `planet` and `fl` only translate: each flag sets one param of a
+// `fleet`, `planet` or `fl_rounds` scenario spec (unset flags keep the
+// scenario's defaults), and the spec runs through run_spec exactly as
+// `sustainai run` runs a spec file, so `--out DIR` writes a bundle whose
+// spec.json reruns to the same result.json.
 
-struct CheckpointFlags {
-  std::string checkpoint_path;  // snapshot written here at every boundary
-  std::string resume_path;      // snapshot to resume from
-  long segment_steps = 0;       // steps per segment (0 = whole horizon)
-  long stop_after = 0;          // stop after K segments (0 = run to the end)
+// One accepted flag. `param` is the spec param the value sets; a
+// "regions[i]." param is set in every generated planet region. A flag
+// without a param steers the run or generates params, and documents its
+// own default; `artifact` names the bundle file written to its path.
+struct FlagDef {
+  std::string name;  // without the leading "--"
+  std::string param;
+  bool number = true;  // a JSON number; otherwise text
+  std::string default_value = {};
+  std::string help = {};
+  std::string artifact = {};
+};
 
-  [[nodiscard]] bool any() const {
-    return !checkpoint_path.empty() || !resume_path.empty() ||
-           segment_steps > 0 || stop_after > 0;
+struct Command {
+  std::string name;
+  std::string scenario;  // registry name of the spec it builds; empty for run
+  std::string summary;   // its line in the top-level usage
+  std::vector<FlagDef> flags;
+
+  [[nodiscard]] const FlagDef* find(const std::string& flag) const {
+    for (const FlagDef& f : flags) {
+      if (f.name == flag) {
+        return &f;
+      }
+    }
+    return nullptr;
+  }
+  void add(const std::vector<FlagDef>& more) {
+    flags.insert(flags.end(), more.begin(), more.end());
   }
 };
 
-CheckpointFlags parse_checkpoint_flags(const Flags& flags) {
-  CheckpointFlags cf;
-  cf.checkpoint_path = flag_string(flags, "checkpoint", "");
-  cf.resume_path = flag_string(flags, "resume", "");
-  cf.segment_steps = static_cast<long>(flag_double(flags, "segment-steps", 0.0));
-  cf.stop_after = static_cast<long>(flag_double(flags, "stop-after", 0.0));
-  if (!cf.resume_path.empty() && cf.checkpoint_path.empty()) {
-    throw std::invalid_argument(
-        "--resume requires --checkpoint (the path further snapshots are "
-        "written to); pass --checkpoint " +
-        cf.resume_path + " to continue updating the same file");
-  }
-  return cf;
+// The region flags `fleet` sets at the top level and `planet` in each region.
+std::vector<FlagDef> region_flags(const std::string& prefix) {
+  return {{"web-servers", prefix + "web_servers"},
+          {"train-servers", prefix + "train_servers"},
+          {"solar-share", prefix + "grid.solar_share"},
+          {"wind-share", prefix + "grid.wind_share"},
+          {"firm-share", prefix + "grid.firm_share"},
+          {"pue", prefix + "pue"},
+          {"cfe", prefix + "cfe"}};
 }
 
-// Reads and validates a resume snapshot with errors a human can act on:
-// names the file, and says whether the problem is a missing/corrupt file or
-// a config-digest mismatch.
-report::JsonValue load_resume_json(const std::string& path) {
-  std::string text;
-  try {
-    text = read_text_file(path);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("cannot resume: checkpoint file '" + path +
-                                "' is missing or unreadable");
+// `--out`, and the checkpoint flags when the scenario is checkpointable.
+std::vector<FlagDef> run_flags(bool checkpointable) {
+  std::vector<FlagDef> flags = {
+      {"out", "", false, "none",
+       "write the artifact bundle (result.json, spec.json, ...) here"}};
+  if (checkpointable) {
+    flags.insert(
+        flags.end(),
+        {{"checkpoint", "", false, "none",
+          "write the snapshot here at every segment boundary"},
+         {"resume", "", false, "none",
+          "resume from this snapshot (needs --checkpoint)"},
+         {"segment-steps", "", true, "0",
+          "steps per checkpointed segment (0 = from the segment count)"},
+         {"stop-after", "", true, "0",
+          "stop after this many segments (0 = run to the end)"}});
   }
-  try {
-    return report::parse_json(text);
-  } catch (const report::JsonParseError& e) {
-    throw std::invalid_argument(
-        "cannot resume from '" + path + "': not valid JSON (" +
-        std::string(e.what()) +
-        "); the checkpoint file may be truncated or corrupt");
-  }
+  return flags;
 }
 
-// parse_checkpoint with the digest-mismatch case called out by name.
-template <typename Sim>
-typename Sim::Checkpoint load_resume_checkpoint(const Sim& sim,
-                                                const std::string& path) {
-  const report::JsonValue parsed = load_resume_json(path);
-  try {
-    return sim.parse_checkpoint(parsed);
-  } catch (const engine::SnapshotDigestMismatch&) {
-    throw std::invalid_argument(
-        "cannot resume from '" + path +
-        "': config digest mismatch — this checkpoint was written by a "
-        "differently-configured run; re-run with the original flags, or "
-        "start fresh without --resume");
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument("cannot resume from '" + path +
-                                "': " + std::string(e.what()));
-  }
+Command run_command() {
+  return {"run", "", "run a declarative JSON scenario spec", run_flags(true)};
 }
 
-// Resume-or-start per the flags (printing the resume banner) and return
-// the step the run begins from.
-template <typename Sim>
-long init_checkpoint(const Sim& sim, const CheckpointFlags& cf,
-                     typename Sim::Checkpoint& cp) {
-  cp = cf.resume_path.empty() ? sim.start()
-                              : load_resume_checkpoint(sim, cf.resume_path);
-  if (!cf.resume_path.empty()) {
-    std::printf("resumed from %s at step %ld/%ld\n", cf.resume_path.c_str(),
-                cp.next_step, sim.steps());
-  }
-  return cp.next_step;
+Command fleet_command() {
+  Command c{"fleet", "fleet", "the datacenter fleet simulator (a `fleet` spec)",
+            {{"days", "days"},
+             {"step-min", "step_min"},
+             {"chunk-steps", "chunk_steps"},
+             {"grid", "grid.name", false}}};
+  c.add(region_flags(""));
+  c.add({{"trace", "", false, "none", "write the sim-time Chrome trace here",
+          "trace.json"},
+         {"metrics", "", false, "none", "write Prometheus metrics here",
+          "metrics.prom"}});
+  c.add(run_flags(true));
+  return c;
 }
 
-// Drives an initialized checkpoint (fleet or planet) through segmented
-// advance/snapshot cycles per the flags. Returns false when --stop-after
-// halted the run before the horizon (nothing to finalize yet).
-template <typename Sim>
-bool drive_segments(const Sim& sim, typename Sim::Checkpoint& cp,
-                    const CheckpointFlags& cf) {
-  long segment_steps = cf.segment_steps;
-  if (segment_steps <= 0) {
-    segment_steps = sim.steps();
+Command planet_command() {
+  Command c{"planet", "planet",
+            "N region-fleets on cycling grids (a `planet` spec)",
+            {{"regions", "", true, "8",
+              "regions to generate, UTC offsets 3 h apart (at most " +
+                  std::to_string(datacenter::PlanetSimulator::kMaxRegions) +
+                  ")"},
+             {"grids", "", true, "3",
+              "distinct grids the regions cycle through (1 to 6)"},
+             {"years", "years"},
+             {"step-min", "step_min"},
+             {"chunk-steps", "chunk_steps"}}};
+  c.add(region_flags("regions[i]."));
+  c.add(run_flags(true));
+  return c;
+}
+
+Command fl_command() {
+  Command c{"fl", "fl_rounds",
+            "federated-learning campaign footprint (an `fl_rounds` spec)",
+            {{"name", "name", false},
+             {"clients", "clients_per_round"},
+             {"rounds-per-day", "rounds_per_day"},
+             {"days", "days"},
+             {"model-mb", "model_mb"},
+             {"compute-min", "compute_min"}}};
+  c.add(run_flags(false));
+  return c;
+}
+
+void print_help(const Command& cmd, std::FILE* out) {
+  std::fprintf(out, "usage: sustainai %s%s [--flag value ...]\n",
+               cmd.name.c_str(), cmd.scenario.empty() ? " <scenario.json>" : "");
+  std::vector<scenario::ParamDoc> docs;
+  if (!cmd.scenario.empty()) {
+    docs = scenario::Registry::global().require(cmd.scenario).params();
+    std::fprintf(out, "Flags set `%s` spec params; unset ones keep the "
+                 "scenario defaults.\n", cmd.scenario.c_str());
   }
-  long segments_run = 0;
-  while (!sim.done(cp)) {
-    sim.advance(cp, segment_steps);
-    ++segments_run;
-    if (!cf.checkpoint_path.empty()) {
-      write_text_file(cf.checkpoint_path,
-                      report::canonical_json(sim.checkpoint_json(cp)) + "\n");
-    }
-    if (cf.stop_after > 0 && segments_run >= cf.stop_after &&
-        !sim.done(cp)) {
-      std::printf("stopped after %ld segment(s) at step %ld/%ld", segments_run,
-                  cp.next_step, sim.steps());
-      if (!cf.checkpoint_path.empty()) {
-        std::printf("; resume with --resume %s", cf.checkpoint_path.c_str());
+  report::Table t({"flag", "param", "default", "description"});
+  for (const FlagDef& f : cmd.flags) {
+    std::string def = f.default_value;
+    std::string help = f.help;
+    for (const scenario::ParamDoc& doc : docs) {
+      if (doc.name == f.param) {
+        def = doc.default_value;
+        help = doc.description;
       }
-      std::printf("\n");
-      return false;
     }
+    t.add_row({"--" + f.name, f.param.empty() ? "-" : f.param, def, help});
   }
-  return true;
+  std::fprintf(out, "%s", t.to_string().c_str());
 }
 
-int cmd_fleet(const Flags& flags) {
-  using namespace sustainai::datacenter;
-  const CheckpointFlags cf = parse_checkpoint_flags(flags);
-  const std::string trace_path = flag_string(flags, "trace", "");
-  const std::string metrics_path = flag_string(flags, "metrics", "");
-  const bool observing = !trace_path.empty() || !metrics_path.empty();
-  if (observing) {
-    obs::Tracer::global().clear();
-    obs::Tracer::global().set_enabled(true);
-    obs::MetricsRegistry::global().clear();
-  }
-
-  Cluster cluster;
-  ServerGroup web;
-  web.name = "web";
-  web.sku = hw::skus::web_tier();
-  web.count = static_cast<int>(flag_double(flags, "web-servers", 300.0));
-  web.tier = Tier::kWeb;
-  web.load = DiurnalProfile{0.3, 0.9, 20.0};
-  web.autoscalable = true;
-  cluster.add_group(web);
-  ServerGroup train;
-  train.name = "train";
-  train.sku = hw::skus::gpu_training_8x();
-  train.count = static_cast<int>(flag_double(flags, "train-servers", 12.0));
-  train.tier = Tier::kAiTraining;
-  train.load = flat_profile(0.5);
-  cluster.add_group(train);
-
-  FleetSimulator::Config config;
-  config.cluster = cluster;
-  config.grid.profile = grid_by_name(flag_string(flags, "grid", "us-west-solar"));
-  config.grid.solar_share = flag_double(flags, "solar-share", 0.5);
-  config.grid.wind_share = flag_double(flags, "wind-share", 0.15);
-  config.grid.firm_share = flag_double(flags, "firm-share", 0.10);
-  config.horizon = days(flag_double(flags, "days", 7.0));
-  config.step = minutes(flag_double(flags, "step-min", 15.0));
-  config.steps_per_chunk =
-      static_cast<long>(flag_double(flags, "chunk-steps", 16.0));
-  config.pue = flag_double(flags, "pue", kHyperscalePue);
-  config.cfe_coverage = flag_double(flags, "cfe", 0.0);
-  const FleetSimulator sim(config);
-
-  FleetSimulator::Result result;
-  if (cf.any()) {
-    FleetSimulator::Checkpoint cp;
-    init_checkpoint(sim, cf, cp);
-    if (!drive_segments(sim, cp, cf)) {
-      if (observing) {
-        obs::Tracer::global().set_enabled(false);
-      }
-      return 0;
+// Parses argv[first..] against `cmd`'s flags, rejecting unknown flags by
+// name. Returns nullopt after printing the help for `--help`.
+std::optional<Flags> parse_command_flags(const Command& cmd, int argc,
+                                         char** argv, int first) {
+  Flags flags;
+  for (int i = first; i < argc; i += 2) {
+    const std::string arg = argv[i];
+    if (arg == "--help") {
+      print_help(cmd, stdout);
+      return std::nullopt;
     }
-    result = sim.finalize(cp);
-  } else {
-    result = sim.run();
+    if (arg.rfind("--", 0) != 0 || cmd.find(arg.substr(2)) == nullptr) {
+      throw std::invalid_argument("unknown flag '" + arg + "' for '" +
+                                  cmd.name + "'; see sustainai " + cmd.name +
+                                  " --help");
+    }
+    if (i + 1 >= argc) {
+      throw std::invalid_argument("flag '" + arg + "' is missing a value");
+    }
+    flags[arg.substr(2)] = argv[i + 1];
   }
+  return flags;
+}
 
-  std::printf("fleet over %.1f days on %s:\n",
-              flag_double(flags, "days", 7.0), config.grid.profile.name.c_str());
-  std::printf("  IT energy:        %s\n", to_string(result.it_energy).c_str());
-  std::printf("  facility energy:  %s (PUE %.2f)\n",
-              to_string(result.facility_energy).c_str(), config.pue);
-  std::printf("  location carbon:  %s\n",
-              to_string(result.location_carbon).c_str());
-  std::printf("  market carbon:    %s\n",
-              to_string(result.market_carbon).c_str());
+// A flag's value as spec JSON: numbers through the strict JSON grammar
+// (so "inf", "0x10" and "1e999" fail here), anything else as a string.
+report::JsonValue flag_json(const FlagDef& f, const std::string& text) {
+  if (!f.number) {
+    return report::JsonValue::string(text);
+  }
+  try {
+    report::JsonValue v = report::parse_json(text);
+    if (v.is_number()) {
+      return v;
+    }
+  } catch (const report::JsonParseError&) {
+  }
+  throw std::invalid_argument("--" + f.name + " expects a JSON number, got '" +
+                              text + "'");
+}
 
-  if (!trace_path.empty()) {
-    write_text_file(trace_path,
-                    obs::chrome_trace_json(obs::Tracer::global().collect()));
-    std::printf("  trace:            %s (load in Perfetto / chrome://tracing)\n",
-                trace_path.c_str());
+// A flag that is no spec param but must be a whole number in [min, max].
+long whole_flag(const Command& cmd, const Flags& flags, const std::string& name,
+                long fallback, long min, long max) {
+  const auto it = flags.find(name);
+  if (it == flags.end()) {
+    return fallback;
   }
-  if (!metrics_path.empty()) {
-    write_text_file(
-        metrics_path,
-        obs::prometheus_text(obs::MetricsRegistry::global().snapshot()));
-    std::printf("  metrics:          %s (Prometheus text)\n",
-                metrics_path.c_str());
+  const double v = flag_json(*cmd.find(name), it->second).as_number();
+  if (v != std::floor(v) || v < static_cast<double>(min) ||
+      v > static_cast<double>(max)) {
+    throw std::invalid_argument(
+        "--" + name + ": " + it->second + " is not a whole number in [" +
+        std::to_string(min) + ", " + std::to_string(max) + "]");
   }
-  if (observing) {
-    obs::Tracer::global().set_enabled(false);
+  return static_cast<long>(v);
+}
+
+// Sets in `node` every given flag whose param starts with `prefix` (the
+// prefix stripped), creating the objects on its dotted path. Params under
+// a further "[i]" belong to a nested call.
+void set_params(report::JsonValue& node, const Command& cmd,
+                const Flags& flags, const std::string& prefix) {
+  for (const FlagDef& f : cmd.flags) {
+    const auto it = flags.find(f.name);
+    if (it == flags.end() || f.param.empty() ||
+        f.param.rfind(prefix, 0) != 0 ||
+        f.param.find("[i]", prefix.size()) != std::string::npos) {
+      continue;
+    }
+    const std::string path = f.param.substr(prefix.size());
+    report::JsonValue* at = &node;
+    std::size_t start = 0;
+    for (std::size_t dot; (dot = path.find('.', start)) != std::string::npos;
+         start = dot + 1) {
+      const std::string key = path.substr(start, dot - start);
+      if (at->find(key) == nullptr) {
+        at->set(key, report::JsonValue::object());
+      }
+      at = at->find(key);
+    }
+    at->set(path.substr(start), flag_json(f, it->second));
   }
-  return 0;
 }
 
 // Deterministic built-in planet: `--regions` fleets cycling over `--grids`
 // distinct grid profiles (same profile + same seed => one shared memoized
 // IntensityTable) with UTC offsets marching around the globe in 3-hour
-// increments.
-datacenter::PlanetSimulator::Config planet_config(const Flags& flags) {
-  using namespace sustainai::datacenter;
+// increments. The count is checked before any region is generated.
+report::JsonValue planet_regions(const Command& cmd, const Flags& flags) {
+  using report::JsonValue;
   static const char* kGridCycle[] = {"us-west-solar",   "us-average",
                                      "nordic-hydro",    "asia-pacific",
                                      "us-midwest-coal", "hydro-quebec"};
-  constexpr long kGridCycleSize = 6;
-  const long regions = static_cast<long>(flag_double(flags, "regions", 8.0));
-  long distinct = static_cast<long>(flag_double(flags, "grids", 3.0));
-  if (regions < 1) {
-    throw std::invalid_argument("--regions must be >= 1");
-  }
-  distinct = std::min(std::max(distinct, 1L), kGridCycleSize);
-
-  PlanetSimulator::Config config;
-  config.horizon = years(flag_double(flags, "years", 1.0));
-  config.step = minutes(flag_double(flags, "step-min", 60.0));
-  config.steps_per_chunk =
-      static_cast<long>(flag_double(flags, "chunk-steps", 1024.0));
+  const long regions = whole_flag(
+      cmd, flags, "regions", 8, 1,
+      static_cast<long>(datacenter::PlanetSimulator::kMaxRegions));
+  const long grids = whole_flag(cmd, flags, "grids", 3, 1, 6);
+  JsonValue list = JsonValue::array();
   for (long r = 0; r < regions; ++r) {
-    PlanetSimulator::RegionConfig rc;
-    const char* grid_name = kGridCycle[r % distinct];
-    rc.name = "region-" + std::to_string(r) + "-" + grid_name;
-    rc.grid.profile = grid_by_name(grid_name);
-    rc.grid.seed = 42;  // shared: same-grid regions memoize one table
-    rc.utc_offset_hours = static_cast<double>((r * 3) % 24);
-
-    ServerGroup web;
-    web.name = "web";
-    web.sku = hw::skus::web_tier();
-    web.count = static_cast<int>(flag_double(flags, "web-servers", 300.0));
-    web.tier = Tier::kWeb;
-    web.load = DiurnalProfile{0.3, 0.9, 20.0};
-    web.autoscalable = true;
-    rc.cluster.add_group(web);
-    ServerGroup train;
-    train.name = "train";
-    train.sku = hw::skus::gpu_training_8x();
-    train.count = static_cast<int>(flag_double(flags, "train-servers", 12.0));
-    train.tier = Tier::kAiTraining;
-    train.load = flat_profile(0.5);
-    rc.cluster.add_group(train);
-    config.regions.push_back(std::move(rc));
+    const char* grid_name = kGridCycle[r % grids];
+    JsonValue region = JsonValue::object();
+    region.set("name", JsonValue::string("region-" + std::to_string(r) + "-" +
+                                         grid_name));
+    region.set("grid", JsonValue::object().set(
+                           "name", JsonValue::string(grid_name)));
+    region.set("utc_offset_h",
+               JsonValue::number(static_cast<double>((r * 3) % 24)));
+    set_params(region, cmd, flags, "regions[i].");
+    list.append(std::move(region));
   }
-  return config;
+  return list;
 }
 
-int cmd_planet(const Flags& flags) {
-  using namespace sustainai::datacenter;
-  const PlanetSimulator sim(planet_config(flags));
-  const CheckpointFlags cf = parse_checkpoint_flags(flags);
+// Runs `spec` per `cmd`'s flags: checkpoint and resume, the summary on
+// stdout, the bundle under --out, artifacts at their flags' paths. A
+// SpecError at a flag's param names the flag. Returns the exit status.
+int run_spec(const scenario::Spec& spec, const Command& cmd,
+             const Flags& flags) {
+  const std::string checkpoint = flag_string(flags, "checkpoint", "");
+  const std::string resume = flag_string(flags, "resume", "");
+  if (!resume.empty() && checkpoint.empty()) {
+    throw std::invalid_argument(
+        "--resume requires --checkpoint (the path further snapshots are "
+        "written to); pass --checkpoint " +
+        resume + " to continue updating the same file");
+  }
+  constexpr long kMaxSteps = 1L << 40;
+  scenario::CheckpointRequest request;
+  request.segment_steps =
+      whole_flag(cmd, flags, "segment-steps", 0, 0, kMaxSteps);
+  request.stop_after = whole_flag(cmd, flags, "stop-after", 0, 0, kMaxSteps);
+  if (!resume.empty()) {
+    std::string text;
+    try {
+      text = read_text_file(resume);
+    } catch (const std::exception&) {
+      throw std::invalid_argument("cannot resume: checkpoint file '" + resume +
+                                  "' is missing or unreadable");
+    }
+    try {
+      request.resume_text = report::canonical_json(report::parse_json(text));
+    } catch (const report::JsonParseError& e) {
+      throw std::invalid_argument(
+          "cannot resume from '" + resume + "': not valid JSON (" +
+          std::string(e.what()) +
+          "); the checkpoint file may be truncated or corrupt");
+    }
+  }
+  if (!checkpoint.empty()) {
+    request.write_snapshot = [&checkpoint](const std::string& snapshot) {
+      write_text_file(checkpoint, snapshot + "\n");
+    };
+  }
 
-  PlanetSimulator::Checkpoint cp;
-  const long start_step = init_checkpoint(sim, cf, cp);
+  scenario::Bundle bundle;
   const auto wall0 = std::chrono::steady_clock::now();
-  if (!drive_segments(sim, cp, cf)) {
-    return 0;
+  try {
+    bundle = scenario::Runner().run(spec, nullptr, request);
+  } catch (const engine::SnapshotDigestMismatch&) {
+    throw std::invalid_argument(
+        "cannot resume from '" + resume +
+        "': config digest mismatch — this checkpoint was written by a "
+        "differently-configured run; re-run with the original spec or "
+        "flags, or start fresh without --resume");
+  } catch (const scenario::SpecError& e) {
+    const std::string what = e.what();
+    for (const FlagDef& f : cmd.flags) {
+      if (f.param.empty()) {
+        continue;
+      }
+      // Every generated region holds the same value; region 0 fails first.
+      std::string path = "$.params." + f.param + ":";
+      if (const std::size_t i = path.find("[i]"); i != std::string::npos) {
+        path.replace(i, 3, "[0]");
+      }
+      if (what.rfind(path, 0) == 0) {
+        throw std::invalid_argument("--" + f.name + ": " + what);
+      }
+    }
+    throw;
   }
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();
-
-  const PlanetSimulator::Result result = sim.finalize(cp);
-  report::Table t({"region", "IT energy", "facility", "location carbon",
-                   "market carbon"});
-  for (const PlanetSimulator::RegionResult& region : result.regions) {
-    t.add_row({region.name, to_string(region.it_energy),
-               to_string(region.facility_energy),
-               to_string(region.location_carbon),
-               to_string(region.market_carbon)});
-  }
-  std::printf("%s", t.to_string().c_str());
-  std::printf("  regions:          %zu (%zu distinct intensity tables)\n",
-              sim.region_count(), sim.distinct_intensity_tables());
-  std::printf("  IT energy:        %s\n", to_string(result.it_energy).c_str());
-  std::printf("  facility energy:  %s\n",
-              to_string(result.facility_energy).c_str());
-  std::printf("  location carbon:  %s\n",
-              to_string(result.location_carbon).c_str());
-  std::printf("  market carbon:    %s\n",
-              to_string(result.market_carbon).c_str());
-  const double step_s = flag_double(flags, "step-min", 60.0) * 60.0;
-  const double region_years_done =
-      static_cast<double>(sim.region_count()) *
-      (static_cast<double>(sim.steps() - start_step) * step_s /
-       kSecondsPerYear);
-  if (wall_s > 0.0 && region_years_done > 0.0) {
-    std::printf("  throughput:       %.0f region-years/min (%.1f region-years "
-                "in %.2f s)\n",
-                region_years_done / (wall_s / 60.0), region_years_done, wall_s);
-  }
-  return 0;
-}
-
-int cmd_run(int argc, char** argv) {
-  if (argc < 3 || std::string(argv[2]).rfind("--", 0) == 0) {
-    std::fprintf(stderr,
-                 "usage: sustainai run <scenario.json> [--out DIR]\n"
-                 "                 [--checkpoint PATH] [--resume PATH]\n"
-                 "                 [--segment-steps N] [--stop-after K]\n");
-    return 2;
-  }
-  const std::string spec_path = argv[2];
-  const Flags flags = parse_flags(argc, argv, 3);
-  const std::string out_dir = flag_string(flags, "out", "");
-  const CheckpointFlags cf = parse_checkpoint_flags(flags);
-
-  scenario::CheckpointRequest request;
-  request.segment_steps = cf.segment_steps;
-  request.stop_after = cf.stop_after;
-  if (!cf.resume_path.empty()) {
-    request.resume_text = report::canonical_json(load_resume_json(cf.resume_path));
-  }
-  if (!cf.checkpoint_path.empty()) {
-    request.write_snapshot = [&cf](const std::string& snapshot) {
-      write_text_file(cf.checkpoint_path, snapshot + "\n");
-    };
-  }
-
-  const scenario::Spec spec = scenario::Spec::parse(read_text_file(spec_path));
-  const scenario::Runner runner;
-  scenario::Bundle bundle;
-  try {
-    bundle = runner.run(spec, nullptr, request);
-  } catch (const engine::SnapshotDigestMismatch&) {
-    throw std::invalid_argument(
-        "cannot resume from '" + cf.resume_path +
-        "': config digest mismatch — this checkpoint was written by a "
-        "differently-configured run; re-run with the original spec, or "
-        "start fresh without --resume");
-  }
 
   std::printf("scenario: %s\n", bundle.result.scenario.c_str());
   if (bundle.failed) {
@@ -597,9 +563,9 @@ int cmd_run(int argc, char** argv) {
     }
   } else if (bundle.stopped) {
     std::printf("stopped at a segment boundary (--stop-after %ld)",
-                cf.stop_after);
-    if (!cf.checkpoint_path.empty()) {
-      std::printf("; resume with --resume %s", cf.checkpoint_path.c_str());
+                request.stop_after);
+    if (!checkpoint.empty()) {
+      std::printf("; resume with --resume %s", checkpoint.c_str());
     }
     std::printf("\n");
   } else {
@@ -607,7 +573,21 @@ int cmd_run(int argc, char** argv) {
     for (const std::string& note : bundle.result.notes) {
       std::printf("  %s\n", note.c_str());
     }
+    if (bundle.result.scenario == "planet" && resume.empty()) {
+      // End to end: the whole Runner::run call, construction included. The
+      // simulated horizon is the t_end_s of the series' last window.
+      const std::string& series = bundle.result.csv_series.front().second;
+      const std::size_t row = series.rfind('\n', series.size() - 2) + 1;
+      const double region_years =
+          bundle.result.report.find("region_count")->as_number() *
+          std::stod(series.substr(series.find(',', row) + 1)) /
+          kSecondsPerYear;
+      std::printf("  throughput:       %.0f region-years/min end to end, "
+                  "construction included (%.1f region-years in %.2f s)\n",
+                  region_years / (wall_s / 60.0), region_years, wall_s);
+    }
   }
+  const std::string out_dir = flag_string(flags, "out", "");
   if (!out_dir.empty()) {
     std::string error;
     if (!scenario::Runner::write(bundle, out_dir, &error)) {
@@ -615,16 +595,65 @@ int cmd_run(int argc, char** argv) {
     }
     std::string names;
     for (const scenario::Artifact& f : bundle.files) {
-      if (!names.empty()) {
-        names += ", ";
-      }
-      names += f.filename;
+      names += (names.empty() ? "" : ", ") + f.filename;
     }
     std::printf("wrote %s to %s\n", names.c_str(), out_dir.c_str());
+  }
+  for (const FlagDef& f : cmd.flags) {
+    const scenario::Artifact* artifact =
+        f.artifact.empty() ? nullptr : bundle.find(f.artifact);
+    if (artifact != nullptr) {
+      write_text_file(flags.at(f.name), artifact->content);
+      std::printf("wrote %s to %s\n", f.artifact.c_str(),
+                  flags.at(f.name).c_str());
+    }
   }
   // The failed bundle is still written (error.json + spec.json), but the
   // exit status lets batch drivers count the failure.
   return bundle.failed ? 1 : 0;
+}
+
+int cmd_run(int argc, char** argv) {
+  const Command cmd = run_command();
+  const bool has_spec = argc >= 3 && std::string(argv[2]).rfind("--", 0) != 0;
+  const std::optional<Flags> flags =
+      parse_command_flags(cmd, argc, argv, has_spec ? 3 : 2);
+  if (!flags) {
+    return 0;
+  }
+  if (!has_spec) {
+    print_help(cmd, stderr);
+    return 2;
+  }
+  return run_spec(scenario::Spec::parse(read_text_file(argv[2])), cmd,
+                  *flags);
+}
+
+// `fleet`, `planet`, `fl`: flags -> spec -> run_spec.
+int cmd_translate(const Command& cmd, int argc, char** argv) {
+  using report::JsonValue;
+  const std::optional<Flags> flags = parse_command_flags(cmd, argc, argv, 2);
+  if (!flags) {
+    return 0;
+  }
+  JsonValue spec = JsonValue::object();
+  spec.set("scenario", JsonValue::string(cmd.scenario));
+  JsonValue params = JsonValue::object();
+  set_params(params, cmd, *flags, "");
+  if (cmd.scenario == "planet") {
+    params.set("regions", planet_regions(cmd, *flags));
+  }
+  spec.set("params", std::move(params));
+  for (const FlagDef& f : cmd.flags) {
+    if (!f.artifact.empty() && flags->count(f.name) != 0) {
+      if (spec.find("artifacts") == nullptr) {
+        spec.set("artifacts", JsonValue::object());
+      }
+      spec.find("artifacts")->set(f.artifact.substr(0, f.artifact.find('.')),
+                                  JsonValue::boolean(true));
+    }
+  }
+  return run_spec(scenario::Spec::from_value(std::move(spec)), cmd, *flags);
 }
 
 int cmd_scenarios(int argc, char** argv) {
@@ -665,30 +694,15 @@ int usage() {
       "  grids      available grid carbon-intensity profiles\n"
       "  schedule   compare carbon-aware scheduling policies\n"
       "             (--jobs --duration-h --slack-h --power-kw --grid)\n"
-      "  fl         footprint of a federated-learning campaign\n"
-      "             (--clients --rounds-per-day --days --model-mb --compute-min)\n"
-      "  fleet      run the datacenter fleet simulator, optionally dumping a\n"
-      "             Chrome trace and Prometheus metrics, optionally\n"
-      "             checkpointed in resumable segments\n"
-      "             (--days --web-servers --train-servers --grid --chunk-steps\n"
-      "              --trace PATH --metrics PATH --segment-steps\n"
-      "              --checkpoint PATH --resume PATH --stop-after K)\n"
-      "  planet     run the planetary sharded fleet simulator: N region-fleets\n"
-      "             cycling distinct grids with UTC phase offsets, optionally\n"
-      "             checkpointed in resumable segments\n"
-      "             (--regions --grids --years --step-min --chunk-steps\n"
-      "              --segment-steps --checkpoint PATH --resume PATH\n"
-      "              --stop-after K)\n"
       "  model-card render the carbon section of a model card (markdown)\n"
       "             (--name --device --count --runtime-days --utilization --grid)\n"
-      "  run        run a declarative JSON scenario through the registry,\n"
-      "             optionally writing the artifact bundle; checkpointable\n"
-      "             scenarios accept segmented/resumable execution\n"
-      "             (sustainai run <scenario.json> [--out DIR]\n"
-      "              [--checkpoint PATH] [--resume PATH] [--segment-steps N]\n"
-      "              [--stop-after K])\n"
       "  scenarios  list registered scenarios, or show one scenario's\n"
       "             parameters (sustainai scenarios [name])\n");
+  for (const Command& cmd :
+       {run_command(), fleet_command(), planet_command(), fl_command()}) {
+    std::printf("  %-10s %s\n             (sustainai %s --help lists its flags)\n",
+                cmd.name.c_str(), cmd.summary.c_str(), cmd.name.c_str());
+  }
   return 2;
 }
 
@@ -700,13 +714,18 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   try {
-    // `run` and `scenarios` take a positional argument; parse their flags
-    // inside the command.
+    // `run` and `scenarios` take a positional argument; the spec-backed
+    // commands parse against their own flag tables.
     if (command == "run") {
       return cmd_run(argc, argv);
     }
     if (command == "scenarios") {
       return cmd_scenarios(argc, argv);
+    }
+    for (const Command& cmd : {fleet_command(), planet_command(), fl_command()}) {
+      if (command == cmd.name) {
+        return cmd_translate(cmd, argc, argv);
+      }
     }
     const Flags flags = parse_flags(argc, argv, 2);
     if (command == "estimate") {
@@ -720,15 +739,6 @@ int main(int argc, char** argv) {
     }
     if (command == "schedule") {
       return cmd_schedule(flags);
-    }
-    if (command == "fl") {
-      return cmd_fl(flags);
-    }
-    if (command == "fleet") {
-      return cmd_fleet(flags);
-    }
-    if (command == "planet") {
-      return cmd_planet(flags);
     }
     if (command == "model-card") {
       return cmd_model_card(flags);
