@@ -14,6 +14,7 @@
 #include "datagen/rng.h"
 #include "hw/server.h"
 #include "obs/metrics.h"
+#include "oracles/fleet_reference.h"
 #include "obs/trace.h"
 #include "recsys/mlp.h"
 #include "recsys/trainer.h"
@@ -39,8 +40,7 @@ IntermittentGrid::Config bench_grid_config() {
   return cfg;
 }
 
-datacenter::FleetSimulator::Config fleet_bench_config(
-    bool use_table, datacenter::StepKernel kernel) {
+datacenter::FleetSimulator::Config fleet_bench_config() {
   using namespace datacenter;
   Cluster cluster;
   ServerGroup web;
@@ -65,8 +65,6 @@ datacenter::FleetSimulator::Config fleet_bench_config(
   c.horizon = days(10.0);
   c.step = minutes(15.0);
   c.steps_per_chunk = 64;
-  c.use_intensity_table = use_table;
-  c.kernel = kernel;
   return c;
 }
 
@@ -116,11 +114,24 @@ void bm_intensity_table_build(benchmark::State& state) {
 // fleet_build_state — the table path must never be benched with a per-call
 // table rebuild folded in (that skew once made the table path look slower
 // than direct lookups).
-void bm_fleet_step(benchmark::State& state, bool use_table,
-                   datacenter::StepKernel kernel) {
-  const datacenter::FleetSimulator sim(fleet_bench_config(use_table, kernel));
+void bm_fleet_step_soa(benchmark::State& state) {
+  const datacenter::FleetSimulator sim(fleet_bench_config());
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim.run());
+  }
+  state.SetItemsProcessed(state.iterations() * kFleetSteps);
+}
+
+// The same fleet stepped by the object-based reference kernel of
+// tests/oracles/, reading the table-free lane (kDirect) or the region's
+// table lane (kTable). As above, the region and the lane are built once,
+// outside the timed loop, so both time the same reference loop.
+void bm_fleet_step_oracle(benchmark::State& state, oracles::LaneSource source) {
+  const datacenter::FleetSimulator::Config cfg = fleet_bench_config();
+  const datacenter::FleetRegion region = oracles::fleet_region(cfg);
+  const oracles::ReferenceFleet reference(region, cfg.steps_per_chunk, source);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reference.run());
   }
   state.SetItemsProcessed(state.iterations() * kFleetSteps);
 }
@@ -129,8 +140,7 @@ void bm_fleet_step(benchmark::State& state, bool use_table,
 // memoizes for run() — grid, autoscaler, prebuilt intensity table, and the
 // SoA image of the cluster.
 void bm_fleet_build_state(benchmark::State& state) {
-  const datacenter::FleetSimulator::Config cfg =
-      fleet_bench_config(true, datacenter::StepKernel::kSimd);
+  const datacenter::FleetSimulator::Config cfg = fleet_bench_config();
   for (auto _ : state) {
     datacenter::FleetSimulator sim(cfg);
     benchmark::DoNotOptimize(&sim);
@@ -143,8 +153,7 @@ void bm_fleet_build_state(benchmark::State& state) {
 // configuration) to within noise — bench_diff.py --check-obs guards the
 // derived tracer_off_overhead ratio.
 void bm_fleet_step_obs(benchmark::State& state, bool tracer_on) {
-  const datacenter::FleetSimulator sim(
-      fleet_bench_config(true, datacenter::StepKernel::kSimd));
+  const datacenter::FleetSimulator sim(fleet_bench_config());
   obs::Tracer& tracer = obs::Tracer::global();
   tracer.clear();
   tracer.set_enabled(tracer_on);
@@ -173,8 +182,7 @@ constexpr int kPlanetRegions = 8;
 
 datacenter::PlanetSimulator::Config planet_bench_config() {
   using namespace datacenter;
-  const Cluster cluster =
-      fleet_bench_config(true, StepKernel::kSimd).cluster;
+  const Cluster cluster = fleet_bench_config().cluster;
   PlanetSimulator::Config c;
   c.step = minutes(15.0);
   c.horizon = years(1.0);
@@ -227,7 +235,7 @@ void bm_planet_build_state(benchmark::State& state) {
 // of microseconds), so on a production-scale run it must stay within ~2% of
 // constructing and running the simulator directly. bench_diff.py
 // --check-scenario guards the derived scenario_run_overhead ratio. The spec
-// mirrors fleet_bench_config(true) parameter for parameter at a 120-day
+// mirrors fleet_bench_config() parameter for parameter at a 120-day
 // horizon, so both sides execute the identical 11520-step simulation.
 constexpr double kScenarioDays = 120.0;
 constexpr long kScenarioFleetSteps = 11520;  // days(120) / minutes(15)
@@ -248,8 +256,7 @@ constexpr const char* kScenarioFleetSpec = R"({
 })";
 
 void bm_scenario_fleet_direct(benchmark::State& state) {
-  datacenter::FleetSimulator::Config cfg =
-      fleet_bench_config(true, datacenter::StepKernel::kSimd);
+  datacenter::FleetSimulator::Config cfg = fleet_bench_config();
   cfg.horizon = days(kScenarioDays);
   for (auto _ : state) {
     benchmark::DoNotOptimize(datacenter::FleetSimulator(cfg).run());
@@ -408,16 +415,13 @@ void register_kernel_benchmarks(bool smoke) {
   add("intensity_direct", bm_intensity_direct);
   add("intensity_table_lookup", bm_intensity_table_lookup);
   add("intensity_table_build", bm_intensity_table_build);
-  using datacenter::StepKernel;
   add("fleet_step_direct", [](benchmark::State& s) {
-    bm_fleet_step(s, false, StepKernel::kReference);
+    bm_fleet_step_oracle(s, oracles::LaneSource::kDirect);
   });
   add("fleet_step_table", [](benchmark::State& s) {
-    bm_fleet_step(s, true, StepKernel::kReference);
+    bm_fleet_step_oracle(s, oracles::LaneSource::kTable);
   });
-  add("fleet_step_soa", [](benchmark::State& s) {
-    bm_fleet_step(s, true, StepKernel::kSimd);
-  });
+  add("fleet_step_soa", bm_fleet_step_soa);
   add("fleet_build_state", bm_fleet_build_state);
   add("planet_step", bm_planet_step);
   add("planet_build_state", bm_planet_build_state);
@@ -470,12 +474,13 @@ std::string render_bench_json(const std::vector<BenchRecord>& records) {
   constexpr SpeedupPair kPairs[] = {
       {"intensity_direct", "intensity_table_lookup",
        "intensity_lookup_speedup"},
-      // Scalar baseline (reference kernel, direct grid lookups) over the
-      // production path (SoA + SIMD kernel, prebuilt table): the headline
-      // fleet-step speedup.
+      // Scalar baseline (the test-side reference kernel on the table-free
+      // lane) over the production path (SoA + SIMD kernel, prebuilt
+      // table): the headline fleet-step speedup.
       {"fleet_step_direct", "fleet_step_soa", "fleet_step_speedup"},
-      // The two halves, isolated: what the prebuilt table buys the
-      // reference kernel, and what the SoA kernel buys on top of it.
+      // The two halves: the reference loop on either prebuilt lane (the
+      // lanes are built outside the timed loop, so this stays near 1), and
+      // what the SoA kernel buys over the reference loop.
       {"fleet_step_direct", "fleet_step_table", "fleet_step_table_speedup"},
       {"fleet_step_table", "fleet_step_soa", "fleet_step_simd_speedup"},
       {"dense_gemv", "dense_forward_batch", "dense_gemm_speedup"},

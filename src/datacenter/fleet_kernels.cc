@@ -63,97 +63,12 @@ void flush_group(const GroupLanes& lanes, FleetPartial& out, std::size_t g) {
 }
 
 // ---------------------------------------------------------------------------
-// Reference kernel: the original object-based step math (DiurnalProfile,
-// AutoScaler, ServerSku), step-outer / group-inner, with the accumulators
-// replaced by the lane contract. This is the executable specification the
-// SoA kernel is tested against byte for byte.
-// ---------------------------------------------------------------------------
-FleetPartial reference_chunk(const FleetStepInputs& in, std::size_t begin,
-                             std::size_t end) {
-  const auto& groups = in.cluster->groups();
-  const std::size_t num_groups = groups.size();
-  FleetPartial out(num_groups);
-  std::vector<GroupLanes> lanes(num_groups);
-
-  const double step_s = in.step_s;
-  const Duration step = seconds(step_s);
-  const bool any_down = in.down != nullptr && !in.down->empty();
-
-  for (std::size_t s = begin; s < end; ++s) {
-    const int l = static_cast<int>((s - begin) % kStepLanes);
-    const Duration now = seconds(step_s * static_cast<double>(s));
-    const double intensity = in.intensity[s];
-    for (std::size_t i = 0; i < num_groups; ++i) {
-      const ServerGroup& g = groups[i];
-      if (g.count == 0) {
-        continue;
-      }
-      const double demand = g.load.utilization_at(now);
-      // Crashed hosts drop out of capacity; the surviving hosts absorb the
-      // displaced load, capped at full utilization.
-      const int down_now = any_down ? (*in.down)[i][s] : 0;
-      int active_count = g.count;
-      double active_demand = demand;
-      if (down_now > 0) {
-        active_count = g.count - down_now;
-        active_demand =
-            active_count > 0
-                ? std::min(1.0, demand * static_cast<double>(g.count) /
-                                    static_cast<double>(active_count))
-                : 0.0;
-        lanes[i].add(kFaultLost, l, down_now * step_s / kSecondsPerHour);
-      }
-      Energy group_energy = joules(0.0);
-      double recorded_util = active_demand;
-
-      if (active_count > 0 && g.autoscalable && in.enable_autoscaler) {
-        const AutoScaler::Decision d =
-            in.scaler->step(active_count, active_demand);
-        group_energy =
-            g.sku.energy(d.active_utilization, d.active_utilization, step) *
-            static_cast<double>(d.active_servers);
-        recorded_util = d.active_utilization;
-        lanes[i].add(kFreedHours, l, d.freed_servers * step_s / kSecondsPerHour);
-        if (in.opportunistic_training && d.freed_servers > 0) {
-          const Energy opp =
-              g.sku.energy(in.opportunistic_utilization,
-                           in.opportunistic_utilization, step) *
-              static_cast<double>(d.freed_servers);
-          lanes[i].add(kOppEnergy, l, to_joules(opp));
-          lanes[i].add(kOppHours, l, d.freed_servers * step_s / kSecondsPerHour);
-          group_energy += opp;
-        }
-      } else if (active_count > 0) {
-        group_energy = g.sku.energy(active_demand, active_demand, step) *
-                       static_cast<double>(active_count);
-      }
-      if (down_now > 0) {
-        // Re-warming hosts idle-draw without doing work: pure waste.
-        const Energy rewarm =
-            g.sku.energy(0.0, 0.0, step) * static_cast<double>(down_now);
-        group_energy += rewarm;
-        lanes[i].add(kFaultWasted, l, to_joules(rewarm));
-      }
-
-      lanes[i].add(kGroupEnergy, l, to_joules(group_energy));
-      lanes[i].add(kUtilWeight, l, recorded_util);
-      lanes[i].add(kLocationG, l,
-                   to_joules(group_energy * in.pue) * intensity);
-    }
-  }
-  for (std::size_t i = 0; i < num_groups; ++i) {
-    flush_group(lanes[i], out, i);
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // SoA kernel: group-outer / step-inner over the precomputed lanes, blocked
 // into kStepLanes-wide strips. Every floating-point expression below is the
-// reference kernel's tree with per-group constants hoisted; conditional
-// contributions are folded branch-free only where the identity is exact
-// (x + 0.0 == x and x * 1.0 == x for the non-negative quantities involved),
-// so the two kernels agree byte for byte.
+// reference kernel's tree (tests/oracles/fleet_reference.cc) with per-group
+// constants hoisted; conditional contributions are folded branch-free only
+// where the identity is exact (x + 0.0 == x and x * 1.0 == x for the
+// non-negative quantities involved), so the two agree byte for byte.
 // ---------------------------------------------------------------------------
 
 // Per-group constants loaded once per strip loop.
@@ -509,16 +424,11 @@ FleetSoA build_fleet_soa(const Cluster& cluster,
   return soa;
 }
 
-FleetPartial run_fleet_chunk(const FleetStepInputs& in, StepKernel kernel,
-                             std::size_t begin, std::size_t end) {
-  check_arg(in.cluster != nullptr, "run_fleet_chunk: cluster is required");
+FleetPartial run_fleet_chunk(const FleetStepInputs& in, std::size_t begin,
+                             std::size_t end) {
+  check_arg(in.soa != nullptr, "run_fleet_chunk: SoA inputs are required");
   check_arg(in.intensity != nullptr, "run_fleet_chunk: intensity is required");
-  if (kernel == StepKernel::kSimd) {
-    check_arg(in.soa != nullptr, "run_fleet_chunk: SoA inputs are required");
-    return soa_chunk(in, begin, end);
-  }
-  check_arg(in.scaler != nullptr, "run_fleet_chunk: scaler is required");
-  return reference_chunk(in, begin, end);
+  return soa_chunk(in, begin, end);
 }
 
 }  // namespace sustainai::datacenter

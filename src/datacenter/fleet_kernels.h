@@ -1,19 +1,15 @@
-// Fixed-width step kernels for the fleet simulator.
+// The fixed-width step kernel of the fleet simulator.
 //
 // The per-step fleet math (diurnal demand -> autoscaling -> utilization ->
 // power -> PUE -> grid carbon) is the widest hot path in the repo: it runs
-// once per server group per step over horizons of years. This header
-// provides two interchangeable kernels for that loop:
+// once per server group per step over horizons of years. The kernel keeps
+// structure-of-arrays state (per-group constants and demand series as
+// contiguous lanes) and blocks the inner loop into kStepLanes-wide strips
+// that the compiler vectorizes.
 //
-//   * StepKernel::kReference — the original object-based math (DiurnalProfile,
-//     AutoScaler, ServerSku calls), step-outer / group-inner. The readable
-//     specification.
-//   * StepKernel::kSimd — structure-of-arrays state (per-group constants and
-//     demand series as contiguous lanes) with the inner loop blocked into
-//     kStepLanes-wide strips that the compiler vectorizes.
-//
-// Both produce byte-identical FleetPartials (tests/fleet_soa_test.cc) because
-// they follow the same accumulation-order contract (DESIGN.md):
+// Its results are defined by an accumulation-order contract (DESIGN.md §6),
+// which the object-based reference kernel in tests/oracles/ follows too, so
+// the two agree byte for byte (tests/fleet_soa_test.cc):
 //
 //   1. Every accumulated quantity is PER GROUP. Within an exec chunk [b, e),
 //      step s contributes to logical lane (s - b) % kStepLanes of its group's
@@ -26,8 +22,8 @@
 //      order, once, after the merge.
 //
 // The contract fixes the floating-point expression tree per step to the one
-// the reference kernel evaluates (ServerSku::energy's tree with the SKU
-// constants hoisted), so the SoA path is a pure reordering of independent
+// the reference evaluates (ServerSku::energy's tree with the SKU constants
+// hoisted), so the SoA kernel is a pure reordering of independent
 // accumulators — the same trick the recsys GEMM tiles use per (row, output).
 #pragma once
 
@@ -40,19 +36,14 @@
 
 namespace sustainai::datacenter {
 
-// Logical lane width of the step kernels. This is a contract constant, not a
+// Logical lane width of the step kernel. This is a contract constant, not a
 // machine property: results are defined in terms of kStepLanes accumulator
 // lanes, so wider (or narrower) physical SIMD units must still maintain
 // exactly these logical lanes to reproduce the same bytes.
 inline constexpr int kStepLanes = 4;
 
-enum class StepKernel {
-  kReference,  // original object-based math, lane-contract accumulators
-  kSimd,       // SoA + fixed-width vector strips (default)
-};
-
 // Per-group constants and precomputed series, AoS -> SoA. Built once per
-// FleetSimulator (the demand series is the expensive part: one cosine per
+// FleetRegion (the demand series is the expensive part: one cosine per
 // distinct second-of-day per group, served from a day-periodic slot cache).
 struct FleetSoA {
   long steps = 0;
@@ -152,14 +143,8 @@ class FleetPartial {
 
 // Read-only inputs shared by every chunk of one run.
 struct FleetStepInputs {
-  const Cluster* cluster = nullptr;
-  const AutoScaler* scaler = nullptr;
-  const FleetSoA* soa = nullptr;  // required for StepKernel::kSimd
-  bool enable_autoscaler = true;
-  bool opportunistic_training = true;
-  double opportunistic_utilization = 0.90;
+  const FleetSoA* soa = nullptr;
   double pue = 1.0;
-  double step_s = 0.0;
   // Per-step grid intensity (base units), gap-remap already applied.
   const double* intensity = nullptr;
   // down[g][s]: hosts of group g offline at step s; nullptr when no crashes.
@@ -168,7 +153,6 @@ struct FleetStepInputs {
 
 // Simulate steps [begin, end) of one chunk under the lane contract.
 [[nodiscard]] FleetPartial run_fleet_chunk(const FleetStepInputs& in,
-                                           StepKernel kernel,
                                            std::size_t begin, std::size_t end);
 
 // Per-step projections of a fault plan onto a fleet timeline, built serially

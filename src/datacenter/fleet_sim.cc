@@ -24,8 +24,7 @@ FleetRegion fleet_region(const FleetSimulator::Config& config) {
   region.faults = config.faults;
   IntensityCache tables;
   return FleetRegion(std::move(region),
-                     FleetRegion::Run::of(config, "FleetSimulator"),
-                     config.use_intensity_table ? &tables : nullptr);
+                     FleetRegion::Run::of(config, "FleetSimulator"), tables);
 }
 
 }  // namespace
@@ -43,7 +42,9 @@ void FleetRegion::Run::digest(engine::ConfigDigest& d,
   d.add_double(step_s);
   d.add_long(steps);
   d.add_long(steps_per_chunk);
-  d.add_long(static_cast<long>(kernel));
+  // The retired step-kernel selector, whose one remaining value hashed as
+  // 1. Kept so that v1 snapshots written before its removal still resume.
+  d.add_long(1);
   d.add_long(enable_autoscaler ? 1 : 0);
   d.add_long(opportunistic_training ? 1 : 0);
   d.add_double(opportunistic_utilization);
@@ -53,8 +54,8 @@ void FleetRegion::Run::digest(engine::ConfigDigest& d,
 }
 
 FleetRegion::FleetRegion(FleetRegionConfig config, const Run& run,
-                         IntensityCache* tables)
-    : config_(std::move(config)), run_(run), scaler_(run.autoscaler) {
+                         IntensityCache& tables)
+    : config_(std::move(config)), run_(run) {
   check_arg(!config_.cluster.groups().empty(),
             "FleetRegion: a region needs at least one server group");
   check_arg(config_.pue >= 1.0, "FleetRegion: PUE must be >= 1.0");
@@ -66,9 +67,7 @@ FleetRegion::FleetRegion(FleetRegionConfig config, const Run& run,
   offset_steps_ = std::lround(offset_s / run_.step_s);
   check_arg(static_cast<double>(offset_steps_) * run_.step_s == offset_s,
             "FleetRegion: utc_offset_hours must be a whole number of steps");
-  if (tables != nullptr) {
-    table_ = tables->get(config_.grid, run_.step, run_.steps + offset_steps_);
-  }
+  table_ = tables.get(config_.grid, run_.step, run_.steps + offset_steps_);
 
   // Rebase each group's diurnal peak to local solar time. Offset zero copies
   // the cluster untouched, so the peak-hour doubles stay bit-identical.
@@ -89,30 +88,19 @@ FleetRegion::FleetRegion(FleetRegionConfig config, const Run& run,
   projection_ = project_faults(plan_, cluster_, run_.steps, run_.step_s);
 
   // The lane is the table read in place at the region's offset, unless a
-  // grid-data gap remaps steps or there is no table to read.
-  if (projection_.any_gap() || table_ == nullptr) {
-    const IntermittentGrid grid(config_.grid);
+  // grid-data gap remaps steps.
+  if (projection_.any_gap()) {
     lane_.resize(static_cast<std::size_t>(run_.steps));
-    for (long s = 0; s < run_.steps; ++s) {
-      const long k =
-          (projection_.any_gap()
-               ? projection_.intensity_remap[static_cast<std::size_t>(s)]
-               : s) +
-          offset_steps_;
-      lane_[static_cast<std::size_t>(s)] =
-          table_ != nullptr
-              ? table_->table.raw()[k]
-              : grid.intensity_at(seconds(run_.step_s * static_cast<double>(k)))
-                    .base();
+    for (std::size_t s = 0; s < lane_.size(); ++s) {
+      lane_[s] =
+          table_->table.raw()[projection_.intensity_remap[s] + offset_steps_];
     }
   }
 
-  if (run_.kernel == StepKernel::kSimd) {
-    soa_ = build_fleet_soa(cluster_, run_.autoscaler, run_.enable_autoscaler,
-                           run_.opportunistic_training,
-                           run_.opportunistic_utilization, run_.steps,
-                           run_.step_s);
-  }
+  soa_ = build_fleet_soa(cluster_, run_.autoscaler, run_.enable_autoscaler,
+                         run_.opportunistic_training,
+                         run_.opportunistic_utilization, run_.steps,
+                         run_.step_s);
   for (const ServerGroup& g : cluster_.groups()) {
     if (g.tier == Tier::kAiTraining) {
       train_servers_ += static_cast<double>(g.count);
@@ -122,14 +110,8 @@ FleetRegion::FleetRegion(FleetRegionConfig config, const Run& run,
 
 FleetStepInputs FleetRegion::inputs() const {
   FleetStepInputs in;
-  in.cluster = &cluster_;
-  in.scaler = &scaler_;
-  in.soa = run_.kernel == StepKernel::kSimd ? &soa_ : nullptr;
-  in.enable_autoscaler = run_.enable_autoscaler;
-  in.opportunistic_training = run_.opportunistic_training;
-  in.opportunistic_utilization = run_.opportunistic_utilization;
+  in.soa = &soa_;
   in.pue = config_.pue;
-  in.step_s = run_.step_s;
   in.intensity =
       lane_.empty() ? table_->table.raw() + offset_steps_ : lane_.data();
   in.down = projection_.any_down() ? &projection_.down : nullptr;
@@ -246,14 +228,12 @@ FleetSimulator::Checkpoint FleetSimulator::start() const {
 void FleetSimulator::advance(Checkpoint& cp, long max_steps) const {
   const FleetStepInputs inputs = region_.inputs();
   const double step_s = region_.run().step_s;
-  const StepKernel kernel = region_.run().kernel;
   runner_.advance(cp.next_step, cp.shards, max_steps,
                   [&](std::size_t, long begin, long end) -> FleetPartial {
                     obs::Span chunk_span(
                         "fleet.chunk", step_s * static_cast<double>(begin),
                         step_s * static_cast<double>(end));
-                    return run_fleet_chunk(inputs, kernel,
-                                           static_cast<std::size_t>(begin),
+                    return run_fleet_chunk(inputs, static_cast<std::size_t>(begin),
                                            static_cast<std::size_t>(end));
                   });
 }

@@ -8,9 +8,10 @@
 // The horizon is simulated in fixed time chunks executed in parallel on an
 // exec::ThreadPool; per-chunk partial sums follow the per-lane accumulation
 // contract of datacenter/fleet_kernels.h and are merged in chunk order, so
-// the result is bit-identical at any thread count and for either step
-// kernel (see exec/parallel.h and DESIGN.md). The per-region state and
-// summary live in FleetRegion, which PlanetSimulator also runs on.
+// the result is bit-identical at any thread count (see exec/parallel.h and
+// DESIGN.md). The per-region state and summary live in FleetRegion, which
+// PlanetSimulator also runs on; the test-side reference kernel
+// (tests/oracles/) runs on it too.
 #pragma once
 
 #include <array>
@@ -85,8 +86,8 @@ struct FleetRegionConfig {
 };
 
 // What both simulators build per region, once: the cluster shifted to the
-// UTC offset, the fault plan and projection, the per-step intensity lane,
-// and (for the SoA kernel) the structure-of-arrays image.
+// UTC offset, the fault plan and projection, the per-step intensity lane
+// read from a shared table, and the structure-of-arrays image.
 class FleetRegion {
  public:
   // Run-wide settings every region of one simulator shares.
@@ -99,7 +100,6 @@ class FleetRegion {
     AutoScaler::Config autoscaler;
     bool opportunistic_training = true;
     double opportunistic_utilization = 0.90;
-    StepKernel kernel = StepKernel::kSimd;
 
     // The run-wide half of a FleetSimulator or PlanetSimulator config,
     // validated; `who` prefixes the error messages.
@@ -109,18 +109,20 @@ class FleetRegion {
   };
 
   // Takes the region's grid table from `tables`, built through the
-  // horizon plus the offset; nullptr evaluates the lane with
-  // IntermittentGrid::intensity_at instead (the table-off test oracle).
-  FleetRegion(FleetRegionConfig config, const Run& run, IntensityCache* tables);
+  // horizon plus the offset.
+  FleetRegion(FleetRegionConfig config, const Run& run, IntensityCache& tables);
 
   [[nodiscard]] const FleetRegionConfig& config() const { return config_; }
   [[nodiscard]] const Run& run() const { return run_; }
+  // The cluster the region steps: the config's, diurnal peaks rebased to
+  // the UTC offset.
+  [[nodiscard]] const Cluster& cluster() const { return cluster_; }
   [[nodiscard]] std::size_t num_groups() const { return cluster_.groups().size(); }
   [[nodiscard]] long offset_steps() const { return offset_steps_; }
   [[nodiscard]] const SharedIntensityTable* table() const { return table_.get(); }
   [[nodiscard]] const fault::FaultPlan& plan() const { return plan_; }
 
-  // The step kernels' read-only inputs. The intensity pointer is resolved
+  // The step kernel's read-only inputs. The intensity pointer is resolved
   // here, per call, and never stored: a later, larger prebuild of a shared
   // table reallocates its raw() storage.
   [[nodiscard]] FleetStepInputs inputs() const;
@@ -133,15 +135,14 @@ class FleetRegion {
  private:
   FleetRegionConfig config_;
   Run run_;
-  AutoScaler scaler_;
   Cluster cluster_;  // peak hours rebased to the region's UTC offset
   long offset_steps_ = 0;
   std::shared_ptr<const SharedIntensityTable> table_;
-  FleetSoA soa_;  // built for kSimd only
+  FleetSoA soa_;
   fault::FaultPlan plan_;
   FaultProjection projection_;
-  // Owned intensity lane when the table cannot be read in place (grid-gap
-  // remap, or no table); empty otherwise.
+  // Owned intensity lane when a grid-data gap remaps steps, so the table
+  // cannot be read in place; empty otherwise.
   std::vector<double> lane_;
   double train_servers_ = 0.0;
 };
@@ -165,16 +166,6 @@ class FleetSimulator {
     // the pool size, which is what keeps the parallel run deterministic.
     exec::ThreadPool* pool = nullptr;
     long steps_per_chunk = 256;
-    // Serve per-step grid intensities from a prebuilt IntensityTable (one
-    // harmonic pass over the horizon, built once at construction) instead
-    // of evaluating intensity_at per step. Results are bit-identical either
-    // way; the toggle exists so tests can prove it.
-    bool use_intensity_table = true;
-    // Step kernel (datacenter/fleet_kernels.h): the SoA + fixed-width SIMD
-    // kernel by default, or the object-based reference kernel. Both follow
-    // the same per-lane accumulation contract and produce byte-identical
-    // results (tests/fleet_soa_test.cc); the toggle exists to prove it.
-    StepKernel kernel = StepKernel::kSimd;
     // Fault injection (src/fault/): host crashes drop capacity while the
     // host re-warms, grid data gaps hold the last intensity reading, and
     // SDC events charge training-tier rollback waste. All-zero rates take
@@ -193,10 +184,9 @@ class FleetSimulator {
   using Checkpoint = engine::ShardState<FleetPartial>;
 
   // Validates the config and eagerly builds all steady-run state: the
-  // prebuilt intensity table, the autoscaler, the fault plan and its
-  // per-step projections, and (for the SoA kernel) the structure-of-arrays
-  // image of the cluster. run() is then pure lookup + arithmetic and can be
-  // called repeatedly at steady cost.
+  // prebuilt intensity table, the fault plan and its per-step projections,
+  // and the structure-of-arrays image of the cluster. run() is then pure
+  // lookup + arithmetic and can be called repeatedly at steady cost.
   explicit FleetSimulator(Config config);
 
   FleetSimulator(const FleetSimulator&) = delete;
@@ -263,7 +253,6 @@ FleetRegion::Run FleetRegion::Run::of(const Config& config, const char* who) {
   run.autoscaler = config.autoscaler;
   run.opportunistic_training = config.opportunistic_training;
   run.opportunistic_utilization = config.opportunistic_utilization;
-  run.kernel = config.kernel;
   return run;
 }
 

@@ -27,9 +27,9 @@ PlanetSimulator::PlanetSimulator(Config config) {
   // Regions on the same grid share one table, each reading it at its own
   // offset.
   IntensityCache own_cache;
-  IntensityCache* tables = config.intensity_cache != nullptr
-                               ? config.intensity_cache
-                               : &own_cache;
+  IntensityCache& tables = config.intensity_cache != nullptr
+                               ? *config.intensity_cache
+                               : own_cache;
   regions_.reserve(config.regions.size());
   for (RegionConfig& rc : config.regions) {
     regions_.emplace_back(std::move(rc), run_, tables);
@@ -104,8 +104,7 @@ void PlanetSimulator::advance(Checkpoint& cp, long max_steps) const {
   runner_.advance(
       cp.next_step, cp.region_partials, max_steps,
       [&](std::size_t r, long b, long e) -> FleetPartial {
-        return run_fleet_chunk(regions_[r].inputs(), run_.kernel,
-                               static_cast<std::size_t>(b),
+        return run_fleet_chunk(regions_[r].inputs(), static_cast<std::size_t>(b),
                                static_cast<std::size_t>(e));
       },
       [&](std::size_t r, long c, const FleetPartial& partial) {

@@ -50,7 +50,6 @@ class PlanetSimulator {
     // granule checkpoint boundaries round to. Rounded up to a kStepLanes
     // multiple at construction so chunk interiors match FleetSimulator's.
     long steps_per_chunk = 1024;
-    StepKernel kernel = StepKernel::kSimd;
     // Shared table memo; nullptr uses one private to the constructor.
     IntensityCache* intensity_cache = nullptr;
   };

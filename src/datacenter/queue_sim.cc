@@ -66,8 +66,7 @@ QueueSim::QueueSim(std::vector<BatchJob> jobs, QueueSimConfig config,
     : jobs_(checked_jobs(std::move(jobs))),
       config_(checked_config(std::move(config))),
       policy_(policy),
-      grid_(config_.grid),
-      table_(grid_, seconds(0.0), config_.step) {
+      table_(IntermittentGrid(config_.grid), seconds(0.0), config_.step) {
   step_s_ = to_seconds(config_.step);
   faults_enabled_ = config_.faults.enabled();
   // The plan spans max_horizon so the schedule never depends on the
@@ -147,10 +146,7 @@ void QueueSim::step_once(Checkpoint& cp, obs::Gauge& depth_gauge) const {
   }
   // One grid lookup per step, shared by the admission decision and the
   // energy accounting below — they must never drift apart.
-  const double intensity_now =
-      (config_.use_intensity_table ? table_.intensity_at(seconds(cp.now_s))
-                                   : grid_.intensity_at(seconds(cp.now_s)))
-          .base();
+  const double intensity_now = table_.intensity_at(seconds(cp.now_s)).base();
   // Start jobs while machines are free.
   std::vector<std::size_t> still_waiting;
   for (std::size_t qi = 0; qi < cp.queue.size(); ++qi) {

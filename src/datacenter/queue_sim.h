@@ -47,10 +47,6 @@ struct QueueSimConfig {
   // Safety horizon: simulation aborts (throws) if jobs cannot finish
   // within `max_horizon` — indicates an overloaded configuration.
   Duration max_horizon = days(60.0);
-  // Serve per-step intensities from a lazily-extended IntensityTable
-  // instead of re-evaluating the grid harmonics each step. Bit-identical
-  // results either way (see core/intensity_table.h).
-  bool use_intensity_table = true;
   // Fault injection (src/fault/): preemption events evict a running job,
   // which loses progress back to its last checkpoint, waits out an
   // exponential backoff, then re-enters the queue and re-consults the
@@ -191,7 +187,6 @@ class QueueSim {
   QueuePolicy policy_;
   double step_s_ = 0.0;
   bool faults_enabled_ = false;
-  IntermittentGrid grid_;
   IntensityTable table_;
   fault::FaultPlan plan_;
   std::vector<fault::FaultEvent> preempt_events_;

@@ -1,11 +1,12 @@
-// Byte-identity of the fleet step kernels (datacenter/fleet_kernels.h).
+// Byte-identity of the fleet step kernel (datacenter/fleet_kernels.h) with
+// its test-side oracle (tests/oracles/fleet_reference.h).
 //
-// The SoA + fixed-width SIMD kernel and the object-based reference kernel
-// follow the same per-lane accumulation contract, so every field of
-// FleetSimulator::Result must match byte for byte — across thread counts,
-// odd group counts that hit partial edge lanes, odd step counts whose tails
-// exercise the remainder loop, and fault-injected runs that take the
-// crash-aware strip bodies.
+// FleetSimulator's SoA + fixed-width SIMD kernel and the object-based
+// reference kernel follow the same per-lane accumulation contract, so every
+// field of FleetSimulator::Result must match byte for byte — across thread
+// counts, odd group counts that hit partial edge lanes, odd step counts
+// whose tails exercise the remainder loop, fault-injected runs that take the
+// crash-aware strip bodies, and either intensity lane of the oracle.
 #include <gtest/gtest.h>
 
 #include "core/units.h"
@@ -15,12 +16,13 @@
 #include "exec/thread_pool.h"
 #include "fault/recovery.h"
 #include "hw/server.h"
+#include "oracles/fleet_reference.h"
 
 namespace sustainai {
 namespace {
 
 using datacenter::FleetSimulator;
-using datacenter::StepKernel;
+using oracles::LaneSource;
 
 datacenter::ServerGroup make_group(const char* name, hw::ServerSku sku,
                                    int count, datacenter::Tier tier,
@@ -114,11 +116,15 @@ void expect_identical(const FleetSimulator::Result& a,
             to_joules(b.faults.checkpoint_energy));
 }
 
-FleetSimulator::Result run_with(FleetSimulator::Config c, StepKernel kernel,
+FleetSimulator::Result simulate(FleetSimulator::Config c,
                                 exec::ThreadPool* pool = nullptr) {
-  c.kernel = kernel;
   c.pool = pool;
   return FleetSimulator(std::move(c)).run();
+}
+
+FleetSimulator::Result reference(const FleetSimulator::Config& c,
+                                 LaneSource source = LaneSource::kTable) {
+  return oracles::reference_run(c, source);
 }
 
 TEST(FleetSoa, SimdMatchesReferenceByteForByte) {
@@ -129,8 +135,7 @@ TEST(FleetSoa, SimdMatchesReferenceByteForByte) {
       FleetSimulator::Config c = base_config(7);
       c.enable_autoscaler = autoscaler;
       c.opportunistic_training = opportunistic;
-      expect_identical(run_with(c, StepKernel::kReference),
-                       run_with(c, StepKernel::kSimd));
+      expect_identical(reference(c), simulate(c));
     }
   }
 }
@@ -139,8 +144,7 @@ TEST(FleetSoa, OddGroupCountsHitEdgeLanes) {
   for (const int num_groups : {1, 3, 5, 7}) {
     SCOPED_TRACE(num_groups);
     const FleetSimulator::Config c = base_config(num_groups);
-    expect_identical(run_with(c, StepKernel::kReference),
-                     run_with(c, StepKernel::kSimd));
+    expect_identical(reference(c), simulate(c));
   }
 }
 
@@ -154,22 +158,18 @@ TEST(FleetSoa, OddStepCountsAndChunkSizesAgree) {
       FleetSimulator::Config c = base_config(5);
       c.horizon = hours(hours_frac);
       c.steps_per_chunk = chunk;
-      expect_identical(run_with(c, StepKernel::kReference),
-                       run_with(c, StepKernel::kSimd));
+      expect_identical(reference(c), simulate(c));
     }
   }
 }
 
 TEST(FleetSoa, ByteIdenticalAcrossThreadCountsAndKernels) {
   const FleetSimulator::Config c = base_config(7);
-  exec::ThreadPool one(1);
-  const FleetSimulator::Result reference =
-      run_with(c, StepKernel::kReference, &one);
+  const FleetSimulator::Result expected = reference(c);
   for (const int threads : {1, 2, 8}) {
     SCOPED_TRACE(threads);
     exec::ThreadPool pool(threads);
-    expect_identical(reference, run_with(c, StepKernel::kSimd, &pool));
-    expect_identical(reference, run_with(c, StepKernel::kReference, &pool));
+    expect_identical(expected, simulate(c, &pool));
   }
 }
 
@@ -181,21 +181,29 @@ TEST(FleetSoa, FaultInjectedRunsAgree) {
   c.faults.rates.sdc_per_day = 1.0;
   c.faults.rates.grid_gap_per_day = 0.5;
   c.faults.seed = 21;
-  const FleetSimulator::Result ref = run_with(c, StepKernel::kReference);
-  const FleetSimulator::Result simd = run_with(c, StepKernel::kSimd);
+  const FleetSimulator::Result ref = reference(c);
+  const FleetSimulator::Result simd = simulate(c);
   // The crash-aware strip bodies must actually have been exercised.
   ASSERT_GT(ref.faults.lost_server_hours, 0.0);
   expect_identical(ref, simd);
 }
 
 TEST(FleetSoa, TableOffMatchesTableOnForBothKernels) {
-  for (const StepKernel kernel : {StepKernel::kReference, StepKernel::kSimd}) {
-    SCOPED_TRACE(kernel == StepKernel::kSimd ? "simd" : "reference");
-    FleetSimulator::Config on = base_config(3);
-    FleetSimulator::Config off = base_config(3);
-    on.use_intensity_table = true;
-    off.use_intensity_table = false;
-    expect_identical(run_with(on, kernel), run_with(off, kernel));
+  // The oracle's table-free lane (intensity_at per step, grid-gap remap
+  // included) equals the table lane the simulator reads, and both equal the
+  // simulator.
+  for (const bool gaps : {false, true}) {
+    SCOPED_TRACE(gaps ? "grid gaps" : "no faults");
+    FleetSimulator::Config c = base_config(3);
+    if (gaps) {
+      c.horizon = days(3.0);
+      c.faults.rates.grid_gap_per_day = 2.0;
+      c.faults.seed = 5;
+    }
+    const FleetSimulator::Result direct = reference(c, LaneSource::kDirect);
+    EXPECT_EQ(direct.faults.grid_gaps > 0, gaps);
+    expect_identical(direct, reference(c, LaneSource::kTable));
+    expect_identical(direct, simulate(c));
   }
 }
 

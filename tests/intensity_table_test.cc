@@ -1,10 +1,12 @@
 // Bit-exactness contract of the carbon-intensity fast paths: the prebuilt
 // IntensityTable and IntermittentGrid::intensity_series must reproduce
 // intensity_at exactly (byte-identical doubles, no tolerances), and the
-// simulators that consume the table must emit byte-identical results with
-// the fast path on or off.
+// simulators that consume the table must emit the bytes the test-side
+// table-free oracle (tests/oracles/) computes.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -18,6 +20,8 @@
 #include "datagen/rng.h"
 #include "datagen/trace.h"
 #include "hw/server.h"
+#include "oracles/fleet_reference.h"
+#include "oracles/queue_reference.h"
 #include "report/csv.h"
 
 namespace sustainai {
@@ -129,9 +133,9 @@ TEST(IntensityTable, MeanIntensityMatchesGridBitForBit) {
   }
 }
 
-// --- Golden byte-equality of simulator results with the table on/off ------
+// --- Golden byte-equality of simulator results with the table-free oracle --
 
-datacenter::FleetSimulator::Config fleet_config(bool use_table) {
+datacenter::FleetSimulator::Config fleet_config() {
   using namespace datacenter;
   Cluster cluster;
   ServerGroup web;
@@ -156,15 +160,14 @@ datacenter::FleetSimulator::Config fleet_config(bool use_table) {
   c.horizon = days(10.0);
   c.step = minutes(15.0);
   c.steps_per_chunk = 64;
-  c.use_intensity_table = use_table;
   return c;
 }
 
 TEST(IntensityTableGolden, FleetSimulatorResultByteIdenticalTableOnOff) {
   using datacenter::FleetSimulator;
   const FleetSimulator::Result direct =
-      FleetSimulator(fleet_config(false)).run();
-  const FleetSimulator::Result fast = FleetSimulator(fleet_config(true)).run();
+      oracles::reference_run(fleet_config(), oracles::LaneSource::kDirect);
+  const FleetSimulator::Result fast = FleetSimulator(fleet_config()).run();
   ASSERT_EQ(fast.groups.size(), direct.groups.size());
   for (std::size_t i = 0; i < fast.groups.size(); ++i) {
     EXPECT_EQ(fast.groups[i].name, direct.groups[i].name);
@@ -195,7 +198,7 @@ TEST(IntensityTableGolden, PerTierEnergySumsMatchGroupScan) {
   using datacenter::FleetSimulator;
   using datacenter::Tier;
   const FleetSimulator::Result result =
-      FleetSimulator(fleet_config(true)).run();
+      FleetSimulator(fleet_config()).run();
   for (Tier tier : {Tier::kWeb, Tier::kAiTraining, Tier::kAiInference}) {
     double expected = 0.0;
     for (const auto& g : result.groups) {
@@ -225,23 +228,24 @@ std::vector<datacenter::BatchJob> queue_jobs() {
   return jobs;
 }
 
-datacenter::QueueSimConfig queue_config(bool use_table) {
+datacenter::QueueSimConfig queue_config() {
   datacenter::QueueSimConfig cfg;
   cfg.grid.profile = grids::us_west_solar();
   cfg.grid.solar_share = 0.5;
   cfg.grid.firm_share = 0.2;
   cfg.max_horizon = days(30.0);
-  cfg.use_intensity_table = use_table;
   return cfg;
 }
 
+// The queue simulator serves every step's intensity from its table; the
+// table-free queue oracle evaluates the grid directly. Same bytes.
 TEST(IntensityTableGolden, QueueSimResultByteIdenticalTableOnOff) {
   using namespace datacenter;
   const std::vector<BatchJob> jobs = queue_jobs();
   for (QueuePolicy policy : {QueuePolicy::kFifo, QueuePolicy::kGreedyGreen}) {
     const QueueSimResult direct =
-        run_queue_sim(jobs, queue_config(false), policy);
-    const QueueSimResult fast = run_queue_sim(jobs, queue_config(true), policy);
+        oracles::reference_queue_run(jobs, queue_config(), policy);
+    const QueueSimResult fast = run_queue_sim(jobs, queue_config(), policy);
     EXPECT_EQ(fast.policy_name, direct.policy_name);
     EXPECT_EQ(to_grams_co2e(fast.total_carbon),
               to_grams_co2e(direct.total_carbon));
@@ -251,6 +255,7 @@ TEST(IntensityTableGolden, QueueSimResultByteIdenticalTableOnOff) {
     EXPECT_EQ(fast.peak_running, direct.peak_running);
     ASSERT_EQ(fast.jobs.size(), direct.jobs.size());
     for (std::size_t i = 0; i < fast.jobs.size(); ++i) {
+      EXPECT_EQ(fast.jobs[i].job.id, direct.jobs[i].job.id);
       EXPECT_EQ(to_seconds(fast.jobs[i].start), to_seconds(direct.jobs[i].start));
       EXPECT_EQ(to_seconds(fast.jobs[i].finish),
                 to_seconds(direct.jobs[i].finish));
@@ -260,13 +265,18 @@ TEST(IntensityTableGolden, QueueSimResultByteIdenticalTableOnOff) {
   }
 }
 
-// The same sweep CSV artifact the exec determinism test renders, but swept
-// over the intensity-table toggle instead of thread count: the emitted
-// bytes must not depend on which intensity path served the simulation.
-std::string sweep_csv(bool use_table) {
+// The same sweep CSV artifact the exec determinism test renders, swept over
+// the intensity source (table-served simulator vs table-free oracle) instead
+// of thread count: the emitted bytes must not depend on which path served
+// the simulation.
+using QueueRunner = datacenter::QueueSimResult (*)(
+    std::vector<datacenter::BatchJob>, const datacenter::QueueSimConfig&,
+    datacenter::QueuePolicy);
+
+std::string sweep_csv(QueueRunner run) {
   using namespace datacenter;
   const std::vector<BatchJob> jobs = queue_jobs();
-  const QueueSimConfig base = queue_config(use_table);
+  const QueueSimConfig base = queue_config();
 
   report::CsvWriter csv(
       {"machines", "policy", "carbon_g", "mean_wait_s", "utilization"});
@@ -274,7 +284,7 @@ std::string sweep_csv(bool use_table) {
     for (QueuePolicy policy : {QueuePolicy::kFifo, QueuePolicy::kGreedyGreen}) {
       QueueSimConfig cfg = base;
       cfg.machines = machines;
-      const QueueSimResult result = run_queue_sim(jobs, cfg, policy);
+      const QueueSimResult result = run(jobs, cfg, policy);
       char carbon[32], wait[32], util[32];
       std::snprintf(carbon, sizeof(carbon), "%.17g",
                     to_grams_co2e(result.total_carbon));
@@ -288,9 +298,31 @@ std::string sweep_csv(bool use_table) {
 }
 
 TEST(IntensityTableGolden, QueueSweepCsvByteIdenticalTableOnOff) {
-  const std::string direct = sweep_csv(false);
+  const std::string direct = sweep_csv(&oracles::reference_queue_run);
   EXPECT_NE(direct.find("queue-green"), std::string::npos);
-  EXPECT_EQ(sweep_csv(true), direct);
+  EXPECT_EQ(sweep_csv(&datacenter::run_queue_sim), direct);
+}
+
+// The queue simulator reads every step's intensity through its own
+// IntensityTable, on and off the step grid; the queue_capacity golden pins
+// its bytes. Every such lookup across a 30-day queue horizon must equal
+// direct evaluation bit for bit.
+TEST(IntensityTable, QueueGridLookupsMatchDirectBitForBit) {
+  const datacenter::QueueSimConfig cfg = queue_config();
+  const IntermittentGrid grid(cfg.grid);
+  const IntensityTable table(grid, seconds(0.0), cfg.step);
+  const double step_s = to_seconds(cfg.step);
+  const auto steps = static_cast<long>(to_seconds(cfg.max_horizon) / step_s);
+  const auto bits = [](CarbonIntensity c) {
+    return std::bit_cast<std::uint64_t>(c.base());
+  };
+  for (long k = 0; k <= steps; ++k) {
+    for (const double frac : {0.0, 0.25, 0.5, 0.999}) {
+      const Duration t = seconds(step_s * (static_cast<double>(k) + frac));
+      ASSERT_EQ(bits(table.intensity_at(t)), bits(grid.intensity_at(t)))
+          << "k=" << k << " frac=" << frac;
+    }
+  }
 }
 
 // --- Guard rails -----------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include "datacenter/fleet_sim.h"
 #include "exec/thread_pool.h"
+#include "oracles/fleet_reference.h"
 #include "report/json.h"
 
 namespace sustainai::datacenter {
@@ -256,12 +257,22 @@ TEST(PlanetSim, SingleRegionMatchesFleetSimulator) {
 }
 
 TEST(PlanetSim, SimdMatchesReferenceKernel) {
-  PlanetSimulator::Config simd = planet_config(5, /*with_faults=*/true);
-  PlanetSimulator::Config ref = simd;
-  simd.kernel = StepKernel::kSimd;
-  ref.kernel = StepKernel::kReference;
-  EXPECT_EQ(fingerprint(PlanetSimulator(std::move(simd)).run()),
-            fingerprint(PlanetSimulator(std::move(ref)).run()));
+  // Every region of a faulted, UTC-shifted planet equals the test-side
+  // reference kernel run on the same region, with the table-free lane.
+  const PlanetSimulator::Config config = planet_config(5, /*with_faults=*/true);
+  PlanetSimulator::Config c = config;
+  const PlanetSimulator::Result planet = PlanetSimulator(std::move(c)).run();
+  const FleetRegion::Run run = FleetRegion::Run::of(config, "PlanetSim");
+  IntensityCache tables;
+  ASSERT_EQ(planet.regions.size(), config.regions.size());
+  for (std::size_t r = 0; r < config.regions.size(); ++r) {
+    SCOPED_TRACE(config.regions[r].name);
+    const FleetRegion region(config.regions[r], run, tables);
+    expect_same_region(planet.regions[r],
+                       oracles::ReferenceFleet(region, config.steps_per_chunk,
+                                               oracles::LaneSource::kDirect)
+                           .run());
+  }
 }
 
 TEST(PlanetSim, SegmentationInvariance) {

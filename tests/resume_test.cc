@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "datacenter/fleet_sim.h"
+#include "datacenter/planet_sim.h"
 #include "datacenter/queue_sim.h"
 #include "engine/snapshot.h"
 #include "exec/thread_pool.h"
@@ -394,6 +395,39 @@ TEST(ScenarioResume, QueueScheduleSegmentedMatchesWhole) {
   const scenario::Artifact* seg_result = seg.find("result.json");
   ASSERT_NE(seg_result, nullptr);
   EXPECT_EQ(seg_result->content, whole_result->content);
+}
+
+// --- checkpoint digests ---------------------------------------------------
+
+// Every snapshot embeds its simulator's config digest and is rejected on a
+// mismatch, so a digest that drifts strands every checkpoint written before
+// the drift. These hex strings pin the v1 digests of one fixed config per
+// simulator; a change here must come with a snapshot schema bump.
+TEST(CheckpointDigest, PinnedForFleetPlanetAndQueue) {
+  EXPECT_EQ(FleetSimulator(fleet_config(/*with_faults=*/true)).config_digest(),
+            "717ba0f9b9baae7d");
+
+  datacenter::PlanetSimulator::Config planet;
+  planet.step = minutes(15.0);
+  planet.horizon = days(3.0);
+  planet.steps_per_chunk = 16;
+  for (int r = 0; r < 2; ++r) {
+    datacenter::PlanetSimulator::RegionConfig rc;
+    rc.name = "region-" + std::to_string(r);
+    rc.cluster = resume_cluster();
+    rc.grid = fleet_config(false).grid;
+    rc.pue = 1.08 + 0.01 * r;
+    rc.utc_offset_hours = 3.0 * r;
+    rc.faults = fleet_config(r == 0).faults;
+    planet.regions.push_back(rc);
+  }
+  EXPECT_EQ(datacenter::PlanetSimulator(std::move(planet)).config_digest(),
+            "a7a8eaa15104694f");
+
+  EXPECT_EQ(QueueSim(queue_jobs(12), queue_config(/*with_faults=*/true),
+                     QueuePolicy::kGreedyGreen)
+                .config_digest(),
+            "42378af887aeebc3");
 }
 
 }  // namespace

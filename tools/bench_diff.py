@@ -38,11 +38,11 @@ A third single-file mode gates the vectorized step kernels:
     tools/bench_diff.py --check-speedups f.json --min dense_simd_speedup=5
 
 This asserts each derived speedup stays at or above its floor (defaults in
-SPEEDUP_FLOORS): the SoA+SIMD fleet kernel over the reference kernel, the
-SIMD-over-table fleet margin, and the forward_batch tile over per-row
-forward at both GEMM shapes. Floors sit well under measured values (the
-shared-host benches are noisy) but far above 1.0, so a kernel silently
-falling back to scalar code still fails the gate.
+SPEEDUP_FLOORS): the SoA+SIMD fleet kernel over the test-side reference
+kernel on its direct lane and on its table lane, and the forward_batch tile
+over per-row forward at both GEMM shapes. Floors sit well under measured
+values (the shared-host benches are noisy) but far above 1.0, so a kernel
+silently falling back to scalar code still fails the gate.
 
 Not every floored key is a ratio: planet_region_years_per_min is the
 absolute planetary-simulation throughput (simulated region-years per
@@ -127,8 +127,8 @@ def check_scenario(path, max_overhead):
 # Minimum acceptable derived speedups (measured values run 1.5-3x higher;
 # the floors leave noise headroom while still catching a scalar fallback).
 SPEEDUP_FLOORS = {
-    "fleet_step_speedup": 4.0,  # SoA+SIMD kernel vs reference direct kernel
-    "fleet_step_simd_speedup": 3.0,  # SoA+SIMD kernel vs table-lookup kernel
+    "fleet_step_speedup": 4.0,  # SoA+SIMD kernel vs reference, direct lane
+    "fleet_step_simd_speedup": 3.0,  # SoA+SIMD kernel vs reference, table lane
     "dense_gemm_speedup": 3.0,  # forward_batch vs per-row forward, 64^3
     "dense_simd_speedup": 3.0,  # forward_batch vs per-row forward, 256x128x128
     # Absolute throughput, not a ratio: simulated region-years per wall-clock

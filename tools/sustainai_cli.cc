@@ -10,7 +10,7 @@
 //   sustainai planet --regions 8 --years 1 --checkpoint /tmp/planet.ckpt
 //   sustainai run scenarios/fleet_week.json --out /tmp/fleet_week
 //   sustainai scenarios            # list registered scenario simulations
-//   sustainai fleet --help         # a translator's flags, params, defaults
+//   sustainai fleet --help         # a command's flags, params, defaults
 //
 // Each subcommand prints the same accounting the paper's figures use;
 // `fleet`, `planet` and `fl` build a scenario spec from their flags and run
@@ -22,7 +22,9 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "datacenter/planet_sim.h"
@@ -40,45 +42,6 @@ using namespace sustainai;
 
 using Flags = std::map<std::string, std::string>;
 
-Flags parse_flags(int argc, char** argv, int first) {
-  Flags flags;
-  for (int i = first; i < argc; i += 2) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      throw std::invalid_argument("expected --flag, got '" + key + "'");
-    }
-    if (i + 1 >= argc) {
-      throw std::invalid_argument("flag '" + key + "' is missing a value");
-    }
-    flags[key.substr(2)] = argv[i + 1];
-  }
-  return flags;
-}
-
-double flag_double(const Flags& flags, const std::string& key, double fallback) {
-  auto it = flags.find(key);
-  if (it == flags.end()) {
-    return fallback;
-  }
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(it->second, &consumed);
-    if (consumed != it->second.size()) {
-      throw std::invalid_argument("trailing characters");
-    }
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag '--" + key + "' expects a number, got '" +
-                                it->second + "'");
-  }
-}
-
-std::string flag_string(const Flags& flags, const std::string& key,
-                        const std::string& fallback) {
-  auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
 GridProfile grid_by_name(const std::string& name) {
   std::optional<GridProfile> grid = grids::by_name(name);
   if (!grid.has_value()) {
@@ -95,28 +58,6 @@ hw::DeviceSpec device_by_name(const std::string& name) {
                                 hw::catalog::known_names());
   }
   return *device;
-}
-
-int cmd_estimate(const Flags& flags) {
-  const double gpu_days = flag_double(flags, "gpu-days", 100.0);
-  const double count = flag_double(flags, "count", 1.0);
-  const double utilization = flag_double(flags, "utilization", 0.5);
-  const hw::DeviceSpec device =
-      device_by_name(flag_string(flags, "device", "v100"));
-  const GridProfile grid = grid_by_name(flag_string(flags, "grid", "us-average"));
-  const double pue = flag_double(flags, "pue", kHyperscalePue);
-  const double cfe = flag_double(flags, "cfe", 0.0);
-
-  telemetry::CarbonTracker tracker(
-      {OperationalCarbonModel(pue, grid, cfe),
-       flag_double(flags, "fleet-utilization", 0.45)});
-  tracker.record_device_use(Phase::kTraining, device, utilization,
-                            days(gpu_days / count), static_cast<int>(count));
-  std::printf("%s", tracker
-                        .impact_statement(flag_string(flags, "name",
-                                                      "cli-estimate"))
-                        .c_str());
-  return 0;
 }
 
 int cmd_models() {
@@ -148,62 +89,6 @@ int cmd_grids() {
   return 0;
 }
 
-int cmd_schedule(const Flags& flags) {
-  using namespace sustainai::datacenter;
-  IntermittentGrid::Config grid_cfg;
-  grid_cfg.profile = grid_by_name(flag_string(flags, "grid", "us-west-solar"));
-  grid_cfg.solar_share = flag_double(flags, "solar-share", 0.5);
-  grid_cfg.wind_share = flag_double(flags, "wind-share", 0.15);
-  grid_cfg.firm_share = flag_double(flags, "firm-share", 0.10);
-  const IntermittentGrid grid(grid_cfg);
-
-  const int num_jobs = static_cast<int>(flag_double(flags, "jobs", 24.0));
-  std::vector<BatchJob> jobs;
-  for (int i = 0; i < num_jobs; ++i) {
-    BatchJob j;
-    j.id = "job-" + std::to_string(i);
-    j.power = kilowatts(flag_double(flags, "power-kw", 22.4));
-    j.duration = hours(flag_double(flags, "duration-h", 4.0));
-    j.arrival = hours(static_cast<double>(i % 24));
-    j.slack = hours(flag_double(flags, "slack-h", 20.0));
-    jobs.push_back(j);
-  }
-
-  const FifoPolicy fifo;
-  const ThresholdPolicy threshold(
-      grams_per_kwh(flag_double(flags, "threshold-g-per-kwh", 200.0)));
-  const ForecastPolicy forecast;
-  report::Table t({"policy", "carbon", "mean delay (h)", "peak power"});
-  for (const SchedulerPolicy* p :
-       std::initializer_list<const SchedulerPolicy*>{&fifo, &threshold,
-                                                     &forecast}) {
-    const ScheduleResult r = run_schedule(jobs, grid, *p);
-    t.add_row({r.policy_name, to_string(r.total_carbon),
-               report::fmt(to_hours(r.mean_delay)),
-               to_string(r.peak_concurrent_power)});
-  }
-  std::printf("%s", t.to_string().c_str());
-  return 0;
-}
-
-int cmd_model_card(const Flags& flags) {
-  telemetry::ModelCardInput in{
-      flag_string(flags, "name", "my-model"),
-      flag_string(flags, "description", ""),
-      device_by_name(flag_string(flags, "device", "v100")),
-      static_cast<int>(flag_double(flags, "count", 8.0)),
-      days(flag_double(flags, "runtime-days", 7.0)),
-      flag_double(flags, "utilization", 0.5),
-      OperationalCarbonModel(flag_double(flags, "pue", kHyperscalePue),
-                             grid_by_name(flag_string(flags, "grid", "us-average")),
-                             flag_double(flags, "cfe", 0.0)),
-      flag_double(flags, "fleet-utilization", 0.45),
-      flag_double(flags, "predictions-per-day", 0.0),
-      joules(flag_double(flags, "joules-per-prediction", 1e-3))};
-  std::printf("%s", telemetry::render_model_card(in).c_str());
-  return 0;
-}
-
 void write_text_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
   if (!out) {
@@ -222,18 +107,17 @@ std::string read_text_file(const std::string& path) {
   return buffer.str();
 }
 
-// --- spec-backed subcommands: run, fleet, planet, fl ----------------------
+// --- flag tables ---------------------------------------------------------
 //
-// `fleet`, `planet` and `fl` only translate: each flag sets one param of a
-// `fleet`, `planet` or `fl_rounds` scenario spec (unset flags keep the
-// scenario's defaults), and the spec runs through run_spec exactly as
-// `sustainai run` runs a spec file, so `--out DIR` writes a bundle whose
-// spec.json reruns to the same result.json.
+// Every subcommand that takes flags declares them in a Command table: the
+// parser rejects flags not in it by name, `<cmd> --help` prints it, and
+// unset flags read their default from it.
 
 // One accepted flag. `param` is the spec param the value sets; a
 // "regions[i]." param is set in every generated planet region. A flag
 // without a param steers the run or generates params, and documents its
-// own default; `artifact` names the bundle file written to its path.
+// own default ("" for none); `artifact` names the bundle file written to
+// its path.
 struct FlagDef {
   std::string name;  // without the leading "--"
   std::string param;
@@ -245,9 +129,10 @@ struct FlagDef {
 
 struct Command {
   std::string name;
-  std::string scenario;  // registry name of the spec it builds; empty for run
+  std::string scenario;  // registry name of the spec it builds, if any
   std::string summary;   // its line in the top-level usage
   std::vector<FlagDef> flags;
+  std::string operand = {};  // positional argument before the flags, if any
 
   [[nodiscard]] const FlagDef* find(const std::string& flag) const {
     for (const FlagDef& f : flags) {
@@ -276,14 +161,14 @@ std::vector<FlagDef> region_flags(const std::string& prefix) {
 // `--out`, and the checkpoint flags when the scenario is checkpointable.
 std::vector<FlagDef> run_flags(bool checkpointable) {
   std::vector<FlagDef> flags = {
-      {"out", "", false, "none",
+      {"out", "", false, "",
        "write the artifact bundle (result.json, spec.json, ...) here"}};
   if (checkpointable) {
     flags.insert(
         flags.end(),
-        {{"checkpoint", "", false, "none",
+        {{"checkpoint", "", false, "",
           "write the snapshot here at every segment boundary"},
-         {"resume", "", false, "none",
+         {"resume", "", false, "",
           "resume from this snapshot (needs --checkpoint)"},
          {"segment-steps", "", true, "0",
           "steps per checkpointed segment (0 = from the segment count)"},
@@ -294,8 +179,15 @@ std::vector<FlagDef> run_flags(bool checkpointable) {
 }
 
 Command run_command() {
-  return {"run", "", "run a declarative JSON scenario spec", run_flags(true)};
+  return {"run", "", "run a declarative JSON scenario spec", run_flags(true),
+          "<scenario.json>"};
 }
+
+// `fleet`, `planet` and `fl` only translate: each flag sets one param of a
+// `fleet`, `planet` or `fl_rounds` scenario spec (unset flags keep the
+// scenario's defaults), and the spec runs through run_spec exactly as
+// `sustainai run` runs a spec file, so `--out DIR` writes a bundle whose
+// spec.json reruns to the same result.json.
 
 Command fleet_command() {
   Command c{"fleet", "fleet", "the datacenter fleet simulator (a `fleet` spec)",
@@ -304,9 +196,9 @@ Command fleet_command() {
              {"chunk-steps", "chunk_steps"},
              {"grid", "grid.name", false}}};
   c.add(region_flags(""));
-  c.add({{"trace", "", false, "none", "write the sim-time Chrome trace here",
+  c.add({{"trace", "", false, "", "write the sim-time Chrome trace here",
           "trace.json"},
-         {"metrics", "", false, "none", "write Prometheus metrics here",
+         {"metrics", "", false, "", "write Prometheus metrics here",
           "metrics.prom"}});
   c.add(run_flags(true));
   return c;
@@ -343,8 +235,9 @@ Command fl_command() {
 }
 
 void print_help(const Command& cmd, std::FILE* out) {
-  std::fprintf(out, "usage: sustainai %s%s [--flag value ...]\n",
-               cmd.name.c_str(), cmd.scenario.empty() ? " <scenario.json>" : "");
+  std::fprintf(out, "usage: sustainai %s%s%s [--flag value ...]\n",
+               cmd.name.c_str(), cmd.operand.empty() ? "" : " ",
+               cmd.operand.c_str());
   std::vector<scenario::ParamDoc> docs;
   if (!cmd.scenario.empty()) {
     docs = scenario::Registry::global().require(cmd.scenario).params();
@@ -361,7 +254,8 @@ void print_help(const Command& cmd, std::FILE* out) {
         help = doc.description;
       }
     }
-    t.add_row({"--" + f.name, f.param.empty() ? "-" : f.param, def, help});
+    t.add_row({"--" + f.name, f.param.empty() ? "-" : f.param,
+               def.empty() ? "none" : def, help});
   }
   std::fprintf(out, "%s", t.to_string().c_str());
 }
@@ -407,22 +301,178 @@ report::JsonValue flag_json(const FlagDef& f, const std::string& text) {
                               text + "'");
 }
 
+// A flag's text: the given value, else its table default. A flag `cmd`
+// does not accept reads as "" (unset).
+std::string text_flag(const Command& cmd, const Flags& flags,
+                      const std::string& name) {
+  const auto it = flags.find(name);
+  if (it != flags.end()) {
+    return it->second;
+  }
+  const FlagDef* f = cmd.find(name);
+  return f == nullptr ? "" : f->default_value;
+}
+
+// A number flag's value, given or default; `name` must be in `cmd`'s table.
+double number_flag(const Command& cmd, const Flags& flags,
+                   const std::string& name) {
+  return flag_json(*cmd.find(name), text_flag(cmd, flags, name)).as_number();
+}
+
 // A flag that is no spec param but must be a whole number in [min, max].
 long whole_flag(const Command& cmd, const Flags& flags, const std::string& name,
-                long fallback, long min, long max) {
-  const auto it = flags.find(name);
-  if (it == flags.end()) {
-    return fallback;
-  }
-  const double v = flag_json(*cmd.find(name), it->second).as_number();
+                long min, long max) {
+  const double v = number_flag(cmd, flags, name);
   if (v != std::floor(v) || v < static_cast<double>(min) ||
       v > static_cast<double>(max)) {
     throw std::invalid_argument(
-        "--" + name + ": " + it->second + " is not a whole number in [" +
-        std::to_string(min) + ", " + std::to_string(max) + "]");
+        "--" + name + ": " + text_flag(cmd, flags, name) +
+        " is not a whole number in [" + std::to_string(min) + ", " +
+        std::to_string(max) + "]");
   }
   return static_cast<long>(v);
 }
+
+// --- estimate, schedule, model-card ---------------------------------------
+
+// Upper bounds of the whole-count flags: past them a count fails by name
+// instead of overflowing the int the accounting takes.
+constexpr long kMaxDevices = 1000000;  // --count of estimate and model-card
+constexpr long kMaxJobs = 10000;       // --jobs of schedule
+
+// The accounting flags estimate and model-card share.
+std::vector<FlagDef> accounting_flags(const char* default_count) {
+  return {{"count", "", true, default_count,
+           "accelerators in the job (at most " + std::to_string(kMaxDevices) +
+               ")"},
+          {"device", "", false, "v100", "accelerator (hardware catalog name)"},
+          {"utilization", "", true, "0.5", "average accelerator utilization"},
+          {"grid", "", false, "us-average", "grid profile (sustainai grids)"},
+          {"pue", "", true, report::shortest_double(kHyperscalePue),
+           "datacenter power usage effectiveness"},
+          {"cfe", "", true, "0",
+           "carbon-free energy coverage, for market-based carbon"},
+          {"fleet-utilization", "", true, "0.45",
+           "fleet utilization that amortizes embodied carbon"}};
+}
+
+Command estimate_command() {
+  Command c{"estimate", "", "carbon impact statement for a training run",
+            {{"gpu-days", "", true, "100",
+              "accelerator-days of training, split over --count"}}};
+  c.add(accounting_flags("1"));
+  c.add({{"name", "", false, "cli-estimate", "name in the statement"}});
+  return c;
+}
+
+int cmd_estimate(const Command& cmd, const Flags& flags) {
+  const double gpu_days = number_flag(cmd, flags, "gpu-days");
+  const long count = whole_flag(cmd, flags, "count", 1, kMaxDevices);
+  const double utilization = number_flag(cmd, flags, "utilization");
+  const hw::DeviceSpec device = device_by_name(text_flag(cmd, flags, "device"));
+  const GridProfile grid = grid_by_name(text_flag(cmd, flags, "grid"));
+
+  telemetry::CarbonTracker tracker(
+      {OperationalCarbonModel(number_flag(cmd, flags, "pue"), grid,
+                              number_flag(cmd, flags, "cfe")),
+       number_flag(cmd, flags, "fleet-utilization")});
+  tracker.record_device_use(Phase::kTraining, device, utilization,
+                            days(gpu_days / static_cast<double>(count)),
+                            static_cast<int>(count));
+  std::printf(
+      "%s",
+      tracker.impact_statement(text_flag(cmd, flags, "name")).c_str());
+  return 0;
+}
+
+Command schedule_command() {
+  return {"schedule", "", "compare carbon-aware scheduling policies",
+          {{"jobs", "", true, "24",
+            "batch jobs, one arriving each hour of a day (at most " +
+                std::to_string(kMaxJobs) + ")"},
+           {"power-kw", "", true, "22.4", "power draw of every job"},
+           {"duration-h", "", true, "4", "run time of every job"},
+           {"slack-h", "", true, "20", "how long a job may be deferred"},
+           {"threshold-g-per-kwh", "", true, "200",
+            "the threshold policy runs jobs at or below this intensity"},
+           {"grid", "", false, "us-west-solar", "grid profile (sustainai grids)"},
+           {"solar-share", "", true, "0.5", "solar share of the grid mix"},
+           {"wind-share", "", true, "0.15", "wind share of the grid mix"},
+           {"firm-share", "", true, "0.1",
+            "firm carbon-free share of the grid mix"}}};
+}
+
+int cmd_schedule(const Command& cmd, const Flags& flags) {
+  using namespace sustainai::datacenter;
+  IntermittentGrid::Config grid_cfg;
+  grid_cfg.profile = grid_by_name(text_flag(cmd, flags, "grid"));
+  grid_cfg.solar_share = number_flag(cmd, flags, "solar-share");
+  grid_cfg.wind_share = number_flag(cmd, flags, "wind-share");
+  grid_cfg.firm_share = number_flag(cmd, flags, "firm-share");
+  const IntermittentGrid grid(grid_cfg);
+
+  const long num_jobs = whole_flag(cmd, flags, "jobs", 1, kMaxJobs);
+  BatchJob job;
+  job.power = kilowatts(number_flag(cmd, flags, "power-kw"));
+  job.duration = hours(number_flag(cmd, flags, "duration-h"));
+  job.slack = hours(number_flag(cmd, flags, "slack-h"));
+  std::vector<BatchJob> jobs;
+  for (long i = 0; i < num_jobs; ++i) {
+    job.id = "job-" + std::to_string(i);
+    job.arrival = hours(static_cast<double>(i % 24));
+    jobs.push_back(job);
+  }
+
+  const FifoPolicy fifo;
+  const ThresholdPolicy threshold(
+      grams_per_kwh(number_flag(cmd, flags, "threshold-g-per-kwh")));
+  const ForecastPolicy forecast;
+  report::Table t({"policy", "carbon", "mean delay (h)", "peak power"});
+  for (const SchedulerPolicy* p :
+       std::initializer_list<const SchedulerPolicy*>{&fifo, &threshold,
+                                                     &forecast}) {
+    const ScheduleResult r = run_schedule(jobs, grid, *p);
+    t.add_row({r.policy_name, to_string(r.total_carbon),
+               report::fmt(to_hours(r.mean_delay)),
+               to_string(r.peak_concurrent_power)});
+  }
+  std::printf("%s", t.to_string().c_str());
+  return 0;
+}
+
+Command model_card_command() {
+  Command c{"model-card", "",
+            "render the carbon section of a model card (markdown)",
+            {{"name", "", false, "my-model", "model name"},
+             {"description", "", false, "", "one-line model description"},
+             {"runtime-days", "", true, "7", "training wall-clock days"}}};
+  c.add(accounting_flags("8"));
+  c.add({{"predictions-per-day", "", true, "0",
+          "serving volume (0 = not deployed)"},
+         {"joules-per-prediction", "", true, "0.001",
+          "serving energy per prediction"}});
+  return c;
+}
+
+int cmd_model_card(const Command& cmd, const Flags& flags) {
+  telemetry::ModelCardInput in{
+      text_flag(cmd, flags, "name"),
+      text_flag(cmd, flags, "description"),
+      device_by_name(text_flag(cmd, flags, "device")),
+      static_cast<int>(whole_flag(cmd, flags, "count", 1, kMaxDevices)),
+      days(number_flag(cmd, flags, "runtime-days")),
+      number_flag(cmd, flags, "utilization"),
+      OperationalCarbonModel(number_flag(cmd, flags, "pue"),
+                             grid_by_name(text_flag(cmd, flags, "grid")),
+                             number_flag(cmd, flags, "cfe")),
+      number_flag(cmd, flags, "fleet-utilization"),
+      number_flag(cmd, flags, "predictions-per-day"),
+      joules(number_flag(cmd, flags, "joules-per-prediction"))};
+  std::printf("%s", telemetry::render_model_card(in).c_str());
+  return 0;
+}
+
+// --- run, fleet, planet, fl -----------------------------------------------
 
 // Sets in `node` every given flag whose param starts with `prefix` (the
 // prefix stripped), creating the objects on its dotted path. Params under
@@ -461,9 +511,9 @@ report::JsonValue planet_regions(const Command& cmd, const Flags& flags) {
                                      "nordic-hydro",    "asia-pacific",
                                      "us-midwest-coal", "hydro-quebec"};
   const long regions = whole_flag(
-      cmd, flags, "regions", 8, 1,
+      cmd, flags, "regions", 1,
       static_cast<long>(datacenter::PlanetSimulator::kMaxRegions));
-  const long grids = whole_flag(cmd, flags, "grids", 3, 1, 6);
+  const long grids = whole_flag(cmd, flags, "grids", 1, 6);
   JsonValue list = JsonValue::array();
   for (long r = 0; r < regions; ++r) {
     const char* grid_name = kGridCycle[r % grids];
@@ -485,8 +535,8 @@ report::JsonValue planet_regions(const Command& cmd, const Flags& flags) {
 // SpecError at a flag's param names the flag. Returns the exit status.
 int run_spec(const scenario::Spec& spec, const Command& cmd,
              const Flags& flags) {
-  const std::string checkpoint = flag_string(flags, "checkpoint", "");
-  const std::string resume = flag_string(flags, "resume", "");
+  const std::string checkpoint = text_flag(cmd, flags, "checkpoint");
+  const std::string resume = text_flag(cmd, flags, "resume");
   if (!resume.empty() && checkpoint.empty()) {
     throw std::invalid_argument(
         "--resume requires --checkpoint (the path further snapshots are "
@@ -495,9 +545,11 @@ int run_spec(const scenario::Spec& spec, const Command& cmd,
   }
   constexpr long kMaxSteps = 1L << 40;
   scenario::CheckpointRequest request;
-  request.segment_steps =
-      whole_flag(cmd, flags, "segment-steps", 0, 0, kMaxSteps);
-  request.stop_after = whole_flag(cmd, flags, "stop-after", 0, 0, kMaxSteps);
+  if (cmd.find("segment-steps") != nullptr) {  // a checkpointable scenario
+    request.segment_steps =
+        whole_flag(cmd, flags, "segment-steps", 0, kMaxSteps);
+    request.stop_after = whole_flag(cmd, flags, "stop-after", 0, kMaxSteps);
+  }
   if (!resume.empty()) {
     std::string text;
     try {
@@ -587,7 +639,7 @@ int run_spec(const scenario::Spec& spec, const Command& cmd,
                   region_years / (wall_s / 60.0), region_years, wall_s);
     }
   }
-  const std::string out_dir = flag_string(flags, "out", "");
+  const std::string out_dir = text_flag(cmd, flags, "out");
   if (!out_dir.empty()) {
     std::string error;
     if (!scenario::Runner::write(bundle, out_dir, &error)) {
@@ -630,22 +682,18 @@ int cmd_run(int argc, char** argv) {
 }
 
 // `fleet`, `planet`, `fl`: flags -> spec -> run_spec.
-int cmd_translate(const Command& cmd, int argc, char** argv) {
+int cmd_translate(const Command& cmd, const Flags& flags) {
   using report::JsonValue;
-  const std::optional<Flags> flags = parse_command_flags(cmd, argc, argv, 2);
-  if (!flags) {
-    return 0;
-  }
   JsonValue spec = JsonValue::object();
   spec.set("scenario", JsonValue::string(cmd.scenario));
   JsonValue params = JsonValue::object();
-  set_params(params, cmd, *flags, "");
+  set_params(params, cmd, flags, "");
   if (cmd.scenario == "planet") {
-    params.set("regions", planet_regions(cmd, *flags));
+    params.set("regions", planet_regions(cmd, flags));
   }
   spec.set("params", std::move(params));
   for (const FlagDef& f : cmd.flags) {
-    if (!f.artifact.empty() && flags->count(f.name) != 0) {
+    if (!f.artifact.empty() && flags.count(f.name) != 0) {
       if (spec.find("artifacts") == nullptr) {
         spec.set("artifacts", JsonValue::object());
       }
@@ -653,7 +701,7 @@ int cmd_translate(const Command& cmd, int argc, char** argv) {
                                   JsonValue::boolean(true));
     }
   }
-  return run_spec(scenario::Spec::from_value(std::move(spec)), cmd, *flags);
+  return run_spec(scenario::Spec::from_value(std::move(spec)), cmd, flags);
 }
 
 int cmd_scenarios(int argc, char** argv) {
@@ -688,18 +736,13 @@ int usage() {
   std::printf(
       "usage: sustainai <command> [--flag value ...]\n"
       "commands:\n"
-      "  estimate   carbon impact statement for a training run\n"
-      "             (--gpu-days --device --count --utilization --grid --pue --cfe)\n"
       "  models     the production + open-source model catalog\n"
       "  grids      available grid carbon-intensity profiles\n"
-      "  schedule   compare carbon-aware scheduling policies\n"
-      "             (--jobs --duration-h --slack-h --power-kw --grid)\n"
-      "  model-card render the carbon section of a model card (markdown)\n"
-      "             (--name --device --count --runtime-days --utilization --grid)\n"
       "  scenarios  list registered scenarios, or show one scenario's\n"
       "             parameters (sustainai scenarios [name])\n");
   for (const Command& cmd :
-       {run_command(), fleet_command(), planet_command(), fl_command()}) {
+       {estimate_command(), schedule_command(), model_card_command(),
+        run_command(), fleet_command(), planet_command(), fl_command()}) {
     std::printf("  %-10s %s\n             (sustainai %s --help lists its flags)\n",
                 cmd.name.c_str(), cmd.summary.c_str(), cmd.name.c_str());
   }
@@ -714,22 +757,13 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   try {
-    // `run` and `scenarios` take a positional argument; the spec-backed
-    // commands parse against their own flag tables.
+    // `run` and `scenarios` take a positional argument; the others with
+    // flags parse against their own flag tables.
     if (command == "run") {
       return cmd_run(argc, argv);
     }
     if (command == "scenarios") {
       return cmd_scenarios(argc, argv);
-    }
-    for (const Command& cmd : {fleet_command(), planet_command(), fl_command()}) {
-      if (command == cmd.name) {
-        return cmd_translate(cmd, argc, argv);
-      }
-    }
-    const Flags flags = parse_flags(argc, argv, 2);
-    if (command == "estimate") {
-      return cmd_estimate(flags);
     }
     if (command == "models") {
       return cmd_models();
@@ -737,11 +771,20 @@ int main(int argc, char** argv) {
     if (command == "grids") {
       return cmd_grids();
     }
-    if (command == "schedule") {
-      return cmd_schedule(flags);
-    }
-    if (command == "model-card") {
-      return cmd_model_card(flags);
+    using Action = int (*)(const Command&, const Flags&);
+    const std::pair<Command, Action> commands[] = {
+        {estimate_command(), cmd_estimate},
+        {schedule_command(), cmd_schedule},
+        {model_card_command(), cmd_model_card},
+        {fleet_command(), cmd_translate},
+        {planet_command(), cmd_translate},
+        {fl_command(), cmd_translate}};
+    for (const auto& [cmd, action] : commands) {
+      if (command == cmd.name) {
+        const std::optional<Flags> flags =
+            parse_command_flags(cmd, argc, argv, 2);
+        return flags ? action(cmd, *flags) : 0;
+      }
     }
     std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
     return usage();
