@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "core/check.h"
+#include "core/day_slots.h"
 
 namespace sustainai {
 namespace {
@@ -22,31 +23,41 @@ std::uint64_t bits_of(double v) {
 
 IntensityTable::IntensityTable(const IntermittentGrid& grid, Duration start,
                                Duration step)
-    : grid_(grid),
-      start_s_(to_seconds(start)),
-      step_s_(to_seconds(step)),
-      solar_slots_(step_s_) {
+    : grid_(grid), start_s_(to_seconds(start)), step_s_(to_seconds(step)) {
   check_arg(step_s_ > 0.0, "IntensityTable: step must be positive");
 }
 
-void IntensityTable::extend(long n) const {
+void IntensityTable::extend(long n, const RangeRunner& ranges) const {
   const long have = built();
   if (n <= have) {
     return;
   }
-  if (static_cast<std::size_t>(n) > values_.capacity()) {
-    values_.reserve(std::max(static_cast<std::size_t>(n), 2 * values_.capacity()));
-  }
-  for (long k = have; k < n; ++k) {
-    const double t_s = start_s_ + step_s_ * static_cast<double>(k);
-    const double sec_of_day = std::fmod(t_s, kSecondsPerDay);
-    const double solar = solar_slots_.get(
-        k, sec_of_day, [this](double sec) { return grid_.solar_term(sec); });
-    values_.push_back(grid_.intensity_from_terms(solar, grid_.wind_term(t_s)).base());
+  values_.resize(static_cast<std::size_t>(n));
+  const auto fill_range = [this](long begin, long end) { fill(begin, end); };
+  if (ranges) {
+    ranges(have, n, fill_range);
+  } else {
+    fill_range(have, n);
   }
 }
 
-void IntensityTable::prebuild(long n) { extend(n); }
+void IntensityTable::fill(long begin, long end) const {
+  // Same second-of-day reuse rule as IntermittentGrid::intensity_series,
+  // local to the range so that ranges can fill concurrently.
+  DaySlotCache solar_slots(step_s_);
+  for (long k = begin; k < end; ++k) {
+    const double t_s = start_s_ + step_s_ * static_cast<double>(k);
+    const double sec_of_day = std::fmod(t_s, kSecondsPerDay);
+    const double solar = solar_slots.get(
+        k, sec_of_day, [this](double sec) { return grid_.solar_term(sec); });
+    values_[static_cast<std::size_t>(k)] =
+        grid_.intensity_from_terms(solar, grid_.wind_term(t_s)).base();
+  }
+}
+
+void IntensityTable::prebuild(long n, const RangeRunner& ranges) {
+  extend(n, ranges);
+}
 
 CarbonIntensity IntensityTable::at_index(long k) const {
   check_arg(k >= 0, "IntensityTable: index must be >= 0");

@@ -6,14 +6,19 @@
 // floating-point expression tree as intensity_at(t_k), so lookups are
 // bit-identical to direct evaluation. Off-grid timestamps fall back to the
 // grid behind a bit-cast-keyed memo.
+//
+// The table fills in independent index ranges, each with its own day-slot
+// cache (core/day_slots.h). A slot is reused only on an exact
+// second-of-day match, so every split of the range yields the same doubles
+// and a caller may run the ranges concurrently (prebuild's RangeRunner).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "core/carbon_intensity.h"
-#include "core/day_slots.h"
 #include "core/units.h"
 
 namespace sustainai {
@@ -24,8 +29,14 @@ class IntensityTable {
   // table never dangles when its owner moves.
   IntensityTable(const IntermittentGrid& grid, Duration start, Duration step);
 
-  // Ensures the first n grid points are materialized.
-  void prebuild(long n);
+  // Calls fill(b, e) over ranges [b, e) that cover [begin, end) exactly
+  // once, in any order and on any threads. `fill` writes only its range.
+  using RangeRunner = std::function<void(
+      long begin, long end, const std::function<void(long, long)>& fill)>;
+
+  // Ensures the first n grid points are materialized. The new points
+  // [built(), n) are filled through `ranges`; empty fills them serially.
+  void prebuild(long n, const RangeRunner& ranges = {});
   [[nodiscard]] long built() const { return static_cast<long>(values_.size()); }
   // Contiguous base-unit intensities for [0, built()). Invalidated by any
   // call that extends the table.
@@ -46,14 +57,13 @@ class IntensityTable {
   [[nodiscard]] const IntermittentGrid& grid() const { return grid_; }
 
  private:
-  void extend(long n) const;
+  void extend(long n, const RangeRunner& ranges = {}) const;
+  void fill(long begin, long end) const;
 
   IntermittentGrid grid_;
   double start_s_ = 0.0;
   double step_s_ = 0.0;
   mutable std::vector<double> values_;
-  // Same second-of-day reuse rule as IntermittentGrid::intensity_series.
-  mutable DaySlotCache solar_slots_;
   mutable std::unordered_map<std::uint64_t, double> memo_;
 };
 

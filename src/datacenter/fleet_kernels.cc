@@ -109,22 +109,20 @@ inline ScaleDecision scale_step(const GroupConsts& c, double total,
 }
 
 // The four strip bodies: {static, autoscaled} x {fault-free, crash-aware}.
-// Each processes one step `s` into lane `l` of `acc`.
+// Each processes one step `s`, whose demand is `d`, into lane `l` of `acc`.
 
-inline void static_step(const GroupConsts& c, const double* dem,
+inline void static_step(const GroupConsts& c, double d,
                         const double* intensity, std::size_t s, int l,
                         GroupLanes& acc) {
-  const double d = dem[s];
   const double ge = step_energy(c, d) * c.cnt;
   acc.add(kGroupEnergy, l, ge);
   acc.add(kUtilWeight, l, d);
   acc.add(kLocationG, l, ge * c.pue * intensity[s]);
 }
 
-inline void scaled_step(const GroupConsts& c, const double* dem,
+inline void scaled_step(const GroupConsts& c, double d,
                         const double* intensity, std::size_t s, int l,
                         GroupLanes& acc) {
-  const double d = dem[s];
   const ScaleDecision sd =
       scale_step(c, c.cnt, d, c.min_active, c.max_freed);
   const double e_active = step_energy(c, sd.util) * sd.active;
@@ -139,10 +137,9 @@ inline void scaled_step(const GroupConsts& c, const double* dem,
   acc.add(kLocationG, l, ge * c.pue * intensity[s]);
 }
 
-inline void static_step_down(const GroupConsts& c, const double* dem,
+inline void static_step_down(const GroupConsts& c, double d,
                              const double* intensity, const int* down,
                              std::size_t s, int l, GroupLanes& acc) {
-  const double d = dem[s];
   const double dn = static_cast<double>(down[s]);
   const double active = c.cnt - dn;  // exact: integral doubles
   const double displaced =
@@ -160,10 +157,9 @@ inline void static_step_down(const GroupConsts& c, const double* dem,
   acc.add(kFaultLost, l, dn * c.step_s / kSecondsPerHour);
 }
 
-inline void scaled_step_down(const GroupConsts& c, const double* dem,
+inline void scaled_step_down(const GroupConsts& c, double d,
                              const double* intensity, const int* down,
                              std::size_t s, int l, GroupLanes& acc) {
-  const double d = dem[s];
   const double dn = static_cast<double>(down[s]);
   const double active_cap = c.cnt - dn;
   const double displaced =
@@ -192,16 +188,37 @@ inline void scaled_step_down(const GroupConsts& c, const double* dem,
   acc.add(kFaultLost, l, dn * c.step_s / kSecondsPerHour);
 }
 
+// Calls body(s, lane, demand) for every step s of [begin, end) in ascending
+// order, on lane (s - begin) % kStepLanes, with the demand read from `row`
+// at s % row_len. The walk splits at row wraps so that each piece reads its
+// demand contiguously; within a piece, the steps before the next lane-0
+// step run one at a time, then whole kStepLanes-wide strips, then the tail.
 template <typename Body>
-inline void run_strips(std::size_t begin, std::size_t end, Body&& body) {
+inline void run_strips(const double* row, std::size_t row_len,
+                       std::size_t begin, std::size_t end, Body&& body) {
+  const auto lane_of = [begin](std::size_t s) {
+    return static_cast<int>((s - begin) % kStepLanes);
+  };
   std::size_t s = begin;
-  for (; s + kStepLanes <= end; s += kStepLanes) {
-    for (int l = 0; l < kStepLanes; ++l) {
-      body(s + static_cast<std::size_t>(l), l);
+  std::size_t r = end > begin ? begin % row_len : 0;
+  while (s < end) {
+    const std::size_t n = std::min(end - s, row_len - r);
+    const double* dem = row + r;
+    std::size_t i = 0;
+    for (; i < n && lane_of(s + i) != 0; ++i) {
+      body(s + i, lane_of(s + i), dem[i]);
     }
-  }
-  for (; s < end; ++s) {
-    body(s, static_cast<int>((s - begin) % kStepLanes));
+    for (; i + kStepLanes <= n; i += kStepLanes) {
+      for (int l = 0; l < kStepLanes; ++l) {
+        const std::size_t j = i + static_cast<std::size_t>(l);
+        body(s + j, l, dem[j]);
+      }
+    }
+    for (; i < n; ++i) {
+      body(s + i, lane_of(s + i), dem[i]);
+    }
+    s += n;
+    r = 0;
   }
 }
 
@@ -234,27 +251,28 @@ FleetPartial soa_chunk(const FleetStepInputs& in, std::size_t begin,
     c.pue = in.pue;
     c.target = soa.target_utilization;
 
-    const double* dem = soa.demand.data() + g * static_cast<std::size_t>(soa.steps);
+    const auto row_len = static_cast<std::size_t>(soa.row_len);
+    const double* row = soa.demand.data() + g * row_len;
     const int* down_row = any_down ? (*in.down)[g].data() : nullptr;
     GroupLanes lanes;
     if (soa.autoscaled[g] != 0) {
       if (down_row != nullptr) {
-        run_strips(begin, end, [&](std::size_t s, int l) {
-          scaled_step_down(c, dem, in.intensity, down_row, s, l, lanes);
+        run_strips(row, row_len, begin, end, [&](std::size_t s, int l, double d) {
+          scaled_step_down(c, d, in.intensity, down_row, s, l, lanes);
         });
       } else {
-        run_strips(begin, end, [&](std::size_t s, int l) {
-          scaled_step(c, dem, in.intensity, s, l, lanes);
+        run_strips(row, row_len, begin, end, [&](std::size_t s, int l, double d) {
+          scaled_step(c, d, in.intensity, s, l, lanes);
         });
       }
     } else {
       if (down_row != nullptr) {
-        run_strips(begin, end, [&](std::size_t s, int l) {
-          static_step_down(c, dem, in.intensity, down_row, s, l, lanes);
+        run_strips(row, row_len, begin, end, [&](std::size_t s, int l, double d) {
+          static_step_down(c, d, in.intensity, down_row, s, l, lanes);
         });
       } else {
-        run_strips(begin, end, [&](std::size_t s, int l) {
-          static_step(c, dem, in.intensity, s, l, lanes);
+        run_strips(row, row_len, begin, end, [&](std::size_t s, int l, double d) {
+          static_step(c, d, in.intensity, s, l, lanes);
         });
       }
     }
@@ -364,10 +382,20 @@ FleetSoA build_fleet_soa(const Cluster& cluster,
   soa.max_freed.resize(n);
   soa.autoscaled.resize(n);
   soa.opp_mask.resize(n);
-  soa.demand.assign(n * static_cast<std::size_t>(steps), 0.0);
 
-  // The diurnal cosine depends on t only through the second-of-day.
+  // The diurnal cosine depends on t only through the second-of-day. With a
+  // whole-second step and step_s * steps < 2^53, step_s * s is an exact
+  // integer, so fmod(step_s * s, 86400) == step_s * (s % period): step s
+  // reads the same second-of-day, hence the same double, as slot
+  // s % period of a one-day row.
   DaySlotCache load_slots(step_s);
+  const long period = load_slots.period();
+  const bool day_rows = period > 0 && period < steps &&
+                        std::floor(step_s) == step_s &&
+                        step_s * static_cast<double>(steps) < 0x1p53;
+  soa.row_len = day_rows ? period : steps;
+  const auto row_len = static_cast<std::size_t>(soa.row_len);
+  soa.demand.assign(n * row_len, 0.0);
 
   for (std::size_t g = 0; g < n; ++g) {
     const ServerGroup& grp = groups[g];
@@ -398,16 +426,14 @@ FleetSoA build_fleet_soa(const Cluster& cluster,
     // Demand row: bit-identical to DiurnalProfile::utilization_at at every
     // step (validated by the first call; the flat shortcut is exact because
     // (peak - trough) == 0 collapses the cosine term to +0.0).
-    double* row = soa.demand.data() + g * static_cast<std::size_t>(steps);
-    if (steps == 0) {
+    double* row = soa.demand.data() + g * row_len;
+    if (row_len == 0) {
       continue;
     }
     const DiurnalProfile& load = grp.load;
     const double first = load.utilization_at(seconds(0.0));
     if (load.peak == load.trough) {
-      for (long s = 0; s < steps; ++s) {
-        row[s] = first;
-      }
+      std::fill(row, row + row_len, first);
       continue;
     }
     load_slots.clear();
@@ -416,7 +442,7 @@ FleetSoA build_fleet_soa(const Cluster& cluster,
       const double phase = 2.0 * M_PI * (hour - load.peak_hour) / 24.0;
       return load.trough + (load.peak - load.trough) * 0.5 * (1.0 + std::cos(phase));
     };
-    for (long s = 0; s < steps; ++s) {
+    for (long s = 0; s < soa.row_len; ++s) {
       const double t_s = step_s * static_cast<double>(s);
       row[s] = load_slots.get(s, std::fmod(t_s, kSecondsPerDay), diurnal);
     }

@@ -3,9 +3,10 @@
 // The per-step fleet math (diurnal demand -> autoscaling -> utilization ->
 // power -> PUE -> grid carbon) is the widest hot path in the repo: it runs
 // once per server group per step over horizons of years. The kernel keeps
-// structure-of-arrays state (per-group constants and demand series as
-// contiguous lanes) and blocks the inner loop into kStepLanes-wide strips
-// that the compiler vectorizes.
+// structure-of-arrays state (per-group constants and demand rows, one day
+// long when the day repeats on the step grid, as contiguous lanes) and
+// blocks the inner loop into kStepLanes-wide strips that the compiler
+// vectorizes.
 //
 // Its results are defined by an accumulation-order contract (DESIGN.md §6),
 // which the object-based reference kernel in tests/oracles/ follows too, so
@@ -42,13 +43,16 @@ namespace sustainai::datacenter {
 // exactly these logical lanes to reproduce the same bytes.
 inline constexpr int kStepLanes = 4;
 
-// Per-group constants and precomputed series, AoS -> SoA. Built once per
-// FleetRegion (the demand series is the expensive part: one cosine per
+// Per-group constants and demand rows, AoS -> SoA. Built once per
+// FleetRegion (the demand rows are the expensive part: one cosine per
 // distinct second-of-day per group, served from a day-periodic slot cache).
 struct FleetSoA {
   long steps = 0;
   double step_s = 0.0;
   std::size_t num_groups = 0;
+  // Length of every demand row: one day of steps when the day repeats
+  // exactly on the step grid (see build_fleet_soa), `steps` otherwise.
+  long row_len = 0;
 
   // Per-group server counts and hoisted ServerSku power coefficients
   // (host/accelerator idle watts and idle->TDP spans, accelerator count).
@@ -70,8 +74,10 @@ struct FleetSoA {
   // 1.0 when opportunistic harvesting applies to this group, else 0.0; used
   // as an exact multiplicative mask (x * 1.0 == x, x * 0.0 == +0.0).
   std::vector<double> opp_mask;
-  // Demand rows, demand[g * steps + s]: the diurnal utilization series per
-  // group, bit-identical to DiurnalProfile::utilization_at at every step.
+  // Demand rows, demand[g * row_len + s % row_len]: the diurnal
+  // utilization of group g at step s, bit-identical to
+  // DiurnalProfile::utilization_at. A day-long row holds the same double at
+  // s % row_len as a horizon-long row at s, so one row per day suffices.
   std::vector<double> demand;
 
   double target_utilization = 0.75;
@@ -80,7 +86,11 @@ struct FleetSoA {
 };
 
 // Precompute the SoA image of `cluster` for `steps` steps of `step_s`
-// seconds. `opportunistic_utilization` parameterizes opp_energy_j.
+// seconds. `opportunistic_utilization` parameterizes opp_energy_j. Rows are
+// one day long (row_len = the DaySlotCache period) when the period is
+// nonzero and below `steps`, `step_s` is a whole number of seconds and
+// step_s * steps < 2^53; then fmod(step_s * s, 86400) equals
+// step_s * (s % period) exactly. Otherwise they span the horizon.
 [[nodiscard]] FleetSoA build_fleet_soa(const Cluster& cluster,
                                        const AutoScaler::Config& autoscaler,
                                        bool enable_autoscaler,

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <unordered_map>
 
 #include "core/check.h"
+#include "exec/parallel.h"
 #include "fault/plan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -14,6 +17,9 @@ namespace {
 
 constexpr const char* kCheckpointSchema = "sustainai-fleet-checkpoint-v1";
 
+// Index range one task of a table prebuild fills.
+constexpr std::size_t kTableFillRange = 8192;
+
 // The fleet as one region at UTC offset 0.
 FleetRegion fleet_region(const FleetSimulator::Config& config) {
   FleetRegionConfig region;
@@ -22,9 +28,10 @@ FleetRegion fleet_region(const FleetSimulator::Config& config) {
   region.pue = config.pue;
   region.cfe_coverage = config.cfe_coverage;
   region.faults = config.faults;
+  const FleetRegion::Run run = FleetRegion::Run::of(config, "FleetSimulator");
   IntensityCache tables;
-  return FleetRegion(std::move(region),
-                     FleetRegion::Run::of(config, "FleetSimulator"), tables);
+  auto table = resolve_intensity_tables({region}, run, tables, config.pool)[0];
+  return FleetRegion(std::move(region), run, std::move(table));
 }
 
 }  // namespace
@@ -53,21 +60,32 @@ void FleetRegion::Run::digest(engine::ConfigDigest& d,
   d.add_double(autoscaler.max_freed_fraction);
 }
 
-FleetRegion::FleetRegion(FleetRegionConfig config, const Run& run,
-                         IntensityCache& tables)
-    : config_(std::move(config)), run_(run) {
-  check_arg(!config_.cluster.groups().empty(),
+long FleetRegion::check_config(const FleetRegionConfig& config,
+                               const Run& run) {
+  check_arg(!config.cluster.groups().empty(),
             "FleetRegion: a region needs at least one server group");
-  check_arg(config_.pue >= 1.0, "FleetRegion: PUE must be >= 1.0");
-  check_arg(config_.cfe_coverage >= 0.0 && config_.cfe_coverage <= 1.0,
+  check_arg(config.pue >= 1.0, "FleetRegion: PUE must be >= 1.0");
+  check_arg(config.cfe_coverage >= 0.0 && config.cfe_coverage <= 1.0,
             "FleetRegion: CFE coverage must be in [0, 1]");
-  check_arg(config_.utc_offset_hours >= 0.0 && config_.utc_offset_hours < 24.0,
+  check_arg(config.utc_offset_hours >= 0.0 && config.utc_offset_hours < 24.0,
             "FleetRegion: utc_offset_hours must be in [0, 24)");
-  const double offset_s = config_.utc_offset_hours * kSecondsPerHour;
-  offset_steps_ = std::lround(offset_s / run_.step_s);
-  check_arg(static_cast<double>(offset_steps_) * run_.step_s == offset_s,
+  const double offset_s = config.utc_offset_hours * kSecondsPerHour;
+  const long offset_steps = std::lround(offset_s / run.step_s);
+  check_arg(static_cast<double>(offset_steps) * run.step_s == offset_s,
             "FleetRegion: utc_offset_hours must be a whole number of steps");
-  table_ = tables.get(config_.grid, run_.step, run_.steps + offset_steps_);
+  return offset_steps;
+}
+
+FleetRegion::FleetRegion(FleetRegionConfig config, const Run& run,
+                         std::shared_ptr<const SharedIntensityTable> table)
+    : config_(std::move(config)),
+      run_(run),
+      offset_steps_(check_config(config_, run_)),
+      table_(std::move(table)) {
+  check_arg(table_ != nullptr &&
+                table_->table.built() >= run_.steps + offset_steps_,
+            "FleetRegion: the intensity table must be built through the "
+            "horizon plus the offset");
 
   // Rebase each group's diurnal peak to local solar time. Offset zero copies
   // the cluster untouched, so the peak-hour doubles stay bit-identical.
@@ -327,6 +345,48 @@ std::string FleetSimulator::config_digest() const {
   d.add_string(IntensityCache::key_of(rc.grid, region_.run().step));
   region_.digest(d);
   return d.hex();
+}
+
+std::vector<std::shared_ptr<const SharedIntensityTable>>
+resolve_intensity_tables(const std::vector<FleetRegionConfig>& regions,
+                         const FleetRegion::Run& run, IntensityCache& tables,
+                         exec::ThreadPool* pool) {
+  std::vector<long> needs;
+  needs.reserve(regions.size());
+  for (const FleetRegionConfig& region : regions) {
+    needs.push_back(run.steps + FleetRegion::check_config(region, run));
+  }
+  // One lookup per region (nothing is built yet), then each distinct table
+  // once, to the longest need, before any region reads it.
+  std::vector<std::shared_ptr<const SharedIntensityTable>> resolved;
+  resolved.reserve(regions.size());
+  std::unordered_map<SharedIntensityTable*, long> longest;
+  std::vector<std::shared_ptr<SharedIntensityTable>> distinct;
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    std::shared_ptr<SharedIntensityTable> shared =
+        tables.get(regions[r].grid, run.step, 0);
+    const auto [it, fresh] = longest.emplace(shared.get(), needs[r]);
+    if (fresh) {
+      distinct.push_back(shared);
+    } else {
+      it->second = std::max(it->second, needs[r]);
+    }
+    resolved.push_back(std::move(shared));
+  }
+  const IntensityTable::RangeRunner ranges =
+      [pool](long begin, long end, const std::function<void(long, long)>& fill) {
+        exec::run_chunks(
+            pool,
+            exec::plan_chunks(static_cast<std::size_t>(end - begin),
+                              kTableFillRange),
+            [&](std::size_t, std::size_t b, std::size_t e) {
+              fill(begin + static_cast<long>(b), begin + static_cast<long>(e));
+            });
+      };
+  for (const std::shared_ptr<SharedIntensityTable>& shared : distinct) {
+    shared->table.prebuild(longest.at(shared.get()), ranges);
+  }
+  return resolved;
 }
 
 void digest_fault_spec(engine::ConfigDigest& d, const fault::FaultSpec& spec) {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -108,9 +109,15 @@ class FleetRegion {
     void digest(engine::ConfigDigest& d, long steps_per_chunk) const;
   };
 
-  // Takes the region's grid table from `tables`, built through the
-  // horizon plus the offset.
-  FleetRegion(FleetRegionConfig config, const Run& run, IntensityCache& tables);
+  // Validates `config` against `run` and returns the region's UTC offset
+  // in steps. Throws std::invalid_argument naming the bad field.
+  [[nodiscard]] static long check_config(const FleetRegionConfig& config,
+                                         const Run& run);
+
+  // `table` is the region's grid table on the run's step, already built
+  // through the horizon plus the offset (resolve_intensity_tables).
+  FleetRegion(FleetRegionConfig config, const Run& run,
+              std::shared_ptr<const SharedIntensityTable> table);
 
   [[nodiscard]] const FleetRegionConfig& config() const { return config_; }
   [[nodiscard]] const Run& run() const { return run_; }
@@ -233,6 +240,15 @@ class FleetSimulator {
 // checkpoint policy) into `d`; shared by every simulator's config_digest.
 void digest_fault_spec(engine::ConfigDigest& d, const fault::FaultSpec& spec);
 
+// The grid table of each region, in region order. Validates every region
+// first, looks each region's table up in `tables` once, then prebuilds
+// every distinct table through the longest horizon plus offset any region
+// reads, in index ranges run over `pool` (nullptr: the global pool).
+[[nodiscard]] std::vector<std::shared_ptr<const SharedIntensityTable>>
+resolve_intensity_tables(const std::vector<FleetRegionConfig>& regions,
+                         const FleetRegion::Run& run, IntensityCache& tables,
+                         exec::ThreadPool* pool);
+
 template <typename Config>
 FleetRegion::Run FleetRegion::Run::of(const Config& config, const char* who) {
   const std::string prefix = std::string(who) + ": ";
@@ -248,7 +264,13 @@ FleetRegion::Run FleetRegion::Run::of(const Config& config, const char* who) {
   run.step = config.step;
   run.horizon = config.horizon;
   run.step_s = to_seconds(config.step);
-  run.steps = static_cast<long>(to_seconds(config.horizon) / run.step_s);
+  // Checked before the cast: a non-finite or out-of-range quotient would
+  // make it undefined. The 2^53 bound keeps step_s * s exact for a
+  // whole-second step, which day-long demand rows rely on (build_fleet_soa).
+  const double steps = std::floor(to_seconds(config.horizon) / run.step_s);
+  check_arg(steps < 0x1p53 && run.step_s * steps < 0x1p53,
+            prefix + "horizon / step must be finite with step * steps < 2^53");
+  run.steps = static_cast<long>(steps);
   run.enable_autoscaler = config.enable_autoscaler;
   run.autoscaler = config.autoscaler;
   run.opportunistic_training = config.opportunistic_training;

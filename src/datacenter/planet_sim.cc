@@ -25,14 +25,17 @@ PlanetSimulator::PlanetSimulator(Config config) {
   run_ = FleetRegion::Run::of(config, "PlanetSimulator");
 
   // Regions on the same grid share one table, each reading it at its own
-  // offset.
+  // offset. Every table is complete before the first region is built.
   IntensityCache own_cache;
   IntensityCache& tables = config.intensity_cache != nullptr
                                ? *config.intensity_cache
                                : own_cache;
+  auto resolved =
+      resolve_intensity_tables(config.regions, run_, tables, config.pool);
   regions_.reserve(config.regions.size());
-  for (RegionConfig& rc : config.regions) {
-    regions_.emplace_back(std::move(rc), run_, tables);
+  for (std::size_t r = 0; r < config.regions.size(); ++r) {
+    regions_.emplace_back(std::move(config.regions[r]), run_,
+                          std::move(resolved[r]));
   }
 
   engine::ShardedRun<FleetPartial>::Config rcfg;

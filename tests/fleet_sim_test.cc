@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 namespace sustainai::datacenter {
 namespace {
 
@@ -127,6 +131,37 @@ TEST(FleetSim, RejectsInvalidConfig) {
   c.horizon = seconds(1.0);
   c.step = hours(1.0);
   EXPECT_THROW((void)FleetSimulator{c}, std::invalid_argument);
+}
+
+TEST(FleetSim, RejectsUnboundedStepCount) {
+  // horizon / step must be finite and step * steps below 2^53, before the
+  // step count is cast or anything is allocated.
+  struct Case {
+    Duration step;
+    Duration horizon;
+  };
+  const Case cases[] = {
+      {hours(1.0), seconds(std::numeric_limits<double>::infinity())},
+      {seconds(1e10), seconds(1e30)},       // 1e20 steps: past 2^63
+      {seconds(1.0), seconds(0x1p53)},      // 2^53 steps
+      {seconds(1e6), seconds(1e6 * 0x1p43)},  // 2^43 steps of 1e6 s
+  };
+  for (const Case& tc : cases) {
+    FleetSimulator::Config c = base_config(true, true);
+    c.step = tc.step;
+    c.horizon = tc.horizon;
+    SCOPED_TRACE(to_seconds(c.horizon));
+    try {
+      (void)FleetSimulator{c};
+      ADD_FAILURE() << "accepted an unbounded step count";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("step * steps < 2^53"),
+                std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "unexpected error: " << e.what();
+    }
+  }
 }
 
 }  // namespace

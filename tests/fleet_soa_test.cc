@@ -9,6 +9,8 @@
 // crash-aware strip bodies, and either intensity lane of the oracle.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/units.h"
 #include "datacenter/fleet_kernels.h"
 #include "datacenter/fleet_sim.h"
@@ -149,17 +151,64 @@ TEST(FleetSoa, OddGroupCountsHitEdgeLanes) {
 }
 
 TEST(FleetSoa, OddStepCountsAndChunkSizesAgree) {
-  // Chunk sizes below kStepLanes round up to one lane block; the horizon
-  // produces step counts with every tail-length residue mod kStepLanes.
-  for (const long chunk : {1L, 3L, 5L, 13L, 101L, 1000L}) {
-    for (const double hours_frac : {24.0, 24.25, 24.5, 24.75}) {
-      SCOPED_TRACE(testing::Message() << "chunk=" << chunk
-                                      << " horizon_h=" << hours_frac);
-      FleetSimulator::Config c = base_config(5);
-      c.horizon = hours(hours_frac);
-      c.steps_per_chunk = chunk;
-      expect_identical(reference(c), simulate(c));
+  // Chunk sizes below kStepLanes round up to one lane block; each step size
+  // runs four step counts, one per tail-length residue mod kStepLanes.
+  struct Case {
+    double step_s;
+    long steps;  // the first of four consecutive step counts
+    std::vector<long> chunks;
+  };
+  const Case cases[] = {
+      // 15 min: period 96, so from 97 steps on the rows hold one day.
+      {900.0, 96, {1, 3, 5, 13, 101, 1000}},
+      // 1 h over nine days: chunks of 16 and 104 steps start mid-day and
+      // cross row wraps.
+      {3600.0, 217, {13, 101}},
+      // 3200 s: an odd period (27), so row wraps fall mid lane block.
+      {3200.0, 137, {13, 101}},
+      // 7 min does not divide the day: horizon-long rows.
+      {420.0, 300, {13, 101}},
+      // 22.5 s divides the day but is not a whole number of seconds:
+      // horizon-long rows.
+      {22.5, 3841, {101, 1000}},
+  };
+  for (const Case& tc : cases) {
+    for (long steps = tc.steps; steps < tc.steps + 4; ++steps) {
+      for (const long chunk : tc.chunks) {
+        SCOPED_TRACE(testing::Message() << "step_s=" << tc.step_s
+                                        << " steps=" << steps
+                                        << " chunk=" << chunk);
+        FleetSimulator::Config c = base_config(5);
+        c.step = seconds(tc.step_s);
+        c.horizon = seconds(tc.step_s * static_cast<double>(steps));
+        c.steps_per_chunk = chunk;
+        expect_identical(reference(c), simulate(c));
+      }
     }
+  }
+}
+
+TEST(FleetSoa, DemandRowsHoldOneDay) {
+  // An hourly decade keeps 24 demand values per group; 7 minutes does not
+  // divide the day and 22.5 s is not a whole number of seconds, so those
+  // rows span the horizon.
+  struct Case {
+    Duration step;
+    Duration horizon;
+    bool day_rows;
+  };
+  const Case cases[] = {{hours(1.0), years(10.0), true},
+                        {minutes(7.0), days(3.0), false},
+                        {seconds(22.5), days(2.0), false}};
+  for (const Case& tc : cases) {
+    FleetSimulator::Config c = base_config(5);
+    c.step = tc.step;
+    c.horizon = tc.horizon;
+    const datacenter::FleetRegion region = oracles::fleet_region(c);
+    const long steps = region.run().steps;
+    SCOPED_TRACE(testing::Message() << "steps=" << steps);
+    const std::size_t row = tc.day_rows ? 24u : static_cast<std::size_t>(steps);
+    EXPECT_EQ(region.inputs().soa->demand.size(), region.num_groups() * row);
   }
 }
 

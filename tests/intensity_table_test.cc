@@ -8,6 +8,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,6 +20,8 @@
 #include "datacenter/queue_sim.h"
 #include "datagen/rng.h"
 #include "datagen/trace.h"
+#include "exec/parallel.h"
+#include "exec/thread_pool.h"
 #include "hw/server.h"
 #include "oracles/fleet_reference.h"
 #include "oracles/queue_reference.h"
@@ -71,6 +74,54 @@ TEST(IntensityTable, NonPeriodicAndOffsetStepsMatchDirect) {
           seconds(c.start_s + c.step_s * static_cast<double>(k));
       EXPECT_EQ(table.at_index(k).base(), grid.intensity_at(t).base())
           << "start=" << c.start_s << " step=" << c.step_s << " k=" << k;
+    }
+  }
+}
+
+TEST(IntensityTable, RangeFillMatchesSerialBitForBit) {
+  // Ranges of 37 points, which no day length divides, filled on 1, 2 and 8
+  // threads after a short serial start, equal intensity_series bit for bit;
+  // lazy at_index growth past the end continues the same series.
+  const IntermittentGrid grid(mixed_grid_config());
+  struct Case {
+    double start_s;
+    double step_s;
+  };
+  const Case cases[] = {{0.0, 900.0}, {12345.0, 900.0}, {0.0, 701.0}};
+  constexpr long kFilled = 96 * 9 + 5;
+  constexpr long kGrown = kFilled + 1500;
+  for (const Case& c : cases) {
+    const std::vector<CarbonIntensity> direct = grid.intensity_series(
+        seconds(c.start_s), seconds(c.step_s), kGrown);
+    for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE(testing::Message() << "start=" << c.start_s << " step="
+                                      << c.step_s << " threads=" << threads);
+      exec::ThreadPool pool(threads);
+      const IntensityTable::RangeRunner ranges =
+          [&pool](long begin, long end,
+                  const std::function<void(long, long)>& fill) {
+            exec::run_chunks(
+                &pool, exec::plan_chunks(static_cast<std::size_t>(end - begin), 37),
+                [&](std::size_t, std::size_t b, std::size_t e) {
+                  fill(begin + static_cast<long>(b), begin + static_cast<long>(e));
+                });
+          };
+      IntensityTable table(grid, seconds(c.start_s), seconds(c.step_s));
+      table.prebuild(11);
+      table.prebuild(kFilled, ranges);
+      ASSERT_EQ(table.built(), kFilled);
+      for (long k = 0; k < kFilled; ++k) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(table.raw()[k]),
+                  std::bit_cast<std::uint64_t>(
+                      direct[static_cast<std::size_t>(k)].base()))
+            << "k=" << k;
+      }
+      for (long k = kFilled; k < kGrown; ++k) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(table.at_index(k).base()),
+                  std::bit_cast<std::uint64_t>(
+                      direct[static_cast<std::size_t>(k)].base()))
+            << "k=" << k;
+      }
     }
   }
 }

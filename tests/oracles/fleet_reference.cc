@@ -188,9 +188,11 @@ FleetRegion fleet_region(const datacenter::FleetSimulator::Config& config) {
   region.pue = config.pue;
   region.cfe_coverage = config.cfe_coverage;
   region.faults = config.faults;
+  const FleetRegion::Run run = FleetRegion::Run::of(config, "ReferenceFleet");
   IntensityCache tables;
-  return FleetRegion(std::move(region),
-                     FleetRegion::Run::of(config, "ReferenceFleet"), tables);
+  auto table =
+      datacenter::resolve_intensity_tables({region}, run, tables, config.pool)[0];
+  return FleetRegion(std::move(region), run, std::move(table));
 }
 
 datacenter::FleetResult reference_run(

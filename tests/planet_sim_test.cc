@@ -263,11 +263,13 @@ TEST(PlanetSim, SimdMatchesReferenceKernel) {
   PlanetSimulator::Config c = config;
   const PlanetSimulator::Result planet = PlanetSimulator(std::move(c)).run();
   const FleetRegion::Run run = FleetRegion::Run::of(config, "PlanetSim");
-  IntensityCache tables;
+  IntensityCache cache;
+  const auto tables =
+      resolve_intensity_tables(config.regions, run, cache, nullptr);
   ASSERT_EQ(planet.regions.size(), config.regions.size());
   for (std::size_t r = 0; r < config.regions.size(); ++r) {
     SCOPED_TRACE(config.regions[r].name);
-    const FleetRegion region(config.regions[r], run, tables);
+    const FleetRegion region(config.regions[r], run, tables[r]);
     expect_same_region(planet.regions[r],
                        oracles::ReferenceFleet(region, config.steps_per_chunk,
                                                oracles::LaneSource::kDirect)
