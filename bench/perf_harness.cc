@@ -1,5 +1,7 @@
 #include "perf_harness.h"
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -368,6 +370,82 @@ void bm_dlrm_predict(benchmark::State& state, bool batched) {
   state.SetItemsProcessed(state.iterations() * kPredictBatch);
 }
 
+// A queue-checkpoint-shaped document of about 1 MB: the envelope and
+// scalars, running jobs, a queue of indices, one outcome object per
+// finished job and five per-job fault lanes (the layout of
+// QueueSim::checkpoint_json), filled with seeded values.
+constexpr int kSnapshotJobs = 4600;
+
+report::JsonValue queue_snapshot_document() {
+  using report::JsonValue;
+  datagen::Rng rng(20);
+  JsonValue root = JsonValue::object();
+  root.set("schema", JsonValue::string("sustainai-queue-checkpoint-v1"));
+  root.set("config_digest", JsonValue::string("0123456789abcdef"));
+  root.set("next_step", JsonValue::number(41532.0));
+  root.set("now_s", JsonValue::number(41532.0 * 300.0));
+  root.set("busy_machine_s", JsonValue::number(rng.uniform(1e7, 1e8)));
+  root.set("peak_running", JsonValue::number(32.0));
+  JsonValue running = JsonValue::array();
+  for (int i = 0; i < 32; ++i) {
+    JsonValue j = JsonValue::object();
+    j.set("job", JsonValue::number(kSnapshotJobs + i));
+    j.set("remaining_s", JsonValue::number(rng.uniform(0.0, 7200.0)));
+    j.set("started_s", JsonValue::number(rng.uniform(1e6, 1.2e7)));
+    j.set("carbon_g", JsonValue::number(rng.uniform(0.0, 5e4)));
+    j.set("attempt_total_s", JsonValue::number(rng.uniform(3600.0, 7200.0)));
+    running.append(std::move(j));
+  }
+  root.set("running", std::move(running));
+  JsonValue queue = JsonValue::array();
+  for (int i = 0; i < 64; ++i) {
+    queue.append(JsonValue::number(kSnapshotJobs + 32 + i));
+  }
+  root.set("queue", std::move(queue));
+  JsonValue outcomes = JsonValue::array();
+  for (int i = 0; i < kSnapshotJobs; ++i) {
+    const double start = std::floor(rng.uniform(0.0, 1.2e7) / 300.0) * 300.0;
+    JsonValue j = JsonValue::object();
+    j.set("job", JsonValue::number(i));
+    j.set("start_s", JsonValue::number(start));
+    j.set("finish_s", JsonValue::number(start + rng.uniform(600.0, 7200.0)));
+    j.set("carbon_g", JsonValue::number(rng.uniform(10.0, 5e4)));
+    outcomes.append(std::move(j));
+  }
+  root.set("outcomes", std::move(outcomes));
+  JsonValue faults = JsonValue::object();
+  for (const char* lane : {"preserved_s", "prior_carbon_g",
+                           "earliest_restart_s", "first_start_s"}) {
+    JsonValue a = JsonValue::array();
+    for (int i = 0; i < kSnapshotJobs + 96; ++i) {
+      a.append(JsonValue::number(i % 3 == 0 ? 0.0 : rng.uniform(0.0, 1e7)));
+    }
+    faults.set(lane, std::move(a));
+  }
+  JsonValue counts = JsonValue::array();
+  for (int i = 0; i < kSnapshotJobs + 96; ++i) {
+    counts.append(
+        JsonValue::number(static_cast<double>(rng.uniform_int(0, 3))));
+  }
+  faults.set("preempt_count", std::move(counts));
+  root.set("faults", std::move(faults));
+  return root;
+}
+
+// One snapshot round trip as run_checkpointable does it at a segment
+// boundary: canonical_json, then parse_json of the text.
+void bm_json_snapshot_roundtrip(benchmark::State& state) {
+  const report::JsonValue doc = queue_snapshot_document();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = report::canonical_json(doc);
+    bytes = text.size();
+    benchmark::DoNotOptimize(report::parse_json(text));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+
 }  // namespace
 
 void JsonTrailReporter::ReportRuns(const std::vector<Run>& reports) {
@@ -440,6 +518,7 @@ void register_kernel_benchmarks(bool smoke) {
       [](benchmark::State& s) { bm_dlrm_predict(s, false); });
   add("dlrm_predict_batch",
       [](benchmark::State& s) { bm_dlrm_predict(s, true); });
+  add("json_snapshot_roundtrip", bm_json_snapshot_roundtrip);
 }
 
 std::string render_bench_json(const std::vector<BenchRecord>& records) {

@@ -235,6 +235,7 @@ FleetSimulator::FleetSimulator(Config config) : region_(fleet_region(config)) {
   rcfg.context = "fleet checkpoint";
   rcfg.segment_span = "fleet.segment";
   runner_ = engine::ShardedRun<FleetPartial>(rcfg);
+  config_digest_ = compute_config_digest();
 }
 
 FleetSimulator::Checkpoint FleetSimulator::start() const {
@@ -336,7 +337,7 @@ FleetSimulator::Checkpoint FleetSimulator::parse_checkpoint(
       [this](std::size_t) { return FleetPartial(region_.num_groups()); });
 }
 
-std::string FleetSimulator::config_digest() const {
+std::string FleetSimulator::compute_config_digest() const {
   const FleetRegionConfig& rc = region_.config();
   engine::ConfigDigest d;
   region_.run().digest(d, runner_.steps_per_chunk());

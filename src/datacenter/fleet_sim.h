@@ -228,12 +228,18 @@ class FleetSimulator {
   [[nodiscard]] Checkpoint parse_checkpoint(
       const report::JsonValue& value) const;
 
-  // FNV-1a digest over every result-affecting config parameter.
-  [[nodiscard]] std::string config_digest() const;
+  // FNV-1a digest over every result-affecting config parameter. Computed
+  // once, at construction.
+  [[nodiscard]] const std::string& config_digest() const {
+    return config_digest_;
+  }
 
  private:
+  [[nodiscard]] std::string compute_config_digest() const;
+
   FleetRegion region_;  // one region at UTC offset 0
   engine::ShardedRun<FleetPartial> runner_;
+  std::string config_digest_;
 };
 
 // Digest every result-affecting field of a fault spec (seed, rates,

@@ -53,6 +53,7 @@ PlanetSimulator::PlanetSimulator(Config config) {
   rcfg.segment_span = "planet.segment";
   rcfg.shard_span = "planet.shard";
   runner_ = engine::ShardedRun<FleetPartial>(rcfg);
+  config_digest_ = compute_config_digest();
 }
 
 std::size_t PlanetSimulator::distinct_intensity_tables() const {
@@ -233,7 +234,7 @@ PlanetSimulator::Checkpoint PlanetSimulator::parse_checkpoint(
   return cp;
 }
 
-std::string PlanetSimulator::config_digest() const {
+std::string PlanetSimulator::compute_config_digest() const {
   engine::ConfigDigest d;
   run_.digest(d, steps_per_chunk());
   for (const FleetRegion& region : regions_) {

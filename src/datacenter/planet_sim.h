@@ -136,15 +136,21 @@ class PlanetSimulator {
   [[nodiscard]] Checkpoint parse_checkpoint(
       const report::JsonValue& value) const;
 
-  // FNV-1a digest over every result-affecting config parameter.
-  [[nodiscard]] std::string config_digest() const;
+  // FNV-1a digest over every result-affecting config parameter. Computed
+  // once, at construction.
+  [[nodiscard]] const std::string& config_digest() const {
+    return config_digest_;
+  }
 
  private:
+  [[nodiscard]] std::string compute_config_digest() const;
+
   FleetRegion::Run run_;
   std::vector<FleetRegion> regions_;
   // Generic segment/merge/snapshot driver (engine/sharded_run.h): one shard
   // per region, shard-major topology.
   engine::ShardedRun<FleetPartial> runner_;
+  std::string config_digest_;
 };
 
 }  // namespace sustainai::datacenter

@@ -1,6 +1,7 @@
 #include "datacenter/queue_sim.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -22,8 +23,10 @@ constexpr const char* kCheckpointContext = "queue checkpoint";
 std::size_t require_index(const report::JsonValue& object, const char* key,
                           std::size_t bound, const char* what) {
   const long v = engine::require_integer(object, key, kCheckpointContext);
-  check_arg(v >= 0 && static_cast<std::size_t>(v) <= bound,
-            std::string(kCheckpointContext) + ": " + what + " out of range");
+  if (v < 0 || static_cast<std::size_t>(v) > bound) {
+    throw std::invalid_argument(std::string(kCheckpointContext) + ": " + what +
+                                " out of range");
+  }
   return static_cast<std::size_t>(v);
 }
 
@@ -75,6 +78,7 @@ QueueSim::QueueSim(std::vector<BatchJob> jobs, QueueSimConfig config,
     plan_ = config_.faults.plan(config_.max_horizon);
     preempt_events_ = plan_.events_of(fault::FaultKind::kJobPreemption);
   }
+  config_digest_ = compute_config_digest();
 }
 
 QueueSim::Checkpoint QueueSim::start() const {
@@ -429,8 +433,12 @@ QueueSim::Checkpoint QueueSim::parse_checkpoint(
   cp.now_s = engine::require_number(value, "now_s", kCheckpointContext);
   cp.busy_machine_s =
       engine::require_number(value, "busy_machine_s", kCheckpointContext);
-  cp.peak_running = static_cast<int>(
-      engine::require_integer(value, "peak_running", kCheckpointContext));
+  const long peak_running =
+      engine::require_integer(value, "peak_running", kCheckpointContext);
+  check_arg(
+      peak_running >= 0 && peak_running <= std::numeric_limits<int>::max(),
+      "queue checkpoint: peak_running out of range");
+  cp.peak_running = static_cast<int>(peak_running);
   cp.next_arrival =
       require_index(value, "next_arrival", jobs_.size(), "next_arrival");
   cp.next_preempt = require_index(value, "next_preempt",
@@ -488,17 +496,21 @@ QueueSim::Checkpoint QueueSim::parse_checkpoint(
         engine::require_member(value, "faults", kCheckpointContext);
     check_arg(f.is_object(), "queue checkpoint: faults must be an object");
     const auto lane = [&](const char* key) {
+      const auto fail = [key](const char* what) {
+        throw std::invalid_argument(
+            std::string("queue checkpoint: faults.") + key + what);
+      };
       const report::JsonValue& a =
           engine::require_member(f, key, kCheckpointContext);
-      check_arg(a.is_array() && a.items().size() == jobs_.size(),
-                std::string("queue checkpoint: faults.") + key +
-                    " must be an array with one entry per job");
+      if (!a.is_array() || a.items().size() != jobs_.size()) {
+        fail(" must be an array with one entry per job");
+      }
       std::vector<double> v;
       v.reserve(jobs_.size());
       for (const report::JsonValue& x : a.items()) {
-        check_arg(x.is_number(),
-                  std::string("queue checkpoint: faults.") + key +
-                      " entries must be numbers");
+        if (!x.is_number()) {
+          fail(" entries must be numbers");
+        }
         v.push_back(x.as_number());
       }
       return v;
@@ -509,7 +521,15 @@ QueueSim::Checkpoint QueueSim::parse_checkpoint(
     cp.faults.first_start_s = lane("first_start_s");
     const std::vector<double> counts = lane("preempt_count");
     for (std::size_t i = 0; i < counts.size(); ++i) {
-      cp.faults.preempt_count[i] = static_cast<int>(counts[i]);
+      // Range before the cast: casting a double outside int's range is
+      // undefined.
+      const double c = counts[i];
+      check_arg(c >= 0.0 &&
+                    c <= static_cast<double>(std::numeric_limits<int>::max()) &&
+                    std::floor(c) == c,
+                "queue checkpoint: faults.preempt_count entries must be "
+                "whole numbers in int range");
+      cp.faults.preempt_count[i] = static_cast<int>(c);
     }
     fault::Accounting& acc = cp.faults.acc;
     acc.faults_injected =
@@ -530,7 +550,7 @@ QueueSim::Checkpoint QueueSim::parse_checkpoint(
   return cp;
 }
 
-std::string QueueSim::config_digest() const {
+std::string QueueSim::compute_config_digest() const {
   engine::ConfigDigest d;
   d.add_double(step_s_);
   d.add_long(config_.machines);

@@ -176,10 +176,13 @@ class QueueSim {
 
   // FNV-1a digest over every result-affecting config parameter (machine
   // pool, grid, policy, fault block including the retry policy, and the
-  // full sorted job list).
-  [[nodiscard]] std::string config_digest() const;
+  // full sorted job list). Computed once, at construction.
+  [[nodiscard]] const std::string& config_digest() const {
+    return config_digest_;
+  }
 
  private:
+  [[nodiscard]] std::string compute_config_digest() const;
   void step_once(Checkpoint& cp, obs::Gauge& depth_gauge) const;
 
   std::vector<BatchJob> jobs_;  // sorted by arrival
@@ -190,6 +193,7 @@ class QueueSim {
   IntensityTable table_;
   fault::FaultPlan plan_;
   std::vector<fault::FaultEvent> preempt_events_;
+  std::string config_digest_;
 };
 
 // Jobs must have positive duration; each job occupies one machine for its

@@ -38,14 +38,15 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/check.h"
 #include "engine/snapshot.h"
 #include "exec/parallel.h"
 #include "obs/trace.h"
@@ -103,12 +104,12 @@ class ShardedRun {
   ShardedRun() = default;
 
   explicit ShardedRun(Config config) : config_(std::move(config)) {
-    check_arg(config_.steps >= 1, ctx("steps must be >= 1"));
-    check_arg(config_.steps_per_chunk >= 1, ctx("steps_per_chunk must be >= 1"));
-    check_arg(config_.chunk_align >= 1, ctx("chunk_align must be >= 1"));
-    check_arg(config_.shards >= 1, ctx("at least one shard is required"));
-    check_arg(config_.topology == Topology::kShardMajor || config_.shards == 1,
-              ctx("kChunkMajor requires exactly one shard"));
+    require(config_.steps >= 1, "steps must be >= 1");
+    require(config_.steps_per_chunk >= 1, "steps_per_chunk must be >= 1");
+    require(config_.chunk_align >= 1, "chunk_align must be >= 1");
+    require(config_.shards >= 1, "at least one shard is required");
+    require(config_.topology == Topology::kShardMajor || config_.shards == 1,
+            "kChunkMajor requires exactly one shard");
     config_.steps_per_chunk = (config_.steps_per_chunk + config_.chunk_align - 1) /
                               config_.chunk_align * config_.chunk_align;
   }
@@ -134,14 +135,14 @@ class ShardedRun {
   // for an advance of up to `max_steps`: rounded up to a chunk boundary,
   // clipped to the horizon. begin == steps() returns steps() (no-op).
   [[nodiscard]] long segment_end(long begin, long max_steps) const {
-    check_arg(max_steps >= 1, ctx("advance needs max_steps >= 1"));
-    check_arg(begin >= 0 && begin <= config_.steps,
-              ctx("checkpoint step out of range"));
+    require(max_steps >= 1, "advance needs max_steps >= 1");
+    require(begin >= 0 && begin <= config_.steps,
+            "checkpoint step out of range");
     if (begin >= config_.steps) {
       return config_.steps;
     }
-    check_arg(begin % config_.steps_per_chunk == 0,
-              ctx("checkpoint not on a chunk boundary"));
+    require(begin % config_.steps_per_chunk == 0,
+            "checkpoint not on a chunk boundary");
     const long cpc = config_.steps_per_chunk;
     const long c1 = (std::min(config_.steps, begin + max_steps) + cpc - 1) / cpc;
     return std::min(config_.steps, c1 * cpc);
@@ -152,8 +153,7 @@ class ShardedRun {
   // Partial into its shard accumulator in ascending chunk order.
   void advance(long& next_step, std::vector<Partial>& shards, long max_steps,
                const CellFn& cell, const ObserveFn& observe = {}) const {
-    check_arg(shards.size() == config_.shards,
-              ctx("checkpoint shard count mismatch"));
+    require(shards.size() == config_.shards, "checkpoint shard count mismatch");
     const long begin = next_step;
     const long end = segment_end(begin, max_steps);
     if (end <= begin) {
@@ -243,8 +243,7 @@ class ShardedRun {
                                              const char* schema,
                                              const std::string& digest,
                                              const char* shard_key) const {
-    check_arg(shards.size() == config_.shards,
-              ctx("checkpoint shard count mismatch"));
+    require(shards.size() == config_.shards, "checkpoint shard count mismatch");
     report::JsonValue root = report::JsonValue::object();
     write_envelope(root, schema, digest);
     root.set("next_step",
@@ -273,31 +272,32 @@ class ShardedRun {
     check_envelope(value, schema, digest, config_.context);
 
     const double next_d = require_number(value, "next_step", config_.context);
+    // Range and integrality before the cast: casting a double outside
+    // long's range is undefined.
+    require(next_d >= 0.0 && next_d <= static_cast<double>(config_.steps) &&
+                std::floor(next_d) == next_d,
+            "next_step out of range");
     const long next_step = static_cast<long>(next_d);
-    check_arg(static_cast<double>(next_step) == next_d && next_step >= 0 &&
-                  next_step <= config_.steps,
-              ctx("next_step out of range"));
-    check_arg(next_step == config_.steps ||
-                  next_step % config_.steps_per_chunk == 0,
-              ctx("next_step must be on a chunk boundary"));
+    require(next_step == config_.steps ||
+                next_step % config_.steps_per_chunk == 0,
+            "next_step must be on a chunk boundary");
 
     const report::JsonValue& shard_array =
         require_member(value, shard_key, config_.context);
-    check_arg(shard_array.is_array() &&
-                  shard_array.items().size() == config_.shards,
-              ctx("shard count mismatch"));
+    require(shard_array.is_array() &&
+                shard_array.items().size() == config_.shards,
+            "shard count mismatch");
 
     ShardState<Partial> state;
     state.next_step = next_step;
     state.shards.reserve(config_.shards);
     for (std::size_t r = 0; r < config_.shards; ++r) {
       const report::JsonValue& buffer_json = shard_array.items()[r];
-      check_arg(buffer_json.is_array(),
-                ctx("shard buffer must be an array"));
+      require(buffer_json.is_array(), "shard buffer must be an array");
       std::vector<double> buffer;
       buffer.reserve(buffer_json.items().size());
       for (const report::JsonValue& v : buffer_json.items()) {
-        check_arg(v.is_number(), ctx("shard buffer entries must be numbers"));
+        require(v.is_number(), "shard buffer entries must be numbers");
         buffer.push_back(v.as_number());
       }
       Partial partial = make(r);
@@ -308,8 +308,12 @@ class ShardedRun {
   }
 
  private:
-  [[nodiscard]] std::string ctx(const char* what) const {
-    return std::string(config_.context) + ": " + what;
+  // Throws std::invalid_argument("<context>: <what>") when !ok. The message
+  // is built only on failure: parse_state checks every buffer entry.
+  void require(bool ok, const char* what) const {
+    if (!ok) {
+      throw std::invalid_argument(std::string(config_.context) + ": " + what);
+    }
   }
 
   Config config_;

@@ -41,28 +41,43 @@ ConfigDigest& ConfigDigest::add_string(const std::string& s) {
   return *this;
 }
 
+// Each helper builds its message only on the throwing branch: snapshot
+// parsing reads tens of thousands of fields, and an eagerly concatenated
+// message costs an allocation per read.
 const report::JsonValue& require_member(const report::JsonValue& object,
                                         const char* key, const char* context) {
   const report::JsonValue* member = object.find(key);
-  check_arg(member != nullptr, std::string(context) + ": missing \"" + key +
-                                   "\" member");
+  if (member == nullptr) {
+    throw std::invalid_argument(std::string(context) + ": missing \"" + key +
+                                "\" member");
+  }
   return *member;
 }
 
 double require_number(const report::JsonValue& object, const char* key,
                       const char* context) {
   const report::JsonValue& member = require_member(object, key, context);
-  check_arg(member.is_number(), std::string(context) + ": \"" + key +
-                                    "\" must be a number");
+  if (!member.is_number()) {
+    throw std::invalid_argument(std::string(context) + ": \"" + key +
+                                "\" must be a number");
+  }
   return member.as_number();
 }
 
 long require_integer(const report::JsonValue& object, const char* key,
                      const char* context) {
   const double v = require_number(object, key, context);
+  // Range first: casting a double outside long's range is undefined.
+  // [-2^63, 2^63) is exactly long's range, and both bounds are doubles.
+  if (!(v >= -9.223372036854775808e18 && v < 9.223372036854775808e18)) {
+    throw std::invalid_argument(std::string(context) + ": \"" + key +
+                                "\" is out of range");
+  }
   const long n = static_cast<long>(v);
-  check_arg(static_cast<double>(n) == v, std::string(context) + ": \"" + key +
-                                             "\" must be an integer");
+  if (static_cast<double>(n) != v) {
+    throw std::invalid_argument(std::string(context) + ": \"" + key +
+                                "\" must be an integer");
+  }
   return n;
 }
 

@@ -1,6 +1,7 @@
 #include "report/json.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -157,8 +158,50 @@ JsonParseError::JsonParseError(int line, int column, const std::string& what)
 
 namespace {
 
-// Strict recursive-descent parser over the RFC 8259 grammar. Tracks the
-// 1-based line/column of every consumed byte for error reporting.
+// The double nearest to the decimal text [first, last). std::from_chars
+// and glibc's strtod both round correctly, so they agree wherever
+// from_chars succeeds; on any error code (underflow to zero, overflow) the
+// strtod result decides, as it always did: 1e-400 reads as 0, 1e999 as inf.
+double parse_double(const char* first, const char* last) {
+  double value = 0.0;
+  const std::from_chars_result r = std::from_chars(first, last, value);
+  if (r.ec == std::errc() && r.ptr == last) {
+    return value;
+  }
+  const std::string token(first, last);
+  return std::strtod(token.c_str(), nullptr);
+}
+
+// Longest canonical number text: "-1.7976931348623157e+308" is 24 chars.
+constexpr std::size_t kNumberChars = 32;
+
+// Writes the canonical text of finite `value` into `buf` and returns its
+// end: "%.0f" for integral doubles inside the exactly representable range
+// (canonical specs should read naturally), otherwise the first of "%.15g",
+// "%.16g", "%.17g" that parses back to the same double. std::to_chars with
+// an explicit format and precision is specified to produce exactly
+// printf's text for that conversion, so these are the bytes snprintf wrote
+// (tests/oracles/json_reference.h keeps that version).
+char* format_shortest(char (&buf)[kNumberChars], double value) {
+  check_arg(std::isfinite(value), "shortest_double: value must be finite");
+  char* const last = buf + kNumberChars;
+  if (value == std::floor(value) && std::fabs(value) < 9.007199254740992e15) {
+    return std::to_chars(buf, last, value, std::chars_format::fixed, 0).ptr;
+  }
+  char* end = buf;
+  for (int precision = 15; precision <= 17; ++precision) {
+    end = std::to_chars(buf, last, value, std::chars_format::general, precision)
+              .ptr;
+    if (parse_double(buf, end) == value) {
+      break;
+    }
+  }
+  return end;
+}
+
+// Strict recursive-descent parser over the RFC 8259 grammar. Tracks only
+// the byte offset; the 1-based line/column of an error are counted from
+// the text when it is thrown.
 class JsonParser {
  public:
   JsonParser(std::string_view text, int max_depth)
@@ -176,7 +219,14 @@ class JsonParser {
 
  private:
   [[noreturn]] void fail(const std::string& what) const {
-    throw JsonParseError(line_, column_, what);
+    // Line = 1 + newlines before pos_; column = 1 + bytes since the last.
+    const std::string_view consumed = text_.substr(0, pos_);
+    const std::size_t last_newline = consumed.rfind('\n');
+    const std::size_t line_start =
+        last_newline == std::string_view::npos ? 0 : last_newline + 1;
+    const auto newlines = std::count(consumed.begin(), consumed.end(), '\n');
+    throw JsonParseError(1 + static_cast<int>(newlines),
+                         1 + static_cast<int>(pos_ - line_start), what);
   }
 
   [[nodiscard]] bool eof() const { return pos_ >= text_.size(); }
@@ -189,14 +239,7 @@ class JsonParser {
     if (eof()) {
       fail("unexpected end of input");
     }
-    const char ch = text_[pos_++];
-    if (ch == '\n') {
-      ++line_;
-      column_ = 1;
-    } else {
-      ++column_;
-    }
-    return ch;
+    return text_[pos_++];
   }
 
   void expect(char wanted, const char* context) {
@@ -475,10 +518,11 @@ class JsonParser {
         advance();
       }
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    const double value = std::strtod(token.c_str(), nullptr);
+    const std::string_view token = text_.substr(start, pos_ - start);
+    const double value =
+        parse_double(token.data(), token.data() + token.size());
     if (!std::isfinite(value)) {
-      fail("number '" + token + "' overflows a double");
+      fail("number '" + std::string(token) + "' overflows a double");
     }
     return value;
   }
@@ -486,8 +530,6 @@ class JsonParser {
   std::string_view text_;
   int max_depth_;
   std::size_t pos_ = 0;
-  int line_ = 1;
-  int column_ = 1;
 };
 
 // Appends 2*indent spaces without materializing a pad string; leaf nodes
@@ -504,9 +546,11 @@ void canonical_render(const JsonValue& value, int indent, std::string& out) {
     case JsonValue::Kind::kBool:
       out += value.as_bool() ? "true" : "false";
       return;
-    case JsonValue::Kind::kNumber:
-      out += shortest_double(value.as_number());
+    case JsonValue::Kind::kNumber: {
+      char buf[kNumberChars];
+      out.append(buf, format_shortest(buf, value.as_number()));
       return;
+    }
     case JsonValue::Kind::kString:
       quote_json_string_to(out, value.as_string());
       return;
@@ -571,23 +615,8 @@ JsonValue parse_json(std::string_view text, int max_depth) {
 }
 
 std::string shortest_double(double value) {
-  check_arg(std::isfinite(value), "shortest_double: value must be finite");
-  // Integral doubles inside the exactly-representable range print as plain
-  // integers (canonical specs should read naturally).
-  if (value == std::floor(value) && std::fabs(value) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", value);
-    return buf;
-  }
-  // Shortest precision that round-trips the exact bits.
-  char buf[40];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) {
-      break;
-    }
-  }
-  return buf;
+  char buf[kNumberChars];
+  return std::string(buf, format_shortest(buf, value));
 }
 
 std::string canonical_json(const JsonValue& value) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -314,6 +315,162 @@ TEST(QueueResume, MatchesRunQueueSimWrapper) {
   const QueueSim sim(queue_jobs(10), queue_config(/*with_faults=*/true),
                      QueuePolicy::kFifo);
   EXPECT_EQ(fingerprint(direct), fingerprint(sim.run()));
+}
+
+// --- snapshot rejections --------------------------------------------------
+
+// The message a snapshot parse throws, or "accepted".
+template <typename Parse>
+std::string rejection(Parse&& parse) {
+  try {
+    parse();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+// `object` without its `key` member.
+report::JsonValue without(const report::JsonValue& object, const char* key) {
+  report::JsonValue out = report::JsonValue::object();
+  for (const report::JsonValue::Member& m : object.members()) {
+    if (m.first != key) {
+      out.set(m.first, m.second);
+    }
+  }
+  return out;
+}
+
+// A mid-run snapshot of the faulted FIFO queue, as a DOM to mutate.
+report::JsonValue queue_snapshot(const QueueSim& sim) {
+  auto cp = sim.start();
+  sim.advance(cp, 29);
+  return report::parse_json(report::canonical_json(sim.checkpoint_json(cp)));
+}
+
+// Messages are built only on the throwing path; these texts must not drift.
+TEST(QueueResume, RejectionTextsArePinned) {
+  const QueueSim sim(queue_jobs(10), queue_config(/*with_faults=*/true),
+                     QueuePolicy::kFifo);
+  const report::JsonValue good = queue_snapshot(sim);
+  ASSERT_EQ(rejection([&] { (void)sim.parse_checkpoint(good); }), "accepted");
+  const auto parse = [&](const report::JsonValue& snapshot) {
+    return rejection([&] { (void)sim.parse_checkpoint(snapshot); });
+  };
+
+  EXPECT_EQ(parse(without(good, "now_s")),
+            "queue checkpoint: missing \"now_s\" member");
+
+  report::JsonValue not_number = good;
+  not_number.set("now_s", report::JsonValue::string("12"));
+  EXPECT_EQ(parse(not_number),
+            "queue checkpoint: \"now_s\" must be a number");
+
+  report::JsonValue not_integer = good;
+  not_integer.set("next_step", report::JsonValue::number(28.5));
+  EXPECT_EQ(parse(not_integer),
+            "queue checkpoint: \"next_step\" must be an integer");
+
+  report::JsonValue bad_index = good;
+  report::JsonValue outcome = report::JsonValue::object();
+  outcome.set("job", report::JsonValue::number(10.0));  // 10 jobs: 0..9
+  report::JsonValue outcomes = report::JsonValue::array();
+  outcomes.append(std::move(outcome));
+  bad_index.set("outcomes", std::move(outcomes));
+  EXPECT_EQ(parse(bad_index),
+            "queue checkpoint: outcome job index out of range");
+
+  report::JsonValue bad_lane = good;
+  report::JsonValue lane = report::JsonValue::array();
+  for (int i = 0; i < 10; ++i) {
+    lane.append(i == 4 ? report::JsonValue::null()
+                       : report::JsonValue::number(0.0));
+  }
+  bad_lane.find("faults")->set("preserved_s", std::move(lane));
+  EXPECT_EQ(parse(bad_lane),
+            "queue checkpoint: faults.preserved_s entries must be numbers");
+}
+
+TEST(FleetResume, ShardEntryRejectionTextIsPinned) {
+  const FleetSimulator sim(fleet_config(/*with_faults=*/false));
+  auto cp = sim.start();
+  sim.advance(cp, 32);
+  report::JsonValue snapshot = sim.checkpoint_json(cp);
+  report::JsonValue buffer = report::JsonValue::array();
+  for (const report::JsonValue& v :
+       snapshot.find("shards")->items().front().items()) {
+    buffer.append(buffer.items().size() == 3 ? report::JsonValue::string("x")
+                                             : v);
+  }
+  report::JsonValue shards = report::JsonValue::array();
+  shards.append(std::move(buffer));
+  snapshot.set("shards", std::move(shards));
+  EXPECT_EQ(rejection([&] { (void)sim.parse_checkpoint(snapshot); }),
+            "fleet checkpoint: shard buffer entries must be numbers");
+}
+
+// A double outside the target integer's range is rejected by name before
+// any cast (casting it would be undefined behaviour).
+TEST(EngineSnapshot, RejectsOutOfRangeIntegers) {
+  const double two63 = 9223372036854775808.0;
+  for (const double v : {1e300, -1e300, two63}) {
+    SCOPED_TRACE(report::shortest_double(v));
+    report::JsonValue obj = report::JsonValue::object();
+    obj.set("n", report::JsonValue::number(v));
+    EXPECT_EQ(rejection([&] {
+                (void)engine::require_integer(obj, "n", "test checkpoint");
+              }),
+              "test checkpoint: \"n\" is out of range");
+
+    // ShardedRun::parse_state's next_step.
+    const FleetSimulator fleet(fleet_config(/*with_faults=*/false));
+    report::JsonValue fleet_snapshot = fleet.checkpoint_json(fleet.start());
+    fleet_snapshot.set("next_step", report::JsonValue::number(v));
+    EXPECT_EQ(rejection([&] { (void)fleet.parse_checkpoint(fleet_snapshot); }),
+              "fleet checkpoint: next_step out of range");
+
+    const QueueSim queue(queue_jobs(10), queue_config(/*with_faults=*/true),
+                         QueuePolicy::kFifo);
+    const report::JsonValue good = queue_snapshot(queue);
+    const auto parse = [&](const report::JsonValue& snapshot) {
+      return rejection([&] { (void)queue.parse_checkpoint(snapshot); });
+    };
+    report::JsonValue next_step = good;
+    next_step.set("next_step", report::JsonValue::number(v));
+    EXPECT_EQ(parse(next_step),
+              "queue checkpoint: \"next_step\" is out of range");
+    report::JsonValue peak = good;
+    peak.set("peak_running", report::JsonValue::number(v));
+    EXPECT_EQ(parse(peak),
+              "queue checkpoint: \"peak_running\" is out of range");
+    report::JsonValue counts = good;
+    report::JsonValue lane = report::JsonValue::array();
+    for (int i = 0; i < 10; ++i) {
+      lane.append(report::JsonValue::number(i == 7 ? v : 0.0));
+    }
+    counts.find("faults")->set("preempt_count", std::move(lane));
+    EXPECT_EQ(parse(counts),
+              "queue checkpoint: faults.preempt_count entries must be whole "
+              "numbers in int range");
+  }
+
+  // In long's range but not int's: the narrowing is checked too.
+  const QueueSim queue(queue_jobs(10), queue_config(/*with_faults=*/true),
+                       QueuePolicy::kFifo);
+  report::JsonValue peak = queue_snapshot(queue);
+  peak.set("peak_running", report::JsonValue::number(2147483648.0));
+  EXPECT_EQ(rejection([&] { (void)queue.parse_checkpoint(peak); }),
+            "queue checkpoint: peak_running out of range");
+  // A fractional count is not a count.
+  report::JsonValue counts = queue_snapshot(queue);
+  report::JsonValue lane = report::JsonValue::array();
+  for (int i = 0; i < 10; ++i) {
+    lane.append(report::JsonValue::number(i == 2 ? 1.5 : 0.0));
+  }
+  counts.find("faults")->set("preempt_count", std::move(lane));
+  EXPECT_EQ(rejection([&] { (void)queue.parse_checkpoint(counts); }),
+            "queue checkpoint: faults.preempt_count entries must be whole "
+            "numbers in int range");
 }
 
 // --- scenario layer -------------------------------------------------------

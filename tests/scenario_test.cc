@@ -1,14 +1,22 @@
 // Scenario engine: strict JSON parser corpus, path-qualified Spec errors,
 // registry round-trips for every built-in simulation, and the Runner's
 // byte-identical-bundle determinism contract across thread counts.
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/thread_pool.h"
 #include "gtest/gtest.h"
+#include "oracles/json_reference.h"
 #include "report/json.h"
 #include "scenario/runner.h"
 
@@ -140,7 +148,116 @@ TEST(JsonParse, ErrorsCarryLineAndColumn) {
     FAIL() << "expected JsonParseError";
   } catch (const JsonParseError& e) {
     EXPECT_EQ(e.line(), 3);
-    EXPECT_GE(e.column(), 8);
+    EXPECT_EQ(e.column(), 11);  // just past "tru"
+  }
+}
+
+// The position is the 1-based line and byte column just past the last
+// consumed byte, on any line and at the end of the input.
+TEST(JsonParse, ErrorPositionsAreExactOnLaterLinesAndAtEnd) {
+  const auto message = [](const std::string& text) {
+    try {
+      (void)parse_json(text);
+    } catch (const JsonParseError& e) {
+      return std::to_string(e.line()) + ":" + std::to_string(e.column()) +
+             " " + e.what();
+    }
+    return std::string("accepted");
+  };
+  std::string line40 = "[\n";
+  for (int i = 1; i <= 38; ++i) {
+    line40 += "  " + std::to_string(i) + ",\n";
+  }
+  line40 += "  {\"k\": 1, \"k\": 2}\n]";
+  EXPECT_EQ(message(line40),
+            "40:17 JSON parse error at line 40, column 17: duplicate object "
+            "key \"k\"");
+  EXPECT_EQ(message("[1, 2"),
+            "1:6 JSON parse error at line 1, column 6: expected ']' to close "
+            "the array but reached end of input");
+  EXPECT_EQ(message("{\"a\": [1,\n  2,\n"),
+            "3:1 JSON parse error at line 3, column 1: unexpected end of "
+            "input (expected a value)");
+  EXPECT_EQ(message("\"abc"),
+            "1:5 JSON parse error at line 1, column 5: unterminated string");
+}
+
+// Numbers read through std::from_chars must be the doubles strtod reads,
+// bit for bit, including where from_chars reports an error and the parser
+// falls back to strtod (underflow to zero).
+TEST(JsonParse, NumbersMatchStrtod) {
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  const auto expect_strtod = [&](const std::string& token) {
+    const double want = std::strtod(token.c_str(), nullptr);
+    ASSERT_TRUE(std::isfinite(want)) << token;
+    const double got = parse_json(token).as_number();
+    EXPECT_TRUE(same_bits(got, want))
+        << token << " read " << shortest_double(got) << ", strtod "
+        << shortest_double(want);
+  };
+
+  std::mt19937_64 rng(20220405);
+  std::uniform_real_distribution<double> mantissa(-10.0, 10.0);
+  std::uniform_int_distribution<int> exponent(-30, 30);
+  for (int i = 0; i < 200000; ++i) {
+    double v = 0.0;
+    if (i % 2 == 0) {
+      v = std::bit_cast<double>(rng());
+      if (!std::isfinite(v)) {
+        continue;
+      }
+    } else {
+      v = mantissa(rng) * std::pow(10.0, exponent(rng));
+    }
+    char token[40];
+    std::snprintf(token, sizeof(token), "%.*g", 1 + i % 17, v);
+    if (std::isfinite(std::strtod(token, nullptr))) {
+      expect_strtod(token);
+    } else {  // e.g. "%.1g" of 1.7e308 is "2e+308"
+      EXPECT_THROW((void)parse_json(token), JsonParseError) << token;
+    }
+  }
+
+  expect_strtod("1e-400");
+  EXPECT_EQ(parse_json("1e-400").as_number(), 0.0);
+  EXPECT_FALSE(std::signbit(parse_json("1e-400").as_number()));
+  EXPECT_TRUE(std::signbit(parse_json("-1e-400").as_number()));
+  expect_strtod("4.9e-324");
+  EXPECT_EQ(parse_json("4.9e-324").as_number(), 5e-324);
+  expect_strtod("2.4703282292062327e-324");  // half the least subnormal
+  expect_strtod("2.4703282292062328e-324");
+  expect_strtod("2.2250738585072011e-308");
+  expect_strtod("1.7976931348623157e308");
+  EXPECT_TRUE(std::signbit(parse_json("-0").as_number()));
+  EXPECT_TRUE(std::signbit(parse_json("-0.0e5").as_number()));
+
+  std::string long_fraction = "0.";
+  std::string long_integer = "1";
+  for (int i = 0; i < 800; ++i) {
+    long_fraction += static_cast<char>('0' + (i * 7 + 3) % 10);
+    long_integer += static_cast<char>('0' + (i * 3 + 1) % 10);
+  }
+  expect_strtod(long_fraction);
+  expect_strtod(long_integer + "e-790");
+  expect_strtod("-" + long_integer + "e-600");
+
+  try {
+    (void)parse_json("1e999");
+    FAIL() << "expected JsonParseError";
+  } catch (const JsonParseError& e) {
+    EXPECT_STREQ(e.what(),
+                 "JSON parse error at line 1, column 6: number '1e999' "
+                 "overflows a double");
+  }
+  try {
+    (void)parse_json("[\n  1,\n  -1e999\n]");
+    FAIL() << "expected JsonParseError";
+  } catch (const JsonParseError& e) {
+    EXPECT_STREQ(e.what(),
+                 "JSON parse error at line 3, column 9: number '-1e999' "
+                 "overflows a double");
   }
 }
 
@@ -165,6 +282,90 @@ TEST(CanonicalJson, ShortestDoubleRoundTrips) {
   }
   EXPECT_EQ(shortest_double(42.0), "42");
   EXPECT_EQ(shortest_double(0.5), "0.5");
+}
+
+// shortest_double formats with std::to_chars and checks candidates with
+// std::from_chars; the snprintf/strtod oracle is the text it must equal,
+// byte for byte, since every golden and config digest is built from it.
+TEST(CanonicalJson, ShortestDoubleMatchesPrintfOracle) {
+  const auto mismatch = [](double v) -> std::string {
+    const std::string want = oracles::reference_shortest_double(v);
+    const std::string got = shortest_double(v);
+    if (got == want) {
+      return "";
+    }
+    std::ostringstream os;
+    os << "bits " << std::hex << std::bit_cast<std::uint64_t>(v) << ": "
+       << got << " != oracle " << want;
+    return os.str();
+  };
+  long failures = 0;
+  const auto expect_oracle = [&](double v) {
+    const std::string diff = mismatch(v);
+    if (!diff.empty() && ++failures <= 10) {
+      ADD_FAILURE() << diff;
+    }
+  };
+
+  // Random bit patterns: every exponent, sign and mantissa shape. The
+  // oracle's snprintf takes microseconds on large exponents, so four
+  // seeded streams run on their own threads.
+  constexpr int kStreams = 4;
+  constexpr long kPerStream = 1'050'000;
+  std::vector<long> finite(kStreams, 0);
+  std::vector<std::string> first_diff(kStreams);
+  std::vector<std::thread> streams;
+  for (int t = 0; t < kStreams; ++t) {
+    streams.emplace_back([&, t] {
+      std::mt19937_64 rng(53 + t);
+      for (long i = 0; i < kPerStream && first_diff[t].empty(); ++i) {
+        const double v = std::bit_cast<double>(rng());
+        if (std::isfinite(v)) {
+          ++finite[t];
+          first_diff[t] = mismatch(v);
+        }
+      }
+    });
+  }
+  for (std::thread& stream : streams) {
+    stream.join();
+  }
+  long random_checked = 0;
+  for (int t = 0; t < kStreams; ++t) {
+    EXPECT_EQ(first_diff[t], "") << "stream " << t;
+    random_checked += finite[t];
+  }
+  EXPECT_GE(random_checked, 4'000'000);
+
+  // Every power of two and its neighbours, both signs.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (const double v : {std::nextafter(p, 0.0), p,
+                           std::nextafter(p, HUGE_VAL)}) {
+      expect_oracle(v);
+      expect_oracle(-v);
+    }
+  }
+  // Dyadic sixteenths: every k/16 up to 4096, then a stride to 1e7.
+  for (long k = 0; k < 16 * 4096; ++k) {
+    expect_oracle(static_cast<double>(k) / 16.0);
+  }
+  for (long k = 16 * 4096; k <= 16 * 10'000'000L; k += 101) {
+    expect_oracle(static_cast<double>(k) / 16.0);
+  }
+  // Integers around 2^53, where the integral path ends.
+  for (long n = (1L << 53) - 2048; n <= (1L << 53) + 4096; ++n) {
+    expect_oracle(static_cast<double>(n));  // above 2^53, even n only
+    expect_oracle(-static_cast<double>(n));
+  }
+  for (const double v : {0.0, -0.0, 5e-324, -5e-324, DBL_MIN, DBL_MAX,
+                         -DBL_MAX, 0.1, 1.0 / 3.0}) {
+    expect_oracle(v);
+  }
+  EXPECT_EQ(shortest_double(-0.0), "-0");
+  EXPECT_EQ(shortest_double(5e-324), "4.94065645841247e-324");
+  EXPECT_EQ(shortest_double(DBL_MAX), "1.7976931348623157e+308");
+  EXPECT_EQ(failures, 0);
 }
 
 // --- Spec: typed extraction with path-qualified errors --------------------
