@@ -23,24 +23,43 @@ const Artifact* Bundle::find(const std::string& filename) const {
   return nullptr;
 }
 
+namespace {
+
+// The spec's top level. "params" is checked against the simulation's own
+// table once the scenario is known.
+const std::vector<ParamDoc>& top_level_params() {
+  using P = ParamDoc;
+  static const std::vector<ParamDoc> rows = {
+      {.name = "scenario", .kind = P::Kind::kString,
+       .description = "registered simulation name"},
+      P::integer("seed", 42, 0, kMaxSeed, "base seed"),
+      {.name = "params", .kind = P::Kind::kObject,
+       .description = "simulation parameters", .default_doc = "{}"},
+      P::flag("artifacts.trace", false, "write trace.json (sim-time trace)"),
+      P::flag("artifacts.metrics", false, "write metrics.prom (Prometheus)"),
+      P::integer("checkpoint_segments", 1, 1, 1000000,
+                 "checkpointed segments, unless the caller asks for some"),
+  };
+  return rows;
+}
+
+}  // namespace
+
 Runner::Runner(const Registry& registry) : registry_(&registry) {}
 
 Bundle Runner::run(const Spec& spec, exec::ThreadPool* pool,
                    const CheckpointRequest& checkpoint) const {
-  spec.allow_only(
-      {"scenario", "seed", "params", "artifacts", "checkpoint_segments"});
-  const std::string scenario_name = spec.require_string("scenario");
+  const Params top(spec, top_level_params());
+  const std::string scenario_name = top.text("scenario");
   const Simulation& simulation = registry_->require(scenario_name);
 
   RunContext ctx;
   ctx.pool = pool;
-  ctx.seed = static_cast<std::uint64_t>(
-      spec.optional_int_in("seed", 42, 0, 1L << 62));
+  ctx.seed = static_cast<std::uint64_t>(top.integer("seed"));
   ctx.checkpoint = checkpoint;
   // The spec itself may ask for segmentation; an explicit caller request
   // (CLI flags) wins.
-  const long spec_segments =
-      spec.optional_int_in("checkpoint_segments", 1, 1, 1000000);
+  const long spec_segments = top.integer("checkpoint_segments");
   if (spec_segments > 1 && ctx.checkpoint.segments <= 1) {
     ctx.checkpoint.segments = spec_segments;
   }
@@ -57,10 +76,9 @@ Bundle Runner::run(const Spec& spec, exec::ThreadPool* pool,
         checkpointable);
   }
 
-  const Spec artifacts = spec.optional_child("artifacts");
-  artifacts.allow_only({"trace", "metrics"});
-  const bool want_trace = artifacts.optional_bool("trace", false);
-  const bool want_metrics = artifacts.optional_bool("metrics", false);
+  const Params artifacts = top.child("artifacts");
+  const bool want_trace = artifacts.flag("trace");
+  const bool want_metrics = artifacts.flag("metrics");
 
   // Trace/metrics state is global; scope it to this run so the exports are
   // a pure function of the spec. The tracer is cleared *before* enabling so
@@ -80,7 +98,8 @@ Bundle Runner::run(const Spec& spec, exec::ThreadPool* pool,
   std::string failure_message;
   fault::Accounting failure_accounting;
   try {
-    bundle.result = simulation.run(spec.optional_child("params"), ctx);
+    bundle.result = simulation.run(
+        Params(spec.optional_child("params"), simulation.params()), ctx);
   } catch (const fault::RetriesExhaustedError& e) {
     // Fault-injection retry budgets are an expected outcome, not a schema
     // bug: record the failure as an artifact so sibling scenarios in a

@@ -1,16 +1,10 @@
 // The scenario Runner: spec in, self-describing artifact bundle out.
 //
-// A top-level scenario spec is a JSON object:
-//
-//   {
-//     "scenario": "fleet",            // required; a Registry name
-//     "seed": 42,                     // optional base seed
-//     "params": { ... },              // simulation parameters (see `params()`)
-//     "artifacts": {                  // optional extra artifacts
-//       "trace": false,               //   trace.json (sim-time Chrome trace)
-//       "metrics": false              //   metrics.prom (Prometheus text)
-//     }
-//   }
+// A top-level scenario spec is a JSON object naming a registered
+// "scenario", its "params" (checked against the simulation's param table),
+// and optionally a base "seed", "checkpoint_segments" and the extra
+// "artifacts" {trace, metrics}; runner.cc declares these keys in the same
+// table form.
 //
 // Runner::run executes the named simulation and assembles the bundle
 // in-memory: `result.json` (canonical JSON, base-unit report), `spec.json`

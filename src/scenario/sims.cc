@@ -2,15 +2,25 @@
 // module Configs of datacenter/, fl/, mlcycle/, and scaling/.
 //
 // Conventions shared by every adapter:
-//   * params are snake_case and strict — allow_only turns typos into
-//     SpecErrors naming the valid keys;
-//   * grid sub-objects follow one schema (parse_grid), with catalog lookups
-//     erroring as "unknown grid 'x'; available: …";
+//   * each adapter declares its params once, in a param table (params.h):
+//     name, kind, default, range and doc. The table is the `sustainai
+//     scenarios` listing and the CLI's --help, the Runner checks the whole
+//     params tree against it (unknown keys name the valid ones), and each
+//     read names only the key: default and bounds come from the row. A
+//     default or bound that depends on the run (seeds, a planet region's
+//     inherited pue/cfe and name, checkpoint_segments against the chunk
+//     count, the region count) is passed where it is read, and its row
+//     documents it;
+//   * shared sub-tables (grid, jobs, faults, region, fleet run knobs) sit
+//     next to the parser that reads them; grid sub-objects follow one schema
+//     (parse_grid), with catalog lookups erroring as "unknown grid 'x';
+//     available: …";
 //   * reports carry physical quantities in base units with unit-suffixed
 //     keys (…_j, …_g, …_s, …_w) so consumers can reconstruct the exact
 //     doubles the simulators produced.
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -39,21 +49,26 @@ namespace sustainai::scenario {
 namespace {
 
 using report::JsonValue;
+using Kind = ParamDoc::Kind;
+using P = ParamDoc;
 
 JsonValue num(double v) { return JsonValue::number(v); }
 JsonValue str(std::string s) { return JsonValue::string(std::move(s)); }
 
-void append_docs(std::vector<ParamDoc>& docs, std::vector<ParamDoc> more) {
-  for (ParamDoc& d : more) {
-    docs.push_back(std::move(d));
+// The rows of `parts`, in order.
+std::vector<ParamDoc> concat(
+    std::initializer_list<std::vector<ParamDoc>> parts) {
+  std::vector<ParamDoc> out;
+  for (const std::vector<ParamDoc>& part : parts) {
+    out.insert(out.end(), part.begin(), part.end());
   }
+  return out;
 }
 
 // --- Shared grid / job schemas -------------------------------------------
 
-GridProfile profile_by_name(const Spec& spec, const std::string& key,
-                            const std::string& fallback) {
-  const std::string name = spec.optional_string(key, fallback);
+GridProfile profile_by_name(const Params& spec, const std::string& key) {
+  const std::string name = spec.text(key);
   const std::optional<GridProfile> profile = grids::by_name(name);
   if (!profile.has_value()) {
     throw SpecError(spec.path() + "." + key + ": unknown grid '" + name +
@@ -62,9 +77,8 @@ GridProfile profile_by_name(const Spec& spec, const std::string& key,
   return *profile;
 }
 
-hw::DeviceSpec device_by_name(const Spec& spec, const std::string& key,
-                              const std::string& fallback) {
-  const std::string name = spec.optional_string(key, fallback);
+hw::DeviceSpec device_by_name(const Params& spec, const std::string& key) {
+  const std::string name = spec.text(key);
   const std::optional<hw::DeviceSpec> device = hw::catalog::by_name(name);
   if (!device.has_value()) {
     throw SpecError(spec.path() + "." + key + ": unknown device '" + name +
@@ -73,50 +87,62 @@ hw::DeviceSpec device_by_name(const Spec& spec, const std::string& key,
   return *device;
 }
 
-// One intermittent-grid sub-object. Defaults model the paper's solar-heavy
-// scheduling region (CLI `fleet`/`schedule` defaults).
-IntermittentGrid::Config parse_grid(const Spec& grid, std::uint64_t seed) {
-  grid.allow_only({"name", "solar_share", "wind_share", "firm_share",
-                   "sunrise_hour", "sunset_hour", "seed"});
-  IntermittentGrid::Config cfg;
-  cfg.profile = profile_by_name(grid, "name", "us-west-solar");
-  cfg.solar_share = grid.optional_double_in("solar_share", 0.5, 0.0, 1.0);
-  cfg.wind_share = grid.optional_double_in("wind_share", 0.15, 0.0, 1.0);
-  cfg.firm_share = grid.optional_double_in("firm_share", 0.10, 0.0, 1.0);
-  cfg.sunrise_hour = grid.optional_double_in("sunrise_hour", 6.0, 0.0, 24.0);
-  cfg.sunset_hour = grid.optional_double_in("sunset_hour", 18.0, 0.0, 24.0);
-  cfg.seed = static_cast<std::uint64_t>(
-      grid.optional_int_in("seed", static_cast<long>(seed), 0, 1L << 62));
-  return cfg;
+// One intermittent-grid sub-object, its rows named `prefix` + key. Defaults
+// model the paper's solar-heavy scheduling region (CLI `fleet`/`schedule`
+// defaults).
+std::vector<ParamDoc> grid_params(const std::string& prefix) {
+  return {
+      P::text(prefix + "name", "us-west-solar",
+              "grid profile (" + grids::known_names() + ")"),
+      P::number(prefix + "solar_share", 0.5, 0, 1,
+                "peak solar contribution to carbon-free availability"),
+      P::number(prefix + "wind_share", 0.15, 0, 1, "mean wind contribution"),
+      P::number(prefix + "firm_share", 0.10, 0, 1,
+                "always-on carbon-free share (hydro/nuclear)"),
+      P::number(prefix + "sunrise_hour", 6, 0, 24, "local sunrise hour"),
+      P::number(prefix + "sunset_hour", 18, 0, 24, "local sunset hour"),
+      {.name = prefix + "seed", .kind = Kind::kInt, .max = kMaxSeed,
+       .description = "wind-process seed (deterministic)",
+       .default_doc = "top-level seed"},
+  };
 }
 
-std::vector<ParamDoc> grid_param_docs(const std::string& prefix) {
-  return {
-      {prefix + ".name", "string", "us-west-solar",
-       "grid profile (" + grids::known_names() + ")"},
-      {prefix + ".solar_share", "number", "0.5",
-       "peak solar contribution to carbon-free availability"},
-      {prefix + ".wind_share", "number", "0.15", "mean wind contribution"},
-      {prefix + ".firm_share", "number", "0.1",
-       "always-on carbon-free share (hydro/nuclear)"},
-      {prefix + ".sunrise_hour", "number", "6", "local sunrise hour"},
-      {prefix + ".sunset_hour", "number", "18", "local sunset hour"},
-      {prefix + ".seed", "int", "top-level seed",
-       "wind-process seed (deterministic)"},
-  };
+IntermittentGrid::Config parse_grid(const Params& grid, std::uint64_t seed) {
+  IntermittentGrid::Config cfg;
+  cfg.profile = profile_by_name(grid, "name");
+  cfg.solar_share = grid.number("solar_share");
+  cfg.wind_share = grid.number("wind_share");
+  cfg.firm_share = grid.number("firm_share");
+  cfg.sunrise_hour = grid.number("sunrise_hour");
+  cfg.sunset_hour = grid.number("sunset_hour");
+  cfg.seed = static_cast<std::uint64_t>(
+      grid.integer("seed", static_cast<long>(seed)));
+  return cfg;
 }
 
 // The shared deferrable-job batch: `jobs` identical training jobs arriving
 // one per hour modulo `arrival_spread_h` (the CLI `schedule` shape).
-std::vector<datacenter::BatchJob> make_jobs(const Spec& params,
+std::vector<ParamDoc> job_params() {
+  return {
+      P::integer("jobs", 24, 1, 100000, "number of deferrable batch jobs"),
+      P::number("power_kw", 22.4, 0.001, 1e6,
+                "per-job power draw while running (kW)"),
+      P::number("duration_h", 4, 1e-3, 24.0 * 365.0,
+                "per-job run length (hours)"),
+      P::number("slack_h", 20, 0, 1e5,
+                "max start delay within the slack window"),
+      P::integer("arrival_spread_h", 24, 1, 8760,
+                 "job i arrives at hour i mod this spread"),
+  };
+}
+
+std::vector<datacenter::BatchJob> make_jobs(const Params& params,
                                             const std::string& id_prefix) {
-  const long count = params.optional_int_in("jobs", 24, 1, 100000);
-  const double power_kw =
-      params.optional_double_in("power_kw", 22.4, 0.001, 1e6);
-  const double duration_h =
-      params.optional_double_in("duration_h", 4.0, 1e-3, 24.0 * 365.0);
-  const double slack_h = params.optional_double_in("slack_h", 20.0, 0.0, 1e5);
-  const long spread_h = params.optional_int_in("arrival_spread_h", 24, 1, 8760);
+  const long count = params.integer("jobs");
+  const double power_kw = params.number("power_kw");
+  const double duration_h = params.number("duration_h");
+  const double slack_h = params.number("slack_h");
+  const long spread_h = params.integer("arrival_spread_h");
   std::vector<datacenter::BatchJob> jobs;
   jobs.reserve(static_cast<std::size_t>(count));
   for (long i = 0; i < count; ++i) {
@@ -131,65 +157,73 @@ std::vector<datacenter::BatchJob> make_jobs(const Spec& params,
   return jobs;
 }
 
-std::vector<ParamDoc> job_param_docs() {
+// --- Shared fault schema --------------------------------------------------
+
+// The optional `faults` block accepted by every simulation, its rows named
+// `prefix` + "faults." + key. Absent block => fault injection disabled and
+// the fault-free code paths run untouched.
+std::vector<ParamDoc> fault_params(const std::string& prefix) {
+  const std::string f = prefix + "faults.";
   return {
-      {"jobs", "int", "24", "number of deferrable batch jobs"},
-      {"power_kw", "number", "22.4", "per-job power draw while running (kW)"},
-      {"duration_h", "number", "4", "per-job run length (hours)"},
-      {"slack_h", "number", "20", "max start delay within the slack window"},
-      {"arrival_spread_h", "int", "24",
-       "job i arrives at hour i mod this spread"},
+      P::number(f + "host_crash_per_day", 0, 0, 1e4,
+                "mean host-crash events per simulated day"),
+      P::number(f + "preemption_per_day", 0, 0, 1e4,
+                "mean job-preemption events per day (queue_schedule)"),
+      P::number(f + "sdc_per_day", 0, 0, 1e4,
+                "mean silent-data-corruption events per day"),
+      P::number(f + "grid_gap_per_day", 0, 0, 1e4,
+                "mean carbon-intensity feed gaps per day"),
+      P::number(f + "crash_rewarm_min", 60, 0, 1e6,
+                "host outage + re-warm length (minutes)"),
+      P::number(f + "gap_duration_min", 120, 0, 1e6,
+                "intensity-feed gap length (minutes)"),
+      P::integer(f + "max_retries", 3, 0, 1000000,
+                 "restarts allowed before the run fails with error.json"),
+      P::number(f + "backoff_min", 5, 0, 1e6, "base retry backoff (minutes)"),
+      P::number(f + "backoff_multiplier", 2, 1, 100,
+                "exponential backoff growth per retry"),
+      P::number(f + "checkpoint_interval_min", 60, 0, 1e9,
+                "checkpoint cadence (0 = no checkpoints, faults lose all "
+                "progress)"),
+      P::number(f + "checkpoint_cost_s", 30, 0, 1e9,
+                "overhead per checkpoint (seconds of work)"),
+      P::number(f + "sdc_detection_coverage", 0, 0, 0.999,
+                "fraction of SDCs caught before they poison a run"),
+      {.name = f + "seed", .kind = Kind::kInt, .max = kMaxSeed,
+       .description = "fault-schedule seed",
+       .default_doc = "derived from run seed"},
   };
 }
 
-// --- Shared fault schema --------------------------------------------------
-
-// The optional `faults` block accepted by every simulation. Absent block =>
-// fault injection disabled and the fault-free code paths run untouched.
 struct ParsedFaults {
   bool present = false;
   fault::FaultSpec spec;
   double sdc_detection_coverage = 0.0;
 };
 
-ParsedFaults parse_faults(const Spec& params, std::uint64_t seed) {
+ParsedFaults parse_faults(const Params& params, std::uint64_t seed) {
   ParsedFaults out;
   if (!params.has("faults")) {
     return out;
   }
-  const Spec f = params.child("faults");
-  f.allow_only({"host_crash_per_day", "preemption_per_day", "sdc_per_day",
-                "grid_gap_per_day", "crash_rewarm_min", "gap_duration_min",
-                "max_retries", "backoff_min", "backoff_multiplier",
-                "checkpoint_interval_min", "checkpoint_cost_s",
-                "sdc_detection_coverage", "seed"});
+  const Params f = params.child("faults");
   fault::FaultRates& r = out.spec.rates;
-  r.host_crash_per_day =
-      f.optional_double_in("host_crash_per_day", 0.0, 0.0, 1e4);
-  r.preemption_per_day =
-      f.optional_double_in("preemption_per_day", 0.0, 0.0, 1e4);
-  r.sdc_per_day = f.optional_double_in("sdc_per_day", 0.0, 0.0, 1e4);
-  r.grid_gap_per_day = f.optional_double_in("grid_gap_per_day", 0.0, 0.0, 1e4);
-  r.crash_rewarm =
-      minutes(f.optional_double_in("crash_rewarm_min", 60.0, 0.0, 1e6));
-  r.gap_duration =
-      minutes(f.optional_double_in("gap_duration_min", 120.0, 0.0, 1e6));
-  out.spec.retry.max_retries =
-      static_cast<int>(f.optional_int_in("max_retries", 3, 0, 1000000));
-  out.spec.retry.base_backoff =
-      minutes(f.optional_double_in("backoff_min", 5.0, 0.0, 1e6));
-  out.spec.retry.backoff_multiplier =
-      f.optional_double_in("backoff_multiplier", 2.0, 1.0, 100.0);
-  out.spec.checkpoint.interval =
-      minutes(f.optional_double_in("checkpoint_interval_min", 60.0, 0.0, 1e9));
-  out.spec.checkpoint.cost =
-      seconds(f.optional_double_in("checkpoint_cost_s", 30.0, 0.0, 1e9));
+  r.host_crash_per_day = f.number("host_crash_per_day");
+  r.preemption_per_day = f.number("preemption_per_day");
+  r.sdc_per_day = f.number("sdc_per_day");
+  r.grid_gap_per_day = f.number("grid_gap_per_day");
+  r.crash_rewarm = minutes(f.number("crash_rewarm_min"));
+  r.gap_duration = minutes(f.number("gap_duration_min"));
+  out.spec.retry.max_retries = static_cast<int>(f.integer("max_retries"));
+  out.spec.retry.base_backoff = minutes(f.number("backoff_min"));
+  out.spec.retry.backoff_multiplier = f.number("backoff_multiplier");
+  out.spec.checkpoint.interval = minutes(f.number("checkpoint_interval_min"));
+  out.spec.checkpoint.cost = seconds(f.number("checkpoint_cost_s"));
   // Forked off the run seed by default so a spec's fault schedule is stable
   // but never correlated with the simulators' own streams.
-  out.spec.seed = static_cast<std::uint64_t>(f.optional_int_in(
-      "seed", static_cast<long>(seed ^ 0xfa017ULL), 0, 1L << 62));
-  out.sdc_detection_coverage =
-      f.optional_double_in("sdc_detection_coverage", 0.0, 0.0, 0.999);
+  out.spec.seed = static_cast<std::uint64_t>(
+      f.integer("seed", static_cast<long>(seed ^ 0xfa017ULL)));
+  out.sdc_detection_coverage = f.number("sdc_detection_coverage");
   // An all-zero-rate block is schema-checked but otherwise equivalent to no
   // block at all: the fault-free paths run and the report stays byte-
   // identical to a spec without `faults`.
@@ -197,45 +231,12 @@ ParsedFaults parse_faults(const Spec& params, std::uint64_t seed) {
   return out;
 }
 
-std::vector<ParamDoc> fault_param_docs(const std::string& prefix = "") {
-  std::vector<ParamDoc> docs = {
-      {"faults.host_crash_per_day", "number", "0",
-       "mean host-crash events per simulated day"},
-      {"faults.preemption_per_day", "number", "0",
-       "mean job-preemption events per day (queue_schedule)"},
-      {"faults.sdc_per_day", "number", "0",
-       "mean silent-data-corruption events per day"},
-      {"faults.grid_gap_per_day", "number", "0",
-       "mean carbon-intensity feed gaps per day"},
-      {"faults.crash_rewarm_min", "number", "60",
-       "host outage + re-warm length (minutes)"},
-      {"faults.gap_duration_min", "number", "120",
-       "intensity-feed gap length (minutes)"},
-      {"faults.max_retries", "int", "3",
-       "restarts allowed before the run fails with error.json"},
-      {"faults.backoff_min", "number", "5", "base retry backoff (minutes)"},
-      {"faults.backoff_multiplier", "number", "2",
-       "exponential backoff growth per retry"},
-      {"faults.checkpoint_interval_min", "number", "60",
-       "checkpoint cadence (0 = no checkpoints, faults lose all progress)"},
-      {"faults.checkpoint_cost_s", "number", "30",
-       "overhead per checkpoint (seconds of work)"},
-      {"faults.sdc_detection_coverage", "number", "0",
-       "fraction of SDCs caught before they poison a run"},
-      {"faults.seed", "int", "derived from run seed", "fault-schedule seed"},
-  };
-  for (ParamDoc& d : docs) {
-    d.name = prefix + d.name;
-  }
-  return docs;
-}
-
 // Run-level gate for the closed-form simulations (no internal timeline):
 // host crashes restart the whole estimate from its last checkpoint. Returns
 // nullopt when the spec has no enabled `faults` block; throws
 // fault::RetriesExhaustedError when the crash count exceeds the retry
 // budget.
-std::optional<fault::RunGateResult> gate_run(const Spec& params,
+std::optional<fault::RunGateResult> gate_run(const Params& params,
                                              std::uint64_t seed,
                                              Duration horizon) {
   const ParsedFaults parsed = parse_faults(params, seed);
@@ -258,16 +259,14 @@ JsonValue gate_report(const fault::RunGateResult& gate, double total_energy_j,
 }
 
 std::unique_ptr<datacenter::SchedulerPolicy> make_policy(
-    const Spec& params, const std::string& name) {
-  const double probe_min =
-      params.optional_double_in("probe_step_min", 15.0, 0.1, 24.0 * 60.0);
+    const Params& params, const std::string& name) {
+  const double probe_min = params.number("probe_step_min");
   if (name == "fifo") {
     return std::make_unique<datacenter::FifoPolicy>();
   }
   if (name == "threshold") {
     return std::make_unique<datacenter::ThresholdPolicy>(
-        grams_per_kwh(
-            params.optional_double_in("threshold_g_per_kwh", 200.0, 0.0, 5000.0)),
+        grams_per_kwh(params.number("threshold_g_per_kwh")),
         minutes(probe_min));
   }
   if (name == "forecast") {
@@ -332,56 +331,86 @@ RunResult stopped_result(std::string scenario) {
   return stopped;
 }
 
-// Shared doc row for the sims that honor checkpoint_segments.
-ParamDoc checkpoint_segments_doc() {
-  return {"checkpoint_segments", "int", "1",
-          "split the run into this many checkpointed segments, round-tripping "
-          "the snapshot through canonical JSON between them (byte-identical "
-          "to an uninterrupted run by contract)"};
+// Shared row for the sims that honor checkpoint_segments. Fleet and planet
+// bound it by their chunk count, known once the simulator is built.
+ParamDoc checkpoint_segments_param(bool chunked) {
+  ParamDoc r = P::integer(
+      "checkpoint_segments", 1, 1, 1000000,
+      "split the run into this many checkpointed segments, round-tripping "
+      "the snapshot through canonical JSON between them (byte-identical "
+      "to an uninterrupted run by contract)");
+  r.range_doc = chunked ? "[1, chunk count]" : "";
+  return r;
 }
 
 // --- fleet regions: the fleet's params and each planet region ------------
 
 // One region's web + train cluster, grid, PUE, CFE and faults block: the
-// schema the fleet's params and every planet `regions[i]` share.
+// schema the fleet's params and every planet `regions[i]` share, its rows
+// named `prefix` + key. A planet region (`inherit`) defaults its pue and
+// cfe to the planet's.
+std::vector<ParamDoc> region_params(const std::string& prefix, bool inherit) {
+  std::vector<ParamDoc> rows = {
+      P::number(prefix + "pue", kHyperscalePue, 1, 3,
+                "facility power usage effectiveness"),
+      P::number(prefix + "cfe", 0, 0, 1,
+                "market-based carbon-free matching share"),
+      P::integer(prefix + "web_servers", 300, 0, 10000000,
+                 "web-tier server count"),
+      P::integer(prefix + "train_servers", 12, 0, 1000000,
+                 "8-GPU training host count"),
+      P::number(prefix + "train_utilization", 0.5, 0, 1,
+                "flat training-tier load"),
+      P::number(prefix + "web_load.trough", 0.3, 0, 1,
+                "overnight web utilization"),
+      P::number(prefix + "web_load.peak", 0.9, 0, 1, "peak web utilization"),
+      P::number(prefix + "web_load.peak_hour", 20, 0, 24,
+                "local hour of the web peak"),
+  };
+  if (inherit) {
+    rows[0].fallback = rows[1].fallback = {};
+    rows[0].default_doc = "top-level pue";
+    rows[1].default_doc = "top-level cfe";
+  }
+  return concat({rows, grid_params(prefix + "grid."), fault_params(prefix)});
+}
+
 struct ParsedRegion {
   datacenter::FleetRegionConfig config;
   ParsedFaults faults;
 };
 
-ParsedRegion parse_region(const Spec& region, std::uint64_t seed,
-                          std::uint64_t fault_seed, double default_pue,
-                          double default_cfe) {
+// `planet` is the planet whose pue and cfe the region inherits; null for the
+// fleet.
+ParsedRegion parse_region(const Params& region, std::uint64_t seed,
+                          std::uint64_t fault_seed, const Params* planet) {
   using namespace datacenter;
   ParsedRegion out;
   FleetRegionConfig& rc = out.config;
-  rc.grid = parse_grid(region.optional_child("grid"), seed);
-  rc.pue = region.optional_double_in("pue", default_pue, 1.0, 3.0);
-  rc.cfe_coverage = region.optional_double_in("cfe", default_cfe, 0.0, 1.0);
+  rc.grid = parse_grid(region.child("grid"), seed);
+  rc.pue = planet == nullptr ? region.number("pue")
+                             : region.number("pue", planet->number("pue"));
+  rc.cfe_coverage = planet == nullptr
+                        ? region.number("cfe")
+                        : region.number("cfe", planet->number("cfe"));
 
-  const Spec web_load = region.optional_child("web_load");
-  web_load.allow_only({"trough", "peak", "peak_hour"});
+  const Params web_load = region.child("web_load");
   ServerGroup web;
   web.name = "web";
   web.sku = hw::skus::web_tier();
-  web.count = static_cast<int>(
-      region.optional_int_in("web_servers", 300, 0, 10000000));
+  web.count = static_cast<int>(region.integer("web_servers"));
   web.tier = Tier::kWeb;
-  web.load = DiurnalProfile{
-      web_load.optional_double_in("trough", 0.3, 0.0, 1.0),
-      web_load.optional_double_in("peak", 0.9, 0.0, 1.0),
-      web_load.optional_double_in("peak_hour", 20.0, 0.0, 24.0)};
+  web.load = DiurnalProfile{web_load.number("trough"), web_load.number("peak"),
+                            web_load.number("peak_hour")};
   web.autoscalable = true;
   rc.cluster.add_group(web);
 
   ServerGroup train;
   train.name = "train";
   train.sku = hw::skus::gpu_training_8x();
-  train.count = static_cast<int>(
-      region.optional_int_in("train_servers", 12, 0, 1000000));
+  train.count = static_cast<int>(region.integer("train_servers"));
   train.tier = Tier::kAiTraining;
-  train.load = flat_profile(
-      region.optional_double_in("train_utilization", 0.5, 0.0, 1.0));
+  train.load = flat_profile(region.number("train_utilization"));
   rc.cluster.add_group(train);
 
   out.faults = parse_faults(region, fault_seed);
@@ -389,57 +418,32 @@ ParsedRegion parse_region(const Spec& region, std::uint64_t seed,
   return out;
 }
 
-std::vector<ParamDoc> region_param_docs(const std::string& prefix,
-                                        const std::string& pue_default,
-                                        const std::string& cfe_default) {
-  std::vector<ParamDoc> docs = {
-      {prefix + "pue", "number", pue_default,
-       "facility power usage effectiveness"},
-      {prefix + "cfe", "number", cfe_default,
-       "market-based carbon-free matching share"},
-      {prefix + "web_servers", "int", "300", "web-tier server count"},
-      {prefix + "train_servers", "int", "12", "8-GPU training host count"},
-      {prefix + "train_utilization", "number", "0.5",
-       "flat training-tier load"},
-      {prefix + "web_load.trough", "number", "0.3",
-       "overnight web utilization"},
-      {prefix + "web_load.peak", "number", "0.9", "peak web utilization"},
-      {prefix + "web_load.peak_hour", "number", "20",
-       "local hour of the web peak"},
-  };
-  append_docs(docs, grid_param_docs(prefix + "grid"));
-  append_docs(docs, fault_param_docs(prefix));
-  return docs;
-}
-
 // Run-wide knobs of a FleetSimulator or PlanetSimulator config.
-template <typename Config>
-void parse_fleet_run(const Spec& params, const RunContext& ctx,
-                     Config& config) {
-  config.enable_autoscaler = params.optional_bool("autoscaler", true);
-  config.opportunistic_training = params.optional_bool("opportunistic", true);
-  config.opportunistic_utilization =
-      params.optional_double_in("opportunistic_utilization", 0.90, 0.0, 1.0);
-  config.pool = ctx.pool;
+std::vector<ParamDoc> fleet_run_params() {
+  return {
+      P::flag("autoscaler", true, "consolidate web tiers off-peak"),
+      P::flag("opportunistic", true,
+              "run offline training on freed web servers"),
+      P::number("opportunistic_utilization", 0.90, 0, 1,
+                "utilization of harvested servers"),
+      checkpoint_segments_param(true),
+  };
 }
 
-std::vector<ParamDoc> fleet_run_docs() {
-  return {
-      {"autoscaler", "bool", "true", "consolidate web tiers off-peak"},
-      {"opportunistic", "bool", "true",
-       "run offline training on freed web servers"},
-      {"opportunistic_utilization", "number", "0.9",
-       "utilization of harvested servers"},
-      checkpoint_segments_doc(),
-  };
+template <typename Config>
+void parse_fleet_run(const Params& params, const RunContext& ctx,
+                     Config& config) {
+  config.enable_autoscaler = params.flag("autoscaler");
+  config.opportunistic_training = params.flag("opportunistic");
+  config.opportunistic_utilization = params.number("opportunistic_utilization");
+  config.pool = ctx.pool;
 }
 
 // checkpoint_segments, bounded by the simulator's chunk count.
 template <typename Sim>
-long chunk_segments(const Spec& params, const Sim& sim) {
-  return params.optional_int_in(
-      "checkpoint_segments", 1, 1,
-      std::max(1L, sim.steps() / sim.steps_per_chunk()));
+long chunk_segments(const Params& params, const Sim& sim) {
+  return params.integer("checkpoint_segments", {},
+                        std::max(1L, sim.steps() / sim.steps_per_chunk()));
 }
 
 // The energy and carbon totals of a fleet, a planet region, or a planet.
@@ -482,51 +486,39 @@ JsonValue fault_stats_json(const datacenter::FleetFaultStats& fs) {
 
 // --- fleet ----------------------------------------------------------------
 
+std::vector<ParamDoc> fleet_params() {
+  std::vector<ParamDoc> rows = {
+      P::number("days", 7, 0.01, 3650, "simulated horizon in days"),
+      P::number("step_min", 15, 0.01, 1440, "simulation step (minutes)"),
+      P::integer("chunk_steps", 256, 1, 1000000,
+                 "steps per parallel chunk (determinism-neutral)"),
+  };
+  return concat({rows, fleet_run_params(), region_params("", false)});
+}
+
 class FleetSimulation final : public Simulation {
  public:
-  std::string name() const override { return "fleet"; }
+  FleetSimulation()
+      : Simulation("fleet",
+                   "datacenter fleet over a horizon: diurnal web tier + AI "
+                   "training tier, autoscaling harvesting off-peak capacity "
+                   "for opportunistic training, PUE and time-varying grid "
+                   "carbon (Sections III-C, IV-C)",
+                   fleet_params(), /*checkpointable=*/true) {}
 
-  std::string description() const override {
-    return "datacenter fleet over a horizon: diurnal web tier + AI training "
-           "tier, autoscaling harvesting off-peak capacity for opportunistic "
-           "training, PUE and time-varying grid carbon (Sections III-C, IV-C)";
-  }
-
-  std::vector<ParamDoc> params() const override {
-    std::vector<ParamDoc> docs = {
-        {"days", "number", "7", "simulated horizon in days"},
-        {"step_min", "number", "15", "simulation step (minutes)"},
-        {"chunk_steps", "int", "256",
-         "steps per parallel chunk (determinism-neutral)"},
-    };
-    append_docs(docs, fleet_run_docs());
-    append_docs(docs, region_param_docs("", "1.1", "0"));
-    return docs;
-  }
-
-  bool supports_checkpoint() const override { return true; }
-
-  RunResult run(const Spec& params, const RunContext& ctx) const override {
-    params.allow_only({"days", "step_min", "chunk_steps", "pue", "cfe",
-                       "web_servers", "train_servers", "train_utilization",
-                       "web_load", "autoscaler", "opportunistic",
-                       "opportunistic_utilization", "checkpoint_segments",
-                       "grid", "faults"});
+  RunResult run(const Params& params, const RunContext& ctx) const override {
     using namespace datacenter;
 
-    ParsedRegion region =
-        parse_region(params, ctx.seed, ctx.seed, kHyperscalePue, 0.0);
+    ParsedRegion region = parse_region(params, ctx.seed, ctx.seed, nullptr);
     FleetSimulator::Config config;
     config.cluster = std::move(region.config.cluster);
     config.grid = region.config.grid;
     config.pue = region.config.pue;
     config.cfe_coverage = region.config.cfe_coverage;
     config.faults = region.config.faults;
-    config.horizon = days(params.optional_double_in("days", 7.0, 0.01, 3650.0));
-    config.step =
-        minutes(params.optional_double_in("step_min", 15.0, 0.01, 1440.0));
-    config.steps_per_chunk =
-        params.optional_int_in("chunk_steps", 256, 1, 1000000);
+    config.horizon = days(params.number("days"));
+    config.step = minutes(params.number("step_min"));
+    config.steps_per_chunk = params.integer("chunk_steps");
     parse_fleet_run(params, ctx, config);
 
     const FleetSimulator sim(config);
@@ -589,65 +581,54 @@ class FleetSimulation final : public Simulation {
 
 // --- planet ---------------------------------------------------------------
 
+std::vector<ParamDoc> planet_params() {
+  std::vector<ParamDoc> rows = {
+      P::number("years", 1, 0.001, 100,
+                "simulated horizon in years (365.25-day)"),
+      P::number("step_min", 60, 0.01, 1440, "simulation step (minutes)"),
+      P::integer("chunk_steps", 1024, 1, 1000000,
+                 "steps per fleet chunk; also the series window and "
+                 "checkpoint granule (determinism-neutral)"),
+      P::number("pue", kHyperscalePue, 1, 3,
+                "default PUE for regions that omit one"),
+      P::number("cfe", 0, 0, 1, "default market CFE share for regions"),
+  };
+  std::vector<ParamDoc> regions = {
+      {.name = "regions", .kind = Kind::kObjectList,
+       .description = "region fleets (see below)",
+       .range_doc = "1 to " + std::to_string(
+                                  datacenter::PlanetSimulator::kMaxRegions)},
+      {.name = "regions[i].name", .kind = Kind::kString,
+       .description = "region label", .default_doc = "region-<i>"},
+      P::number("regions[i].utc_offset_h", 0, 0, 24,
+                "local solar time leads UTC by this many hours; must be a "
+                "whole number of steps"),
+  };
+  return concat({rows, fleet_run_params(), regions,
+                 region_params("regions[i].", true)});
+}
+
 class PlanetSimulation final : public Simulation {
  public:
-  std::string name() const override { return "planet"; }
+  PlanetSimulation()
+      : Simulation("planet",
+                   "planetary fleet: N region-fleets (own cluster, grid, PUE, "
+                   "UTC phase offset, faults) sharded "
+                   "one-region-per-exec-chunk over a multi-year horizon, with "
+                   "memoized intensity tables and checkpointed segments "
+                   "(Sections III-C, IV-C at planetary scale)",
+                   planet_params(), /*checkpointable=*/true) {}
 
-  std::string description() const override {
-    return "planetary fleet: N region-fleets (own cluster, grid, PUE, UTC "
-           "phase offset, faults) sharded one-region-per-exec-chunk over a "
-           "multi-year horizon, with memoized intensity tables and "
-           "checkpointed segments (Sections III-C, IV-C at planetary scale)";
-  }
-
-  std::vector<ParamDoc> params() const override {
-    std::vector<ParamDoc> docs = {
-        {"years", "number", "1", "simulated horizon in years (365.25-day)"},
-        {"step_min", "number", "60", "simulation step (minutes)"},
-        {"chunk_steps", "int", "1024",
-         "steps per fleet chunk; also the series window and checkpoint "
-         "granule (determinism-neutral)"},
-        {"pue", "number", "1.1", "default PUE for regions that omit one"},
-        {"cfe", "number", "0", "default market CFE share for regions"},
-    };
-    append_docs(docs, fleet_run_docs());
-    append_docs(
-        docs,
-        {{"regions", "object list", "(required)",
-          "region fleets (see below), at most " +
-              std::to_string(datacenter::PlanetSimulator::kMaxRegions)},
-         {"regions[i].name", "string", "region-<i>", "region label"},
-         {"regions[i].utc_offset_h", "number", "0",
-          "local solar time leads UTC by this many hours; must be a whole "
-          "number of steps"}});
-    append_docs(docs, region_param_docs("regions[i].", "top-level pue",
-                                        "top-level cfe"));
-    return docs;
-  }
-
-  bool supports_checkpoint() const override { return true; }
-
-  RunResult run(const Spec& params, const RunContext& ctx) const override {
-    params.allow_only({"years", "step_min", "chunk_steps", "pue", "cfe",
-                       "autoscaler", "opportunistic",
-                       "opportunistic_utilization", "checkpoint_segments",
-                       "regions"});
+  RunResult run(const Params& params, const RunContext& ctx) const override {
     using namespace datacenter;
 
-    const double default_pue =
-        params.optional_double_in("pue", kHyperscalePue, 1.0, 3.0);
-    const double default_cfe = params.optional_double_in("cfe", 0.0, 0.0, 1.0);
-
     PlanetSimulator::Config config;
-    config.horizon =
-        years(params.optional_double_in("years", 1.0, 0.001, 100.0));
-    config.step =
-        minutes(params.optional_double_in("step_min", 60.0, 0.01, 1440.0));
-    config.steps_per_chunk =
-        params.optional_int_in("chunk_steps", 1024, 1, 1000000);
+    config.horizon = years(params.number("years"));
+    config.step = minutes(params.number("step_min"));
+    config.steps_per_chunk = params.integer("chunk_steps");
     parse_fleet_run(params, ctx, config);
 
-    const std::vector<Spec> region_specs = params.object_list("regions");
+    const std::vector<Params> region_specs = params.items("regions");
     if (region_specs.empty() ||
         region_specs.size() > PlanetSimulator::kMaxRegions) {
       throw SpecError(params.path() + ".regions: need 1 to " +
@@ -656,10 +637,7 @@ class PlanetSimulation final : public Simulation {
     }
     std::vector<bool> region_faults_present;
     for (std::size_t i = 0; i < region_specs.size(); ++i) {
-      const Spec& region = region_specs[i];
-      region.allow_only({"name", "grid", "utc_offset_h", "pue", "cfe",
-                         "web_servers", "train_servers", "train_utilization",
-                         "web_load", "faults"});
+      const Params& region = region_specs[i];
       // Same grid seed for every region: regions naming the same grid share
       // one physical grid — and therefore one memoized IntensityTable. Fault
       // schedules fork off the run seed by region ordinal so sibling
@@ -667,11 +645,9 @@ class PlanetSimulation final : public Simulation {
       ParsedRegion parsed = parse_region(
           region, ctx.seed,
           ctx.seed ^ (0x51ed2701ULL * static_cast<std::uint64_t>(i + 1)),
-          default_pue, default_cfe);
-      parsed.config.name =
-          region.optional_string("name", "region-" + std::to_string(i));
-      parsed.config.utc_offset_hours =
-          region.optional_double_in("utc_offset_h", 0.0, 0.0, 24.0);
+          &params);
+      parsed.config.name = region.text("name", "region-" + std::to_string(i));
+      parsed.config.utc_offset_hours = region.number("utc_offset_h");
       region_faults_present.push_back(parsed.faults.present);
       config.regions.push_back(std::move(parsed.config));
     }
@@ -747,65 +723,55 @@ class PlanetSimulation final : public Simulation {
 
 // --- queue_schedule -------------------------------------------------------
 
+std::vector<ParamDoc> queue_schedule_params() {
+  std::vector<ParamDoc> rows = {
+      P::integer("machines", 8, 1, 1000000, "machine pool size"),
+      P::number("step_min", 15, 0.01, 1440, "queue simulation step"),
+      P::number("pue", kHyperscalePue, 1, 3, "facility PUE"),
+      P::number("green_threshold_g_per_kwh", 250, 0, 5000,
+                "greedy-green runs while intensity <= threshold"),
+      P::number("max_horizon_days", 60, 0.1, 36500,
+                "abort horizon for overloaded configurations"),
+      {.name = "policies", .kind = Kind::kStringList,
+       .fallback = report::parse_json(R"(["fifo", "greedy_green"])"),
+       .description = "queue policies to compare (fifo, greedy_green)"},
+      checkpoint_segments_param(false),
+  };
+  return concat(
+      {job_params(), rows, grid_params("grid."), fault_params("")});
+}
+
 class QueueScheduleSimulation final : public Simulation {
  public:
-  std::string name() const override { return "queue_schedule"; }
+  QueueScheduleSimulation()
+      : Simulation("queue_schedule",
+                   "capacity-constrained carbon-aware queueing: FIFO vs "
+                   "greedy-green deferral of batch jobs on a fixed machine "
+                   "pool against a time-varying grid (Section IV-C)",
+                   queue_schedule_params(), /*checkpointable=*/true) {}
 
-  std::string description() const override {
-    return "capacity-constrained carbon-aware queueing: FIFO vs greedy-green "
-           "deferral of batch jobs on a fixed machine pool against a "
-           "time-varying grid (Section IV-C)";
-  }
-
-  std::vector<ParamDoc> params() const override {
-    std::vector<ParamDoc> docs = job_param_docs();
-    docs.push_back({"machines", "int", "8", "machine pool size"});
-    docs.push_back({"step_min", "number", "15", "queue simulation step"});
-    docs.push_back({"pue", "number", "1.1", "facility PUE"});
-    docs.push_back({"green_threshold_g_per_kwh", "number", "250",
-                    "greedy-green runs while intensity <= threshold"});
-    docs.push_back({"max_horizon_days", "number", "60",
-                    "abort horizon for overloaded configurations"});
-    docs.push_back({"policies", "string list", "[\"fifo\", \"greedy_green\"]",
-                    "queue policies to compare (fifo, greedy_green)"});
-    docs.push_back(checkpoint_segments_doc());
-    append_docs(docs, grid_param_docs("grid"));
-    append_docs(docs, fault_param_docs());
-    return docs;
-  }
-
-  bool supports_checkpoint() const override { return true; }
-
-  RunResult run(const Spec& params, const RunContext& ctx) const override {
-    params.allow_only({"jobs", "power_kw", "duration_h", "slack_h",
-                       "arrival_spread_h", "machines", "step_min", "pue",
-                       "green_threshold_g_per_kwh", "max_horizon_days",
-                       "policies", "checkpoint_segments", "grid", "faults"});
+  RunResult run(const Params& params, const RunContext& ctx) const override {
     using namespace datacenter;
 
     QueueSimConfig config;
-    config.machines =
-        static_cast<int>(params.optional_int_in("machines", 8, 1, 1000000));
-    config.grid = parse_grid(params.optional_child("grid"), ctx.seed);
-    config.pue = params.optional_double_in("pue", kHyperscalePue, 1.0, 3.0);
-    config.step =
-        minutes(params.optional_double_in("step_min", 15.0, 0.01, 1440.0));
-    config.green_threshold = grams_per_kwh(params.optional_double_in(
-        "green_threshold_g_per_kwh", 250.0, 0.0, 5000.0));
-    config.max_horizon = days(
-        params.optional_double_in("max_horizon_days", 60.0, 0.1, 36500.0));
+    config.machines = static_cast<int>(params.integer("machines"));
+    config.grid = parse_grid(params.child("grid"), ctx.seed);
+    config.pue = params.number("pue");
+    config.step = minutes(params.number("step_min"));
+    config.green_threshold =
+        grams_per_kwh(params.number("green_threshold_g_per_kwh"));
+    config.max_horizon = days(params.number("max_horizon_days"));
 
     const ParsedFaults parsed_faults = parse_faults(params, ctx.seed);
     config.faults = parsed_faults.spec;
 
     const std::vector<datacenter::BatchJob> jobs = make_jobs(params, "job-");
-    const std::vector<std::string> policy_names = params.optional_string_list(
-        "policies", {"fifo", "greedy_green"});
+    const std::vector<std::string> policy_names = params.texts("policies");
     if (policy_names.empty()) {
-      throw SpecError(params.path() + ".policies: need at least one policy");
+      throw SpecError(params.path() +
+                      ".policies: need at least one policy");
     }
-    const long segments =
-        params.optional_int_in("checkpoint_segments", 1, 1, 1000000);
+    const long segments = params.integer("checkpoint_segments");
     // A snapshot belongs to exactly one (config, policy) pair, so resume /
     // snapshot-writing requests only make sense against a single policy.
     if (ctx.checkpoint.active() && policy_names.size() > 1) {
@@ -884,39 +850,36 @@ class QueueScheduleSimulation final : public Simulation {
 
 // --- cross_region_schedule ------------------------------------------------
 
+std::vector<ParamDoc> cross_region_schedule_params() {
+  std::vector<ParamDoc> rows = {
+      P::text("policy", "forecast",
+              "slot policy per region (fifo, threshold, forecast)"),
+      P::number("threshold_g_per_kwh", 200, 0, 5000,
+                "threshold policy: run below this intensity"),
+      P::number("probe_step_min", 15, 0.1, 24.0 * 60.0,
+                "policy probe grid step (minutes)"),
+      P::number("pue", kHyperscalePue, 1, 3, "facility PUE"),
+      {.name = "regions", .kind = Kind::kObjectList,
+       .description = "candidate region grids; same schema as `grid`",
+       .range_doc = "1 or more"},
+  };
+  return concat(
+      {job_params(), rows, grid_params("regions[i]."), fault_params("")});
+}
+
 class CrossRegionScheduleSimulation final : public Simulation {
  public:
-  std::string name() const override { return "cross_region_schedule"; }
+  CrossRegionScheduleSimulation()
+      : Simulation("cross_region_schedule",
+                   "carbon-aware scheduling across candidate regions: each "
+                   "deferrable job runs in the region and slack-window slot "
+                   "minimizing its carbon (Section IV-C)",
+                   cross_region_schedule_params()) {}
 
-  std::string description() const override {
-    return "carbon-aware scheduling across candidate regions: each "
-           "deferrable job runs in the region and slack-window slot "
-           "minimizing its carbon (Section IV-C)";
-  }
-
-  std::vector<ParamDoc> params() const override {
-    std::vector<ParamDoc> docs = job_param_docs();
-    docs.push_back({"policy", "string", "forecast",
-                    "slot policy per region (fifo, threshold, forecast)"});
-    docs.push_back({"threshold_g_per_kwh", "number", "200",
-                    "threshold policy: run below this intensity"});
-    docs.push_back({"probe_step_min", "number", "15",
-                    "policy probe grid step (minutes)"});
-    docs.push_back({"pue", "number", "1.1", "facility PUE"});
-    docs.push_back({"regions", "object list", "(required)",
-                    "candidate region grids; same schema as `grid`"});
-    append_docs(docs, grid_param_docs("regions[i]"));
-    append_docs(docs, fault_param_docs());
-    return docs;
-  }
-
-  RunResult run(const Spec& params, const RunContext& ctx) const override {
-    params.allow_only({"jobs", "power_kw", "duration_h", "slack_h",
-                       "arrival_spread_h", "policy", "threshold_g_per_kwh",
-                       "probe_step_min", "pue", "regions", "faults"});
+  RunResult run(const Params& params, const RunContext& ctx) const override {
     using namespace datacenter;
 
-    const std::vector<Spec> region_specs = params.object_list("regions");
+    const std::vector<Params> region_specs = params.items("regions");
     if (region_specs.empty()) {
       throw SpecError(params.path() +
                       ".regions: need at least one region grid");
@@ -924,18 +887,15 @@ class CrossRegionScheduleSimulation final : public Simulation {
     std::vector<IntermittentGrid> grids_list;
     std::vector<std::string> region_names;
     grids_list.reserve(region_specs.size());
-    for (const Spec& region : region_specs) {
+    for (const Params& region : region_specs) {
       IntermittentGrid::Config cfg = parse_grid(region, ctx.seed);
       region_names.push_back(cfg.profile.name);
       grids_list.emplace_back(std::move(cfg));
     }
 
-    const std::string policy_name =
-        params.optional_string("policy", "forecast");
     const std::unique_ptr<SchedulerPolicy> policy =
-        make_policy(params, policy_name);
-    const double pue =
-        params.optional_double_in("pue", kHyperscalePue, 1.0, 3.0);
+        make_policy(params, params.text("policy"));
+    const double pue = params.number("pue");
     const std::vector<BatchJob> jobs = make_jobs(params, "job-");
 
     // Run-level fault gate: crashes restart the whole schedule; the gate
@@ -1018,95 +978,83 @@ class CrossRegionScheduleSimulation final : public Simulation {
 
 // --- fl_rounds ------------------------------------------------------------
 
+std::vector<ParamDoc> fl_rounds_params() {
+  std::vector<ParamDoc> rows = {
+      P::text("name", "fl-app", "application label"),
+      P::integer("clients_per_round", 100, 1, 10000000,
+                 "participants sampled per round"),
+      P::number("rounds_per_day", 24, 1e-3, 1e5, "round cadence"),
+      P::number("days", 90, 0.01, 36500, "campaign length (days)"),
+      P::number("model_mb", 20, 1e-6, 1e6,
+                "model size exchanged per round (MB)"),
+      P::number("compute_min", 4, 1e-3, 1e5,
+                "local training minutes on the reference device"),
+      P::integer("seed", 23, 0, kMaxSeed,
+                 "round-sampling seed (module default)"),
+      P::text("grid", "us-average",
+              "residential grid for the edge estimate (" +
+                  grids::known_names() + ")"),
+      P::number("device_power_w", 3, 0, 1000,
+                "client device power (Appendix B)"),
+      P::number("router_power_w", 7.5, 0, 1000,
+                "home router power (Appendix B)"),
+      P::flag("include_baselines", true,
+              "report the Figure 11 centralized baselines"),
+      P::integer("population.num_clients", 10000, 1, 100000000,
+                 "population size"),
+      P::number("population.speed_sigma", 0.5, 0, 10,
+                "lognormal sigma of client compute speed"),
+      P::number("population.median_download_mbps", 8, 1e-3, 1e5,
+                "median downlink"),
+      P::number("population.median_upload_mbps", 3, 1e-3, 1e5,
+                "median uplink"),
+      P::number("population.bandwidth_sigma", 0.7, 0, 10,
+                "lognormal sigma of client bandwidth"),
+      P::number("population.dropout_probability", 0.05, 0, 1,
+                "per-round client dropout probability"),
+      P::integer("population.seed", 17, 0, kMaxSeed,
+                 "population seed (module default)"),
+  };
+  return concat({rows, fault_params("")});
+}
+
 class FlRoundsSimulation final : public Simulation {
  public:
-  std::string name() const override { return "fl_rounds"; }
+  FlRoundsSimulation()
+      : Simulation("fl_rounds",
+                   "federated-learning campaign over a heterogeneous client "
+                   "population, estimated with the paper's 90-day-log "
+                   "methodology and compared to centralized baselines (Figure "
+                   "11, Appendix B)",
+                   fl_rounds_params()) {}
 
-  std::string description() const override {
-    return "federated-learning campaign over a heterogeneous client "
-           "population, estimated with the paper's 90-day-log methodology "
-           "and compared to centralized baselines (Figure 11, Appendix B)";
-  }
-
-  std::vector<ParamDoc> params() const override {
-    std::vector<ParamDoc> docs = {
-        {"name", "string", "fl-app", "application label"},
-        {"clients_per_round", "int", "100", "participants sampled per round"},
-        {"rounds_per_day", "number", "24", "round cadence"},
-        {"days", "number", "90", "campaign length (days)"},
-        {"model_mb", "number", "20", "model size exchanged per round (MB)"},
-        {"compute_min", "number", "4",
-         "local training minutes on the reference device"},
-        {"seed", "int", "23", "round-sampling seed (module default)"},
-        {"grid", "string", "us-average",
-         "residential grid for the edge estimate (" + grids::known_names() +
-             ")"},
-        {"device_power_w", "number", "3", "client device power (Appendix B)"},
-        {"router_power_w", "number", "7.5", "home router power (Appendix B)"},
-        {"include_baselines", "bool", "true",
-         "report the Figure 11 centralized baselines"},
-        {"population.num_clients", "int", "10000", "population size"},
-        {"population.speed_sigma", "number", "0.5",
-         "lognormal sigma of client compute speed"},
-        {"population.median_download_mbps", "number", "8", "median downlink"},
-        {"population.median_upload_mbps", "number", "3", "median uplink"},
-        {"population.bandwidth_sigma", "number", "0.7",
-         "lognormal sigma of client bandwidth"},
-        {"population.dropout_probability", "number", "0.05",
-         "per-round client dropout probability"},
-        {"population.seed", "int", "17", "population seed (module default)"},
-    };
-    append_docs(docs, fault_param_docs());
-    return docs;
-  }
-
-  RunResult run(const Spec& params, const RunContext& ctx) const override {
-    params.allow_only({"name", "clients_per_round", "rounds_per_day", "days",
-                       "model_mb", "compute_min", "seed", "grid",
-                       "device_power_w", "router_power_w", "include_baselines",
-                       "population", "faults"});
+  RunResult run(const Params& params, const RunContext& ctx) const override {
     using namespace fl;
 
     FlApplicationConfig app;
-    app.name = params.optional_string("name", "fl-app");
-    app.clients_per_round = static_cast<int>(
-        params.optional_int_in("clients_per_round", 100, 1, 10000000));
-    app.rounds_per_day =
-        params.optional_double_in("rounds_per_day", 24.0, 1e-3, 1e5);
-    app.campaign = days(params.optional_double_in("days", 90.0, 0.01, 36500.0));
-    app.model_size =
-        megabytes(params.optional_double_in("model_mb", 20.0, 1e-6, 1e6));
-    app.reference_compute_time =
-        minutes(params.optional_double_in("compute_min", 4.0, 1e-3, 1e5));
-    app.seed = static_cast<std::uint64_t>(
-        params.optional_int_in("seed", 23, 0, 1L << 62));
+    app.name = params.text("name");
+    app.clients_per_round =
+        static_cast<int>(params.integer("clients_per_round"));
+    app.rounds_per_day = params.number("rounds_per_day");
+    app.campaign = days(params.number("days"));
+    app.model_size = megabytes(params.number("model_mb"));
+    app.reference_compute_time = minutes(params.number("compute_min"));
+    app.seed = static_cast<std::uint64_t>(params.integer("seed"));
 
-    const Spec pop = params.optional_child("population");
-    pop.allow_only({"num_clients", "speed_sigma", "median_download_mbps",
-                    "median_upload_mbps", "bandwidth_sigma",
-                    "dropout_probability", "seed"});
+    const Params pop = params.child("population");
     Population::Config population;
-    population.num_clients = static_cast<int>(
-        pop.optional_int_in("num_clients", 10000, 1, 100000000));
-    population.speed_sigma =
-        pop.optional_double_in("speed_sigma", 0.5, 0.0, 10.0);
-    population.median_download_mbps =
-        pop.optional_double_in("median_download_mbps", 8.0, 1e-3, 1e5);
-    population.median_upload_mbps =
-        pop.optional_double_in("median_upload_mbps", 3.0, 1e-3, 1e5);
-    population.bandwidth_sigma =
-        pop.optional_double_in("bandwidth_sigma", 0.7, 0.0, 10.0);
-    population.dropout_probability =
-        pop.optional_double_in("dropout_probability", 0.05, 0.0, 1.0);
-    population.seed = static_cast<std::uint64_t>(
-        pop.optional_int_in("seed", 17, 0, 1L << 62));
+    population.num_clients = static_cast<int>(pop.integer("num_clients"));
+    population.speed_sigma = pop.number("speed_sigma");
+    population.median_download_mbps = pop.number("median_download_mbps");
+    population.median_upload_mbps = pop.number("median_upload_mbps");
+    population.bandwidth_sigma = pop.number("bandwidth_sigma");
+    population.dropout_probability = pop.number("dropout_probability");
+    population.seed = static_cast<std::uint64_t>(pop.integer("seed"));
 
     FlEstimatorAssumptions assumptions = default_fl_assumptions();
-    assumptions.grid = profile_by_name(params, "grid", "us-average");
-    assumptions.device_power =
-        watts(params.optional_double_in("device_power_w", 3.0, 0.0, 1000.0));
-    assumptions.router_power =
-        watts(params.optional_double_in("router_power_w", 7.5, 0.0, 1000.0));
+    assumptions.grid = profile_by_name(params, "grid");
+    assumptions.device_power = watts(params.number("device_power_w"));
+    assumptions.router_power = watts(params.number("router_power_w"));
 
     // Run-level fault gate over the campaign window (server-side crashes
     // force round re-runs from the last aggregation checkpoint).
@@ -1146,7 +1094,7 @@ class FlRoundsSimulation final : public Simulation {
                           "wasted_energy_j"));
     }
 
-    if (params.optional_bool("include_baselines", true)) {
+    if (params.flag("include_baselines")) {
       JsonValue baselines = JsonValue::array();
       for (const CentralizedBaseline& base : figure11_baselines()) {
         out.summary_rows.push_back({"baseline " + base.name + " carbon",
@@ -1165,81 +1113,69 @@ class FlRoundsSimulation final : public Simulation {
 
 // --- lifecycle_estimate ---------------------------------------------------
 
+std::vector<ParamDoc> lifecycle_estimate_params() {
+  std::vector<ParamDoc> rows = {
+      P::text("model", "LM",
+              "production-model name, or \"custom\" with a custom block"),
+      P::text("device", "v100",
+              "reference accelerator (" + hw::catalog::known_names() + ")"),
+      P::text("grid", "us-average", "accounting grid profile"),
+      P::number("pue", kHyperscalePue, 1, 3, "facility PUE"),
+      P::number("cfe", 0, 0, 1, "market-based carbon-free matching share"),
+      P::number("utilization", 0.5, 0, 1, "device utilization while training"),
+      P::number("fleet_utilization", 0.45, 0.01, 1,
+                "fleet-average utilization for embodied amortization"),
+      P::number("window_days", 90, 1, 36500, "analysis window (days)"),
+      P::text("custom.name", "custom-model", "custom model label"),
+      P::number("custom.data_gpu_days", 0, 0, 1e9, "data-phase GPU-days"),
+      P::number("custom.experimentation_gpu_days", 0, 0, 1e9,
+                "experimentation GPU-days"),
+      P::number("custom.offline_training_gpu_days", 0, 0, 1e9,
+                "offline-training GPU-days"),
+      P::number("custom.online_training_gpu_days", 0, 0, 1e9,
+                "online-training GPU-days"),
+      P::number("custom.inference_gpu_days", 0, 0, 1e9, "inference GPU-days"),
+  };
+  return concat({rows, fault_params("")});
+}
+
 class LifecycleEstimateSimulation final : public Simulation {
  public:
-  std::string name() const override { return "lifecycle_estimate"; }
+  LifecycleEstimateSimulation()
+      : Simulation("lifecycle_estimate",
+                   "per-phase lifecycle footprint "
+                   "(Data/Experimentation/Training/Inference, operational + "
+                   "embodied) of a catalog model or a custom GPU-day workload "
+                   "(Section II, Figures 3-5)",
+                   lifecycle_estimate_params()) {}
 
-  std::string description() const override {
-    return "per-phase lifecycle footprint (Data/Experimentation/Training/"
-           "Inference, operational + embodied) of a catalog model or a "
-           "custom GPU-day workload (Section II, Figures 3-5)";
-  }
-
-  std::vector<ParamDoc> params() const override {
-    std::vector<ParamDoc> docs = {
-        {"model", "string", "LM",
-         "production-model name, or \"custom\" with a custom block"},
-        {"device", "string", "v100",
-         "reference accelerator (" + hw::catalog::known_names() + ")"},
-        {"grid", "string", "us-average", "accounting grid profile"},
-        {"pue", "number", "1.1", "facility PUE"},
-        {"cfe", "number", "0", "market-based carbon-free matching share"},
-        {"utilization", "number", "0.5", "device utilization while training"},
-        {"fleet_utilization", "number", "0.45",
-         "fleet-average utilization for embodied amortization"},
-        {"window_days", "number", "90", "analysis window (days)"},
-        {"custom.data_gpu_days", "number", "0", "data-phase GPU-days"},
-        {"custom.experimentation_gpu_days", "number", "0",
-         "experimentation GPU-days"},
-        {"custom.offline_training_gpu_days", "number", "0",
-         "offline-training GPU-days"},
-        {"custom.online_training_gpu_days", "number", "0",
-         "online-training GPU-days"},
-        {"custom.inference_gpu_days", "number", "0", "inference GPU-days"},
-    };
-    append_docs(docs, fault_param_docs());
-    return docs;
-  }
-
-  RunResult run(const Spec& params, const RunContext& ctx) const override {
-    params.allow_only({"model", "device", "grid", "pue", "cfe", "utilization",
-                       "fleet_utilization", "window_days", "custom",
-                       "faults"});
+  RunResult run(const Params& params, const RunContext& ctx) const override {
     using namespace mlcycle;
 
-    const Duration window =
-        days(params.optional_double_in("window_days", 90.0, 1.0, 36500.0));
+    const Duration window = days(params.number("window_days"));
     AccountingContext ctx_acct{
-        OperationalCarbonModel(
-            params.optional_double_in("pue", kHyperscalePue, 1.0, 3.0),
-            profile_by_name(params, "grid", "us-average"),
-            params.optional_double_in("cfe", 0.0, 0.0, 1.0)),
-        device_by_name(params, "device", "v100"),
-        params.optional_double_in("utilization", 0.5, 0.0, 1.0),
-        params.optional_double_in("fleet_utilization", 0.45, 0.01, 1.0),
-        window};
+        OperationalCarbonModel(params.number("pue"),
+                               profile_by_name(params, "grid"),
+                               params.number("cfe")),
+        device_by_name(params, "device"), params.number("utilization"),
+        params.number("fleet_utilization"), window};
 
     const std::optional<fault::RunGateResult> gate =
         gate_run(params, ctx.seed, window);
 
-    const std::string model_name = params.optional_string("model", "LM");
+    const std::string model_name = params.text("model");
     ProductionModel model;
     if (model_name == "custom") {
-      const Spec custom = params.optional_child("custom");
-      custom.allow_only({"name", "data_gpu_days", "experimentation_gpu_days",
-                         "offline_training_gpu_days", "online_training_gpu_days",
-                         "inference_gpu_days"});
-      model.name = custom.optional_string("name", "custom-model");
-      model.data_gpu_days =
-          custom.optional_double_in("data_gpu_days", 0.0, 0.0, 1e9);
+      const Params custom = params.child("custom");
+      model.name = custom.text("name");
+      model.data_gpu_days = custom.number("data_gpu_days");
       model.experimentation_gpu_days =
-          custom.optional_double_in("experimentation_gpu_days", 0.0, 0.0, 1e9);
-      model.offline_training_gpu_days = custom.optional_double_in(
-          "offline_training_gpu_days", 0.0, 0.0, 1e9);
+          custom.number("experimentation_gpu_days");
+      model.offline_training_gpu_days =
+          custom.number("offline_training_gpu_days");
       model.online_training_gpu_days =
-          custom.optional_double_in("online_training_gpu_days", 0.0, 0.0, 1e9);
-      model.inference_gpu_days =
-          custom.optional_double_in("inference_gpu_days", 0.0, 0.0, 1e9);
+          custom.number("online_training_gpu_days");
+      model.inference_gpu_days = custom.number("inference_gpu_days");
     } else {
       bool found = false;
       for (ProductionModel& m : production_models(ctx_acct)) {
@@ -1307,58 +1243,53 @@ class LifecycleEstimateSimulation final : public Simulation {
 
 // --- scaling_sweep --------------------------------------------------------
 
+// The law's defaults are the module's own.
+std::vector<ParamDoc> scaling_sweep_params() {
+  const scaling::RecsysScalingLaw law;
+  std::vector<ParamDoc> rows = {
+      {.name = "data_factors", .kind = Kind::kNumberList,
+       .fallback = report::parse_json("[1, 2, 4, 8, 16]"),
+       .description = "data scale multipliers"},
+      {.name = "model_factors", .kind = Kind::kNumberList,
+       .fallback = report::parse_json("[1, 2, 4, 8, 16]"),
+       .description = "model scale multipliers"},
+      P::number("law.ne_floor", law.ne_floor, 0, 10, "NE saturation floor"),
+      P::number("law.data_coeff", law.data_coeff, 0, 10,
+                "data-term coefficient"),
+      P::number("law.data_exp", law.data_exp, 0, 10, "data-term exponent"),
+      P::number("law.model_coeff", law.model_coeff, 0, 10,
+                "model-term coefficient"),
+      P::number("law.model_exp", law.model_exp, 0, 10, "model-term exponent"),
+      P::number("law.model_energy_exponent", law.model_energy_exponent, 0, 3,
+                "per-step energy ~ model^e"),
+  };
+  return concat({rows, fault_params("")});
+}
+
 class ScalingSweepSimulation final : public Simulation {
  public:
-  std::string name() const override { return "scaling_sweep"; }
+  ScalingSweepSimulation()
+      : Simulation("scaling_sweep",
+                   "data/model tandem-scaling grid for recommendation models: "
+                   "normalized entropy vs training energy, Pareto frontier, "
+                   "and the paper's tiny frontier power-law exponent (Figure "
+                   "12, Appendix A)",
+                   scaling_sweep_params()) {}
 
-  std::string description() const override {
-    return "data/model tandem-scaling grid for recommendation models: "
-           "normalized entropy vs training energy, Pareto frontier, and the "
-           "paper's tiny frontier power-law exponent (Figure 12, Appendix A)";
-  }
-
-  std::vector<ParamDoc> params() const override {
-    std::vector<ParamDoc> docs = {
-        {"data_factors", "number list", "[1, 2, 4, 8, 16]",
-         "data scale multipliers"},
-        {"model_factors", "number list", "[1, 2, 4, 8, 16]",
-         "model scale multipliers"},
-        {"law.ne_floor", "number", "0.75", "NE saturation floor"},
-        {"law.data_coeff", "number", "0.04", "data-term coefficient"},
-        {"law.data_exp", "number", "0.04", "data-term exponent"},
-        {"law.model_coeff", "number", "0.035", "model-term coefficient"},
-        {"law.model_exp", "number", "0.04", "model-term exponent"},
-        {"law.model_energy_exponent", "number", "0.6667",
-         "per-step energy ~ model^e"},
-    };
-    append_docs(docs, fault_param_docs());
-    return docs;
-  }
-
-  RunResult run(const Spec& params, const RunContext& ctx) const override {
-    params.allow_only({"data_factors", "model_factors", "law", "faults"});
+  RunResult run(const Params& params, const RunContext& ctx) const override {
     using namespace scaling;
 
-    const Spec law_spec = params.optional_child("law");
-    law_spec.allow_only({"ne_floor", "data_coeff", "data_exp", "model_coeff",
-                         "model_exp", "model_energy_exponent"});
+    const Params law_spec = params.child("law");
     RecsysScalingLaw law;
-    law.ne_floor = law_spec.optional_double_in("ne_floor", law.ne_floor, 0.0, 10.0);
-    law.data_coeff =
-        law_spec.optional_double_in("data_coeff", law.data_coeff, 0.0, 10.0);
-    law.data_exp =
-        law_spec.optional_double_in("data_exp", law.data_exp, 0.0, 10.0);
-    law.model_coeff =
-        law_spec.optional_double_in("model_coeff", law.model_coeff, 0.0, 10.0);
-    law.model_exp =
-        law_spec.optional_double_in("model_exp", law.model_exp, 0.0, 10.0);
-    law.model_energy_exponent = law_spec.optional_double_in(
-        "model_energy_exponent", law.model_energy_exponent, 0.0, 3.0);
+    law.ne_floor = law_spec.number("ne_floor");
+    law.data_coeff = law_spec.number("data_coeff");
+    law.data_exp = law_spec.number("data_exp");
+    law.model_coeff = law_spec.number("model_coeff");
+    law.model_exp = law_spec.number("model_exp");
+    law.model_energy_exponent = law_spec.number("model_energy_exponent");
 
-    const std::vector<double> data_factors = params.optional_number_list(
-        "data_factors", {1.0, 2.0, 4.0, 8.0, 16.0});
-    const std::vector<double> model_factors = params.optional_number_list(
-        "model_factors", {1.0, 2.0, 4.0, 8.0, 16.0});
+    const std::vector<double> data_factors = params.numbers("data_factors");
+    const std::vector<double> model_factors = params.numbers("model_factors");
     for (double f : data_factors) {
       if (f <= 0.0) {
         throw SpecError(params.path() +

@@ -18,20 +18,9 @@
 #include "exec/thread_pool.h"
 #include "report/json.h"
 #include "report/table.h"
-#include "scenario/spec.h"
+#include "scenario/params.h"
 
 namespace sustainai::scenario {
-
-// Documentation of one accepted parameter, surfaced by `sustainai
-// scenarios` and by error paths. `name` is the dotted path inside the
-// spec's "params" object ("grid.solar_share"); `default_value` is empty for
-// required parameters.
-struct ParamDoc {
-  std::string name;
-  std::string type;  // "number", "int", "string", "bool", "number list", ...
-  std::string default_value;
-  std::string description;
-};
 
 // Uniform checkpoint/resume request, honored by every simulation that
 // advertises supports_checkpoint(). The run is split into segments; at each
@@ -100,22 +89,36 @@ struct RunContext {
   CheckpointRequest checkpoint;
 };
 
+// A simulation is its name, description and param table (every param it
+// accepts, with kind, default, range and doc), plus run().
 class Simulation {
  public:
+  Simulation(std::string name, std::string description,
+             std::vector<ParamDoc> params, bool checkpointable = false)
+      : name_(std::move(name)),
+        description_(std::move(description)),
+        params_(std::move(params)),
+        checkpointable_(checkpointable) {}
   virtual ~Simulation() = default;
 
-  [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual std::string description() const = 0;
-  [[nodiscard]] virtual std::vector<ParamDoc> params() const = 0;
-
+  [[nodiscard]] const std::string& name() const { return name_; }
+  [[nodiscard]] const std::string& description() const { return description_; }
+  [[nodiscard]] const std::vector<ParamDoc>& params() const { return params_; }
   // True when the simulation honors RunContext::checkpoint (segmented
-  // advance, canonical-JSON snapshots, resume). Default: no.
-  [[nodiscard]] virtual bool supports_checkpoint() const { return false; }
+  // advance, canonical-JSON snapshots, resume).
+  [[nodiscard]] bool supports_checkpoint() const { return checkpointable_; }
 
-  // Runs the simulation. `params` is the spec's "params" object; unknown or
-  // ill-typed keys throw SpecError with the full JSON path.
-  [[nodiscard]] virtual RunResult run(const Spec& params,
+  // Runs the simulation. `params` is the spec's "params" object, checked
+  // against params() (the Runner builds it); values out of a run-time bound
+  // and unknown catalog names throw SpecError with the full JSON path.
+  [[nodiscard]] virtual RunResult run(const Params& params,
                                       const RunContext& ctx) const = 0;
+
+ private:
+  std::string name_;
+  std::string description_;
+  std::vector<ParamDoc> params_;
+  bool checkpointable_;
 };
 
 }  // namespace sustainai::scenario

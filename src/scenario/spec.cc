@@ -247,10 +247,10 @@ std::vector<std::string> Spec::optional_string_list(
   return out;
 }
 
-void Spec::allow_only(std::initializer_list<std::string_view> allowed) const {
+void Spec::allow_only(const std::vector<std::string>& allowed) const {
   for (const JsonValue::Member& m : node_->members()) {
     bool known = false;
-    for (std::string_view a : allowed) {
+    for (const std::string& a : allowed) {
       if (m.first == a) {
         known = true;
         break;
@@ -258,7 +258,7 @@ void Spec::allow_only(std::initializer_list<std::string_view> allowed) const {
     }
     if (!known) {
       std::string names;
-      for (std::string_view a : allowed) {
+      for (const std::string& a : allowed) {
         if (!names.empty()) {
           names += ", ";
         }

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -93,7 +92,7 @@ class Spec {
 
   // Rejects keys outside `allowed` — the strict-schema backstop that turns
   // a typo ("sloar_share") into an error naming the valid keys.
-  void allow_only(std::initializer_list<std::string_view> allowed) const;
+  void allow_only(const std::vector<std::string>& allowed) const;
 
  private:
   Spec(std::shared_ptr<const report::JsonValue> root,

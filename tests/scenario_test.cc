@@ -8,10 +8,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
+#include <map>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/thread_pool.h"
@@ -29,6 +33,8 @@ using report::canonical_json;
 using report::parse_json;
 using report::shortest_double;
 using scenario::Bundle;
+using scenario::ParamDoc;
+using scenario::Params;
 using scenario::Registry;
 using scenario::RunContext;
 using scenario::Runner;
@@ -463,6 +469,207 @@ TEST(Spec, UnknownScenarioListsAvailable) {
   }
 }
 
+// --- Characterization: every schema error text, pinned in full ------------
+
+// The SpecError message a spec fails with ("" when it runs).
+std::string spec_error(const std::string& text) {
+  try {
+    (void)Runner().run_text(text);
+  } catch (const SpecError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// For each adapter and each declared sub-object, the full unknown-key
+// message and one out-of-range message, plus type and catalog-lookup texts.
+// A refactor of how params are declared must leave every one of these
+// byte-identical; "valid keys" lists follow the param table's declaration
+// order.
+struct PinnedError {
+  const char* scenario;
+  const char* params;
+  const char* message;
+};
+
+TEST(SpecErrors, ScenarioErrorTextsArePinned) {
+  const PinnedError cases[] = {
+      {"fleet", R"({"dayz": 7})",
+       "$.params.dayz: unknown key; valid keys: days, step_min, chunk_steps,"
+       " autoscaler, opportunistic, opportunistic_utilization,"
+       " checkpoint_segments, pue, cfe, web_servers, train_servers,"
+       " train_utilization, web_load, grid, faults"},
+      {"fleet", R"({"days": 0})",
+       "$.params.days: 0 is outside [0.01, 3650]"},
+      {"planet", R"({"yearz": 1})",
+       "$.params.yearz: unknown key; valid keys: years, step_min,"
+       " chunk_steps, pue, cfe, autoscaler, opportunistic,"
+       " opportunistic_utilization, checkpoint_segments, regions"},
+      {"planet", R"({"years": 200, "regions": [{}]})",
+       "$.params.years: 200 is outside [0.001, 100]"},
+      {"queue_schedule", R"({"jobz": 1})",
+       "$.params.jobz: unknown key; valid keys: jobs, power_kw, duration_h,"
+       " slack_h, arrival_spread_h, machines, step_min, pue,"
+       " green_threshold_g_per_kwh, max_horizon_days, policies,"
+       " checkpoint_segments, grid, faults"},
+      {"queue_schedule", R"({"machines": 0})",
+       "$.params.machines: 0 is outside [1, 1000000]"},
+      {"cross_region_schedule", R"({"polcy": "fifo"})",
+       "$.params.polcy: unknown key; valid keys: jobs, power_kw, duration_h,"
+       " slack_h, arrival_spread_h, policy, threshold_g_per_kwh,"
+       " probe_step_min, pue, regions, faults"},
+      {"cross_region_schedule", R"({"probe_step_min": 0, "regions": [{}]})",
+       "$.params.probe_step_min: 0 is outside [0.1, 1440]"},
+      {"fl_rounds", R"({"clients": 5})",
+       "$.params.clients: unknown key; valid keys: name, clients_per_round,"
+       " rounds_per_day, days, model_mb, compute_min, seed, grid,"
+       " device_power_w, router_power_w, include_baselines, population,"
+       " faults"},
+      {"fl_rounds", R"({"rounds_per_day": 0})",
+       "$.params.rounds_per_day: 0 is outside [0.001, 100000]"},
+      {"lifecycle_estimate", R"({"modle": "LM"})",
+       "$.params.modle: unknown key; valid keys: model, device, grid, pue,"
+       " cfe, utilization, fleet_utilization, window_days, custom, faults"},
+      {"lifecycle_estimate", R"({"window_days": 0.5})",
+       "$.params.window_days: 0.5 is outside [1, 36500]"},
+      {"scaling_sweep", R"({"laws": {}})",
+       "$.params.laws: unknown key; valid keys: data_factors, model_factors,"
+       " law, faults"},
+      {"scaling_sweep", R"({"law": {"model_energy_exponent": 4}})",
+       "$.params.law.model_energy_exponent: 4 is outside [0, 3]"},
+      {"fleet", R"({"grid": {"sloar_share": 0.5}})",
+       "$.params.grid.sloar_share: unknown key; valid keys: name,"
+       " solar_share, wind_share, firm_share, sunrise_hour, sunset_hour, seed"},
+      {"fleet", R"({"grid": {"solar_share": 2}})",
+       "$.params.grid.solar_share: 2 is outside [0, 1]"},
+      {"fleet", R"({"faults": {"host_crash": 1}})",
+       "$.params.faults.host_crash: unknown key; valid keys:"
+       " host_crash_per_day,"
+       " preemption_per_day, sdc_per_day, grid_gap_per_day, crash_rewarm_min,"
+       " gap_duration_min, max_retries, backoff_min, backoff_multiplier,"
+       " checkpoint_interval_min, checkpoint_cost_s, sdc_detection_coverage,"
+       " seed"},
+      {"fleet", R"({"faults": {"backoff_multiplier": 0.5}})",
+       "$.params.faults.backoff_multiplier: 0.5 is outside [1, 100]"},
+      {"fleet", R"({"web_load": {"trof": 0.1}})",
+       "$.params.web_load.trof: unknown key; valid keys: trough, peak,"
+       " peak_hour"},
+      {"fleet", R"({"web_load": {"peak": 2}})",
+       "$.params.web_load.peak: 2 is outside [0, 1]"},
+      {"planet", R"({"regions": [{"nmae": "x"}]})",
+       "$.params.regions[0].nmae: unknown key; valid keys: name,"
+       " utc_offset_h, pue, cfe, web_servers, train_servers,"
+       " train_utilization, web_load, grid, faults"},
+      {"planet", R"({"regions": [{"utc_offset_h": 25}]})",
+       "$.params.regions[0].utc_offset_h: 25 is outside [0, 24]"},
+      {"planet", R"({"regions": [{"grid": {"wind": 1}}]})",
+       "$.params.regions[0].grid.wind: unknown key; valid keys: name,"
+       " solar_share, wind_share, firm_share, sunrise_hour, sunset_hour, seed"},
+      {"planet", R"({"regions": [{"faults": {"sdc_detection_coverage": 1}}]})",
+       "$.params.regions[0].faults.sdc_detection_coverage: 1 is outside [0,"
+       " 0.999]"},
+      {"cross_region_schedule", R"({"regions": [{"nmae": "x"}]})",
+       "$.params.regions[0].nmae: unknown key; valid keys: name, solar_share,"
+       " wind_share, firm_share, sunrise_hour, sunset_hour, seed"},
+      {"cross_region_schedule", R"({"regions": [{"sunset_hour": 25}]})",
+       "$.params.regions[0].sunset_hour: 25 is outside [0, 24]"},
+      {"fl_rounds", R"({"population": {"clients": 5}})",
+       "$.params.population.clients: unknown key; valid keys: num_clients,"
+       " speed_sigma, median_download_mbps, median_upload_mbps,"
+       " bandwidth_sigma, dropout_probability, seed"},
+      {"fl_rounds", R"({"population": {"dropout_probability": 2}})",
+       "$.params.population.dropout_probability: 2 is outside [0, 1]"},
+      {"scaling_sweep", R"({"law": {"floor": 1}})",
+       "$.params.law.floor: unknown key; valid keys: ne_floor, data_coeff,"
+       " data_exp, model_coeff, model_exp, model_energy_exponent"},
+      {"scaling_sweep", R"({"law": {"ne_floor": 11}})",
+       "$.params.law.ne_floor: 11 is outside [0, 10]"},
+      {"lifecycle_estimate",
+       R"({"model": "custom", "custom": {"dataa_gpu_days": 1}})",
+       "$.params.custom.dataa_gpu_days: unknown key; valid keys: name,"
+       " data_gpu_days, experimentation_gpu_days, offline_training_gpu_days,"
+       " online_training_gpu_days, inference_gpu_days"},
+      {"lifecycle_estimate",
+       R"({"model": "custom", "custom": {"data_gpu_days": -1}})",
+       "$.params.custom.data_gpu_days: -1 is outside [0, 1000000000]"},
+      {"fleet", R"({"checkpoint_segments": 99})",
+       "$.params.checkpoint_segments: 99 is outside [1, 2]"},
+      {"planet", R"({"regions": []})",
+       "$.params.regions: need 1 to 10000 regions, got 0"},
+      {"fleet", R"({"grid": {"seed": 1.5}})",
+       "$.params.grid.seed: expected an integer, got 1.5"},
+      {"fleet", R"({"autoscaler": 1})",
+       "$.params.autoscaler: expected a bool, got number"},
+      {"queue_schedule", R"({"policies": ["lifo"]})",
+       "$.params.policies: unknown policy 'lifo'; available: fifo,"
+       " greedy_green"},
+      {"cross_region_schedule", R"({"policy": "lifo", "regions": [{}]})",
+       "$.params.policy: unknown policy 'lifo'; available: fifo, threshold,"
+       " forecast"},
+      {"lifecycle_estimate", R"({"device": "tpu9"})",
+       "$.params.device: unknown device 'tpu9'; available: nvidia-p100,"
+       " nvidia-v100, nvidia-a100, tpu-like, cpu-server-28c"},
+      {"lifecycle_estimate", R"({"model": "GPT-9"})",
+       "$.params.model: unknown model 'GPT-9'; available: LM, RM1, RM2, RM3,"
+       " RM4, RM5, custom"},
+      {"fl_rounds", R"({"grid": "mars"})",
+       "$.params.grid: unknown grid 'mars'; available: us-average,"
+       " us-midwest-coal, us-west-solar, nordic-hydro, asia-pacific,"
+       " hydro-quebec"},
+      {"scaling_sweep", R"({"data_factors": [1, "x"]})",
+       "$.params.data_factors[1]: expected a number, got string"},
+      {"scaling_sweep", R"({"model_factors": [0]})",
+       "$.params.model_factors: factors must be positive"},
+      {"queue_schedule", R"({"policies": "fifo"})",
+       "$.params.policies: expected an array, got string"},
+      {"fleet", R"({"grid": {"name": "mars-fusion"}})",
+       "$.params.grid.name: unknown grid 'mars-fusion'; available: us-average,"
+       " us-midwest-coal, us-west-solar, nordic-hydro, asia-pacific,"
+       " hydro-quebec"},
+  };
+  for (const PinnedError& c : cases) {
+    const std::string text = std::string(R"({"scenario": ")") + c.scenario +
+                             R"(", "params": )" + c.params + "}";
+    EXPECT_EQ(spec_error(text), c.message) << text;
+  }
+}
+
+TEST(SpecErrors, RunnerErrorTextsArePinned) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"scenario": "fleet", "artifacts": {"traces": true}})",
+       "$.artifacts.traces: unknown key; valid keys: trace, metrics"},
+      {R"({"scenario": "fleet", "unknown_top": 1})",
+       "$.unknown_top: unknown key; valid keys: scenario, seed, params,"
+       " artifacts, checkpoint_segments"},
+      {R"({"scenario": "fleet", "seed": -1})",
+       "$.seed: -1 is outside [0, 4611686018427387904]"},
+      {R"({"scenario": "fleet", "checkpoint_segments": 0})",
+       "$.checkpoint_segments: 0 is outside [1, 1000000]"},
+  };
+  for (const auto& [text, message] : cases) {
+    EXPECT_EQ(spec_error(text), message) << text;
+  }
+}
+
+// The whole declared tree is checked, whichever branch the adapter reads.
+TEST(SpecErrors, CustomBlockIsCheckedForCatalogModels) {
+  EXPECT_EQ(spec_error(R"({"scenario": "lifecycle_estimate",
+                          "params": {"model": "LM",
+                                     "custom": {"dataa_gpu_days": 1}}})"),
+            "$.params.custom.dataa_gpu_days: unknown key; valid keys: name,"
+            " data_gpu_days, experimentation_gpu_days,"
+            " offline_training_gpu_days, online_training_gpu_days,"
+            " inference_gpu_days");
+}
+
+TEST(SpecErrors, ThresholdIsRangeCheckedForEveryPolicy) {
+  EXPECT_EQ(spec_error(R"({"scenario": "cross_region_schedule",
+                          "params": {"policy": "forecast",
+                                     "threshold_g_per_kwh": 6000,
+                                     "regions": [{}]}})"),
+            "$.params.threshold_g_per_kwh: 6000 is outside [0, 5000]");
+}
+
 // --- Registry round-trip for every built-in simulation --------------------
 
 const char* minimal_spec(const std::string& name) {
@@ -543,6 +750,230 @@ TEST(Registry, EverySimulationRunsFromJsonAndRoundTrips) {
       EXPECT_EQ(again.files[i].filename, bundle.files[i].filename);
       EXPECT_EQ(again.files[i].content, bundle.files[i].content);
     }
+  }
+}
+
+// --- Param tables: one declaration per parameter --------------------------
+
+// Sets the dotted `path` in `node` to `value` unless it is already set,
+// creating sub-objects on the way; "key[i]" sets it in every item of an
+// existing list at `key`.
+void set_missing(JsonValue& node, const std::string& path,
+                 const JsonValue& value) {
+  const std::size_t cut = path.find_first_of(".[");
+  const std::string key = path.substr(0, cut);
+  if (cut == std::string::npos) {
+    if (node.find(key) == nullptr) {
+      node.set(key, value);
+    }
+    return;
+  }
+  if (path[cut] == '[') {
+    if (node.find(key) == nullptr) {
+      return;
+    }
+    JsonValue items = JsonValue::array();
+    for (JsonValue item : node.find(key)->items()) {
+      set_missing(item, path.substr(cut + 4), value);
+      items.append(std::move(item));
+    }
+    node.set(key, std::move(items));
+    return;
+  }
+  if (node.find(key) == nullptr) {
+    node.set(key, JsonValue::object());
+  }
+  set_missing(*node.find(key), path.substr(cut + 1), value);
+}
+
+std::vector<std::string> prefixed(const std::string& prefix,
+                                  const std::vector<std::string>& keys) {
+  std::vector<std::string> out;
+  for (const std::string& k : keys) {
+    out.push_back(prefix + k);
+  }
+  return out;
+}
+
+std::vector<std::string> joined(
+    std::initializer_list<std::vector<std::string>> parts) {
+  std::vector<std::string> out;
+  for (const std::vector<std::string>& part : parts) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
+}
+
+// Every param each built-in documents, in listing order: the set documented
+// before the param tables, plus lifecycle_estimate's custom.name, which the
+// adapter always read.
+TEST(ParamTable, DocumentedParamsArePinned) {
+  const std::vector<std::string> grid = {"name",         "solar_share",
+                                         "wind_share",   "firm_share",
+                                         "sunrise_hour", "sunset_hour",
+                                         "seed"};
+  const std::vector<std::string> faults = prefixed(
+      "faults.",
+      {"host_crash_per_day", "preemption_per_day", "sdc_per_day",
+       "grid_gap_per_day", "crash_rewarm_min", "gap_duration_min",
+       "max_retries", "backoff_min", "backoff_multiplier",
+       "checkpoint_interval_min", "checkpoint_cost_s",
+       "sdc_detection_coverage", "seed"});
+  const auto region = [&](const std::string& p) {
+    return joined({prefixed(p, {"pue", "cfe", "web_servers", "train_servers",
+                                "train_utilization", "web_load.trough",
+                                "web_load.peak", "web_load.peak_hour"}),
+                   prefixed(p + "grid.", grid), prefixed(p, faults)});
+  };
+  const std::vector<std::string> fleet_run = {
+      "autoscaler", "opportunistic", "opportunistic_utilization",
+      "checkpoint_segments"};
+  const std::vector<std::string> jobs = {"jobs", "power_kw", "duration_h",
+                                         "slack_h", "arrival_spread_h"};
+  const std::map<std::string, std::vector<std::string>> expected = {
+      {"fleet",
+       joined({{"days", "step_min", "chunk_steps"}, fleet_run, region("")})},
+      {"planet",
+       joined({{"years", "step_min", "chunk_steps", "pue", "cfe"},
+               fleet_run,
+               {"regions", "regions[i].name", "regions[i].utc_offset_h"},
+               region("regions[i].")})},
+      {"queue_schedule",
+       joined({jobs,
+               {"machines", "step_min", "pue", "green_threshold_g_per_kwh",
+                "max_horizon_days", "policies", "checkpoint_segments"},
+               prefixed("grid.", grid), faults})},
+      {"cross_region_schedule",
+       joined({jobs,
+               {"policy", "threshold_g_per_kwh", "probe_step_min", "pue",
+                "regions"},
+               prefixed("regions[i].", grid), faults})},
+      {"fl_rounds",
+       joined({{"name", "clients_per_round", "rounds_per_day", "days",
+                "model_mb", "compute_min", "seed", "grid", "device_power_w",
+                "router_power_w", "include_baselines"},
+               prefixed("population.",
+                        {"num_clients", "speed_sigma", "median_download_mbps",
+                         "median_upload_mbps", "bandwidth_sigma",
+                         "dropout_probability", "seed"}),
+               faults})},
+      {"lifecycle_estimate",
+       joined({{"model", "device", "grid", "pue", "cfe", "utilization",
+                "fleet_utilization", "window_days"},
+               prefixed("custom.",
+                        {"name", "data_gpu_days", "experimentation_gpu_days",
+                         "offline_training_gpu_days",
+                         "online_training_gpu_days", "inference_gpu_days"}),
+               faults})},
+      {"scaling_sweep",
+       joined({{"data_factors", "model_factors"},
+               prefixed("law.", {"ne_floor", "data_coeff", "data_exp",
+                                 "model_coeff", "model_exp",
+                                 "model_energy_exponent"}),
+               faults})},
+  };
+  for (const scenario::Simulation* sim : Registry::global().simulations()) {
+    std::vector<std::string> names;
+    for (const ParamDoc& doc : sim->params()) {
+      names.push_back(doc.name);
+    }
+    EXPECT_EQ(names, expected.at(sim->name())) << sim->name();
+  }
+}
+
+// Accepted equals documented: a spec setting any one documented param
+// passes the table check, and an undocumented key next to any documented
+// one fails it by name.
+TEST(ParamTable, AcceptsExactlyTheDocumentedPaths) {
+  for (const scenario::Simulation* sim : Registry::global().simulations()) {
+    for (const ParamDoc& doc : sim->params()) {
+      SCOPED_TRACE(sim->name() + " " + doc.name);
+      JsonValue value = JsonValue::number(doc.min);
+      switch (doc.kind) {
+        case ParamDoc::Kind::kBool:
+          value = JsonValue::boolean(false);
+          break;
+        case ParamDoc::Kind::kString:
+          value = JsonValue::string("x");
+          break;
+        case ParamDoc::Kind::kNumberList:
+          value = JsonValue::array().append(JsonValue::number(1));
+          break;
+        case ParamDoc::Kind::kStringList:
+          value = JsonValue::array().append(JsonValue::string("x"));
+          break;
+        case ParamDoc::Kind::kObjectList:
+          value = JsonValue::array();
+          break;
+        default:
+          break;
+      }
+      const auto with = [&](const std::string& path, const JsonValue& v) {
+        JsonValue params = JsonValue::object();
+        if (const std::size_t i = path.find("[i]"); i != std::string::npos) {
+          params.set(path.substr(0, i),
+                     JsonValue::array().append(JsonValue::object()));
+        }
+        set_missing(params, path, v);
+        return Spec::from_value(std::move(params));
+      };
+      EXPECT_NO_THROW(Params(with(doc.name, value), sim->params()));
+      const std::string sibling =
+          doc.name.substr(0, doc.name.find_last_of('.') + 1) + "not_a_param";
+      try {
+        (void)Params(with(sibling, JsonValue::number(1)), sim->params());
+        ADD_FAILURE() << sibling << " was accepted";
+      } catch (const SpecError& e) {
+        EXPECT_NE(std::string(e.what()).find("not_a_param: unknown key"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+// A read must match its row: the key declared, the kind, and a fallback or
+// bound passed only where the row documents one computed at the read.
+TEST(ParamTable, ReadsOtherThanDeclaredAreProgramErrors) {
+  std::vector<ParamDoc> table = {
+      ParamDoc::number("x", 1, 0, 2, "static default"),
+      ParamDoc::integer("n", 1, 1, 9, "static bound"),
+  };
+  table.push_back({.name = "seed", .kind = ParamDoc::Kind::kInt, .max = 9,
+                   .default_doc = "the run seed"});
+  const Params p(Spec::parse(R"({"x": 2})"), table);
+  EXPECT_EQ(p.number("x"), 2.0);
+  EXPECT_EQ(p.integer("seed", 7), 7);
+  EXPECT_THROW((void)p.number("y"), std::logic_error);
+  EXPECT_THROW((void)p.integer("x"), std::logic_error);
+  EXPECT_THROW((void)p.number("x", 1.5), std::logic_error);
+  EXPECT_THROW((void)p.integer("seed"), std::logic_error);
+  EXPECT_THROW((void)p.integer("n", {}, 5), std::logic_error);
+}
+
+// Every default as documented, written out, reproduces the minimal spec's
+// result: the listing states the very values the reads use.
+TEST(ParamTable, DocumentedDefaultsReproduceTheMinimalSpec) {
+  const Runner runner;
+  for (const scenario::Simulation* sim : Registry::global().simulations()) {
+    SCOPED_TRACE(sim->name());
+    const std::string minimal = minimal_spec(sim->name());
+    JsonValue spec = parse_json(minimal);
+    JsonValue params = *spec.find("params");
+    for (const ParamDoc& doc : sim->params()) {
+      if (doc.fallback.is_null() || !doc.default_doc.empty()) {
+        continue;  // required, or computed by the run
+      }
+      set_missing(params, doc.name,
+                  doc.kind == ParamDoc::Kind::kString
+                      ? JsonValue::string(doc.default_text())
+                      : parse_json(doc.default_text()));
+    }
+    spec.set("params", std::move(params));
+    EXPECT_EQ(runner.run(Spec::from_value(std::move(spec)))
+                  .find("result.json")
+                  ->content,
+              runner.run_text(minimal).find("result.json")->content);
   }
 }
 

@@ -234,28 +234,39 @@ Command fl_command() {
   return c;
 }
 
+// The scenario param row `f` sets. A flag whose param the scenario does not
+// declare is a program error.
+const scenario::ParamDoc& declared_param(const Command& cmd,
+                                         const FlagDef& f) {
+  for (const scenario::ParamDoc& doc :
+       scenario::Registry::global().require(cmd.scenario).params()) {
+    if (doc.name == f.param) {
+      return doc;
+    }
+  }
+  throw std::logic_error("flag --" + f.name + " sets '" + f.param +
+                         "', which `" + cmd.scenario + "` does not declare");
+}
+
 void print_help(const Command& cmd, std::FILE* out) {
   std::fprintf(out, "usage: sustainai %s%s%s [--flag value ...]\n",
                cmd.name.c_str(), cmd.operand.empty() ? "" : " ",
                cmd.operand.c_str());
-  std::vector<scenario::ParamDoc> docs;
   if (!cmd.scenario.empty()) {
-    docs = scenario::Registry::global().require(cmd.scenario).params();
     std::fprintf(out, "Flags set `%s` spec params; unset ones keep the "
                  "scenario defaults.\n", cmd.scenario.c_str());
   }
-  report::Table t({"flag", "param", "default", "description"});
+  report::Table t({"flag", "param", "default", "range", "description"});
   for (const FlagDef& f : cmd.flags) {
-    std::string def = f.default_value;
-    std::string help = f.help;
-    for (const scenario::ParamDoc& doc : docs) {
-      if (doc.name == f.param) {
-        def = doc.default_value;
-        help = doc.description;
-      }
+    if (f.param.empty()) {
+      t.add_row({"--" + f.name, "-",
+                 f.default_value.empty() ? "none" : f.default_value, "",
+                 f.help});
+      continue;
     }
-    t.add_row({"--" + f.name, f.param.empty() ? "-" : f.param,
-               def.empty() ? "none" : def, help});
+    const scenario::ParamDoc& doc = declared_param(cmd, f);
+    t.add_row({"--" + f.name, f.param, doc.default_text(), doc.range(),
+               doc.description});
   }
   std::fprintf(out, "%s", t.to_string().c_str());
 }
@@ -714,9 +725,10 @@ int cmd_scenarios(int argc, char** argv) {
                   "(--checkpoint/--resume/--segment-steps/--stop-after)\n");
     }
     std::printf("\n");
-    report::Table t({"param", "type", "default", "description"});
+    report::Table t({"param", "type", "default", "range", "description"});
     for (const scenario::ParamDoc& doc : sim.params()) {
-      t.add_row({doc.name, doc.type, doc.default_value, doc.description});
+      t.add_row({doc.name, doc.type(), doc.default_text(), doc.range(),
+                 doc.description});
     }
     std::printf("%s", t.to_string().c_str());
     return 0;
