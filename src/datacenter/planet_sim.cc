@@ -1,7 +1,6 @@
 #include "datacenter/planet_sim.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_set>
 #include <utility>
 
@@ -26,10 +25,7 @@ PlanetSimulator::PlanetSimulator(Config config) {
 
   // Regions on the same grid share one table, each reading it at its own
   // offset. Every table is complete before the first region is built.
-  IntensityCache own_cache;
-  IntensityCache& tables = config.intensity_cache != nullptr
-                               ? *config.intensity_cache
-                               : own_cache;
+  IntensityCache tables;
   auto resolved =
       resolve_intensity_tables(config.regions, run_, tables, config.pool);
   regions_.reserve(config.regions.size());
@@ -62,18 +58,6 @@ std::size_t PlanetSimulator::distinct_intensity_tables() const {
     distinct.insert(region.table());
   }
   return distinct.size();
-}
-
-long PlanetSimulator::checkpoint_stride_steps(
-    const fault::CheckpointPolicy& policy) const {
-  const double interval_s = to_seconds(policy.interval);
-  if (interval_s <= 0.0) {
-    return 0;
-  }
-  const long cpc = steps_per_chunk();
-  const long stride = static_cast<long>(std::ceil(interval_s / run_.step_s));
-  const long chunks = std::max(1L, (stride + cpc - 1) / cpc);
-  return chunks * cpc;
 }
 
 PlanetSimulator::Checkpoint PlanetSimulator::start() const {

@@ -50,8 +50,6 @@ class PlanetSimulator {
     // granule checkpoint boundaries round to. Rounded up to a kStepLanes
     // multiple at construction so chunk interiors match FleetSimulator's.
     long steps_per_chunk = 1024;
-    // Shared table memo; nullptr uses one private to the constructor.
-    IntensityCache* intensity_cache = nullptr;
   };
 
   // A region's result is a fleet result with the region's name.
@@ -106,11 +104,6 @@ class PlanetSimulator {
   // Distinct IntensityTable objects actually backing the regions — the memo
   // hit metric (regions sharing a grid share one table, pointer-identical).
   [[nodiscard]] std::size_t distinct_intensity_tables() const;
-
-  // Steps between checkpoints under `policy`, rounded up to a chunk
-  // boundary; 0 when the policy disables checkpointing.
-  [[nodiscard]] long checkpoint_stride_steps(
-      const fault::CheckpointPolicy& policy) const;
 
   // Fresh zeroed checkpoint at step 0.
   [[nodiscard]] Checkpoint start() const;

@@ -12,7 +12,9 @@
 //     count, the region count) is passed where it is read, and its row
 //     documents it;
 //   * shared sub-tables (grid, jobs, faults, region, fleet run knobs) sit
-//     next to the parser that reads them; grid sub-objects follow one schema
+//     next to the parser that reads them; the grid, job and accounting ones
+//     are declared in schemas.h, where the CLI's `estimate`, `schedule` and
+//     `model-card` reuse them. Grid sub-objects follow one schema
 //     (parse_grid), with catalog lookups erroring as "unknown grid 'x';
 //     available: …";
 //   * reports carry physical quantities in base units with unit-suffixed
@@ -44,28 +46,15 @@
 #include "report/table.h"
 #include "scaling/scaling_grid.h"
 #include "scenario/registry.h"
+#include "scenario/schemas.h"
 
 namespace sustainai::scenario {
-namespace {
 
 using report::JsonValue;
 using Kind = ParamDoc::Kind;
 using P = ParamDoc;
 
-JsonValue num(double v) { return JsonValue::number(v); }
-JsonValue str(std::string s) { return JsonValue::string(std::move(s)); }
-
-// The rows of `parts`, in order.
-std::vector<ParamDoc> concat(
-    std::initializer_list<std::vector<ParamDoc>> parts) {
-  std::vector<ParamDoc> out;
-  for (const std::vector<ParamDoc>& part : parts) {
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
-}
-
-// --- Shared grid / job schemas -------------------------------------------
+// --- Shared schemas (schemas.h) --------------------------------------------
 
 GridProfile profile_by_name(const Params& spec, const std::string& key) {
   const std::string name = spec.text(key);
@@ -87,9 +76,7 @@ hw::DeviceSpec device_by_name(const Params& spec, const std::string& key) {
   return *device;
 }
 
-// One intermittent-grid sub-object, its rows named `prefix` + key. Defaults
-// model the paper's solar-heavy scheduling region (CLI `fleet`/`schedule`
-// defaults).
+// Defaults model the paper's solar-heavy scheduling region.
 std::vector<ParamDoc> grid_params(const std::string& prefix) {
   return {
       P::text(prefix + "name", "us-west-solar",
@@ -120,11 +107,9 @@ IntermittentGrid::Config parse_grid(const Params& grid, std::uint64_t seed) {
   return cfg;
 }
 
-// The shared deferrable-job batch: `jobs` identical training jobs arriving
-// one per hour modulo `arrival_spread_h` (the CLI `schedule` shape).
-std::vector<ParamDoc> job_params() {
+std::vector<ParamDoc> job_params(long max_jobs) {
   return {
-      P::integer("jobs", 24, 1, 100000, "number of deferrable batch jobs"),
+      P::integer("jobs", 24, 1, max_jobs, "number of deferrable batch jobs"),
       P::number("power_kw", 22.4, 0.001, 1e6,
                 "per-job power draw while running (kW)"),
       P::number("duration_h", 4, 1e-3, 24.0 * 365.0,
@@ -155,6 +140,50 @@ std::vector<datacenter::BatchJob> make_jobs(const Params& params,
     jobs.push_back(std::move(j));
   }
   return jobs;
+}
+
+ParamDoc threshold_param() {
+  return P::number("threshold_g_per_kwh", 200, 0, 5000,
+                   "threshold policy: run below this intensity");
+}
+
+std::vector<ParamDoc> accounting_params() {
+  return {
+      P::text("device", "v100",
+              "reference accelerator (" + hw::catalog::known_names() + ")"),
+      P::text("grid", "us-average", "accounting grid profile"),
+      P::number("pue", kHyperscalePue, 1, 3, "facility PUE"),
+      P::number("cfe", 0, 0, 1, "market-based carbon-free matching share"),
+      P::number("utilization", 0.5, 0, 1, "device utilization while training"),
+      P::number("fleet_utilization", 0.45, 0.01, 1,
+                "fleet-average utilization for embodied amortization"),
+  };
+}
+
+mlcycle::AccountingContext parse_accounting(const Params& params) {
+  mlcycle::AccountingContext ctx{
+      OperationalCarbonModel(params.number("pue"),
+                             profile_by_name(params, "grid"),
+                             params.number("cfe")),
+      device_by_name(params, "device")};
+  ctx.device_utilization = params.number("utilization");
+  ctx.embodied_utilization = params.number("fleet_utilization");
+  return ctx;
+}
+
+namespace {
+
+JsonValue num(double v) { return JsonValue::number(v); }
+JsonValue str(std::string s) { return JsonValue::string(std::move(s)); }
+
+// The rows of `parts`, in order.
+std::vector<ParamDoc> concat(
+    std::initializer_list<std::vector<ParamDoc>> parts) {
+  std::vector<ParamDoc> out;
+  for (const std::vector<ParamDoc>& part : parts) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
 }
 
 // --- Shared fault schema --------------------------------------------------
@@ -854,8 +883,7 @@ std::vector<ParamDoc> cross_region_schedule_params() {
   std::vector<ParamDoc> rows = {
       P::text("policy", "forecast",
               "slot policy per region (fifo, threshold, forecast)"),
-      P::number("threshold_g_per_kwh", 200, 0, 5000,
-                "threshold policy: run below this intensity"),
+      threshold_param(),
       P::number("probe_step_min", 15, 0.1, 24.0 * 60.0,
                 "policy probe grid step (minutes)"),
       P::number("pue", kHyperscalePue, 1, 3, "facility PUE"),
@@ -1114,17 +1142,11 @@ class FlRoundsSimulation final : public Simulation {
 // --- lifecycle_estimate ---------------------------------------------------
 
 std::vector<ParamDoc> lifecycle_estimate_params() {
-  std::vector<ParamDoc> rows = {
+  const std::vector<ParamDoc> model = {
       P::text("model", "LM",
               "production-model name, or \"custom\" with a custom block"),
-      P::text("device", "v100",
-              "reference accelerator (" + hw::catalog::known_names() + ")"),
-      P::text("grid", "us-average", "accounting grid profile"),
-      P::number("pue", kHyperscalePue, 1, 3, "facility PUE"),
-      P::number("cfe", 0, 0, 1, "market-based carbon-free matching share"),
-      P::number("utilization", 0.5, 0, 1, "device utilization while training"),
-      P::number("fleet_utilization", 0.45, 0.01, 1,
-                "fleet-average utilization for embodied amortization"),
+  };
+  const std::vector<ParamDoc> rows = {
       P::number("window_days", 90, 1, 36500, "analysis window (days)"),
       P::text("custom.name", "custom-model", "custom model label"),
       P::number("custom.data_gpu_days", 0, 0, 1e9, "data-phase GPU-days"),
@@ -1136,7 +1158,7 @@ std::vector<ParamDoc> lifecycle_estimate_params() {
                 "online-training GPU-days"),
       P::number("custom.inference_gpu_days", 0, 0, 1e9, "inference GPU-days"),
   };
-  return concat({rows, fault_params("")});
+  return concat({model, accounting_params(), rows, fault_params("")});
 }
 
 class LifecycleEstimateSimulation final : public Simulation {
@@ -1153,12 +1175,8 @@ class LifecycleEstimateSimulation final : public Simulation {
     using namespace mlcycle;
 
     const Duration window = days(params.number("window_days"));
-    AccountingContext ctx_acct{
-        OperationalCarbonModel(params.number("pue"),
-                               profile_by_name(params, "grid"),
-                               params.number("cfe")),
-        device_by_name(params, "device"), params.number("utilization"),
-        params.number("fleet_utilization"), window};
+    AccountingContext ctx_acct = parse_accounting(params);
+    ctx_acct.analysis_window = window;
 
     const std::optional<fault::RunGateResult> gate =
         gate_run(params, ctx.seed, window);

@@ -49,15 +49,6 @@ const JsonValue& Spec::require(const std::string& key) const {
 
 bool Spec::has(const std::string& key) const { return lookup(key) != nullptr; }
 
-std::vector<std::string> Spec::keys() const {
-  std::vector<std::string> out;
-  out.reserve(node_->members().size());
-  for (const JsonValue::Member& m : node_->members()) {
-    out.push_back(m.first);
-  }
-  return out;
-}
-
 Spec Spec::child(const std::string& key) const {
   const JsonValue& v = require(key);
   if (!v.is_object()) {
@@ -111,21 +102,6 @@ long Spec::int_at(const std::string& key, const JsonValue& v) const {
   return static_cast<long>(d);
 }
 
-double Spec::require_double(const std::string& key) const {
-  return number_at(key, require(key));
-}
-
-double Spec::require_double_in(const std::string& key, double min,
-                               double max) const {
-  const double v = require_double(key);
-  if (v < min || v > max) {
-    fail(key_path(key), report::shortest_double(v) + " is outside [" +
-                            report::shortest_double(min) + ", " +
-                            report::shortest_double(max) + "]");
-  }
-  return v;
-}
-
 double Spec::optional_double(const std::string& key, double fallback) const {
   const JsonValue* v = lookup(key);
   return v == nullptr ? fallback : number_at(key, *v);
@@ -138,20 +114,6 @@ double Spec::optional_double_in(const std::string& key, double fallback,
     fail(key_path(key), report::shortest_double(v) + " is outside [" +
                             report::shortest_double(min) + ", " +
                             report::shortest_double(max) + "]");
-  }
-  return v;
-}
-
-long Spec::require_int(const std::string& key) const {
-  return int_at(key, require(key));
-}
-
-long Spec::require_int_in(const std::string& key, long min, long max) const {
-  const long v = require_int(key);
-  if (v < min || v > max) {
-    fail(key_path(key), std::to_string(v) + " is outside [" +
-                            std::to_string(min) + ", " + std::to_string(max) +
-                            "]");
   }
   return v;
 }

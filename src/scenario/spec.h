@@ -1,7 +1,7 @@
 // Typed, path-aware view over a parsed JSON scenario document.
 //
 // A Spec wraps a report::JsonValue tree and answers schema-checked
-// extraction queries (require_double, optional_string, range validation).
+// extraction queries (optional_double, require_string, range validation).
 // Every failure throws SpecError naming the *full JSON path* of the
 // offending node ("$.params.grid.solar_share: expected a number, got
 // string"), so a bad spec is diagnosable without a debugger. Specs are
@@ -38,14 +38,10 @@ class Spec {
   // JSON path of this node, "$" for the root.
   [[nodiscard]] const std::string& path() const { return path_; }
 
-  // The underlying value (always an object for a Spec node).
-  [[nodiscard]] const report::JsonValue& value() const { return *node_; }
-
   // Canonical serialization of this node's subtree (report::canonical_json).
   [[nodiscard]] std::string canonical() const;
 
   [[nodiscard]] bool has(const std::string& key) const;
-  [[nodiscard]] std::vector<std::string> keys() const;
 
   // Child object at `key`; `child` requires presence, `optional_child`
   // returns an empty-object Spec when absent.
@@ -57,22 +53,16 @@ class Spec {
   [[nodiscard]] std::vector<Spec> object_list(const std::string& key) const;
 
   // --- Scalar extraction --------------------------------------------------
-  // `require_*` throws when the key is missing; `optional_*` substitutes
-  // `fallback`. All extractors type-check, and the *_in variants also
-  // range-check (inclusive bounds) — including the fallback path, so a
-  // default outside the documented range is caught in tests.
-  [[nodiscard]] double require_double(const std::string& key) const;
-  [[nodiscard]] double require_double_in(const std::string& key, double min,
-                                         double max) const;
+  // `require_string` throws when the key is missing; `optional_*`
+  // substitutes `fallback`. All extractors type-check, and the *_in
+  // variants also range-check (inclusive bounds) — including the fallback
+  // path, so a default outside the documented range is caught in tests.
   [[nodiscard]] double optional_double(const std::string& key,
                                        double fallback) const;
   [[nodiscard]] double optional_double_in(const std::string& key, double fallback,
                                           double min, double max) const;
 
   // Integers must be exactly representable (12.5 for a count is an error).
-  [[nodiscard]] long require_int(const std::string& key) const;
-  [[nodiscard]] long require_int_in(const std::string& key, long min,
-                                    long max) const;
   [[nodiscard]] long optional_int(const std::string& key, long fallback) const;
   [[nodiscard]] long optional_int_in(const std::string& key, long fallback,
                                      long min, long max) const;

@@ -338,31 +338,10 @@ TEST(PlanetSim, CheckpointRejectsForeignConfig) {
 }
 
 TEST(PlanetSim, MemoizesIntensityTablesAcrossRegions) {
-  // 7 regions cycling 3 grid configs: exactly 3 tables get built, whether
-  // the cache is owned or injected.
-  PlanetSimulator::Config owned = planet_config(7, /*with_faults=*/false);
-  EXPECT_EQ(PlanetSimulator(std::move(owned)).distinct_intensity_tables(), 3u);
-
-  IntensityCache cache;
-  PlanetSimulator::Config injected = planet_config(7, /*with_faults=*/false);
-  injected.intensity_cache = &cache;
-  const PlanetSimulator sim(std::move(injected));
-  EXPECT_EQ(sim.distinct_intensity_tables(), 3u);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.misses(), 3u);
-  EXPECT_EQ(cache.hits(), 4u);
-}
-
-TEST(PlanetSim, CheckpointStrideRoundsUpToChunks) {
-  PlanetSimulator::Config config = planet_config(2, /*with_faults=*/false);
-  const PlanetSimulator sim(std::move(config));
-  fault::CheckpointPolicy policy;
-  policy.interval = hours(1.0);  // 4 steps at 15 min < one 16-step chunk
-  EXPECT_EQ(sim.checkpoint_stride_steps(policy), sim.steps_per_chunk());
-  policy.interval = hours(5.0);  // 20 steps -> next chunk boundary
-  EXPECT_EQ(sim.checkpoint_stride_steps(policy), 2 * sim.steps_per_chunk());
-  policy.interval = seconds(0.0);
-  EXPECT_EQ(sim.checkpoint_stride_steps(policy), 0);
+  // 7 regions cycling 3 grid configs: exactly 3 tables get built.
+  PlanetSimulator::Config config = planet_config(7, /*with_faults=*/false);
+  EXPECT_EQ(PlanetSimulator(std::move(config)).distinct_intensity_tables(),
+            3u);
 }
 
 TEST(PlanetSim, SeriesCoversHorizonAndSumsToTotals) {

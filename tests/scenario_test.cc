@@ -395,20 +395,20 @@ TEST(Spec, RootMustBeObject) {
 TEST(Spec, ExtractorsTypeCheckWithPaths) {
   const Spec spec = Spec::parse(
       R"({"a": 1.5, "b": "s", "c": {"d": [1, "x"]}, "e": 3, "f": true})");
-  EXPECT_DOUBLE_EQ(spec.require_double("a"), 1.5);
-  EXPECT_EQ(spec.require_int("e"), 3);
+  EXPECT_DOUBLE_EQ(spec.optional_double("a", 0.0), 1.5);
+  EXPECT_EQ(spec.optional_int("e", 0), 3);
   EXPECT_EQ(spec.require_string("b"), "s");
   EXPECT_TRUE(spec.optional_bool("f", false));
   EXPECT_DOUBLE_EQ(spec.optional_double("missing", 7.0), 7.0);
 
   try {
-    (void)spec.require_double("b");
+    (void)spec.optional_double("b", 0.0);
     FAIL();
   } catch (const SpecError& e) {
     EXPECT_STREQ(e.what(), "$.b: expected a number, got string");
   }
   try {
-    (void)spec.require_int("a");  // 1.5 is not an integer
+    (void)spec.optional_int("a", 0);  // 1.5 is not an integer
     FAIL();
   } catch (const SpecError& e) {
     EXPECT_NE(std::string(e.what()).find("$.a: expected an integer"),
@@ -421,7 +421,7 @@ TEST(Spec, ExtractorsTypeCheckWithPaths) {
     EXPECT_STREQ(e.what(), "$.c.d[1]: expected a number, got string");
   }
   try {
-    (void)spec.require_double_in("a", 2.0, 3.0);
+    (void)spec.optional_double_in("a", 2.5, 2.0, 3.0);
     FAIL();
   } catch (const SpecError& e) {
     EXPECT_STREQ(e.what(), "$.a: 1.5 is outside [2, 3]");

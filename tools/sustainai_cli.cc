@@ -15,10 +15,11 @@
 // Each subcommand prints the same accounting the paper's figures use;
 // `fleet`, `planet` and `fl` build a scenario spec from their flags and run
 // it the way `run` does.
+#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -33,6 +34,7 @@
 #include "mlcycle/model_zoo.h"
 #include "report/table.h"
 #include "scenario/runner.h"
+#include "scenario/schemas.h"
 #include "telemetry/model_card.h"
 #include "telemetry/tracker.h"
 
@@ -40,25 +42,10 @@ namespace {
 
 using namespace sustainai;
 
+using scenario::ParamDoc;
+using scenario::Params;
+using P = scenario::ParamDoc;
 using Flags = std::map<std::string, std::string>;
-
-GridProfile grid_by_name(const std::string& name) {
-  std::optional<GridProfile> grid = grids::by_name(name);
-  if (!grid.has_value()) {
-    throw std::invalid_argument("unknown grid '" + name +
-                                "'; available: " + grids::known_names());
-  }
-  return *grid;
-}
-
-hw::DeviceSpec device_by_name(const std::string& name) {
-  std::optional<hw::DeviceSpec> device = hw::catalog::by_name(name);
-  if (!device.has_value()) {
-    throw std::invalid_argument("unknown device '" + name + "'; available: " +
-                                hw::catalog::known_names());
-  }
-  return *device;
-}
 
 int cmd_models() {
   const mlcycle::AccountingContext ctx = mlcycle::default_accounting();
@@ -95,6 +82,10 @@ void write_text_file(const std::string& path, const std::string& content) {
     throw std::invalid_argument("cannot open '" + path + "' for writing");
   }
   out << content;
+  out.close();  // flushes, so a full device fails here
+  if (!out) {
+    throw std::invalid_argument("cannot write '" + path + "'");
+  }
 }
 
 std::string read_text_file(const std::string& path) {
@@ -109,29 +100,26 @@ std::string read_text_file(const std::string& path) {
 
 // --- flag tables ---------------------------------------------------------
 //
-// Every subcommand that takes flags declares them in a Command table: the
-// parser rejects flags not in it by name, `<cmd> --help` prints it, and
-// unset flags read their default from it.
+// Every subcommand that takes flags declares them in a Command table, and
+// each flag names one ParamDoc row: the row is its type, default, range and
+// `--help` line. The parser rejects flags not in the table by name. A flag
+// of `fleet`, `planet` or `fl` names a param of the scenario spec it
+// builds; every other flag names a row of the command's own table, and its
+// value is read through Params like a spec's, so it is type- and
+// range-checked before the command runs.
 
-// One accepted flag. `param` is the spec param the value sets; a
-// "regions[i]." param is set in every generated planet region. A flag
-// without a param steers the run or generates params, and documents its
-// own default ("" for none); `artifact` names the bundle file written to
-// its path.
 struct FlagDef {
-  std::string name;  // without the leading "--"
-  std::string param;
-  bool number = true;  // a JSON number; otherwise text
-  std::string default_value = {};
-  std::string help = {};
-  std::string artifact = {};
+  std::string name;   // without the leading "--"
+  std::string param;  // the row: the command's own, else the scenario's
+  std::string artifact = {};  // the bundle file written to its path
 };
 
 struct Command {
   std::string name;
   std::string scenario;  // registry name of the spec it builds, if any
   std::string summary;   // its line in the top-level usage
-  std::vector<FlagDef> flags;
+  std::vector<FlagDef> flags = {};
+  std::vector<ParamDoc> rows = {};  // the command's own rows
   std::string operand = {};  // positional argument before the flags, if any
 
   [[nodiscard]] const FlagDef* find(const std::string& flag) const {
@@ -142,8 +130,44 @@ struct Command {
     }
     return nullptr;
   }
-  void add(const std::vector<FlagDef>& more) {
+  // The command's own row `f` names; null for a scenario param.
+  [[nodiscard]] const ParamDoc* own_row(const FlagDef& f) const {
+    for (const ParamDoc& r : rows) {
+      if (r.name == f.param) {
+        return &r;
+      }
+    }
+    return nullptr;
+  }
+  // The row `f` names. A flag naming no declared row is a program error.
+  [[nodiscard]] const ParamDoc& row(const FlagDef& f) const {
+    if (const ParamDoc* r = own_row(f)) {
+      return *r;
+    }
+    if (!scenario.empty()) {
+      for (const ParamDoc& doc :
+           scenario::Registry::global().require(scenario).params()) {
+        if (doc.name == f.param) {
+          return doc;
+        }
+      }
+    }
+    throw std::logic_error("flag --" + f.name + " names '" + f.param +
+                           "', which `" + name + "` does not declare");
+  }
+  void add(const std::vector<FlagDef>& more,
+           const std::vector<ParamDoc>& more_rows = {}) {
     flags.insert(flags.end(), more.begin(), more.end());
+    rows.insert(rows.end(), more_rows.begin(), more_rows.end());
+  }
+  // Adds `more` to the command's own rows, each with a flag named after it
+  // ("gpu_days" is --gpu-days).
+  void add_own(const std::vector<ParamDoc>& more) {
+    for (const ParamDoc& r : more) {
+      std::string flag = r.name;
+      std::replace(flag.begin(), flag.end(), '_', '-');
+      add({{flag, r.name}}, {r});
+    }
   }
 };
 
@@ -159,28 +183,29 @@ std::vector<FlagDef> region_flags(const std::string& prefix) {
 }
 
 // `--out`, and the checkpoint flags when the scenario is checkpointable.
-std::vector<FlagDef> run_flags(bool checkpointable) {
-  std::vector<FlagDef> flags = {
-      {"out", "", false, "",
-       "write the artifact bundle (result.json, spec.json, ...) here"}};
+void add_run_flags(Command& c, bool checkpointable) {
+  c.add_own({P::text("out", "",
+                     "write the artifact bundle (result.json, spec.json, "
+                     "...) here")});
   if (checkpointable) {
-    flags.insert(
-        flags.end(),
-        {{"checkpoint", "", false, "",
-          "write the snapshot here at every segment boundary"},
-         {"resume", "", false, "",
-          "resume from this snapshot (needs --checkpoint)"},
-         {"segment-steps", "", true, "0",
-          "steps per checkpointed segment (0 = from the segment count)"},
-         {"stop-after", "", true, "0",
-          "stop after this many segments (0 = run to the end)"}});
+    constexpr long kMaxSteps = 1L << 40;
+    c.add_own(
+        {P::text("checkpoint", "",
+                 "write the snapshot here at every segment boundary"),
+         P::text("resume", "", "resume from this snapshot (needs --checkpoint)"),
+         P::integer("segment_steps", 0, 0, kMaxSteps,
+                    "steps per checkpointed segment (0 = from the segment "
+                    "count)"),
+         P::integer("stop_after", 0, 0, kMaxSteps,
+                    "stop after this many segments (0 = run to the end)")});
   }
-  return flags;
 }
 
 Command run_command() {
-  return {"run", "", "run a declarative JSON scenario spec", run_flags(true),
-          "<scenario.json>"};
+  Command c{"run", "", "run a declarative JSON scenario spec"};
+  add_run_flags(c, true);
+  c.operand = "<scenario.json>";
+  return c;
 }
 
 // `fleet`, `planet` and `fl` only translate: each flag sets one param of a
@@ -194,59 +219,154 @@ Command fleet_command() {
             {{"days", "days"},
              {"step-min", "step_min"},
              {"chunk-steps", "chunk_steps"},
-             {"grid", "grid.name", false}}};
+             {"grid", "grid.name"}}};
   c.add(region_flags(""));
-  c.add({{"trace", "", false, "", "write the sim-time Chrome trace here",
-          "trace.json"},
-         {"metrics", "", false, "", "write Prometheus metrics here",
-          "metrics.prom"}});
-  c.add(run_flags(true));
+  c.add({{"trace", "trace", "trace.json"},
+         {"metrics", "metrics", "metrics.prom"}},
+        {P::text("trace", "", "write the sim-time Chrome trace here"),
+         P::text("metrics", "", "write Prometheus metrics here")});
+  add_run_flags(c, true);
   return c;
 }
 
 Command planet_command() {
   Command c{"planet", "planet",
-            "N region-fleets on cycling grids (a `planet` spec)",
-            {{"regions", "", true, "8",
-              "regions to generate, UTC offsets 3 h apart (at most " +
-                  std::to_string(datacenter::PlanetSimulator::kMaxRegions) +
-                  ")"},
-             {"grids", "", true, "3",
-              "distinct grids the regions cycle through (1 to 6)"},
-             {"years", "years"},
-             {"step-min", "step_min"},
-             {"chunk-steps", "chunk_steps"}}};
+            "N region-fleets on cycling grids (a `planet` spec)"};
+  c.add_own({P::integer("regions", 8, 1,
+                        datacenter::PlanetSimulator::kMaxRegions,
+                        "regions to generate, UTC offsets 3 h apart"),
+             P::integer("grids", 3, 1, 6,
+                        "distinct grids the regions cycle through")});
+  c.add({{"years", "years"},
+         {"step-min", "step_min"},
+         {"chunk-steps", "chunk_steps"}});
   c.add(region_flags("regions[i]."));
-  c.add(run_flags(true));
+  add_run_flags(c, true);
   return c;
 }
 
 Command fl_command() {
   Command c{"fl", "fl_rounds",
             "federated-learning campaign footprint (an `fl_rounds` spec)",
-            {{"name", "name", false},
+            {{"name", "name"},
              {"clients", "clients_per_round"},
              {"rounds-per-day", "rounds_per_day"},
              {"days", "days"},
              {"model-mb", "model_mb"},
              {"compute-min", "compute_min"}}};
-  c.add(run_flags(false));
+  add_run_flags(c, false);
   return c;
 }
 
-// The scenario param row `f` sets. A flag whose param the scenario does not
-// declare is a program error.
-const scenario::ParamDoc& declared_param(const Command& cmd,
-                                         const FlagDef& f) {
-  for (const scenario::ParamDoc& doc :
-       scenario::Registry::global().require(cmd.scenario).params()) {
-    if (doc.name == f.param) {
-      return doc;
-    }
-  }
-  throw std::logic_error("flag --" + f.name + " sets '" + f.param +
-                         "', which `" + cmd.scenario + "` does not declare");
+// --- estimate, schedule, model-card ---------------------------------------
+//
+// Their tables reuse the adapters' rows (scenario/schemas.h), and the
+// values go through the adapters' parsers.
+
+// The accelerator count, then lifecycle_estimate's accounting rows.
+void add_accounting(Command& c, long default_count) {
+  c.add_own({P::integer("count", default_count, 1, 1000000,
+                        "accelerators in the job")});
+  c.add_own(scenario::accounting_params());
 }
+
+Command estimate_command() {
+  Command c{"estimate", "", "carbon impact statement for a training run"};
+  c.add_own({P::number("gpu_days", 100, 0, 1e9,
+                       "accelerator-days of training, split over --count")});
+  add_accounting(c, 1);
+  c.add_own({P::text("name", "cli-estimate", "name in the statement")});
+  return c;
+}
+
+int cmd_estimate(const Command&, const Flags&, const Params& p) {
+  const long count = p.integer("count");
+  const mlcycle::AccountingContext acct = scenario::parse_accounting(p);
+  telemetry::CarbonTracker tracker(
+      {acct.operational, acct.embodied_utilization});
+  tracker.record_device_use(
+      Phase::kTraining, acct.device, acct.device_utilization,
+      days(p.number("gpu_days") / static_cast<double>(count)),
+      static_cast<int>(count));
+  std::printf("%s", tracker.impact_statement(p.text("name")).c_str());
+  return 0;
+}
+
+// The jobs, threshold and grid rows are the queue and cross-region
+// adapters'; the job count has a bound of its own, since run_schedule's
+// peak-power scan is quadratic in it.
+Command schedule_command() {
+  Command c{"schedule", "", "compare carbon-aware scheduling policies",
+            {{"jobs", "jobs"},
+             {"power-kw", "power_kw"},
+             {"duration-h", "duration_h"},
+             {"slack-h", "slack_h"},
+             {"threshold-g-per-kwh", "threshold_g_per_kwh"},
+             {"grid", "grid.name"},
+             {"solar-share", "grid.solar_share"},
+             {"wind-share", "grid.wind_share"},
+             {"firm-share", "grid.firm_share"}},
+            scenario::job_params(10000)};
+  c.add({}, {scenario::threshold_param()});
+  c.add({}, scenario::grid_params("grid."));
+  return c;
+}
+
+int cmd_schedule(const Command&, const Flags&, const Params& p) {
+  using namespace sustainai::datacenter;
+  const IntermittentGrid grid(
+      scenario::parse_grid(p.child("grid"), IntermittentGrid::Config{}.seed));
+  const std::vector<BatchJob> jobs = scenario::make_jobs(p, "job-");
+  const FifoPolicy fifo;
+  const ThresholdPolicy threshold(
+      grams_per_kwh(p.number("threshold_g_per_kwh")));
+  const ForecastPolicy forecast;
+  report::Table t({"policy", "carbon", "mean delay (h)", "peak power"});
+  for (const SchedulerPolicy* policy :
+       std::initializer_list<const SchedulerPolicy*>{&fifo, &threshold,
+                                                     &forecast}) {
+    const ScheduleResult r = run_schedule(jobs, grid, *policy);
+    t.add_row({r.policy_name, to_string(r.total_carbon),
+               report::fmt(to_hours(r.mean_delay)),
+               to_string(r.peak_concurrent_power)});
+  }
+  std::printf("%s", t.to_string().c_str());
+  return 0;
+}
+
+Command model_card_command() {
+  Command c{"model-card", "",
+            "render the carbon section of a model card (markdown)"};
+  c.add_own({P::text("name", "my-model", "model name"),
+             P::text("description", "", "one-line model description"),
+             P::number("runtime_days", 7, 0, 36500,
+                       "training wall-clock days")});
+  add_accounting(c, 8);
+  c.add_own({P::number("predictions_per_day", 0, 0, 1e15,
+                       "serving volume (0 = not deployed)"),
+             P::number("joules_per_prediction", 0.001, 0, 1e6,
+                       "serving energy per prediction")});
+  return c;
+}
+
+int cmd_model_card(const Command&, const Flags&, const Params& p) {
+  const mlcycle::AccountingContext acct = scenario::parse_accounting(p);
+  const telemetry::ModelCardInput in{
+      p.text("name"),
+      p.text("description"),
+      acct.device,
+      static_cast<int>(p.integer("count")),
+      days(p.number("runtime_days")),
+      acct.device_utilization,
+      acct.operational,
+      acct.embodied_utilization,
+      p.number("predictions_per_day"),
+      joules(p.number("joules_per_prediction"))};
+  std::printf("%s", telemetry::render_model_card(in).c_str());
+  return 0;
+}
+
+// --- flags to values -------------------------------------------------------
 
 void print_help(const Command& cmd, std::FILE* out) {
   std::fprintf(out, "usage: sustainai %s%s%s [--flag value ...]\n",
@@ -258,14 +378,10 @@ void print_help(const Command& cmd, std::FILE* out) {
   }
   report::Table t({"flag", "param", "default", "range", "description"});
   for (const FlagDef& f : cmd.flags) {
-    if (f.param.empty()) {
-      t.add_row({"--" + f.name, "-",
-                 f.default_value.empty() ? "none" : f.default_value, "",
-                 f.help});
-      continue;
-    }
-    const scenario::ParamDoc& doc = declared_param(cmd, f);
-    t.add_row({"--" + f.name, f.param, doc.default_text(), doc.range(),
+    const ParamDoc& doc = cmd.row(f);
+    const std::string fallback = doc.default_text();
+    t.add_row({"--" + f.name, cmd.own_row(f) != nullptr ? "-" : f.param,
+               fallback.empty() ? "none" : fallback, doc.range(),
                doc.description});
   }
   std::fprintf(out, "%s", t.to_string().c_str());
@@ -295,10 +411,12 @@ std::optional<Flags> parse_command_flags(const Command& cmd, int argc,
   return flags;
 }
 
-// A flag's value as spec JSON: numbers through the strict JSON grammar
-// (so "inf", "0x10" and "1e999" fail here), anything else as a string.
-report::JsonValue flag_json(const FlagDef& f, const std::string& text) {
-  if (!f.number) {
+// A flag's value as JSON of its row's kind: the text for a string row, else
+// a number through the strict JSON grammar (so "inf", "0x10" and "1e999"
+// fail here).
+report::JsonValue flag_value(const FlagDef& f, const ParamDoc& row,
+                             const std::string& text) {
+  if (row.kind == ParamDoc::Kind::kString) {
     return report::JsonValue::string(text);
   }
   try {
@@ -312,187 +430,15 @@ report::JsonValue flag_json(const FlagDef& f, const std::string& text) {
                               text + "'");
 }
 
-// A flag's text: the given value, else its table default. A flag `cmd`
-// does not accept reads as "" (unset).
-std::string text_flag(const Command& cmd, const Flags& flags,
-                      const std::string& name) {
-  const auto it = flags.find(name);
-  if (it != flags.end()) {
-    return it->second;
-  }
-  const FlagDef* f = cmd.find(name);
-  return f == nullptr ? "" : f->default_value;
-}
-
-// A number flag's value, given or default; `name` must be in `cmd`'s table.
-double number_flag(const Command& cmd, const Flags& flags,
-                   const std::string& name) {
-  return flag_json(*cmd.find(name), text_flag(cmd, flags, name)).as_number();
-}
-
-// A flag that is no spec param but must be a whole number in [min, max].
-long whole_flag(const Command& cmd, const Flags& flags, const std::string& name,
-                long min, long max) {
-  const double v = number_flag(cmd, flags, name);
-  if (v != std::floor(v) || v < static_cast<double>(min) ||
-      v > static_cast<double>(max)) {
-    throw std::invalid_argument(
-        "--" + name + ": " + text_flag(cmd, flags, name) +
-        " is not a whole number in [" + std::to_string(min) + ", " +
-        std::to_string(max) + "]");
-  }
-  return static_cast<long>(v);
-}
-
-// --- estimate, schedule, model-card ---------------------------------------
-
-// Upper bounds of the whole-count flags: past them a count fails by name
-// instead of overflowing the int the accounting takes.
-constexpr long kMaxDevices = 1000000;  // --count of estimate and model-card
-constexpr long kMaxJobs = 10000;       // --jobs of schedule
-
-// The accounting flags estimate and model-card share.
-std::vector<FlagDef> accounting_flags(const char* default_count) {
-  return {{"count", "", true, default_count,
-           "accelerators in the job (at most " + std::to_string(kMaxDevices) +
-               ")"},
-          {"device", "", false, "v100", "accelerator (hardware catalog name)"},
-          {"utilization", "", true, "0.5", "average accelerator utilization"},
-          {"grid", "", false, "us-average", "grid profile (sustainai grids)"},
-          {"pue", "", true, report::shortest_double(kHyperscalePue),
-           "datacenter power usage effectiveness"},
-          {"cfe", "", true, "0",
-           "carbon-free energy coverage, for market-based carbon"},
-          {"fleet-utilization", "", true, "0.45",
-           "fleet utilization that amortizes embodied carbon"}};
-}
-
-Command estimate_command() {
-  Command c{"estimate", "", "carbon impact statement for a training run",
-            {{"gpu-days", "", true, "100",
-              "accelerator-days of training, split over --count"}}};
-  c.add(accounting_flags("1"));
-  c.add({{"name", "", false, "cli-estimate", "name in the statement"}});
-  return c;
-}
-
-int cmd_estimate(const Command& cmd, const Flags& flags) {
-  const double gpu_days = number_flag(cmd, flags, "gpu-days");
-  const long count = whole_flag(cmd, flags, "count", 1, kMaxDevices);
-  const double utilization = number_flag(cmd, flags, "utilization");
-  const hw::DeviceSpec device = device_by_name(text_flag(cmd, flags, "device"));
-  const GridProfile grid = grid_by_name(text_flag(cmd, flags, "grid"));
-
-  telemetry::CarbonTracker tracker(
-      {OperationalCarbonModel(number_flag(cmd, flags, "pue"), grid,
-                              number_flag(cmd, flags, "cfe")),
-       number_flag(cmd, flags, "fleet-utilization")});
-  tracker.record_device_use(Phase::kTraining, device, utilization,
-                            days(gpu_days / static_cast<double>(count)),
-                            static_cast<int>(count));
-  std::printf(
-      "%s",
-      tracker.impact_statement(text_flag(cmd, flags, "name")).c_str());
-  return 0;
-}
-
-Command schedule_command() {
-  return {"schedule", "", "compare carbon-aware scheduling policies",
-          {{"jobs", "", true, "24",
-            "batch jobs, one arriving each hour of a day (at most " +
-                std::to_string(kMaxJobs) + ")"},
-           {"power-kw", "", true, "22.4", "power draw of every job"},
-           {"duration-h", "", true, "4", "run time of every job"},
-           {"slack-h", "", true, "20", "how long a job may be deferred"},
-           {"threshold-g-per-kwh", "", true, "200",
-            "the threshold policy runs jobs at or below this intensity"},
-           {"grid", "", false, "us-west-solar", "grid profile (sustainai grids)"},
-           {"solar-share", "", true, "0.5", "solar share of the grid mix"},
-           {"wind-share", "", true, "0.15", "wind share of the grid mix"},
-           {"firm-share", "", true, "0.1",
-            "firm carbon-free share of the grid mix"}}};
-}
-
-int cmd_schedule(const Command& cmd, const Flags& flags) {
-  using namespace sustainai::datacenter;
-  IntermittentGrid::Config grid_cfg;
-  grid_cfg.profile = grid_by_name(text_flag(cmd, flags, "grid"));
-  grid_cfg.solar_share = number_flag(cmd, flags, "solar-share");
-  grid_cfg.wind_share = number_flag(cmd, flags, "wind-share");
-  grid_cfg.firm_share = number_flag(cmd, flags, "firm-share");
-  const IntermittentGrid grid(grid_cfg);
-
-  const long num_jobs = whole_flag(cmd, flags, "jobs", 1, kMaxJobs);
-  BatchJob job;
-  job.power = kilowatts(number_flag(cmd, flags, "power-kw"));
-  job.duration = hours(number_flag(cmd, flags, "duration-h"));
-  job.slack = hours(number_flag(cmd, flags, "slack-h"));
-  std::vector<BatchJob> jobs;
-  for (long i = 0; i < num_jobs; ++i) {
-    job.id = "job-" + std::to_string(i);
-    job.arrival = hours(static_cast<double>(i % 24));
-    jobs.push_back(job);
-  }
-
-  const FifoPolicy fifo;
-  const ThresholdPolicy threshold(
-      grams_per_kwh(number_flag(cmd, flags, "threshold-g-per-kwh")));
-  const ForecastPolicy forecast;
-  report::Table t({"policy", "carbon", "mean delay (h)", "peak power"});
-  for (const SchedulerPolicy* p :
-       std::initializer_list<const SchedulerPolicy*>{&fifo, &threshold,
-                                                     &forecast}) {
-    const ScheduleResult r = run_schedule(jobs, grid, *p);
-    t.add_row({r.policy_name, to_string(r.total_carbon),
-               report::fmt(to_hours(r.mean_delay)),
-               to_string(r.peak_concurrent_power)});
-  }
-  std::printf("%s", t.to_string().c_str());
-  return 0;
-}
-
-Command model_card_command() {
-  Command c{"model-card", "",
-            "render the carbon section of a model card (markdown)",
-            {{"name", "", false, "my-model", "model name"},
-             {"description", "", false, "", "one-line model description"},
-             {"runtime-days", "", true, "7", "training wall-clock days"}}};
-  c.add(accounting_flags("8"));
-  c.add({{"predictions-per-day", "", true, "0",
-          "serving volume (0 = not deployed)"},
-         {"joules-per-prediction", "", true, "0.001",
-          "serving energy per prediction"}});
-  return c;
-}
-
-int cmd_model_card(const Command& cmd, const Flags& flags) {
-  telemetry::ModelCardInput in{
-      text_flag(cmd, flags, "name"),
-      text_flag(cmd, flags, "description"),
-      device_by_name(text_flag(cmd, flags, "device")),
-      static_cast<int>(whole_flag(cmd, flags, "count", 1, kMaxDevices)),
-      days(number_flag(cmd, flags, "runtime-days")),
-      number_flag(cmd, flags, "utilization"),
-      OperationalCarbonModel(number_flag(cmd, flags, "pue"),
-                             grid_by_name(text_flag(cmd, flags, "grid")),
-                             number_flag(cmd, flags, "cfe")),
-      number_flag(cmd, flags, "fleet-utilization"),
-      number_flag(cmd, flags, "predictions-per-day"),
-      joules(number_flag(cmd, flags, "joules-per-prediction"))};
-  std::printf("%s", telemetry::render_model_card(in).c_str());
-  return 0;
-}
-
-// --- run, fleet, planet, fl -----------------------------------------------
-
-// Sets in `node` every given flag whose param starts with `prefix` (the
-// prefix stripped), creating the objects on its dotted path. Params under
-// a further "[i]" belong to a nested call.
+// Sets in `node` every given flag that names one of the command's own rows
+// (`own`) or a scenario param, and whose row starts with `prefix` (the
+// prefix stripped), creating the objects on its dotted path. Params under a
+// further "[i]" belong to a nested call.
 void set_params(report::JsonValue& node, const Command& cmd,
-                const Flags& flags, const std::string& prefix) {
+                const Flags& flags, bool own, const std::string& prefix = "") {
   for (const FlagDef& f : cmd.flags) {
     const auto it = flags.find(f.name);
-    if (it == flags.end() || f.param.empty() ||
+    if (it == flags.end() || (cmd.own_row(f) != nullptr) != own ||
         f.param.rfind(prefix, 0) != 0 ||
         f.param.find("[i]", prefix.size()) != std::string::npos) {
       continue;
@@ -508,23 +454,58 @@ void set_params(report::JsonValue& node, const Command& cmd,
       }
       at = at->find(key);
     }
-    at->set(path.substr(start), flag_json(f, it->second));
+    at->set(path.substr(start), flag_value(f, cmd.row(f), it->second));
   }
 }
+
+// `what`, a SpecError's text, prefixed with the flag whose row it is at:
+// "$.<row>" for the command's own rows (`own`; the path is dropped, the row
+// being no spec param), "$.params.<param>" for the scenario's (region 0
+// standing for "[i]": every generated region holds the same value).
+std::string name_flag(const Command& cmd, const std::string& what, bool own) {
+  for (const FlagDef& f : cmd.flags) {
+    if ((cmd.own_row(f) != nullptr) != own) {
+      continue;
+    }
+    std::string path = (own ? "$." : "$.params.") + f.param + ":";
+    if (const std::size_t i = path.find("[i]"); i != std::string::npos) {
+      path.replace(i, 3, "[0]");
+    }
+    if (what.rfind(path, 0) == 0) {
+      return "--" + f.name + ":" + (own ? what.substr(path.size()) : " " + what);
+    }
+  }
+  return what;
+}
+
+// Runs `action` on the values of `cmd`'s own flags, checked against its
+// rows before it starts. A SpecError at one of those rows names the flag.
+int with_own_params(const Command& cmd, const Flags& flags,
+                    const std::function<int(const Params&)>& action) {
+  report::JsonValue values = report::JsonValue::object();
+  set_params(values, cmd, flags, /*own=*/true);
+  try {
+    return action(Params(scenario::Spec::from_value(std::move(values)),
+                         cmd.rows));
+  } catch (const scenario::SpecError& e) {
+    throw std::invalid_argument(name_flag(cmd, e.what(), /*own=*/true));
+  }
+}
+
+// --- run, fleet, planet, fl -----------------------------------------------
 
 // Deterministic built-in planet: `--regions` fleets cycling over `--grids`
 // distinct grid profiles (same profile + same seed => one shared memoized
 // IntensityTable) with UTC offsets marching around the globe in 3-hour
 // increments. The count is checked before any region is generated.
-report::JsonValue planet_regions(const Command& cmd, const Flags& flags) {
+report::JsonValue planet_regions(const Command& cmd, const Flags& flags,
+                                 const Params& own) {
   using report::JsonValue;
   static const char* kGridCycle[] = {"us-west-solar",   "us-average",
                                      "nordic-hydro",    "asia-pacific",
                                      "us-midwest-coal", "hydro-quebec"};
-  const long regions = whole_flag(
-      cmd, flags, "regions", 1,
-      static_cast<long>(datacenter::PlanetSimulator::kMaxRegions));
-  const long grids = whole_flag(cmd, flags, "grids", 1, 6);
+  const long regions = own.integer("regions");
+  const long grids = own.integer("grids");
   JsonValue list = JsonValue::array();
   for (long r = 0; r < regions; ++r) {
     const char* grid_name = kGridCycle[r % grids];
@@ -535,31 +516,31 @@ report::JsonValue planet_regions(const Command& cmd, const Flags& flags) {
                            "name", JsonValue::string(grid_name)));
     region.set("utc_offset_h",
                JsonValue::number(static_cast<double>((r * 3) % 24)));
-    set_params(region, cmd, flags, "regions[i].");
+    set_params(region, cmd, flags, /*own=*/false, "regions[i].");
     list.append(std::move(region));
   }
   return list;
 }
 
-// Runs `spec` per `cmd`'s flags: checkpoint and resume, the summary on
-// stdout, the bundle under --out, artifacts at their flags' paths. A
-// SpecError at a flag's param names the flag. Returns the exit status.
+// Runs `spec` per `cmd`'s own flags `own`: checkpoint and resume, the
+// summary on stdout, the bundle under --out, artifacts at their flags'
+// paths. A SpecError at a flag's param names the flag. Returns the exit
+// status.
 int run_spec(const scenario::Spec& spec, const Command& cmd,
-             const Flags& flags) {
-  const std::string checkpoint = text_flag(cmd, flags, "checkpoint");
-  const std::string resume = text_flag(cmd, flags, "resume");
+             const Params& own) {
+  const bool checkpointable = cmd.find("checkpoint") != nullptr;
+  const std::string checkpoint = checkpointable ? own.text("checkpoint") : "";
+  const std::string resume = checkpointable ? own.text("resume") : "";
   if (!resume.empty() && checkpoint.empty()) {
     throw std::invalid_argument(
         "--resume requires --checkpoint (the path further snapshots are "
         "written to); pass --checkpoint " +
         resume + " to continue updating the same file");
   }
-  constexpr long kMaxSteps = 1L << 40;
   scenario::CheckpointRequest request;
-  if (cmd.find("segment-steps") != nullptr) {  // a checkpointable scenario
-    request.segment_steps =
-        whole_flag(cmd, flags, "segment-steps", 0, kMaxSteps);
-    request.stop_after = whole_flag(cmd, flags, "stop-after", 0, kMaxSteps);
+  if (checkpointable) {
+    request.segment_steps = own.integer("segment_steps");
+    request.stop_after = own.integer("stop_after");
   }
   if (!resume.empty()) {
     std::string text;
@@ -595,21 +576,7 @@ int run_spec(const scenario::Spec& spec, const Command& cmd,
         "differently-configured run; re-run with the original spec or "
         "flags, or start fresh without --resume");
   } catch (const scenario::SpecError& e) {
-    const std::string what = e.what();
-    for (const FlagDef& f : cmd.flags) {
-      if (f.param.empty()) {
-        continue;
-      }
-      // Every generated region holds the same value; region 0 fails first.
-      std::string path = "$.params." + f.param + ":";
-      if (const std::size_t i = path.find("[i]"); i != std::string::npos) {
-        path.replace(i, 3, "[0]");
-      }
-      if (what.rfind(path, 0) == 0) {
-        throw std::invalid_argument("--" + f.name + ": " + what);
-      }
-    }
-    throw;
+    throw std::invalid_argument(name_flag(cmd, e.what(), /*own=*/false));
   }
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
@@ -650,7 +617,7 @@ int run_spec(const scenario::Spec& spec, const Command& cmd,
                   region_years / (wall_s / 60.0), region_years, wall_s);
     }
   }
-  const std::string out_dir = text_flag(cmd, flags, "out");
+  const std::string out_dir = own.text("out");
   if (!out_dir.empty()) {
     std::string error;
     if (!scenario::Runner::write(bundle, out_dir, &error)) {
@@ -666,9 +633,9 @@ int run_spec(const scenario::Spec& spec, const Command& cmd,
     const scenario::Artifact* artifact =
         f.artifact.empty() ? nullptr : bundle.find(f.artifact);
     if (artifact != nullptr) {
-      write_text_file(flags.at(f.name), artifact->content);
-      std::printf("wrote %s to %s\n", f.artifact.c_str(),
-                  flags.at(f.name).c_str());
+      const std::string path = own.text(f.param);
+      write_text_file(path, artifact->content);
+      std::printf("wrote %s to %s\n", f.artifact.c_str(), path.c_str());
     }
   }
   // The failed bundle is still written (error.json + spec.json), but the
@@ -688,19 +655,20 @@ int cmd_run(int argc, char** argv) {
     print_help(cmd, stderr);
     return 2;
   }
-  return run_spec(scenario::Spec::parse(read_text_file(argv[2])), cmd,
-                  *flags);
+  return with_own_params(cmd, *flags, [&](const Params& own) {
+    return run_spec(scenario::Spec::parse(read_text_file(argv[2])), cmd, own);
+  });
 }
 
 // `fleet`, `planet`, `fl`: flags -> spec -> run_spec.
-int cmd_translate(const Command& cmd, const Flags& flags) {
+int cmd_translate(const Command& cmd, const Flags& flags, const Params& own) {
   using report::JsonValue;
   JsonValue spec = JsonValue::object();
   spec.set("scenario", JsonValue::string(cmd.scenario));
   JsonValue params = JsonValue::object();
-  set_params(params, cmd, flags, "");
+  set_params(params, cmd, flags, /*own=*/false);
   if (cmd.scenario == "planet") {
-    params.set("regions", planet_regions(cmd, flags));
+    params.set("regions", planet_regions(cmd, flags, own));
   }
   spec.set("params", std::move(params));
   for (const FlagDef& f : cmd.flags) {
@@ -712,7 +680,7 @@ int cmd_translate(const Command& cmd, const Flags& flags) {
                                   JsonValue::boolean(true));
     }
   }
-  return run_spec(scenario::Spec::from_value(std::move(spec)), cmd, flags);
+  return run_spec(scenario::Spec::from_value(std::move(spec)), cmd, own);
 }
 
 int cmd_scenarios(int argc, char** argv) {
@@ -783,7 +751,7 @@ int main(int argc, char** argv) {
     if (command == "grids") {
       return cmd_grids();
     }
-    using Action = int (*)(const Command&, const Flags&);
+    using Action = int (*)(const Command&, const Flags&, const Params&);
     const std::pair<Command, Action> commands[] = {
         {estimate_command(), cmd_estimate},
         {schedule_command(), cmd_schedule},
@@ -795,7 +763,12 @@ int main(int argc, char** argv) {
       if (command == cmd.name) {
         const std::optional<Flags> flags =
             parse_command_flags(cmd, argc, argv, 2);
-        return flags ? action(cmd, *flags) : 0;
+        if (!flags) {
+          return 0;
+        }
+        return with_own_params(cmd, *flags, [&](const Params& own) {
+          return action(cmd, *flags, own);
+        });
       }
     }
     std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
