@@ -52,8 +52,25 @@ class DaySlotCache {
     return slot.value;
   }
 
+  // The same value as get, read-only: a slot that does not hold exactly
+  // this second-of-day is computed and not stored. Safe to call
+  // concurrently once the slots are filled (e.g. by get over one period).
+  template <typename F>
+  double lookup(long k, double sec_of_day, F&& f) const {
+    if (period_ == 0) {
+      return f(sec_of_day);
+    }
+    const Slot& slot = slots_[static_cast<std::size_t>(k % period_)];
+    return slot.sec == sec_of_day ? slot.value : f(sec_of_day);
+  }
+
   // Forgets every slot, so the cache can serve a different f.
   void clear() { std::fill(slots_.begin(), slots_.end(), Slot{}); }
+
+  // Bytes the slots hold.
+  [[nodiscard]] std::size_t bytes() const {
+    return slots_.capacity() * sizeof(Slot);
+  }
 
  private:
   struct Slot {

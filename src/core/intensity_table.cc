@@ -23,8 +23,16 @@ std::uint64_t bits_of(double v) {
 
 IntensityTable::IntensityTable(const IntermittentGrid& grid, Duration start,
                                Duration step)
-    : grid_(grid), start_s_(to_seconds(start)), step_s_(to_seconds(step)) {
+    : grid_(grid),
+      start_s_(to_seconds(start)),
+      step_s_(to_seconds(step)),
+      solar_day_(step_s_) {
   check_arg(step_s_ > 0.0, "IntensityTable: step must be positive");
+  for (long k = 0; k < solar_day_.period(); ++k) {
+    const double t_s = start_s_ + step_s_ * static_cast<double>(k);
+    solar_day_.get(k, std::fmod(t_s, kSecondsPerDay),
+                   [this](double sec) { return grid_.solar_term(sec); });
+  }
 }
 
 void IntensityTable::extend(long n, const RangeRunner& ranges) const {
@@ -33,7 +41,9 @@ void IntensityTable::extend(long n, const RangeRunner& ranges) const {
     return;
   }
   values_.resize(static_cast<std::size_t>(n));
-  const auto fill_range = [this](long begin, long end) { fill(begin, end); };
+  const auto fill_range = [this](long begin, long end) {
+    fill_values(begin, end, values_.data() + begin);
+  };
   if (ranges) {
     ranges(have, n, fill_range);
   } else {
@@ -41,18 +51,22 @@ void IntensityTable::extend(long n, const RangeRunner& ranges) const {
   }
 }
 
-void IntensityTable::fill(long begin, long end) const {
+void IntensityTable::fill_values(long begin, long end, double* out) const {
   // Same second-of-day reuse rule as IntermittentGrid::intensity_series,
-  // local to the range so that ranges can fill concurrently.
-  DaySlotCache solar_slots(step_s_);
+  // read from the day filled at construction.
   for (long k = begin; k < end; ++k) {
     const double t_s = start_s_ + step_s_ * static_cast<double>(k);
-    const double sec_of_day = std::fmod(t_s, kSecondsPerDay);
-    const double solar = solar_slots.get(
-        k, sec_of_day, [this](double sec) { return grid_.solar_term(sec); });
-    values_[static_cast<std::size_t>(k)] =
+    const double solar = solar_day_.lookup(
+        k, std::fmod(t_s, kSecondsPerDay),
+        [this](double sec) { return grid_.solar_term(sec); });
+    out[k - begin] =
         grid_.intensity_from_terms(solar, grid_.wind_term(t_s)).base();
   }
+}
+
+std::size_t IntensityTable::bytes() const {
+  return values_.capacity() * sizeof(double) + solar_day_.bytes() +
+         memo_.size() * (sizeof(std::uint64_t) + sizeof(double));
 }
 
 void IntensityTable::prebuild(long n, const RangeRunner& ranges) {

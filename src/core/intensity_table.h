@@ -7,21 +7,37 @@
 // bit-identical to direct evaluation. Off-grid timestamps fall back to the
 // grid behind a bit-cast-keyed memo.
 //
-// The table fills in independent index ranges, each with its own day-slot
-// cache (core/day_slots.h). A slot is reused only on an exact
-// second-of-day match, so every split of the range yields the same doubles
-// and a caller may run the ranges concurrently (prebuild's RangeRunner).
+// Every value is a pure function of its index. The table computes one day
+// of solar terms once, at construction, in a day-slot cache
+// (core/day_slots.h) that every fill only reads; a slot is reused only on
+// an exact second-of-day match. So any split of an index range yields the
+// same doubles, and a caller may fill ranges concurrently: the table's own
+// (prebuild's RangeRunner) or a caller's window (fill_values).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "core/carbon_intensity.h"
+#include "core/day_slots.h"
 #include "core/units.h"
 
 namespace sustainai {
+
+// Base-unit intensities of grid points [first, first + values.size()), as
+// IntensityTable::fill_values writes them.
+struct IntensityWindow {
+  long first = 0;
+  std::vector<double> values;
+
+  [[nodiscard]] bool holds(long begin, long end) const {
+    return first <= begin &&
+           end <= first + static_cast<long>(values.size());
+  }
+};
 
 class IntensityTable {
  public:
@@ -42,6 +58,13 @@ class IntensityTable {
   // call that extends the table.
   [[nodiscard]] const double* raw() const { return values_.data(); }
 
+  // Writes the base-unit intensities of grid points [begin, end) to
+  // out[0, end - begin) without extending the table: the same doubles the
+  // table holds or would hold there. Safe to call concurrently.
+  void fill_values(long begin, long end, double* out) const;
+  // Bytes the table holds: its points, the solar day and the memo.
+  [[nodiscard]] std::size_t bytes() const;
+
   // Intensity at grid point k >= 0, extending the table geometrically when
   // k is past the end.
   [[nodiscard]] CarbonIntensity at_index(long k) const;
@@ -58,11 +81,12 @@ class IntensityTable {
 
  private:
   void extend(long n, const RangeRunner& ranges = {}) const;
-  void fill(long begin, long end) const;
 
   IntermittentGrid grid_;
   double start_s_ = 0.0;
   double step_s_ = 0.0;
+  // One day of solar terms, filled at construction and only read after.
+  DaySlotCache solar_day_;
   mutable std::vector<double> values_;
   mutable std::unordered_map<std::uint64_t, double> memo_;
 };

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <utility>
+#include <vector>
 
 #include "core/check.h"
 #include "core/day_slots.h"
@@ -109,19 +111,21 @@ inline ScaleDecision scale_step(const GroupConsts& c, double total,
 }
 
 // The four strip bodies: {static, autoscaled} x {fault-free, crash-aware}.
-// Each processes one step `s`, whose demand is `d`, into lane `l` of `acc`.
+// Each processes one step, whose demand is `d` and grid intensity `ci`,
+// into lane `l` of `acc`; the crash-aware ones with `dn` hosts offline.
+// With dn == 0 a crash-aware body adds exactly what its fault-free twin
+// adds, plus +0.0 to the fault sections, so the kernel takes the fault-free
+// body wherever no host is down.
 
-inline void static_step(const GroupConsts& c, double d,
-                        const double* intensity, std::size_t s, int l,
+inline void static_step(const GroupConsts& c, double d, double ci, int l,
                         GroupLanes& acc) {
   const double ge = step_energy(c, d) * c.cnt;
   acc.add(kGroupEnergy, l, ge);
   acc.add(kUtilWeight, l, d);
-  acc.add(kLocationG, l, ge * c.pue * intensity[s]);
+  acc.add(kLocationG, l, ge * c.pue * ci);
 }
 
-inline void scaled_step(const GroupConsts& c, double d,
-                        const double* intensity, std::size_t s, int l,
+inline void scaled_step(const GroupConsts& c, double d, double ci, int l,
                         GroupLanes& acc) {
   const ScaleDecision sd =
       scale_step(c, c.cnt, d, c.min_active, c.max_freed);
@@ -134,13 +138,11 @@ inline void scaled_step(const GroupConsts& c, double d,
   acc.add(kFreedHours, l, fh);
   acc.add(kOppEnergy, l, opp);
   acc.add(kOppHours, l, fh * c.opp_mask);
-  acc.add(kLocationG, l, ge * c.pue * intensity[s]);
+  acc.add(kLocationG, l, ge * c.pue * ci);
 }
 
-inline void static_step_down(const GroupConsts& c, double d,
-                             const double* intensity, const int* down,
-                             std::size_t s, int l, GroupLanes& acc) {
-  const double dn = static_cast<double>(down[s]);
+inline void static_step_down(const GroupConsts& c, double d, double ci,
+                             double dn, int l, GroupLanes& acc) {
   const double active = c.cnt - dn;  // exact: integral doubles
   const double displaced =
       active > 0.0 ? std::min(1.0, d * c.cnt / active) : 0.0;
@@ -152,15 +154,13 @@ inline void static_step_down(const GroupConsts& c, double d,
   const double ge = e_active + rewarm;
   acc.add(kGroupEnergy, l, ge);
   acc.add(kUtilWeight, l, ad);
-  acc.add(kLocationG, l, ge * c.pue * intensity[s]);
+  acc.add(kLocationG, l, ge * c.pue * ci);
   acc.add(kFaultWasted, l, rewarm);
   acc.add(kFaultLost, l, dn * c.step_s / kSecondsPerHour);
 }
 
-inline void scaled_step_down(const GroupConsts& c, double d,
-                             const double* intensity, const int* down,
-                             std::size_t s, int l, GroupLanes& acc) {
-  const double dn = static_cast<double>(down[s]);
+inline void scaled_step_down(const GroupConsts& c, double d, double ci,
+                             double dn, int l, GroupLanes& acc) {
   const double active_cap = c.cnt - dn;
   const double displaced =
       active_cap > 0.0 ? std::min(1.0, d * c.cnt / active_cap) : 0.0;
@@ -183,51 +183,115 @@ inline void scaled_step_down(const GroupConsts& c, double d,
   acc.add(kFreedHours, l, fh);
   acc.add(kOppEnergy, l, opp);
   acc.add(kOppHours, l, fh * c.opp_mask);
-  acc.add(kLocationG, l, ge * c.pue * intensity[s]);
+  acc.add(kLocationG, l, ge * c.pue * ci);
   acc.add(kFaultWasted, l, rewarm);
   acc.add(kFaultLost, l, dn * c.step_s / kSecondsPerHour);
 }
 
-// Calls body(s, lane, demand) for every step s of [begin, end) in ascending
-// order, on lane (s - begin) % kStepLanes, with the demand read from `row`
-// at s % row_len. The walk splits at row wraps so that each piece reads its
-// demand contiguously; within a piece, the steps before the next lane-0
-// step run one at a time, then whole kStepLanes-wide strips, then the tail.
-template <typename Body>
-inline void run_strips(const double* row, std::size_t row_len,
-                       std::size_t begin, std::size_t end, Body&& body) {
-  const auto lane_of = [begin](std::size_t s) {
-    return static_cast<int>((s - begin) % kStepLanes);
+// Calls body(lane, demand, intensity) for the n steps s0 + i of one piece,
+// in ascending order, on lane (s - chunk_begin) % kStepLanes: the steps
+// before the next lane-0 step one at a time, then whole kStepLanes-wide
+// strips, then the tail. Demand is contiguous from `dem`; the intensity is
+// contiguous from `ci`, or the one value *ci when kHeld.
+template <bool kHeld, typename Body>
+inline void run_piece(long chunk_begin, long s0, long n, const double* dem,
+                      const double* ci, Body&& body) {
+  const auto lane_of = [chunk_begin](long s) {
+    return static_cast<int>((s - chunk_begin) % kStepLanes);
   };
-  std::size_t s = begin;
-  std::size_t r = end > begin ? begin % row_len : 0;
-  while (s < end) {
-    const std::size_t n = std::min(end - s, row_len - r);
-    const double* dem = row + r;
-    std::size_t i = 0;
-    for (; i < n && lane_of(s + i) != 0; ++i) {
-      body(s + i, lane_of(s + i), dem[i]);
+  const auto ci_at = [ci](long i) {
+    if constexpr (kHeld) {
+      return *ci;
+    } else {
+      return ci[i];
     }
-    for (; i + kStepLanes <= n; i += kStepLanes) {
-      for (int l = 0; l < kStepLanes; ++l) {
-        const std::size_t j = i + static_cast<std::size_t>(l);
-        body(s + j, l, dem[j]);
-      }
+  };
+  long i = 0;
+  for (; i < n && lane_of(s0 + i) != 0; ++i) {
+    body(lane_of(s0 + i), dem[i], ci_at(i));
+  }
+  for (; i + kStepLanes <= n; i += kStepLanes) {
+    for (int l = 0; l < kStepLanes; ++l) {
+      body(l, dem[i + l], ci_at(i + l));
     }
-    for (; i < n; ++i) {
-      body(s + i, lane_of(s + i), dem[i]);
-    }
-    s += n;
-    r = 0;
+  }
+  for (; i < n; ++i) {
+    body(lane_of(s0 + i), dem[i], ci_at(i));
   }
 }
 
-FleetPartial soa_chunk(const FleetStepInputs& in, std::size_t begin,
-                       std::size_t end) {
+// [first run ending after step s, end) of a sorted, disjoint run list;
+// empty for nullptr.
+template <typename Run>
+std::pair<const Run*, const Run*> runs_after(const std::vector<Run>* runs,
+                                             long s) {
+  if (runs == nullptr) {
+    return {nullptr, nullptr};
+  }
+  const auto it = std::partition_point(
+      runs->begin(), runs->end(), [s](const Run& r) { return r.end <= s; });
+  return {runs->data() + (it - runs->begin()), runs->data() + runs->size()};
+}
+
+// Walks steps [begin, end) of one group in pieces over which the demand
+// row, the down count and the intensity source do not change: a piece ends
+// at a row wrap or a crash- or gap-run boundary. Calls
+// piece(s0, n, dem, down, ci, held) for each, in ascending order.
+template <typename Piece>
+inline void walk_pieces(const FleetStepInputs& in, const double* row,
+                        long row_len, const std::vector<DownRun>* down,
+                        long begin, long end, Piece&& piece) {
+  auto [dr, dr_end] = runs_after(down, begin);
+  auto [hr, hr_end] = runs_after(in.held, begin);
+  long s = begin;
+  long r = begin % row_len;
+  while (s < end) {
+    long stop = std::min(end, s + (row_len - r));
+    int dn = 0;
+    if (dr != dr_end) {
+      if (dr->begin <= s) {
+        dn = dr->down;
+        stop = std::min(stop, dr->end);
+      } else {
+        stop = std::min(stop, dr->begin);
+      }
+    }
+    const double* held = nullptr;
+    if (hr != hr_end) {
+      if (hr->begin <= s) {
+        held = &hr->value;
+        stop = std::min(stop, hr->end);
+      } else {
+        stop = std::min(stop, hr->begin);
+      }
+    }
+    const double* ci =
+        held != nullptr ? held : in.intensity + (s - in.intensity_first);
+    piece(s, stop - s, row + r, dn, ci, held != nullptr);
+    r += stop - s;
+    if (r == row_len) {
+      r = 0;
+    }
+    s = stop;
+    if (dr != dr_end && dr->end <= s) {
+      ++dr;
+    }
+    if (hr != hr_end && hr->end <= s) {
+      ++hr;
+    }
+  }
+}
+
+FleetPartial soa_chunk(const FleetStepInputs& in, std::size_t begin_u,
+                       std::size_t end_u) {
   const FleetSoA& soa = *in.soa;
   const std::size_t num_groups = soa.num_groups;
   FleetPartial out(num_groups);
-  const bool any_down = in.down != nullptr && !in.down->empty();
+  const auto begin = static_cast<long>(begin_u);
+  const auto end = static_cast<long>(end_u);
+  if (end <= begin) {
+    return out;
+  }
 
   for (std::size_t g = 0; g < num_groups; ++g) {
     if (soa.count[g] == 0.0) {
@@ -251,34 +315,108 @@ FleetPartial soa_chunk(const FleetStepInputs& in, std::size_t begin,
     c.pue = in.pue;
     c.target = soa.target_utilization;
 
-    const auto row_len = static_cast<std::size_t>(soa.row_len);
-    const double* row = soa.demand.data() + g * row_len;
-    const int* down_row = any_down ? (*in.down)[g].data() : nullptr;
+    const double* row = soa.demand.data() + g * static_cast<std::size_t>(soa.row_len);
+    const std::vector<DownRun>* down =
+        in.down != nullptr && !in.down->empty() ? &(*in.down)[g] : nullptr;
+    const bool scaled = soa.autoscaled[g] != 0;
     GroupLanes lanes;
-    if (soa.autoscaled[g] != 0) {
-      if (down_row != nullptr) {
-        run_strips(row, row_len, begin, end, [&](std::size_t s, int l, double d) {
-          scaled_step_down(c, d, in.intensity, down_row, s, l, lanes);
-        });
+    const auto piece = [&](long s0, long n, const double* dem, int down_now,
+                           const double* ci, bool held) {
+      const auto run = [&](auto&& body) {
+        if (held) {
+          run_piece<true>(begin, s0, n, dem, ci, body);
+        } else {
+          run_piece<false>(begin, s0, n, dem, ci, body);
+        }
+      };
+      const double dn = static_cast<double>(down_now);
+      if (scaled) {
+        if (down_now == 0) {
+          run([&](int l, double d, double x) { scaled_step(c, d, x, l, lanes); });
+        } else {
+          run([&](int l, double d, double x) {
+            scaled_step_down(c, d, x, dn, l, lanes);
+          });
+        }
       } else {
-        run_strips(row, row_len, begin, end, [&](std::size_t s, int l, double d) {
-          scaled_step(c, d, in.intensity, s, l, lanes);
-        });
+        if (down_now == 0) {
+          run([&](int l, double d, double x) { static_step(c, d, x, l, lanes); });
+        } else {
+          run([&](int l, double d, double x) {
+            static_step_down(c, d, x, dn, l, lanes);
+          });
+        }
       }
-    } else {
-      if (down_row != nullptr) {
-        run_strips(row, row_len, begin, end, [&](std::size_t s, int l, double d) {
-          static_step_down(c, d, in.intensity, down_row, s, l, lanes);
-        });
-      } else {
-        run_strips(row, row_len, begin, end, [&](std::size_t s, int l, double d) {
-          static_step(c, d, in.intensity, s, l, lanes);
-        });
-      }
-    }
+    };
+    walk_pieces(in, row, soa.row_len, down, begin, end, piece);
     flush_group(lanes, out, g);
   }
   return out;
+}
+
+// Step range [first, last) of an event, clipped to [0, steps) in double
+// before the casts: an event time past long's range cannot overflow them.
+struct StepRange {
+  long begin = 0;
+  long end = 0;
+};
+
+StepRange event_steps(const fault::FaultEvent& e, long steps, double step_s) {
+  const double first = std::floor(to_seconds(e.time) / step_s);
+  const double last =
+      std::ceil((to_seconds(e.time) + to_seconds(e.duration)) / step_s);
+  const double hi = static_cast<double>(steps);
+  const auto clip = [hi](double x) {
+    return static_cast<long>(x > 0.0 ? std::min(x, hi) : 0.0);
+  };
+  return {clip(first), clip(last)};
+}
+
+// Overwrites steps [b, e) of the sorted, disjoint gap runs with one gap
+// holding step b's reading: b's own, or that of the earlier gap covering b.
+void overwrite_gap(std::vector<GapRun>& runs, long b, long e) {
+  const auto lo = std::partition_point(
+      runs.begin(), runs.end(), [b](const GapRun& r) { return r.end <= b; });
+  const auto hi = std::partition_point(
+      lo, runs.end(), [e](const GapRun& r) { return r.begin < e; });
+  GapRun pieces[3];
+  std::size_t n = 0;
+  const long hold = lo != runs.end() && lo->begin <= b ? lo->hold : b;
+  if (lo != hi && lo->begin < b) {
+    pieces[n++] = {lo->begin, b, lo->hold};
+  }
+  pieces[n++] = {b, e, hold};
+  if (lo != hi && std::prev(hi)->end > e) {
+    pieces[n++] = {e, std::prev(hi)->end, std::prev(hi)->hold};
+  }
+  const auto at = runs.erase(lo, hi);
+  runs.insert(at, pieces, pieces + n);
+}
+
+// The runs of min(count, overlapping crashes) > 0 from a group's crash
+// ranges, given as (step, +1 at a begin / -1 at an end) edges.
+std::vector<DownRun> down_runs(std::vector<std::pair<long, int>>& edges,
+                               int count) {
+  std::sort(edges.begin(), edges.end());
+  std::vector<DownRun> runs;
+  int overlaps = 0;
+  int down = 0;
+  long since = 0;
+  for (std::size_t i = 0; i < edges.size();) {
+    const long at = edges[i].first;
+    for (; i < edges.size() && edges[i].first == at; ++i) {
+      overlaps += edges[i].second;
+    }
+    const int now = std::min(count, overlaps);
+    if (now != down) {
+      if (down > 0) {
+        runs.push_back({since, at, down});
+      }
+      since = at;
+      down = now;
+    }
+  }
+  return runs;
 }
 
 }  // namespace
@@ -308,6 +446,15 @@ void FleetPartial::set_buffer(std::vector<double> buf) {
   buf_ = std::move(buf);
 }
 
+std::size_t FaultProjection::bytes() const {
+  std::size_t total = down.capacity() * sizeof(std::vector<DownRun>) +
+                      gaps.capacity() * sizeof(GapRun);
+  for (const std::vector<DownRun>& runs : down) {
+    total += runs.capacity() * sizeof(DownRun);
+  }
+  return total;
+}
+
 FaultProjection project_faults(const fault::FaultPlan& plan,
                                const Cluster& cluster, long steps,
                                double step_s) {
@@ -318,34 +465,29 @@ FaultProjection project_faults(const fault::FaultPlan& plan,
   if (plan.empty()) {
     return proj;
   }
+  // A host is down at a step for each crash covering it, capped at the
+  // group's count: min(count, min(count, d) + 1) == min(count, d + 1), so
+  // the cap of the per-step count equals the cap of the overlap count.
+  std::vector<std::vector<std::pair<long, int>>> edges;
   for (const fault::FaultEvent& e : plan.events()) {
-    const auto first =
-        static_cast<long>(std::floor(to_seconds(e.time) / step_s));
-    const auto last = static_cast<long>(
-        std::ceil((to_seconds(e.time) + to_seconds(e.duration)) / step_s));
+    const StepRange range = event_steps(e, steps, step_s);
     if (e.kind == fault::FaultKind::kHostCrash && !groups.empty()) {
-      if (proj.down.empty()) {
-        proj.down.assign(groups.size(),
-                         std::vector<int>(static_cast<std::size_t>(steps), 0));
-      }
+      edges.resize(groups.size());
       const std::size_t gi = static_cast<std::size_t>(
           e.target % static_cast<std::uint64_t>(groups.size()));
-      for (long s = std::max(0L, first); s < std::min(steps, last); ++s) {
-        auto& d = proj.down[gi][static_cast<std::size_t>(s)];
-        d = std::min(groups[gi].count, d + 1);
+      if (range.begin < range.end) {
+        edges[gi].emplace_back(range.begin, 1);
+        edges[gi].emplace_back(range.end, -1);
       }
-    } else if (e.kind == fault::FaultKind::kGridDataGap) {
-      if (proj.intensity_remap.empty()) {
-        proj.intensity_remap.resize(static_cast<std::size_t>(steps));
-        for (long s = 0; s < steps; ++s) {
-          proj.intensity_remap[static_cast<std::size_t>(s)] = s;
-        }
-      }
-      const long hold = std::clamp(first, 0L, steps - 1);
-      for (long s = std::max(0L, first); s < std::min(steps, last); ++s) {
-        proj.intensity_remap[static_cast<std::size_t>(s)] =
-            proj.intensity_remap[static_cast<std::size_t>(hold)];
-      }
+    } else if (e.kind == fault::FaultKind::kGridDataGap &&
+               range.begin < range.end) {
+      overwrite_gap(proj.gaps, range.begin, range.end);
+    }
+  }
+  if (!edges.empty()) {
+    proj.down.resize(groups.size());
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      proj.down[g] = down_runs(edges[g], groups[g].count);
     }
   }
   return proj;

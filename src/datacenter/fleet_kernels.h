@@ -151,34 +151,70 @@ class FleetPartial {
   std::vector<double> buf_;
 };
 
-// Read-only inputs shared by every chunk of one run.
+// A run of steps [begin, end) over which `down` hosts of one group are
+// offline (crashed or re-warming).
+struct DownRun {
+  long begin = 0;
+  long end = 0;
+  int down = 0;
+};
+
+// A run of steps [begin, end) inside grid-data gaps: each step reads the
+// intensity of step `hold`, the last reading before the gap.
+struct GapRun {
+  long begin = 0;
+  long end = 0;
+  long hold = 0;
+};
+
+// A gap run with the intensity (base units) its steps read.
+struct HeldRun {
+  long begin = 0;
+  long end = 0;
+  double value = 0.0;
+};
+
+// Read-only inputs shared by every chunk of one segment.
 struct FleetStepInputs {
   const FleetSoA* soa = nullptr;
   double pue = 1.0;
-  // Per-step grid intensity (base units), gap-remap already applied.
+  // Grid intensity (base units) of step s at intensity[s - intensity_first]
+  // for every step the chunks run; the region's offset is applied.
   const double* intensity = nullptr;
-  // down[g][s]: hosts of group g offline at step s; nullptr when no crashes.
-  const std::vector<std::vector<int>>* down = nullptr;
+  long intensity_first = 0;
+  // down[g]: group g's crash runs, sorted; nullptr when nothing crashes.
+  const std::vector<std::vector<DownRun>>* down = nullptr;
+  // Gap runs, sorted; their steps read the held value, not `intensity`.
+  // nullptr when there are none.
+  const std::vector<HeldRun>* held = nullptr;
 };
 
-// Simulate steps [begin, end) of one chunk under the lane contract.
+// Simulate steps [begin, end) of one chunk under the lane contract. Each
+// group's steps split at row wraps and at crash- and gap-run boundaries;
+// within a piece the down count is a constant and the intensity is either
+// contiguous or one held value.
 [[nodiscard]] FleetPartial run_fleet_chunk(const FleetStepInputs& in,
                                            std::size_t begin, std::size_t end);
 
-// Per-step projections of a fault plan onto a fleet timeline, built serially
-// before any parallel region so the chunk kernels only ever read them.
-// Shared by FleetSimulator (one fleet) and PlanetSimulator (one per region).
+// A fault plan projected onto a fleet timeline as sorted, disjoint,
+// piecewise-constant runs, built serially before any parallel region so the
+// chunk kernels only ever read them. Sized by the plan's events, not by the
+// horizon. Shared by FleetSimulator (one fleet) and PlanetSimulator (one
+// per region); tests/oracles/ keeps the dense per-step projection it is
+// proven against.
 struct FaultProjection {
-  // down[g][s]: hosts of group g offline (crashed, re-warming) at step s.
+  // down[g]: the runs over which group g has hosts offline, each holding
+  // min(count, overlapping crashes). Steps in no run have none offline.
   // Empty when the plan contains no host crashes.
-  std::vector<std::vector<int>> down;
-  // intensity_remap[s]: step index whose intensity step s reads. Identity
-  // except during grid data gaps, which hold the last pre-gap reading.
-  // Empty when the plan contains no gaps.
-  std::vector<long> intensity_remap;
+  std::vector<std::vector<DownRun>> down;
+  // The grid-data gap runs. A gap whose first step lies inside an earlier
+  // gap holds that gap's reading; a later gap overrides an earlier one.
+  std::vector<GapRun> gaps;
 
   [[nodiscard]] bool any_down() const { return !down.empty(); }
-  [[nodiscard]] bool any_gap() const { return !intensity_remap.empty(); }
+  [[nodiscard]] bool any_gap() const { return !gaps.empty(); }
+  // Bytes the runs hold.
+  [[nodiscard]] std::size_t bytes() const;
 };
 
 [[nodiscard]] FaultProjection project_faults(const fault::FaultPlan& plan,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <unordered_map>
 
 #include "core/check.h"
 #include "exec/parallel.h"
@@ -17,8 +15,12 @@ namespace {
 
 constexpr const char* kCheckpointSchema = "sustainai-fleet-checkpoint-v1";
 
-// Index range one task of a table prebuild fills.
-constexpr std::size_t kTableFillRange = 8192;
+// A window fill runs in kWindowFillTasks equal ranges of at least
+// kMinWindowFillRange grid points: enough tasks that a segment of tens of
+// thousands of steps spreads over every thread, few enough that a long
+// segmented run does not record thousands of exec.chunk spans.
+constexpr std::size_t kWindowFillTasks = 16;
+constexpr std::size_t kMinWindowFillRange = 1024;
 
 // The fleet as one region at UTC offset 0.
 FleetRegion fleet_region(const FleetSimulator::Config& config) {
@@ -30,7 +32,7 @@ FleetRegion fleet_region(const FleetSimulator::Config& config) {
   region.faults = config.faults;
   const FleetRegion::Run run = FleetRegion::Run::of(config, "FleetSimulator");
   IntensityCache tables;
-  auto table = resolve_intensity_tables({region}, run, tables, config.pool)[0];
+  auto table = resolve_intensity_tables({region}, run, tables)[0];
   return FleetRegion(std::move(region), run, std::move(table));
 }
 
@@ -82,10 +84,7 @@ FleetRegion::FleetRegion(FleetRegionConfig config, const Run& run,
       run_(run),
       offset_steps_(check_config(config_, run_)),
       table_(std::move(table)) {
-  check_arg(table_ != nullptr &&
-                table_->table.built() >= run_.steps + offset_steps_,
-            "FleetRegion: the intensity table must be built through the "
-            "horizon plus the offset");
+  check_arg(table_ != nullptr, "FleetRegion: an intensity table is required");
 
   // Rebase each group's diurnal peak to local solar time. Offset zero copies
   // the cluster untouched, so the peak-hour doubles stay bit-identical.
@@ -99,20 +98,20 @@ FleetRegion::FleetRegion(FleetRegionConfig config, const Run& run,
     }
   }
 
-  // Fault plan and its per-step projections, built serially up front so
-  // the parallel chunks only ever read them.
+  // Fault plan and its runs, built serially up front so the parallel
+  // chunks only ever read them. A gap run holds the table's value at its
+  // hold step, a pure function of the index like every window value.
   plan_ = config_.faults.enabled() ? config_.faults.plan(run_.horizon)
                                    : fault::FaultPlan();
-  projection_ = project_faults(plan_, cluster_, run_.steps, run_.step_s);
-
-  // The lane is the table read in place at the region's offset, unless a
-  // grid-data gap remaps steps.
-  if (projection_.any_gap()) {
-    lane_.resize(static_cast<std::size_t>(run_.steps));
-    for (std::size_t s = 0; s < lane_.size(); ++s) {
-      lane_[s] =
-          table_->table.raw()[projection_.intensity_remap[s] + offset_steps_];
-    }
+  FaultProjection projection =
+      project_faults(plan_, cluster_, run_.steps, run_.step_s);
+  down_ = std::move(projection.down);
+  held_.reserve(projection.gaps.size());
+  for (const GapRun& gap : projection.gaps) {
+    const long k = gap.hold + offset_steps_;
+    HeldRun run{gap.begin, gap.end, 0.0};
+    table_->table.fill_values(k, k + 1, &run.value);
+    held_.push_back(run);
   }
 
   soa_ = build_fleet_soa(cluster_, run_.autoscaler, run_.enable_autoscaler,
@@ -126,14 +125,27 @@ FleetRegion::FleetRegion(FleetRegionConfig config, const Run& run,
   }
 }
 
-FleetStepInputs FleetRegion::inputs() const {
+FleetStepInputs FleetRegion::inputs(const IntensityWindow& window) const {
+  check_arg(static_cast<long>(window.values.size()) >= offset_steps_,
+            "FleetRegion: the intensity window is shorter than the offset");
   FleetStepInputs in;
   in.soa = &soa_;
   in.pue = config_.pue;
-  in.intensity =
-      lane_.empty() ? table_->table.raw() + offset_steps_ : lane_.data();
-  in.down = projection_.any_down() ? &projection_.down : nullptr;
+  in.intensity = window.values.data() + offset_steps_;
+  in.intensity_first = window.first;
+  in.down = down_.empty() ? nullptr : &down_;
+  in.held = held_.empty() ? nullptr : &held_;
   return in;
+}
+
+std::size_t FleetRegion::state_bytes() const {
+  std::size_t bytes = soa_.demand.capacity() * sizeof(double) +
+                      down_.capacity() * sizeof(std::vector<DownRun>) +
+                      held_.capacity() * sizeof(HeldRun);
+  for (const std::vector<DownRun>& runs : down_) {
+    bytes += runs.capacity() * sizeof(DownRun);
+  }
+  return bytes;
 }
 
 FleetResult FleetRegion::summarize(const FleetPartial& total) const {
@@ -221,7 +233,90 @@ void FleetRegion::digest(engine::ConfigDigest& d) const {
 
 // --- FleetSimulator ------------------------------------------------------
 
-FleetSimulator::FleetSimulator(Config config) : region_(fleet_region(config)) {
+// --- IntensityWindows ----------------------------------------------------
+
+IntensityWindows::IntensityWindows(
+    const std::vector<const SharedIntensityTable*>& tables,
+    const std::vector<long>& offsets, exec::ThreadPool* pool)
+    : pool_(pool) {
+  check_arg(tables.size() == offsets.size(),
+            "IntensityWindows: one offset per table is required");
+  grid_of_.reserve(tables.size());
+  for (std::size_t r = 0; r < tables.size(); ++r) {
+    std::size_t g = 0;
+    while (g < grids_.size() && grids_[g].table != tables[r]) {
+      ++g;
+    }
+    if (g == grids_.size()) {
+      grids_.push_back(Grid{tables[r], 0, {}});
+    }
+    grids_[g].reach = std::max(grids_[g].reach, offsets[r]);
+    grid_of_.push_back(g);
+  }
+}
+
+void IntensityWindows::cover(long begin, long end) {
+  // The windows to refill, laid end to end: window i takes flat indices
+  // [starts[i], starts[i + 1]).
+  std::vector<Grid*> refill;
+  std::vector<std::size_t> starts{0};
+  for (Grid& grid : grids_) {
+    if (grid.window.holds(begin, end + grid.reach)) {
+      continue;
+    }
+    const auto n = static_cast<std::size_t>(end + grid.reach - begin);
+    std::vector<double>& values = grid.window.values;
+    if (values.capacity() > 2 * n) {
+      std::vector<double>().swap(values);  // a much longer window is freed
+    }
+    values.resize(n);
+    grid.window.first = begin;
+    refill.push_back(&grid);
+    starts.push_back(starts.back() + n);
+  }
+  if (refill.empty()) {
+    return;
+  }
+  const std::size_t total = starts.back();
+  const std::size_t range = std::max(
+      kMinWindowFillRange, (total + kWindowFillTasks - 1) / kWindowFillTasks);
+  exec::run_chunks(
+      pool_, exec::plan_chunks(total, range),
+      [&](std::size_t, std::size_t b, std::size_t e) {
+        std::size_t i = static_cast<std::size_t>(
+            std::upper_bound(starts.begin(), starts.end(), b) - starts.begin() - 1);
+        for (; b < e; ++i) {
+          const std::size_t stop = std::min(e, starts[i + 1]);
+          IntensityWindow& window = refill[i]->window;
+          const auto lo = static_cast<long>(b - starts[i]);
+          const auto hi = static_cast<long>(stop - starts[i]);
+          refill[i]->table->table.fill_values(
+              window.first + lo, window.first + hi,
+              window.values.data() + lo);
+          b = stop;
+        }
+      });
+}
+
+const IntensityWindow& IntensityWindows::of(std::size_t region) const {
+  check_arg(region < grid_of_.size(), "IntensityWindows: unknown region");
+  return grids_[grid_of_[region]].window;
+}
+
+std::size_t IntensityWindows::bytes() const {
+  std::size_t bytes = 0;
+  for (const Grid& grid : grids_) {
+    bytes += grid.window.values.capacity() * sizeof(double) +
+             grid.table->table.bytes();
+  }
+  return bytes;
+}
+
+// --- FleetSimulator ------------------------------------------------------
+
+FleetSimulator::FleetSimulator(Config config)
+    : region_(fleet_region(config)),
+      windows_({region_.table()}, {region_.offset_steps()}, config.pool) {
   engine::ShardedRun<FleetPartial>::Config rcfg;
   rcfg.steps = steps();
   rcfg.steps_per_chunk = config.steps_per_chunk;
@@ -245,7 +340,12 @@ FleetSimulator::Checkpoint FleetSimulator::start() const {
 }
 
 void FleetSimulator::advance(Checkpoint& cp, long max_steps) const {
-  const FleetStepInputs inputs = region_.inputs();
+  const std::lock_guard<std::mutex> lock(windows_mu_);
+  const long end = runner_.segment_end(cp.next_step, max_steps);
+  if (end > cp.next_step) {
+    windows_.cover(cp.next_step, end);
+  }
+  const FleetStepInputs inputs = region_.inputs(windows_.of(0));
   const double step_s = region_.run().step_s;
   runner_.advance(cp.next_step, cp.shards, max_steps,
                   [&](std::size_t, long begin, long end) -> FleetPartial {
@@ -337,6 +437,11 @@ FleetSimulator::Checkpoint FleetSimulator::parse_checkpoint(
       [this](std::size_t) { return FleetPartial(region_.num_groups()); });
 }
 
+std::size_t FleetSimulator::state_bytes() const {
+  const std::lock_guard<std::mutex> lock(windows_mu_);
+  return region_.state_bytes() + windows_.bytes();
+}
+
 std::string FleetSimulator::compute_config_digest() const {
   const FleetRegionConfig& rc = region_.config();
   engine::ConfigDigest d;
@@ -350,42 +455,14 @@ std::string FleetSimulator::compute_config_digest() const {
 
 std::vector<std::shared_ptr<const SharedIntensityTable>>
 resolve_intensity_tables(const std::vector<FleetRegionConfig>& regions,
-                         const FleetRegion::Run& run, IntensityCache& tables,
-                         exec::ThreadPool* pool) {
-  std::vector<long> needs;
-  needs.reserve(regions.size());
+                         const FleetRegion::Run& run, IntensityCache& tables) {
   for (const FleetRegionConfig& region : regions) {
-    needs.push_back(run.steps + FleetRegion::check_config(region, run));
+    static_cast<void>(FleetRegion::check_config(region, run));
   }
-  // One lookup per region (nothing is built yet), then each distinct table
-  // once, to the longest need, before any region reads it.
   std::vector<std::shared_ptr<const SharedIntensityTable>> resolved;
   resolved.reserve(regions.size());
-  std::unordered_map<SharedIntensityTable*, long> longest;
-  std::vector<std::shared_ptr<SharedIntensityTable>> distinct;
-  for (std::size_t r = 0; r < regions.size(); ++r) {
-    std::shared_ptr<SharedIntensityTable> shared =
-        tables.get(regions[r].grid, run.step, 0);
-    const auto [it, fresh] = longest.emplace(shared.get(), needs[r]);
-    if (fresh) {
-      distinct.push_back(shared);
-    } else {
-      it->second = std::max(it->second, needs[r]);
-    }
-    resolved.push_back(std::move(shared));
-  }
-  const IntensityTable::RangeRunner ranges =
-      [pool](long begin, long end, const std::function<void(long, long)>& fill) {
-        exec::run_chunks(
-            pool,
-            exec::plan_chunks(static_cast<std::size_t>(end - begin),
-                              kTableFillRange),
-            [&](std::size_t, std::size_t b, std::size_t e) {
-              fill(begin + static_cast<long>(b), begin + static_cast<long>(e));
-            });
-      };
-  for (const std::shared_ptr<SharedIntensityTable>& shared : distinct) {
-    shared->table.prebuild(longest.at(shared.get()), ranges);
+  for (const FleetRegionConfig& region : regions) {
+    resolved.push_back(tables.get(region.grid, run.step, 0));
   }
   return resolved;
 }

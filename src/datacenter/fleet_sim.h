@@ -17,6 +17,7 @@
 #include <array>
 #include <cmath>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -87,8 +88,10 @@ struct FleetRegionConfig {
 };
 
 // What both simulators build per region, once: the cluster shifted to the
-// UTC offset, the fault plan and projection, the per-step intensity lane
-// read from a shared table, and the structure-of-arrays image.
+// UTC offset, the fault plan and its runs (crash runs per group, gap runs
+// with the intensity each holds), and the structure-of-arrays image. The
+// per-step intensities come from a window of the region's grid table that
+// the simulator fills per segment (IntensityWindows).
 class FleetRegion {
  public:
   // Run-wide settings every region of one simulator shares.
@@ -114,8 +117,9 @@ class FleetRegion {
   [[nodiscard]] static long check_config(const FleetRegionConfig& config,
                                          const Run& run);
 
-  // `table` is the region's grid table on the run's step, already built
-  // through the horizon plus the offset (resolve_intensity_tables).
+  // `table` is the region's grid table on the run's step
+  // (resolve_intensity_tables); the region reads it only for the values its
+  // grid-data gaps hold.
   FleetRegion(FleetRegionConfig config, const Run& run,
               std::shared_ptr<const SharedIntensityTable> table);
 
@@ -128,11 +132,15 @@ class FleetRegion {
   [[nodiscard]] long offset_steps() const { return offset_steps_; }
   [[nodiscard]] const SharedIntensityTable* table() const { return table_.get(); }
   [[nodiscard]] const fault::FaultPlan& plan() const { return plan_; }
+  [[nodiscard]] const FleetSoA& soa() const { return soa_; }
 
-  // The step kernel's read-only inputs. The intensity pointer is resolved
-  // here, per call, and never stored: a later, larger prebuild of a shared
-  // table reallocates its raw() storage.
-  [[nodiscard]] FleetStepInputs inputs() const;
+  // The step kernel's read-only inputs for the steps `window` holds, the
+  // region's offset applied: a step s of the segment reads the window at
+  // s + offset_steps(). The window must outlive the returned inputs.
+  [[nodiscard]] FleetStepInputs inputs(const IntensityWindow& window) const;
+
+  // Bytes of the region's step state: demand rows and fault runs.
+  [[nodiscard]] std::size_t state_bytes() const;
 
   // Folds the region's partial over all steps into its result.
   [[nodiscard]] FleetResult summarize(const FleetPartial& total) const;
@@ -147,11 +155,45 @@ class FleetRegion {
   std::shared_ptr<const SharedIntensityTable> table_;
   FleetSoA soa_;
   fault::FaultPlan plan_;
-  FaultProjection projection_;
-  // Owned intensity lane when a grid-data gap remaps steps, so the table
-  // cannot be read in place; empty otherwise.
-  std::vector<double> lane_;
+  // The plan's crash runs per group (empty without crashes) and its gap
+  // runs with the intensity each holds.
+  std::vector<std::vector<DownRun>> down_;
+  std::vector<HeldRun> held_;
   double train_servers_ = 0.0;
+};
+
+// Per-segment intensity windows (DESIGN.md §6). For each distinct grid
+// table its regions read, the table's values over one segment's steps plus
+// the largest UTC offset of those regions. Every value is a pure function
+// of its index, so a window of any extent holds the doubles a horizon-long
+// table would. Not thread-safe: the owning simulator fills and reads it
+// under one lock.
+class IntensityWindows {
+ public:
+  IntensityWindows() = default;
+  // tables[r] and offsets[r]: region r's table and UTC offset in steps.
+  // Regions on one table share its window. `pool` runs the fills (nullptr:
+  // the global pool).
+  IntensityWindows(const std::vector<const SharedIntensityTable*>& tables,
+                   const std::vector<long>& offsets, exec::ThreadPool* pool);
+
+  // Makes region r's window hold steps [begin, end + offset_r) for every
+  // region r. A window that already holds its range is read in place;
+  // the others refill from `begin`, together, in one pass over the pool.
+  void cover(long begin, long end);
+  [[nodiscard]] const IntensityWindow& of(std::size_t region) const;
+  // Bytes the windows and their tables hold.
+  [[nodiscard]] std::size_t bytes() const;
+
+ private:
+  struct Grid {
+    const SharedIntensityTable* table = nullptr;
+    long reach = 0;  // the largest offset of the regions on the table
+    IntensityWindow window;
+  };
+  std::vector<Grid> grids_;
+  std::vector<std::size_t> grid_of_;  // region -> index into grids_
+  exec::ThreadPool* pool_ = nullptr;
 };
 
 class FleetSimulator {
@@ -190,10 +232,11 @@ class FleetSimulator {
   // end). Round-trips losslessly via checkpoint_json/parse_checkpoint.
   using Checkpoint = engine::ShardState<FleetPartial>;
 
-  // Validates the config and eagerly builds all steady-run state: the
-  // prebuilt intensity table, the fault plan and its per-step projections,
-  // and the structure-of-arrays image of the cluster. run() is then pure
-  // lookup + arithmetic and can be called repeatedly at steady cost.
+  // Validates the config and builds the region's state: the fault plan and
+  // its runs, and the structure-of-arrays image of the cluster. Nothing
+  // horizon-long is built: each advance() fills the intensity window of its
+  // segment first, unless the window already holds it, so repeated run()
+  // calls fill once and then run at steady cost.
   explicit FleetSimulator(Config config);
 
   FleetSimulator(const FleetSimulator&) = delete;
@@ -234,26 +277,32 @@ class FleetSimulator {
     return config_digest_;
   }
 
+  // Bytes of the step state: demand rows, fault runs and the intensity
+  // window with its table.
+  [[nodiscard]] std::size_t state_bytes() const;
+
  private:
   [[nodiscard]] std::string compute_config_digest() const;
 
   FleetRegion region_;  // one region at UTC offset 0
   engine::ShardedRun<FleetPartial> runner_;
   std::string config_digest_;
+  // Scratch that advance() fills and reads under the lock, so concurrent
+  // const calls stay safe.
+  mutable std::mutex windows_mu_;
+  mutable IntensityWindows windows_;
 };
 
 // Digest every result-affecting field of a fault spec (seed, rates,
 // checkpoint policy) into `d`; shared by every simulator's config_digest.
 void digest_fault_spec(engine::ConfigDigest& d, const fault::FaultSpec& spec);
 
-// The grid table of each region, in region order. Validates every region
-// first, looks each region's table up in `tables` once, then prebuilds
-// every distinct table through the longest horizon plus offset any region
-// reads, in index ranges run over `pool` (nullptr: the global pool).
+// The grid table of each region, in region order: validates every region
+// first, then looks each region's table up in `tables` once. Builds no
+// values; regions on one grid share its table.
 [[nodiscard]] std::vector<std::shared_ptr<const SharedIntensityTable>>
 resolve_intensity_tables(const std::vector<FleetRegionConfig>& regions,
-                         const FleetRegion::Run& run, IntensityCache& tables,
-                         exec::ThreadPool* pool);
+                         const FleetRegion::Run& run, IntensityCache& tables);
 
 template <typename Config>
 FleetRegion::Run FleetRegion::Run::of(const Config& config, const char* who) {

@@ -23,16 +23,20 @@ PlanetSimulator::PlanetSimulator(Config config) {
             "PlanetSimulator: at least one region is required");
   run_ = FleetRegion::Run::of(config, "PlanetSimulator");
 
-  // Regions on the same grid share one table, each reading it at its own
-  // offset. Every table is complete before the first region is built.
+  // Regions on the same grid share one table and one window, each reading
+  // it at its own offset.
   IntensityCache tables;
-  auto resolved =
-      resolve_intensity_tables(config.regions, run_, tables, config.pool);
+  auto resolved = resolve_intensity_tables(config.regions, run_, tables);
   regions_.reserve(config.regions.size());
+  std::vector<const SharedIntensityTable*> region_tables;
+  std::vector<long> offsets;
   for (std::size_t r = 0; r < config.regions.size(); ++r) {
     regions_.emplace_back(std::move(config.regions[r]), run_,
                           std::move(resolved[r]));
+    region_tables.push_back(regions_.back().table());
+    offsets.push_back(regions_.back().offset_steps());
   }
+  windows_ = IntensityWindows(region_tables, offsets, config.pool);
 
   engine::ShardedRun<FleetPartial>::Config rcfg;
   rcfg.steps = run_.steps;
@@ -80,6 +84,14 @@ void PlanetSimulator::advance(Checkpoint& cp, long max_steps) const {
   const long c0 = begin / cpc;
   const long windows = (end + cpc - 1) / cpc - c0;
 
+  const std::lock_guard<std::mutex> lock(windows_mu_);
+  windows_.cover(begin, end);
+  std::vector<FleetStepInputs> inputs;
+  inputs.reserve(regions_.size());
+  for (std::size_t r = 0; r < regions_.size(); ++r) {
+    inputs.push_back(regions_[r].inputs(windows_.of(r)));
+  }
+
   // Per-(region, window) facility energy and location carbon, written by
   // the owning region's chunk only; merged across regions serially below.
   std::vector<std::vector<double>> window_energy(
@@ -92,7 +104,7 @@ void PlanetSimulator::advance(Checkpoint& cp, long max_steps) const {
   runner_.advance(
       cp.next_step, cp.region_partials, max_steps,
       [&](std::size_t r, long b, long e) -> FleetPartial {
-        return run_fleet_chunk(regions_[r].inputs(), static_cast<std::size_t>(b),
+        return run_fleet_chunk(inputs[r], static_cast<std::size_t>(b),
                                static_cast<std::size_t>(e));
       },
       [&](std::size_t r, long c, const FleetPartial& partial) {
@@ -216,6 +228,15 @@ PlanetSimulator::Checkpoint PlanetSimulator::parse_checkpoint(
     cp.series.push_back(sample);
   }
   return cp;
+}
+
+std::size_t PlanetSimulator::state_bytes() const {
+  const std::lock_guard<std::mutex> lock(windows_mu_);
+  std::size_t bytes = windows_.bytes();
+  for (const FleetRegion& region : regions_) {
+    bytes += region.state_bytes();
+  }
+  return bytes;
 }
 
 std::string PlanetSimulator::compute_config_digest() const {

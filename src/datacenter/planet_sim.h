@@ -90,9 +90,11 @@ class PlanetSimulator {
     std::vector<SeriesSample> series;
   };
 
-  // Validates the config and builds all steady-run state: per-region
-  // shifted clusters, fault plans/projections, SoA images, and the shared
-  // intensity tables (prebuilt through horizon + offset, then read-only).
+  // Validates the config and builds the per-region state: shifted
+  // clusters, fault plans and runs, SoA images, and the shared intensity
+  // tables, which hold no values: each advance() fills one window per
+  // distinct grid for its segment, widened by the largest UTC offset on
+  // that grid, unless the windows already hold it.
   explicit PlanetSimulator(Config config);
 
   PlanetSimulator(const PlanetSimulator&) = delete;
@@ -135,6 +137,10 @@ class PlanetSimulator {
     return config_digest_;
   }
 
+  // Bytes of the step state: every region's demand rows and fault runs,
+  // and the intensity windows with their tables.
+  [[nodiscard]] std::size_t state_bytes() const;
+
  private:
   [[nodiscard]] std::string compute_config_digest() const;
 
@@ -144,6 +150,10 @@ class PlanetSimulator {
   // per region, shard-major topology.
   engine::ShardedRun<FleetPartial> runner_;
   std::string config_digest_;
+  // Scratch that advance() fills and reads under the lock, so concurrent
+  // const calls stay safe.
+  mutable std::mutex windows_mu_;
+  mutable IntensityWindows windows_;
 };
 
 }  // namespace sustainai::datacenter

@@ -1,6 +1,7 @@
 #include "fault/plan.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/check.h"
 #include "datagen/rng.h"
@@ -46,6 +47,25 @@ bool FaultEvent::operator==(const FaultEvent& other) const {
          target == other.target;
 }
 
+namespace {
+
+// Deterministic global order: by time, ties broken by kind then target.
+void sort_events(std::vector<FaultEvent>& events) {
+  std::stable_sort(events.begin(), events.end(),
+                   [](const FaultEvent& a, const FaultEvent& b) {
+                     if (to_seconds(a.time) != to_seconds(b.time)) {
+                       return to_seconds(a.time) < to_seconds(b.time);
+                     }
+                     if (a.kind != b.kind) {
+                       return static_cast<int>(a.kind) <
+                              static_cast<int>(b.kind);
+                     }
+                     return a.target < b.target;
+                   });
+}
+
+}  // namespace
+
 FaultPlan::FaultPlan(const FaultRates& rates, Duration horizon,
                      std::uint64_t seed)
     : horizon_(horizon) {
@@ -84,18 +104,13 @@ FaultPlan::FaultPlan(const FaultRates& rates, Duration horizon,
       t += stream.exponential(rate_per_s);
     }
   }
-  // Deterministic global order: by time, ties broken by kind then target.
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const FaultEvent& a, const FaultEvent& b) {
-                     if (to_seconds(a.time) != to_seconds(b.time)) {
-                       return to_seconds(a.time) < to_seconds(b.time);
-                     }
-                     if (a.kind != b.kind) {
-                       return static_cast<int>(a.kind) <
-                              static_cast<int>(b.kind);
-                     }
-                     return a.target < b.target;
-                   });
+  sort_events(events_);
+}
+
+FaultPlan::FaultPlan(std::vector<FaultEvent> events, Duration horizon)
+    : horizon_(horizon), events_(std::move(events)) {
+  check_arg(to_seconds(horizon) >= 0.0, "FaultPlan: horizon must be >= 0");
+  sort_events(events_);
 }
 
 std::vector<FaultEvent> FaultPlan::events_of(FaultKind kind) const {

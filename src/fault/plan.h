@@ -53,6 +53,10 @@ class FaultPlan {
  public:
   FaultPlan() = default;  // empty plan: no faults
   FaultPlan(const FaultRates& rates, Duration horizon, std::uint64_t seed);
+  // A plan of the given events over `horizon`, put in the plan order (by
+  // time, ties by kind then target). For tests that need hand-placed
+  // events: overlaps, events at step 0 or past the horizon, zero length.
+  FaultPlan(std::vector<FaultEvent> events, Duration horizon);
 
   [[nodiscard]] const std::vector<FaultEvent>& events() const {
     return events_;

@@ -208,7 +208,7 @@ TEST(FleetSoa, DemandRowsHoldOneDay) {
     const long steps = region.run().steps;
     SCOPED_TRACE(testing::Message() << "steps=" << steps);
     const std::size_t row = tc.day_rows ? 24u : static_cast<std::size_t>(steps);
-    EXPECT_EQ(region.inputs().soa->demand.size(), region.num_groups() * row);
+    EXPECT_EQ(region.soa().demand.size(), region.num_groups() * row);
   }
 }
 

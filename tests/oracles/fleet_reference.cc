@@ -56,10 +56,9 @@ void flush_group(const GroupLanes& lanes, FleetPartial& out, std::size_t g) {
 // Per-step intensities straight from the grid model: the step index each
 // step reads (a grid-data gap holds the last pre-gap reading), shifted by
 // the region's UTC offset.
-std::vector<double> direct_lane(const FleetRegion& region) {
+std::vector<double> direct_lane(const FleetRegion& region,
+                                const DenseFaultProjection& projection) {
   const FleetRegion::Run& run = region.run();
-  const datacenter::FaultProjection projection = datacenter::project_faults(
-      region.plan(), region.cluster(), run.steps, run.step_s);
   const IntermittentGrid grid(region.config().grid);
   std::vector<double> lane(static_cast<std::size_t>(run.steps));
   for (long s = 0; s < run.steps; ++s) {
@@ -72,20 +71,36 @@ std::vector<double> direct_lane(const FleetRegion& region) {
   return lane;
 }
 
+// Per-step intensities as production reads them: the region's table in one
+// window over the horizon plus the offset, then the gap runs' held values.
+std::vector<double> table_lane(const FleetRegion& region) {
+  const long steps = region.run().steps;
+  IntensityWindow window;
+  window.values.resize(static_cast<std::size_t>(steps + region.offset_steps()));
+  region.table()->table.fill_values(0, steps + region.offset_steps(),
+                                    window.values.data());
+  const FleetStepInputs in = region.inputs(window);
+  std::vector<double> lane(in.intensity, in.intensity + steps);
+  if (in.held != nullptr) {
+    for (const datacenter::HeldRun& run : *in.held) {
+      std::fill(lane.begin() + run.begin, lane.begin() + run.end, run.value);
+    }
+  }
+  return lane;
+}
+
 }  // namespace
 
 ReferenceFleet::ReferenceFleet(const FleetRegion& region, long steps_per_chunk,
                                LaneSource source)
     : region_(region),
       steps_per_chunk_(steps_per_chunk),
-      scaler_(region.run().autoscaler) {
+      scaler_(region.run().autoscaler),
+      faults_(dense_project_faults(region.plan(), region.cluster(),
+                                   region.run().steps, region.run().step_s)) {
   check_arg(steps_per_chunk >= 1, "ReferenceFleet: steps_per_chunk must be >= 1");
-  if (source == LaneSource::kDirect) {
-    lane_ = direct_lane(region);
-  } else {
-    const double* table = region.inputs().intensity;
-    lane_.assign(table, table + region.run().steps);
-  }
+  lane_ = source == LaneSource::kDirect ? direct_lane(region, faults_)
+                                        : table_lane(region);
 }
 
 // The original object-based step math, step-outer / group-inner, with the
@@ -93,7 +108,6 @@ ReferenceFleet::ReferenceFleet(const FleetRegion& region, long steps_per_chunk,
 // the SoA kernel is tested against byte for byte.
 FleetPartial ReferenceFleet::chunk(std::size_t begin, std::size_t end) const {
   const FleetRegion::Run& run = region_.run();
-  const FleetStepInputs in = region_.inputs();
   const auto& groups = region_.cluster().groups();
   const std::size_t num_groups = groups.size();
   FleetPartial out(num_groups);
@@ -101,7 +115,8 @@ FleetPartial ReferenceFleet::chunk(std::size_t begin, std::size_t end) const {
 
   const double step_s = run.step_s;
   const Duration step = seconds(step_s);
-  const bool any_down = in.down != nullptr && !in.down->empty();
+  const bool any_down = faults_.any_down();
+  const double pue = region_.config().pue;
 
   for (std::size_t s = begin; s < end; ++s) {
     const int l = static_cast<int>((s - begin) % kStepLanes);
@@ -115,7 +130,7 @@ FleetPartial ReferenceFleet::chunk(std::size_t begin, std::size_t end) const {
       const double demand = g.load.utilization_at(now);
       // Crashed hosts drop out of capacity; the surviving hosts absorb the
       // displaced load, capped at full utilization.
-      const int down_now = any_down ? (*in.down)[i][s] : 0;
+      const int down_now = any_down ? faults_.down[i][s] : 0;
       int active_count = g.count;
       double active_demand = demand;
       if (down_now > 0) {
@@ -160,7 +175,7 @@ FleetPartial ReferenceFleet::chunk(std::size_t begin, std::size_t end) const {
 
       lanes[i].add(kGroupEnergy, l, to_joules(group_energy));
       lanes[i].add(kUtilWeight, l, recorded_util);
-      lanes[i].add(kLocationG, l, to_joules(group_energy * in.pue) * intensity);
+      lanes[i].add(kLocationG, l, to_joules(group_energy * pue) * intensity);
     }
   }
   for (std::size_t i = 0; i < num_groups; ++i) {
@@ -190,8 +205,7 @@ FleetRegion fleet_region(const datacenter::FleetSimulator::Config& config) {
   region.faults = config.faults;
   const FleetRegion::Run run = FleetRegion::Run::of(config, "ReferenceFleet");
   IntensityCache tables;
-  auto table =
-      datacenter::resolve_intensity_tables({region}, run, tables, config.pool)[0];
+  auto table = datacenter::resolve_intensity_tables({region}, run, tables)[0];
   return FleetRegion(std::move(region), run, std::move(table));
 }
 

@@ -1,15 +1,19 @@
 // Test-side oracle for the fleet step kernel (DESIGN.md §6).
 //
 // Production runs one step kernel: the structure-of-arrays kernel of
-// datacenter/fleet_kernels.h, fed from the region's prebuilt intensity
-// table. This library keeps the slow paths it is proven against:
+// datacenter/fleet_kernels.h, fed from per-segment windows of the region's
+// intensity table and from fault runs. This library keeps the slow paths it
+// is proven against:
 //
 //   * the reference kernel — the original object-based step math
 //     (DiurnalProfile, AutoScaler and ServerSku calls), step-outer /
-//     group-inner, accumulated under the same kStepLanes lane contract, so
-//     it must agree with the SoA kernel byte for byte;
+//     group-inner, accumulated under the same kStepLanes lane contract and
+//     reading crashes from the dense per-step projection
+//     (oracles/fault_reference.h), so it must agree with the SoA kernel
+//     byte for byte;
 //   * the direct intensity lane — IntermittentGrid::intensity_at evaluated
-//     per step, so the table lane must agree with it bit for bit.
+//     per step through the dense gap remap, so the table lane must agree
+//     with it bit for bit.
 //
 // The tests and bench/perf_harness link it; nothing under src/ does.
 #pragma once
@@ -20,15 +24,19 @@
 #include "datacenter/autoscaler.h"
 #include "datacenter/fleet_kernels.h"
 #include "datacenter/fleet_sim.h"
+#include "oracles/fault_reference.h"
 
 namespace sustainai::oracles {
 
 // Where the reference reads each step's grid intensity.
 enum class LaneSource {
   // IntermittentGrid::intensity_at at (remap(s) + offset) * step, the remap
-  // taken from the region's own fault plan: no intensity table at all.
+  // taken from the dense projection of the region's own fault plan: no
+  // intensity table and no fault runs at all.
   kDirect,
-  // The lane the region hands the production kernel (FleetRegion::inputs).
+  // What the region hands the production kernel (FleetRegion::inputs): its
+  // table's values in one window over the horizon, with the values its gap
+  // runs hold.
   kTable,
 };
 
@@ -53,6 +61,7 @@ class ReferenceFleet {
   const datacenter::FleetRegion& region_;
   long steps_per_chunk_;
   datacenter::AutoScaler scaler_;
+  DenseFaultProjection faults_;
   std::vector<double> lane_;
 };
 

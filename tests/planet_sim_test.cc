@@ -265,7 +265,7 @@ TEST(PlanetSim, SimdMatchesReferenceKernel) {
   const FleetRegion::Run run = FleetRegion::Run::of(config, "PlanetSim");
   IntensityCache cache;
   const auto tables =
-      resolve_intensity_tables(config.regions, run, cache, nullptr);
+      resolve_intensity_tables(config.regions, run, cache);
   ASSERT_EQ(planet.regions.size(), config.regions.size());
   for (std::size_t r = 0; r < config.regions.size(); ++r) {
     SCOPED_TRACE(config.regions[r].name);
