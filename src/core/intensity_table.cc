@@ -35,20 +35,13 @@ IntensityTable::IntensityTable(const IntermittentGrid& grid, Duration start,
   }
 }
 
-void IntensityTable::extend(long n, const RangeRunner& ranges) const {
+void IntensityTable::extend(long n) const {
   const long have = built();
   if (n <= have) {
     return;
   }
   values_.resize(static_cast<std::size_t>(n));
-  const auto fill_range = [this](long begin, long end) {
-    fill_values(begin, end, values_.data() + begin);
-  };
-  if (ranges) {
-    ranges(have, n, fill_range);
-  } else {
-    fill_range(have, n);
-  }
+  fill_values(have, n, values_.data() + have);
 }
 
 void IntensityTable::fill_values(long begin, long end, double* out) const {
@@ -69,9 +62,7 @@ std::size_t IntensityTable::bytes() const {
          memo_.size() * (sizeof(std::uint64_t) + sizeof(double));
 }
 
-void IntensityTable::prebuild(long n, const RangeRunner& ranges) {
-  extend(n, ranges);
-}
+void IntensityTable::prebuild(long n) { extend(n); }
 
 CarbonIntensity IntensityTable::at_index(long k) const {
   check_arg(k >= 0, "IntensityTable: index must be >= 0");

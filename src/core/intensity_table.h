@@ -11,13 +11,12 @@
 // of solar terms once, at construction, in a day-slot cache
 // (core/day_slots.h) that every fill only reads; a slot is reused only on
 // an exact second-of-day match. So any split of an index range yields the
-// same doubles, and a caller may fill ranges concurrently: the table's own
-// (prebuild's RangeRunner) or a caller's window (fill_values).
+// same doubles, and a caller may fill ranges of its own buffer
+// concurrently (fill_values).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -45,14 +44,8 @@ class IntensityTable {
   // table never dangles when its owner moves.
   IntensityTable(const IntermittentGrid& grid, Duration start, Duration step);
 
-  // Calls fill(b, e) over ranges [b, e) that cover [begin, end) exactly
-  // once, in any order and on any threads. `fill` writes only its range.
-  using RangeRunner = std::function<void(
-      long begin, long end, const std::function<void(long, long)>& fill)>;
-
-  // Ensures the first n grid points are materialized. The new points
-  // [built(), n) are filled through `ranges`; empty fills them serially.
-  void prebuild(long n, const RangeRunner& ranges = {});
+  // Ensures the first n grid points are materialized.
+  void prebuild(long n);
   [[nodiscard]] long built() const { return static_cast<long>(values_.size()); }
   // Contiguous base-unit intensities for [0, built()). Invalidated by any
   // call that extends the table.
@@ -80,7 +73,7 @@ class IntensityTable {
   [[nodiscard]] const IntermittentGrid& grid() const { return grid_; }
 
  private:
-  void extend(long n, const RangeRunner& ranges = {}) const;
+  void extend(long n) const;
 
   IntermittentGrid grid_;
   double start_s_ = 0.0;

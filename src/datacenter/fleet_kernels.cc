@@ -446,15 +446,6 @@ void FleetPartial::set_buffer(std::vector<double> buf) {
   buf_ = std::move(buf);
 }
 
-std::size_t FaultProjection::bytes() const {
-  std::size_t total = down.capacity() * sizeof(std::vector<DownRun>) +
-                      gaps.capacity() * sizeof(GapRun);
-  for (const std::vector<DownRun>& runs : down) {
-    total += runs.capacity() * sizeof(DownRun);
-  }
-  return total;
-}
-
 FaultProjection project_faults(const fault::FaultPlan& plan,
                                const Cluster& cluster, long steps,
                                double step_s) {

@@ -4,8 +4,9 @@
 // power -> PUE -> grid carbon) is the widest hot path in the repo: it runs
 // once per server group per step over horizons of years. The kernel keeps
 // structure-of-arrays state (per-group constants and demand rows, one day
-// long when the day repeats on the step grid, as contiguous lanes) and
-// blocks the inner loop into kStepLanes-wide strips that the compiler
+// long when the day repeats on the step grid, as contiguous lanes), reads
+// the grid intensity from a per-segment window and faults from sorted runs,
+// and blocks the inner loop into kStepLanes-wide strips that the compiler
 // vectorizes.
 //
 // Its results are defined by an accumulation-order contract (DESIGN.md §6),
@@ -213,8 +214,6 @@ struct FaultProjection {
 
   [[nodiscard]] bool any_down() const { return !down.empty(); }
   [[nodiscard]] bool any_gap() const { return !gaps.empty(); }
-  // Bytes the runs hold.
-  [[nodiscard]] std::size_t bytes() const;
 };
 
 [[nodiscard]] FaultProjection project_faults(const fault::FaultPlan& plan,

@@ -248,20 +248,17 @@ IntensityWindows::IntensityWindows(
       ++g;
     }
     if (g == grids_.size()) {
-      grids_.push_back(Grid{tables[r], 0, {}});
+      grids_.push_back(Grid{tables[r], 0, {}, true});
     }
     grids_[g].reach = std::max(grids_[g].reach, offsets[r]);
     grid_of_.push_back(g);
   }
 }
 
-void IntensityWindows::cover(long begin, long end) {
-  // The windows to refill, laid end to end: window i takes flat indices
-  // [starts[i], starts[i + 1]).
-  std::vector<Grid*> refill;
-  std::vector<std::size_t> starts{0};
+bool IntensityWindows::place(long begin, long end) {
+  bool any_stale = false;
   for (Grid& grid : grids_) {
-    if (grid.window.holds(begin, end + grid.reach)) {
+    if (!grid.stale && grid.window.holds(begin, end + grid.reach)) {
       continue;
     }
     const auto n = static_cast<std::size_t>(end + grid.reach - begin);
@@ -271,8 +268,22 @@ void IntensityWindows::cover(long begin, long end) {
     }
     values.resize(n);
     grid.window.first = begin;
-    refill.push_back(&grid);
-    starts.push_back(starts.back() + n);
+    grid.stale = true;
+    any_stale = true;
+  }
+  return any_stale;
+}
+
+void IntensityWindows::fill() {
+  // The stale windows, laid end to end: window i takes flat indices
+  // [starts[i], starts[i + 1]).
+  std::vector<Grid*> refill;
+  std::vector<std::size_t> starts{0};
+  for (Grid& grid : grids_) {
+    if (grid.stale) {
+      refill.push_back(&grid);
+      starts.push_back(starts.back() + grid.window.values.size());
+    }
   }
   if (refill.empty()) {
     return;
@@ -296,6 +307,21 @@ void IntensityWindows::cover(long begin, long end) {
           b = stop;
         }
       });
+  filled();
+}
+
+void IntensityWindows::fill_points(std::size_t region, long first, long last) {
+  Grid& grid = grids_[grid_of_[region]];
+  check_arg(grid.window.holds(first, last),
+            "IntensityWindows: fill outside the placed window");
+  grid.table->table.fill_values(
+      first, last, grid.window.values.data() + (first - grid.window.first));
+}
+
+void IntensityWindows::filled() {
+  for (Grid& grid : grids_) {
+    grid.stale = false;
+  }
 }
 
 const IntensityWindow& IntensityWindows::of(std::size_t region) const {
@@ -342,9 +368,10 @@ FleetSimulator::Checkpoint FleetSimulator::start() const {
 void FleetSimulator::advance(Checkpoint& cp, long max_steps) const {
   const std::lock_guard<std::mutex> lock(windows_mu_);
   const long end = runner_.segment_end(cp.next_step, max_steps);
-  if (end > cp.next_step) {
-    windows_.cover(cp.next_step, end);
-  }
+  // One region at offset 0: each time chunk reads exactly the window points
+  // of its own steps, so a stale window is filled by the chunks themselves,
+  // each just before it steps, instead of by a pass of its own.
+  const bool stale = end > cp.next_step && windows_.place(cp.next_step, end);
   const FleetStepInputs inputs = region_.inputs(windows_.of(0));
   const double step_s = region_.run().step_s;
   runner_.advance(cp.next_step, cp.shards, max_steps,
@@ -352,9 +379,13 @@ void FleetSimulator::advance(Checkpoint& cp, long max_steps) const {
                     obs::Span chunk_span(
                         "fleet.chunk", step_s * static_cast<double>(begin),
                         step_s * static_cast<double>(end));
+                    if (stale) {
+                      windows_.fill_points(0, begin, end);
+                    }
                     return run_fleet_chunk(inputs, static_cast<std::size_t>(begin),
                                            static_cast<std::size_t>(end));
                   });
+  windows_.filled();
 }
 
 FleetSimulator::Result FleetSimulator::finalize(const Checkpoint& cp) const {

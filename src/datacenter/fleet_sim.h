@@ -177,10 +177,19 @@ class IntensityWindows {
   IntensityWindows(const std::vector<const SharedIntensityTable*>& tables,
                    const std::vector<long>& offsets, exec::ThreadPool* pool);
 
-  // Makes region r's window hold steps [begin, end + offset_r) for every
-  // region r. A window that already holds its range is read in place;
-  // the others refill from `begin`, together, in one pass over the pool.
-  void cover(long begin, long end);
+  // Makes region r's window span steps [begin, end + offset_r) for every
+  // region r. A filled window that already holds its range is kept and
+  // read in place; the others are resized to start at `begin` and are
+  // stale until filled. Returns whether any window is stale.
+  [[nodiscard]] bool place(long begin, long end);
+  // Fills every stale window, together, in one pass over the pool.
+  void fill();
+  // For a caller that fills stale windows from the tasks that read them:
+  // fill_points writes grid points [first, last) of region r's window
+  // (concurrent calls write disjoint ranges), and filled() marks every
+  // window filled once all its points are.
+  void fill_points(std::size_t region, long first, long last);
+  void filled();
   [[nodiscard]] const IntensityWindow& of(std::size_t region) const;
   // Bytes the windows and their tables hold.
   [[nodiscard]] std::size_t bytes() const;
@@ -190,6 +199,7 @@ class IntensityWindows {
     const SharedIntensityTable* table = nullptr;
     long reach = 0;  // the largest offset of the regions on the table
     IntensityWindow window;
+    bool stale = true;
   };
   std::vector<Grid> grids_;
   std::vector<std::size_t> grid_of_;  // region -> index into grids_

@@ -85,7 +85,9 @@ void PlanetSimulator::advance(Checkpoint& cp, long max_steps) const {
   const long windows = (end + cpc - 1) / cpc - c0;
 
   const std::lock_guard<std::mutex> lock(windows_mu_);
-  windows_.cover(begin, end);
+  if (windows_.place(begin, end)) {
+    windows_.fill();
+  }
   std::vector<FleetStepInputs> inputs;
   inputs.reserve(regions_.size());
   for (std::size_t r = 0; r < regions_.size(); ++r) {

@@ -5,6 +5,7 @@
 // table-free oracle (tests/oracles/) computes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -97,25 +98,26 @@ TEST(IntensityTable, RangeFillMatchesSerialBitForBit) {
       SCOPED_TRACE(testing::Message() << "start=" << c.start_s << " step="
                                       << c.step_s << " threads=" << threads);
       exec::ThreadPool pool(threads);
-      const IntensityTable::RangeRunner ranges =
-          [&pool](long begin, long end,
-                  const std::function<void(long, long)>& fill) {
-            exec::run_chunks(
-                &pool, exec::plan_chunks(static_cast<std::size_t>(end - begin), 37),
-                [&](std::size_t, std::size_t b, std::size_t e) {
-                  fill(begin + static_cast<long>(b), begin + static_cast<long>(e));
-                });
-          };
       IntensityTable table(grid, seconds(c.start_s), seconds(c.step_s));
       table.prebuild(11);
-      table.prebuild(kFilled, ranges);
-      ASSERT_EQ(table.built(), kFilled);
+      // Points [11, kFilled) in 37-point ranges of a caller's buffer, as a
+      // simulator fills its intensity window.
+      std::vector<double> filled(static_cast<std::size_t>(kFilled));
+      std::copy(table.raw(), table.raw() + 11, filled.begin());
+      exec::run_chunks(
+          &pool, exec::plan_chunks(static_cast<std::size_t>(kFilled - 11), 37),
+          [&](std::size_t, std::size_t b, std::size_t e) {
+            table.fill_values(11 + static_cast<long>(b), 11 + static_cast<long>(e),
+                              filled.data() + 11 + b);
+          });
+      ASSERT_EQ(table.built(), 11);
       for (long k = 0; k < kFilled; ++k) {
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(table.raw()[k]),
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(filled[static_cast<std::size_t>(k)]),
                   std::bit_cast<std::uint64_t>(
                       direct[static_cast<std::size_t>(k)].base()))
             << "k=" << k;
       }
+      table.prebuild(kFilled);
       for (long k = kFilled; k < kGrown; ++k) {
         ASSERT_EQ(std::bit_cast<std::uint64_t>(table.at_index(k).base()),
                   std::bit_cast<std::uint64_t>(

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/intensity_cache.h"
@@ -105,8 +106,9 @@ TEST(StateBytes, PlanetWindowsFollowTheSegment) {
 
 TEST(IntensityWindows, FillOncePerSegmentAndReadInPlace) {
   // Regions 0 and 2 share one table (offsets 3 and 7); region 1 has its
-  // own. A window refills only when it does not hold the range asked for,
-  // and holds exactly the table's doubles at every index.
+  // own. A window is placed anew only when it does not hold the range
+  // asked for, and once filled holds exactly the table's doubles at every
+  // index.
   IntensityCache cache;
   IntermittentGrid::Config a;
   a.profile = grids::us_west_solar();
@@ -130,7 +132,8 @@ TEST(IntensityWindows, FillOncePerSegmentAndReadInPlace) {
     }
   };
 
-  windows.cover(100, 5000);
+  ASSERT_TRUE(windows.place(100, 5000));
+  windows.fill();
   EXPECT_EQ(windows.of(0).first, 100);
   EXPECT_EQ(windows.of(0).values.size(), 4900u + 7u);
   EXPECT_EQ(windows.of(1).values.size(), 4900u);
@@ -139,16 +142,40 @@ TEST(IntensityWindows, FillOncePerSegmentAndReadInPlace) {
   expect_table(1, tb);
 
   // Held already: read in place.
-  windows.cover(2000, 3000);
+  EXPECT_FALSE(windows.place(2000, 3000));
   EXPECT_EQ(windows.of(0).first, 100);
   EXPECT_EQ(windows.of(1).first, 100);
 
   // Past the window: refilled from the new segment's first step.
-  windows.cover(5000, 5200);
+  ASSERT_TRUE(windows.place(5000, 5200));
+  windows.fill();
   EXPECT_EQ(windows.of(0).first, 5000);
   EXPECT_EQ(windows.of(0).values.size(), 207u);
   expect_table(0, ta);
   expect_table(1, tb);
+
+  // A segment shorter than the offset: [5200, 5202) lies inside the
+  // shared window, but region 2 reads up to step 5208, past its end, so
+  // that window refills; region 1's window, with no offset, also ends at
+  // 5200 and refills.
+  ASSERT_TRUE(windows.place(5200, 5202));
+  EXPECT_EQ(windows.of(0).first, 5200);
+  EXPECT_EQ(windows.of(0).values.size(), 9u);
+  EXPECT_EQ(windows.of(1).first, 5200);
+
+  // Filled from the tasks that read it instead: a placed window stays
+  // stale, and is placed again, until filled() marks it.
+  windows.fill_points(0, 5200, 5205);
+  windows.fill_points(2, 5205, 5209);
+  windows.fill_points(1, 5200, 5202);
+  EXPECT_TRUE(windows.place(5200, 5202));
+  windows.fill_points(0, 5200, 5209);
+  windows.fill_points(1, 5200, 5202);
+  windows.filled();
+  EXPECT_FALSE(windows.place(5200, 5202));
+  expect_table(0, ta);
+  expect_table(1, tb);
+  EXPECT_THROW(windows.fill_points(1, 5199, 5201), std::invalid_argument);
 }
 
 }  // namespace

@@ -5,14 +5,17 @@
 #
 #   tools/run_sanitized.sh              # labeled suites (ctest -L sanitize):
 #                                       #   fault/scenario, SIMD kernels,
-#                                       #   planet, engine + kill/resume
+#                                       #   planet, engine + kill/resume,
+#                                       #   step state, bundle digests
 #   tools/run_sanitized.sh --full       # the entire test suite, sanitized
 #   SUSTAINAI_SANITIZE=thread tools/run_sanitized.sh   # other sanitizers
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${repo_root}/build-sanitized"
-sanitizers="${SUSTAINAI_SANITIZE:-address,undefined}"
+# GCC's `undefined` set leaves out float-cast-overflow, which catches a
+# double cast to an integer it cannot fit (event times to step indices).
+sanitizers="${SUSTAINAI_SANITIZE:-address,undefined,float-cast-overflow}"
 
 cmake -S "${repo_root}" -B "${build_dir}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
