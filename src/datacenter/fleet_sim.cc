@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 
 #include "core/check.h"
 #include "exec/parallel.h"
@@ -231,8 +232,6 @@ void FleetRegion::digest(engine::ConfigDigest& d) const {
   }
 }
 
-// --- FleetSimulator ------------------------------------------------------
-
 // --- IntensityWindows ----------------------------------------------------
 
 IntensityWindows::IntensityWindows(
@@ -242,16 +241,15 @@ IntensityWindows::IntensityWindows(
   check_arg(tables.size() == offsets.size(),
             "IntensityWindows: one offset per table is required");
   grid_of_.reserve(tables.size());
+  std::unordered_map<const SharedIntensityTable*, std::size_t> index;
   for (std::size_t r = 0; r < tables.size(); ++r) {
-    std::size_t g = 0;
-    while (g < grids_.size() && grids_[g].table != tables[r]) {
-      ++g;
-    }
-    if (g == grids_.size()) {
+    const auto [it, fresh] = index.emplace(tables[r], grids_.size());
+    if (fresh) {
       grids_.push_back(Grid{tables[r], 0, {}, true});
     }
-    grids_[g].reach = std::max(grids_[g].reach, offsets[r]);
-    grid_of_.push_back(g);
+    Grid& grid = grids_[it->second];
+    grid.reach = std::max(grid.reach, offsets[r]);
+    grid_of_.push_back(it->second);
   }
 }
 
