@@ -22,16 +22,23 @@ class DaySlotCache {
   // Steps finer than a day / kMaxSlots are not cached.
   static constexpr long kMaxSlots = 1L << 20;
 
-  explicit DaySlotCache(double step_s) {
-    const double per_day = kSecondsPerDay / step_s;
-    if (step_s > 0.0 && per_day < 2.0 * static_cast<double>(kMaxSlots)) {
-      period_ = std::lround(per_day);
-      if (period_ < 1 || period_ > kMaxSlots ||
-          static_cast<double>(period_) * step_s != kSecondsPerDay) {
-        period_ = 0;
-      }
-    }
+  explicit DaySlotCache(double step_s) : period_(period_of(step_s)) {
     slots_.resize(static_cast<std::size_t>(period_));
+  }
+
+  // Slots per day on a grid of `step_s`; 0 when the step does not divide
+  // the day or is finer than a day / kMaxSlots.
+  [[nodiscard]] static long period_of(double step_s) {
+    const double per_day = kSecondsPerDay / step_s;
+    if (!(step_s > 0.0 && per_day < 2.0 * static_cast<double>(kMaxSlots))) {
+      return 0;
+    }
+    const long period = std::lround(per_day);
+    if (period < 1 || period > kMaxSlots ||
+        static_cast<double>(period) * step_s != kSecondsPerDay) {
+      return 0;
+    }
+    return period;
   }
 
   // Slots per day; 0 when the step does not divide the day (no caching).

@@ -484,6 +484,14 @@ FaultProjection project_faults(const fault::FaultPlan& plan,
   return proj;
 }
 
+long demand_row_len(long steps, double step_s) {
+  const long period = DaySlotCache::period_of(step_s);
+  const bool day_rows = period > 0 && period < steps &&
+                        std::floor(step_s) == step_s &&
+                        step_s * static_cast<double>(steps) < 0x1p53;
+  return day_rows ? period : steps;
+}
+
 FleetSoA build_fleet_soa(const Cluster& cluster,
                          const AutoScaler::Config& autoscaler,
                          bool enable_autoscaler, bool opportunistic_training,
@@ -522,11 +530,7 @@ FleetSoA build_fleet_soa(const Cluster& cluster,
   // reads the same second-of-day, hence the same double, as slot
   // s % period of a one-day row.
   DaySlotCache load_slots(step_s);
-  const long period = load_slots.period();
-  const bool day_rows = period > 0 && period < steps &&
-                        std::floor(step_s) == step_s &&
-                        step_s * static_cast<double>(steps) < 0x1p53;
-  soa.row_len = day_rows ? period : steps;
+  soa.row_len = demand_row_len(steps, step_s);
   const auto row_len = static_cast<std::size_t>(soa.row_len);
   soa.demand.assign(n * row_len, 0.0);
 

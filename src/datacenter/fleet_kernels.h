@@ -86,12 +86,16 @@ struct FleetSoA {
   double max_freed_frac = 0.0;
 };
 
+// Steps per demand row for `steps` steps of `step_s` seconds: one day long
+// (the DaySlotCache period) when the period is nonzero and below `steps`,
+// `step_s` is a whole number of seconds and step_s * steps < 2^53; then
+// fmod(step_s * s, 86400) equals step_s * (s % period) exactly. Otherwise
+// the rows span the horizon.
+[[nodiscard]] long demand_row_len(long steps, double step_s);
+
 // Precompute the SoA image of `cluster` for `steps` steps of `step_s`
 // seconds. `opportunistic_utilization` parameterizes opp_energy_j. Rows are
-// one day long (row_len = the DaySlotCache period) when the period is
-// nonzero and below `steps`, `step_s` is a whole number of seconds and
-// step_s * steps < 2^53; then fmod(step_s * s, 86400) equals
-// step_s * (s % period) exactly. Otherwise they span the horizon.
+// demand_row_len(steps, step_s) steps long.
 [[nodiscard]] FleetSoA build_fleet_soa(const Cluster& cluster,
                                        const AutoScaler::Config& autoscaler,
                                        bool enable_autoscaler,

@@ -18,6 +18,7 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -104,6 +105,13 @@ class FleetRegion {
     AutoScaler::Config autoscaler;
     bool opportunistic_training = true;
     double opportunistic_utilization = 0.90;
+
+    // Most bytes one demand row may take (see demand_row_len). A step that
+    // is not a whole number of seconds dividing the day keeps one row entry
+    // per step of the horizon, per server group: a decade at 0.6 s would
+    // ask for about 4.2 GB a group. Such a run is rejected by name before
+    // anything is allocated (StepRowsTooLong).
+    static constexpr double kMaxDemandRowBytes = 0x1p28;  // 256 MiB
 
     // The run-wide half of a FleetSimulator or PlanetSimulator config,
     // validated; `who` prefixes the error messages.
@@ -303,6 +311,14 @@ class FleetSimulator {
   mutable IntensityWindows windows_;
 };
 
+// Thrown by FleetRegion::Run::of when the step would make a demand row
+// exceed FleetRegion::Run::kMaxDemandRowBytes: an error in the step, which
+// the scenario adapters report at their step param.
+class StepRowsTooLong : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
 // Digest every result-affecting field of a fault spec (seed, rates,
 // checkpoint policy) into `d`; shared by every simulator's config_digest.
 void digest_fault_spec(engine::ConfigDigest& d, const fault::FaultSpec& spec);
@@ -336,6 +352,20 @@ FleetRegion::Run FleetRegion::Run::of(const Config& config, const char* who) {
   check_arg(steps < 0x1p53 && run.step_s * steps < 0x1p53,
             prefix + "horizon / step must be finite with step * steps < 2^53");
   run.steps = static_cast<long>(steps);
+  const double row_bytes =
+      static_cast<double>(demand_row_len(run.steps, run.step_s)) *
+      static_cast<double>(sizeof(double));
+  if (row_bytes > kMaxDemandRowBytes) {
+    throw StepRowsTooLong(
+        prefix + "a step of " + report::shortest_double(run.step_s) +
+        " s is not a whole number of seconds dividing the day, so each "
+        "server group keeps a demand row over the whole horizon: " +
+        std::to_string(run.steps) + " steps, " +
+        report::shortest_double(row_bytes) + " bytes, over the " +
+        report::shortest_double(kMaxDemandRowBytes) +
+        "-byte bound; use a step that divides the day in whole seconds, or "
+        "a shorter horizon");
+  }
   run.enable_autoscaler = config.enable_autoscaler;
   run.autoscaler = config.autoscaler;
   run.opportunistic_training = config.opportunistic_training;

@@ -1,6 +1,7 @@
 #include "datacenter/planet_sim.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -13,8 +14,20 @@ namespace sustainai::datacenter {
 
 namespace {
 
-constexpr const char* kCheckpointSchema = "sustainai-planet-checkpoint-v1";
+// v1 snapshots carry the whole series inline; they still resume.
+constexpr const char* kSchemaV1 = "sustainai-planet-checkpoint-v1";
+constexpr const char* kSchemaV2 = "sustainai-planet-checkpoint-v2";
 constexpr const char* kCheckpointContext = "planet checkpoint";
+
+// One journal record: a closed series window.
+report::JsonValue sample_json(const PlanetSimulator::SeriesSample& s) {
+  report::JsonValue sample = report::JsonValue::object();
+  sample.set("t_begin_s", report::JsonValue::number(s.t_begin_s));
+  sample.set("t_end_s", report::JsonValue::number(s.t_end_s));
+  sample.set("facility_energy_j", report::JsonValue::number(s.facility_energy_j));
+  sample.set("location_carbon_g", report::JsonValue::number(s.location_carbon_g));
+  return sample;
+}
 
 }  // namespace
 
@@ -185,27 +198,41 @@ PlanetSimulator::Result PlanetSimulator::run() const {
 
 report::JsonValue PlanetSimulator::checkpoint_json(const Checkpoint& cp) const {
   report::JsonValue root = runner_.state_json(
-      cp.next_step, cp.region_partials, kCheckpointSchema, config_digest(),
-      "regions");
+      cp.next_step, cp.region_partials, kSchemaV2, config_digest(), "regions");
   report::JsonValue series = report::JsonValue::array();
   for (const SeriesSample& s : cp.series) {
-    report::JsonValue sample = report::JsonValue::object();
-    sample.set("t_begin_s", report::JsonValue::number(s.t_begin_s));
-    sample.set("t_end_s", report::JsonValue::number(s.t_end_s));
-    sample.set("facility_energy_j",
-               report::JsonValue::number(s.facility_energy_j));
-    sample.set("location_carbon_g",
-               report::JsonValue::number(s.location_carbon_g));
-    series.append(std::move(sample));
+    series.append(sample_json(s));
   }
   root.set("series", std::move(series));
   return root;
 }
 
+engine::SealedFrame PlanetSimulator::seal(const Checkpoint& cp) const {
+  report::JsonValue records = report::JsonValue::array();
+  for (std::size_t i = cp.journal.records; i < cp.series.size(); ++i) {
+    records.append(sample_json(cp.series[i]));
+  }
+  return engine::seal_frame(records, cp.journal);
+}
+
+report::JsonValue PlanetSimulator::live_json(
+    const Checkpoint& cp, const engine::JournalPrefix& covers) const {
+  report::JsonValue root = runner_.state_json(
+      cp.next_step, cp.region_partials, kSchemaV2, config_digest(), "regions");
+  engine::finish_live(root, covers);
+  return root;
+}
+
 PlanetSimulator::Checkpoint PlanetSimulator::parse_checkpoint(
     const report::JsonValue& value) const {
+  return parse_checkpoint(value, {}, Checkpoint{});
+}
+
+PlanetSimulator::Checkpoint PlanetSimulator::parse_checkpoint(
+    const report::JsonValue& value, std::string_view journal,
+    Checkpoint base) const {
   engine::ShardState<FleetPartial> state = runner_.parse_state(
-      value, kCheckpointSchema, config_digest(), "regions",
+      value, {kSchemaV1, kSchemaV2}, config_digest(), "regions",
       [this](std::size_t r) {
         return FleetPartial(regions_[r].num_groups());
       });
@@ -213,12 +240,44 @@ PlanetSimulator::Checkpoint PlanetSimulator::parse_checkpoint(
   Checkpoint cp;
   cp.next_step = state.next_step;
   cp.region_partials = std::move(state.shards);
+  // One window per chunk started: the series a checkpoint at next_step has.
+  const auto windows = static_cast<std::size_t>(
+      (cp.next_step + steps_per_chunk() - 1) / steps_per_chunk());
 
-  const report::JsonValue& series =
-      engine::require_member(value, "series", kCheckpointContext);
-  check_arg(series.is_array(), "planet checkpoint: series must be an array");
-  cp.series.reserve(series.items().size());
-  for (const report::JsonValue& s : series.items()) {
+  const std::optional<engine::JournalPrefix> covered =
+      engine::live_prefix(value, kCheckpointContext);
+  if (!covered) {
+    // Self-contained: the whole series inline (v1, or v2's checkpoint_json).
+    read_series(engine::require_member(value, "series", kCheckpointContext),
+                cp);
+  } else {
+    const engine::JournalPrefix& to = *covered;
+    check_arg(to.records == windows,
+              "planet checkpoint: journal names a window count that does not "
+              "match next_step");
+    check_arg(base.series.size() >= base.journal.records &&
+                  base.journal.records <= windows,
+              "planet checkpoint: base checkpoint does not match this planet");
+    // Keep the windows base read from its journal prefix; the ones closed
+    // after it come back from `journal`.
+    cp.series = std::move(base.series);
+    cp.series.resize(base.journal.records);
+    cp.series.reserve(windows);
+    engine::read_frames(
+        journal, base.journal, to,
+        [&](const report::JsonValue& records) { read_series(records, cp); },
+        kCheckpointContext);
+    cp.journal = to;
+  }
+  check_arg(cp.series.size() == windows,
+            "planet checkpoint: series length does not match next_step");
+  return cp;
+}
+
+void PlanetSimulator::read_series(const report::JsonValue& records,
+                                  Checkpoint& cp) const {
+  check_arg(records.is_array(), "planet checkpoint: series must be an array");
+  for (const report::JsonValue& s : records.items()) {
     check_arg(s.is_object(), "planet checkpoint: series samples must be objects");
     SeriesSample sample;
     sample.t_begin_s = engine::require_number(s, "t_begin_s", kCheckpointContext);
@@ -229,7 +288,6 @@ PlanetSimulator::Checkpoint PlanetSimulator::parse_checkpoint(
         engine::require_number(s, "location_carbon_g", kCheckpointContext);
     cp.series.push_back(sample);
   }
-  return cp;
 }
 
 std::size_t PlanetSimulator::state_bytes() const {

@@ -15,6 +15,9 @@
 // was cut. A Checkpoint (per-region FleetPartial buffers, the series so
 // far, the next step) round-trips through canonical JSON losslessly, so a
 // killed run resumes in a fresh process to the same bytes (DESIGN.md §10).
+// A closed series window is a sealed record: it goes to the checkpoint
+// journal (engine/journal.h) once, and the live snapshot holds only the
+// region partials.
 //
 // The series has one sample per chunk window (facility energy, location
 // carbon, and their ratio), summed across regions in region order.
@@ -22,9 +25,11 @@
 
 #include <array>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "datacenter/fleet_sim.h"
+#include "engine/journal.h"
 #include "report/json.h"
 
 namespace sustainai::datacenter {
@@ -88,6 +93,9 @@ class PlanetSimulator {
     long next_step = 0;
     std::vector<FleetPartial> region_partials;  // one per region
     std::vector<SeriesSample> series;
+    // The journal prefix holding series[0, journal.records); later windows
+    // closed since the last frame.
+    engine::JournalPrefix journal;
   };
 
   // Validates the config and builds the per-region state: shifted
@@ -124,12 +132,26 @@ class PlanetSimulator {
   // start + advance(all) + finalize.
   [[nodiscard]] Result run() const;
 
-  // Lossless JSON snapshot of a checkpoint (schema "sustainai-planet-
-  // checkpoint-v1"; see DESIGN.md). The embedded config digest is checked
-  // on parse, so a snapshot cannot resume a differently-configured planet.
+  // Self-contained JSON snapshot of a checkpoint (schema "sustainai-planet-
+  // checkpoint-v2"; see DESIGN.md): region partials plus the whole series
+  // inline. parse_checkpoint(value) reads it and v1 snapshots. The
+  // embedded config digest is checked on parse, so a snapshot cannot
+  // resume a differently-configured planet.
   [[nodiscard]] report::JsonValue checkpoint_json(const Checkpoint& cp) const;
   [[nodiscard]] Checkpoint parse_checkpoint(
       const report::JsonValue& value) const;
+
+  // The journal form, as QueueSim's: seal() frames the windows closed
+  // since the checkpoint's journal prefix, live_json() names the prefix
+  // `covers` instead of carrying the series, and parse_checkpoint(value,
+  // journal, base) reads a live snapshot on top of `base`'s journaled
+  // windows, taking the rest from `journal`.
+  [[nodiscard]] engine::SealedFrame seal(const Checkpoint& cp) const;
+  [[nodiscard]] report::JsonValue live_json(
+      const Checkpoint& cp, const engine::JournalPrefix& covers) const;
+  [[nodiscard]] Checkpoint parse_checkpoint(const report::JsonValue& value,
+                                            std::string_view journal,
+                                            Checkpoint base) const;
 
   // FNV-1a digest over every result-affecting config parameter. Computed
   // once, at construction.
@@ -143,6 +165,8 @@ class PlanetSimulator {
 
  private:
   [[nodiscard]] std::string compute_config_digest() const;
+  // Appends an array of journal records (series samples) to `cp.series`.
+  void read_series(const report::JsonValue& records, Checkpoint& cp) const;
 
   FleetRegion::Run run_;
   std::vector<FleetRegion> regions_;

@@ -1,9 +1,11 @@
 #include "datacenter/queue_sim.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "core/check.h"
@@ -17,7 +19,10 @@ namespace sustainai::datacenter {
 
 namespace {
 
-constexpr const char* kCheckpointSchema = "sustainai-queue-checkpoint-v1";
+// v1 snapshots carry every outcome inline and five job-sized fault lanes;
+// they still resume.
+constexpr const char* kSchemaV1 = "sustainai-queue-checkpoint-v1";
+constexpr const char* kSchemaV2 = "sustainai-queue-checkpoint-v2";
 constexpr const char* kCheckpointContext = "queue checkpoint";
 
 std::size_t require_index(const report::JsonValue& object, const char* key,
@@ -44,6 +49,22 @@ std::vector<BatchJob> checked_jobs(std::vector<BatchJob> jobs) {
               return to_seconds(a.arrival) < to_seconds(b.arrival);
             });
   return jobs;
+}
+
+// One journal record: a finished job's outcome.
+report::JsonValue outcome_json(std::size_t job,
+                               const QueueSim::JobOutcome& out) {
+  report::JsonValue j = report::JsonValue::object();
+  j.set("job", report::JsonValue::number(static_cast<double>(job)));
+  j.set("start_s", report::JsonValue::number(out.start_s));
+  j.set("finish_s", report::JsonValue::number(out.finish_s));
+  j.set("carbon_g", report::JsonValue::number(out.carbon_g));
+  return j;
+}
+
+// Bitwise equality, so a -0.0 is never mistaken for a default 0.0.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 QueueSimConfig checked_config(QueueSimConfig config) {
@@ -240,7 +261,7 @@ void QueueSim::step_once(Checkpoint& cp, obs::Gauge& depth_gauge) const {
         job_span.set_track(obs::kUserTrackBase + ji);
         job_span.label("id", jobs_[ji].id);
       }
-      ++cp.finished;
+      cp.sealed.push_back(ji);
       cp.running[i] = cp.running.back();
       cp.running.pop_back();
     } else {
@@ -263,7 +284,7 @@ void QueueSim::advance(Checkpoint& cp, long max_steps) const {
 
   const double begin_s = cp.now_s;
   long stepped = 0;
-  while (cp.finished < jobs_.size() && stepped < max_steps) {
+  while (!done(cp) && stepped < max_steps) {
     step_once(cp, depth_gauge);
     ++stepped;
   }
@@ -271,7 +292,7 @@ void QueueSim::advance(Checkpoint& cp, long max_steps) const {
 }
 
 QueueSimResult QueueSim::finalize(const Checkpoint& cp) const {
-  check_arg(cp.finished >= jobs_.size(),
+  check_arg(done(cp),
             "QueueSim::finalize: checkpoint has not finished every job");
   check_arg(cp.outcomes.size() == jobs_.size(),
             "QueueSim::finalize: checkpoint job count mismatch");
@@ -336,9 +357,9 @@ QueueSimResult QueueSim::run() const {
   return finalize(cp);
 }
 
-report::JsonValue QueueSim::checkpoint_json(const Checkpoint& cp) const {
+report::JsonValue QueueSim::live_members(const Checkpoint& cp) const {
   report::JsonValue root = report::JsonValue::object();
-  engine::write_envelope(root, kCheckpointSchema, config_digest());
+  engine::write_envelope(root, kSchemaV2, config_digest());
   root.set("next_step", report::JsonValue::number(
                             static_cast<double>(cp.next_step)));
   root.set("now_s", report::JsonValue::number(cp.now_s));
@@ -368,41 +389,33 @@ report::JsonValue QueueSim::checkpoint_json(const Checkpoint& cp) const {
   }
   root.set("queue", std::move(queue));
 
-  // Sparse: only completed jobs appear; `finished` is recomputed on parse.
-  report::JsonValue outcomes = report::JsonValue::array();
-  for (std::size_t i = 0; i < cp.outcomes.size(); ++i) {
-    const JobOutcome& out = cp.outcomes[i];
-    if (!out.completed) {
-      continue;
-    }
-    report::JsonValue j = report::JsonValue::object();
-    j.set("job", report::JsonValue::number(static_cast<double>(i)));
-    j.set("start_s", report::JsonValue::number(out.start_s));
-    j.set("finish_s", report::JsonValue::number(out.finish_s));
-    j.set("carbon_g", report::JsonValue::number(out.carbon_g));
-    outcomes.append(std::move(j));
-  }
-  root.set("outcomes", std::move(outcomes));
-
   if (faults_enabled_) {
-    report::JsonValue f = report::JsonValue::object();
-    const auto lane = [](const std::vector<double>& v) {
-      report::JsonValue a = report::JsonValue::array();
-      for (const double x : v) {
-        a.append(report::JsonValue::number(x));
+    // Only unfinished jobs whose entries differ from start()'s, in
+    // ascending job order: a finished job's entries are never read again.
+    const FaultState& fs = cp.faults;
+    report::JsonValue entries = report::JsonValue::array();
+    for (std::size_t i = 0; i < jobs_.size(); ++i) {
+      if (cp.outcomes[i].completed ||
+          (same_bits(fs.preserved_s[i], 0.0) &&
+           same_bits(fs.prior_carbon_g[i], 0.0) &&
+           same_bits(fs.earliest_restart_s[i], 0.0) &&
+           same_bits(fs.first_start_s[i], -1.0) && fs.preempt_count[i] == 0)) {
+        continue;
       }
-      return a;
-    };
-    f.set("preserved_s", lane(cp.faults.preserved_s));
-    f.set("prior_carbon_g", lane(cp.faults.prior_carbon_g));
-    f.set("earliest_restart_s", lane(cp.faults.earliest_restart_s));
-    f.set("first_start_s", lane(cp.faults.first_start_s));
-    report::JsonValue counts = report::JsonValue::array();
-    for (const int c : cp.faults.preempt_count) {
-      counts.append(report::JsonValue::number(static_cast<double>(c)));
+      report::JsonValue e = report::JsonValue::object();
+      e.set("job", report::JsonValue::number(static_cast<double>(i)));
+      e.set("preserved_s", report::JsonValue::number(fs.preserved_s[i]));
+      e.set("prior_carbon_g", report::JsonValue::number(fs.prior_carbon_g[i]));
+      e.set("earliest_restart_s",
+            report::JsonValue::number(fs.earliest_restart_s[i]));
+      e.set("first_start_s", report::JsonValue::number(fs.first_start_s[i]));
+      e.set("preempt_count", report::JsonValue::number(
+                                 static_cast<double>(fs.preempt_count[i])));
+      entries.append(std::move(e));
     }
-    f.set("preempt_count", std::move(counts));
-    const fault::Accounting& acc = cp.faults.acc;
+    report::JsonValue f = report::JsonValue::object();
+    f.set("jobs", std::move(entries));
+    const fault::Accounting& acc = fs.acc;
     f.set("faults_injected", report::JsonValue::number(
                                  static_cast<double>(acc.faults_injected)));
     f.set("recoveries",
@@ -422,15 +435,104 @@ report::JsonValue QueueSim::checkpoint_json(const Checkpoint& cp) const {
   return root;
 }
 
+report::JsonValue QueueSim::checkpoint_json(const Checkpoint& cp) const {
+  report::JsonValue root = live_members(cp);
+  report::JsonValue outcomes = report::JsonValue::array();
+  for (const std::size_t ji : cp.sealed) {
+    outcomes.append(outcome_json(ji, cp.outcomes[ji]));
+  }
+  root.set("outcomes", std::move(outcomes));
+  return root;
+}
+
+engine::SealedFrame QueueSim::seal(const Checkpoint& cp) const {
+  report::JsonValue records = report::JsonValue::array();
+  for (std::size_t i = cp.journal.records; i < cp.sealed.size(); ++i) {
+    records.append(outcome_json(cp.sealed[i], cp.outcomes[cp.sealed[i]]));
+  }
+  return engine::seal_frame(records, cp.journal);
+}
+
+report::JsonValue QueueSim::live_json(
+    const Checkpoint& cp, const engine::JournalPrefix& covers) const {
+  report::JsonValue root = live_members(cp);
+  engine::finish_live(root, covers);
+  return root;
+}
+
 QueueSim::Checkpoint QueueSim::parse_checkpoint(
     const report::JsonValue& value) const {
-  engine::check_envelope(value, kCheckpointSchema, config_digest(),
-                         kCheckpointContext);
+  return parse_checkpoint(value, {}, start());
+}
+
+QueueSim::Checkpoint QueueSim::parse_checkpoint(const report::JsonValue& value,
+                                                std::string_view journal,
+                                                Checkpoint base) const {
+  Checkpoint cp = parse_live(value);
+  const std::optional<engine::JournalPrefix> covered =
+      engine::live_prefix(value, kCheckpointContext);
+  if (!covered) {
+    // Self-contained: every outcome inline (v1, or v2's checkpoint_json).
+    read_outcomes(engine::require_member(value, "outcomes", kCheckpointContext),
+                  cp);
+    return cp;
+  }
+  const engine::JournalPrefix& to = *covered;
+  check_arg(to.records <= jobs_.size(),
+            "queue checkpoint: journal names more outcomes than there are jobs");
+  check_arg(base.outcomes.size() == jobs_.size() &&
+                base.sealed.size() >= base.journal.records,
+            "queue checkpoint: base checkpoint does not match this queue");
+  // Keep the outcomes base read from its journal prefix; the ones that
+  // finished after it come back from `journal`.
+  for (std::size_t i = base.journal.records; i < base.sealed.size(); ++i) {
+    base.outcomes[base.sealed[i]] = JobOutcome{};
+  }
+  base.sealed.resize(base.journal.records);
+  cp.outcomes = std::move(base.outcomes);
+  cp.sealed = std::move(base.sealed);
+  cp.sealed.reserve(to.records);
+  engine::read_frames(
+      journal, base.journal, to,
+      [&](const report::JsonValue& records) { read_outcomes(records, cp); },
+      kCheckpointContext);
+  cp.journal = to;
+  return cp;
+}
+
+void QueueSim::read_outcomes(const report::JsonValue& records,
+                             Checkpoint& cp) const {
+  check_arg(records.is_array(),
+            "queue checkpoint: outcomes must be an array");
+  for (const report::JsonValue& j : records.items()) {
+    check_arg(j.is_object(),
+              "queue checkpoint: outcome entries must be objects");
+    const std::size_t ji =
+        require_index(j, "job", jobs_.size() - 1, "outcome job index");
+    JobOutcome& out = cp.outcomes[ji];
+    check_arg(!out.completed,
+              "queue checkpoint: duplicate outcome for one job");
+    out.completed = true;
+    out.start_s = engine::require_number(j, "start_s", kCheckpointContext);
+    out.finish_s = engine::require_number(j, "finish_s", kCheckpointContext);
+    out.carbon_g = engine::require_number(j, "carbon_g", kCheckpointContext);
+    cp.sealed.push_back(ji);
+  }
+}
+
+QueueSim::Checkpoint QueueSim::parse_live(const report::JsonValue& value) const {
+  const std::size_t version = engine::check_envelope(
+      value, {kSchemaV1, kSchemaV2}, config_digest(), kCheckpointContext);
   Checkpoint cp = start();
   cp.next_step = engine::require_integer(value, "next_step", kCheckpointContext);
   check_arg(cp.next_step >= 0,
             "queue checkpoint: next_step must be non-negative");
   cp.now_s = engine::require_number(value, "now_s", kCheckpointContext);
+  // A run never steps past the max-horizon guard, so neither may a resumed
+  // clock start beyond it (or before zero, which would step for ever).
+  check_arg(cp.now_s >= 0.0 &&
+                cp.now_s <= to_seconds(config_.max_horizon) + step_s_,
+            "queue checkpoint: now_s out of range");
   cp.busy_machine_s =
       engine::require_number(value, "busy_machine_s", kCheckpointContext);
   const long peak_running =
@@ -472,29 +574,24 @@ QueueSim::Checkpoint QueueSim::parse_checkpoint(
     cp.queue.push_back(static_cast<std::size_t>(j.as_number()));
   }
 
-  const report::JsonValue& outcomes =
-      engine::require_member(value, "outcomes", kCheckpointContext);
-  check_arg(outcomes.is_array(),
-            "queue checkpoint: outcomes must be an array");
-  for (const report::JsonValue& j : outcomes.items()) {
-    check_arg(j.is_object(),
-              "queue checkpoint: outcome entries must be objects");
-    const std::size_t ji =
-        require_index(j, "job", jobs_.size() - 1, "outcome job index");
-    JobOutcome& out = cp.outcomes[ji];
-    check_arg(!out.completed,
-              "queue checkpoint: duplicate outcome for one job");
-    out.completed = true;
-    out.start_s = engine::require_number(j, "start_s", kCheckpointContext);
-    out.finish_s = engine::require_number(j, "finish_s", kCheckpointContext);
-    out.carbon_g = engine::require_number(j, "carbon_g", kCheckpointContext);
-    ++cp.finished;
+  if (!faults_enabled_) {
+    return cp;
   }
-
-  if (faults_enabled_) {
-    const report::JsonValue& f =
-        engine::require_member(value, "faults", kCheckpointContext);
-    check_arg(f.is_object(), "queue checkpoint: faults must be an object");
+  const report::JsonValue& f =
+      engine::require_member(value, "faults", kCheckpointContext);
+  check_arg(f.is_object(), "queue checkpoint: faults must be an object");
+  // Range before the cast: casting a double outside int's range is
+  // undefined.
+  const auto count_of = [](double c) {
+    check_arg(c >= 0.0 &&
+                  c <= static_cast<double>(std::numeric_limits<int>::max()) &&
+                  std::floor(c) == c,
+              "queue checkpoint: faults.preempt_count entries must be "
+              "whole numbers in int range");
+    return static_cast<int>(c);
+  };
+  FaultState& fs = cp.faults;
+  if (version == 0) {
     const auto lane = [&](const char* key) {
       const auto fail = [key](const char* what) {
         throw std::invalid_argument(
@@ -515,38 +612,56 @@ QueueSim::Checkpoint QueueSim::parse_checkpoint(
       }
       return v;
     };
-    cp.faults.preserved_s = lane("preserved_s");
-    cp.faults.prior_carbon_g = lane("prior_carbon_g");
-    cp.faults.earliest_restart_s = lane("earliest_restart_s");
-    cp.faults.first_start_s = lane("first_start_s");
+    fs.preserved_s = lane("preserved_s");
+    fs.prior_carbon_g = lane("prior_carbon_g");
+    fs.earliest_restart_s = lane("earliest_restart_s");
+    fs.first_start_s = lane("first_start_s");
     const std::vector<double> counts = lane("preempt_count");
     for (std::size_t i = 0; i < counts.size(); ++i) {
-      // Range before the cast: casting a double outside int's range is
-      // undefined.
-      const double c = counts[i];
-      check_arg(c >= 0.0 &&
-                    c <= static_cast<double>(std::numeric_limits<int>::max()) &&
-                    std::floor(c) == c,
-                "queue checkpoint: faults.preempt_count entries must be "
-                "whole numbers in int range");
-      cp.faults.preempt_count[i] = static_cast<int>(c);
+      fs.preempt_count[i] = count_of(counts[i]);
     }
-    fault::Accounting& acc = cp.faults.acc;
-    acc.faults_injected =
-        engine::require_integer(f, "faults_injected", kCheckpointContext);
-    acc.recoveries =
-        engine::require_integer(f, "recoveries", kCheckpointContext);
-    acc.checkpoints =
-        engine::require_integer(f, "checkpoints", kCheckpointContext);
-    acc.redone_work_hours =
-        engine::require_number(f, "redone_work_hours", kCheckpointContext);
-    acc.lost_capacity_hours =
-        engine::require_number(f, "lost_capacity_hours", kCheckpointContext);
-    acc.wasted_energy =
-        joules(engine::require_number(f, "wasted_energy_j", kCheckpointContext));
-    acc.checkpoint_energy = joules(
-        engine::require_number(f, "checkpoint_energy_j", kCheckpointContext));
+  } else {
+    const report::JsonValue& entries =
+        engine::require_member(f, "jobs", kCheckpointContext);
+    check_arg(entries.is_array() && entries.items().size() <= jobs_.size(),
+              "queue checkpoint: faults.jobs must be an array of at most one "
+              "entry per job");
+    std::size_t next = 0;  // entries come in ascending job order
+    for (const report::JsonValue& e : entries.items()) {
+      check_arg(e.is_object(),
+                "queue checkpoint: faults.jobs entries must be objects");
+      const std::size_t ji =
+          require_index(e, "job", jobs_.size() - 1, "fault entry job index");
+      check_arg(ji >= next,
+                "queue checkpoint: faults.jobs entries must be in ascending "
+                "job order, one per job");
+      next = ji + 1;
+      fs.preserved_s[ji] =
+          engine::require_number(e, "preserved_s", kCheckpointContext);
+      fs.prior_carbon_g[ji] =
+          engine::require_number(e, "prior_carbon_g", kCheckpointContext);
+      fs.earliest_restart_s[ji] =
+          engine::require_number(e, "earliest_restart_s", kCheckpointContext);
+      fs.first_start_s[ji] =
+          engine::require_number(e, "first_start_s", kCheckpointContext);
+      fs.preempt_count[ji] = count_of(
+          engine::require_number(e, "preempt_count", kCheckpointContext));
+    }
   }
+  fault::Accounting& acc = fs.acc;
+  acc.faults_injected =
+      engine::require_integer(f, "faults_injected", kCheckpointContext);
+  acc.recoveries = engine::require_integer(f, "recoveries", kCheckpointContext);
+  acc.checkpoints =
+      engine::require_integer(f, "checkpoints", kCheckpointContext);
+  acc.redone_work_hours =
+      engine::require_number(f, "redone_work_hours", kCheckpointContext);
+  acc.lost_capacity_hours =
+      engine::require_number(f, "lost_capacity_hours", kCheckpointContext);
+  acc.wasted_energy =
+      joules(engine::require_number(f, "wasted_energy_j", kCheckpointContext));
+  acc.checkpoint_energy = joules(
+      engine::require_number(f, "checkpoint_energy_j", kCheckpointContext));
   return cp;
 }
 

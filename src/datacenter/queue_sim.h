@@ -11,19 +11,24 @@
 // start() yields a Checkpoint, advance() steps it by a bounded number of
 // steps, and finalize() folds a finished Checkpoint into a result. The
 // Checkpoint round-trips losslessly through canonical JSON (schema
-// "sustainai-queue-checkpoint-v1", engine/snapshot.h envelope), so a run
+// "sustainai-queue-checkpoint-v2", engine/snapshot.h envelope), so a run
 // killed mid-flight — even with preemption faults in play — resumes in a
-// fresh process to the same bytes as an uninterrupted run.
+// fresh process to the same bytes as an uninterrupted run. A finished
+// job's outcome is a sealed record: it goes to the checkpoint journal
+// (engine/journal.h) once, and the live snapshot holds only the running
+// and queued jobs.
 #pragma once
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/carbon_intensity.h"
 #include "core/intensity_table.h"
 #include "core/units.h"
 #include "datacenter/scheduler.h"
+#include "engine/journal.h"
 #include "fault/recovery.h"
 #include "obs/metrics.h"
 #include "report/json.h"
@@ -104,7 +109,8 @@ class QueueSim {
   };
 
   // Per-job fault-recovery state plus the wasted-work ledger. Sized to the
-  // job count when faults are enabled, empty otherwise.
+  // job count when faults are enabled, empty otherwise. A snapshot carries
+  // only the unfinished jobs whose entries differ from the start() values.
   struct FaultState {
     std::vector<double> preserved_s;         // checkpointed progress per job
     std::vector<double> prior_carbon_g;      // carbon from preempted attempts
@@ -125,10 +131,14 @@ class QueueSim {
     int peak_running = 0;
     std::size_t next_arrival = 0;  // jobs admitted so far
     std::size_t next_preempt = 0;  // preemption events fired so far
-    std::size_t finished = 0;
     std::vector<RunningJob> running;
     std::vector<std::size_t> queue;  // FIFO order of waiting job indices
     std::vector<JobOutcome> outcomes;  // one per job
+    // Finished job indices in the order they finished: the journal's record
+    // order. The first `journal.records` of them are in the journal prefix
+    // `journal`; the rest finished since the last frame.
+    std::vector<std::size_t> sealed;
+    engine::JournalPrefix journal;
     FaultState faults;
   };
 
@@ -158,7 +168,7 @@ class QueueSim {
   // unsegmented run would.
   void advance(Checkpoint& cp, long max_steps) const;
   [[nodiscard]] bool done(const Checkpoint& cp) const {
-    return cp.finished >= jobs_.size();
+    return cp.sealed.size() >= jobs_.size();
   }
   // Folds a completed checkpoint into a result.
   [[nodiscard]] QueueSimResult finalize(const Checkpoint& cp) const;
@@ -166,13 +176,29 @@ class QueueSim {
   // start + advance(all) + finalize.
   [[nodiscard]] QueueSimResult run() const;
 
-  // Lossless JSON snapshot of a checkpoint (schema
-  // "sustainai-queue-checkpoint-v1"). The embedded config digest is checked
-  // on parse (engine::SnapshotDigestMismatch), so a snapshot cannot resume
-  // a differently-configured queue.
+  // Self-contained JSON snapshot of a checkpoint (schema
+  // "sustainai-queue-checkpoint-v2"): the live state plus every finished
+  // job's outcome inline. parse_checkpoint(value) reads it and v1
+  // snapshots. The embedded config digest is checked on parse
+  // (engine::SnapshotDigestMismatch), so a snapshot cannot resume a
+  // differently-configured queue.
   [[nodiscard]] report::JsonValue checkpoint_json(const Checkpoint& cp) const;
   [[nodiscard]] Checkpoint parse_checkpoint(
       const report::JsonValue& value) const;
+
+  // The journal form. seal() frames the outcomes that finished since the
+  // checkpoint's journal prefix; live_json() is the v2 snapshot without
+  // outcomes, naming the prefix `covers` instead. parse_checkpoint(value,
+  // journal, base) reads a live snapshot on top of `base`, whose outcomes
+  // up to its journal prefix are already read, taking the rest from
+  // `journal` (the bytes after base's prefix; bytes past the named prefix
+  // are ignored). A self-contained `value` ignores `journal` and `base`.
+  [[nodiscard]] engine::SealedFrame seal(const Checkpoint& cp) const;
+  [[nodiscard]] report::JsonValue live_json(
+      const Checkpoint& cp, const engine::JournalPrefix& covers) const;
+  [[nodiscard]] Checkpoint parse_checkpoint(const report::JsonValue& value,
+                                            std::string_view journal,
+                                            Checkpoint base) const;
 
   // FNV-1a digest over every result-affecting config parameter (machine
   // pool, grid, policy, fault block including the retry policy, and the
@@ -184,6 +210,12 @@ class QueueSim {
  private:
   [[nodiscard]] std::string compute_config_digest() const;
   void step_once(Checkpoint& cp, obs::Gauge& depth_gauge) const;
+  // The snapshot members every form shares: envelope, scalars, running
+  // and queued jobs, fault state; and their reader.
+  [[nodiscard]] report::JsonValue live_members(const Checkpoint& cp) const;
+  [[nodiscard]] Checkpoint parse_live(const report::JsonValue& value) const;
+  // Reads an array of journal records (one per finished job) into `cp`.
+  void read_outcomes(const report::JsonValue& records, Checkpoint& cp) const;
 
   std::vector<BatchJob> jobs_;  // sorted by arrival
   QueueSimConfig config_;

@@ -41,6 +41,7 @@
 #include <cmath>
 #include <cstddef>
 #include <functional>
+#include <initializer_list>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -260,16 +261,16 @@ class ShardedRun {
     return root;
   }
 
-  // Inverse of state_json. `make(shard)` constructs an empty Partial of the
-  // right shape for `shard`; its set_buffer enforces the buffer size.
-  // Throws SnapshotDigestMismatch when only the digest disagrees.
+  // Inverse of state_json, accepting any of `schemas` (a simulator that
+  // reads older snapshot versions lists them all). `make(shard)` constructs
+  // an empty Partial of the right shape for `shard`; its set_buffer
+  // enforces the buffer size. Throws SnapshotDigestMismatch when only the
+  // digest disagrees.
   template <typename MakeShard>
-  [[nodiscard]] ShardState<Partial> parse_state(const report::JsonValue& value,
-                                                const char* schema,
-                                                const std::string& digest,
-                                                const char* shard_key,
-                                                MakeShard&& make) const {
-    check_envelope(value, schema, digest, config_.context);
+  [[nodiscard]] ShardState<Partial> parse_state(
+      const report::JsonValue& value, std::initializer_list<const char*> schemas,
+      const std::string& digest, const char* shard_key, MakeShard&& make) const {
+    (void)check_envelope(value, schemas, digest, config_.context);
 
     const double next_d = require_number(value, "next_step", config_.context);
     // Range and integrality before the cast: casting a double outside
@@ -305,6 +306,16 @@ class ShardedRun {
       state.shards.push_back(std::move(partial));
     }
     return state;
+  }
+
+  template <typename MakeShard>
+  [[nodiscard]] ShardState<Partial> parse_state(const report::JsonValue& value,
+                                                const char* schema,
+                                                const std::string& digest,
+                                                const char* shard_key,
+                                                MakeShard&& make) const {
+    return parse_state(value, {schema}, digest, shard_key,
+                       std::forward<MakeShard>(make));
   }
 
  private:

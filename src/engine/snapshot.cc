@@ -4,8 +4,7 @@
 
 namespace sustainai::engine {
 
-std::uint64_t fnv1a(const std::string& data) {
-  std::uint64_t h = 1469598103934665603ULL;
+std::uint64_t fnv1a(std::string_view data, std::uint64_t h) {
   for (const unsigned char c : data) {
     h ^= c;
     h *= 1099511628211ULL;
@@ -89,10 +88,23 @@ void write_envelope(report::JsonValue& root, const char* schema,
 
 void check_envelope(const report::JsonValue& value, const char* schema,
                     const std::string& digest, const char* context) {
+  (void)check_envelope(value, {schema}, digest, context);
+}
+
+std::size_t check_envelope(const report::JsonValue& value,
+                           std::initializer_list<const char*> schemas,
+                           const std::string& digest, const char* context) {
   check_arg(value.is_object(),
             std::string(context) + ": root must be an object");
   const report::JsonValue& got_schema = require_member(value, "schema", context);
-  check_arg(got_schema.is_string() && got_schema.as_string() == schema,
+  std::size_t version = 0;
+  for (const char* schema : schemas) {
+    if (got_schema.is_string() && got_schema.as_string() == schema) {
+      break;
+    }
+    ++version;
+  }
+  check_arg(version < schemas.size(),
             std::string(context) + ": unknown schema");
   const report::JsonValue& got_digest =
       require_member(value, "config_digest", context);
@@ -104,6 +116,7 @@ void check_envelope(const report::JsonValue& value, const char* schema,
         ": config digest mismatch (snapshot belongs to a "
         "differently-configured run)");
   }
+  return version;
 }
 
 }  // namespace sustainai::engine

@@ -8,9 +8,12 @@
 // fleet, planet, and queue checkpoints all build on them.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "report/json.h"
 
@@ -18,7 +21,11 @@ namespace sustainai::engine {
 
 // 64-bit FNV-1a over `data` (offset basis 1469598103934665603, prime
 // 1099511628211) — tiny, dependency-free, and stable across platforms.
-[[nodiscard]] std::uint64_t fnv1a(const std::string& data);
+// Feeding the result back as `h` continues the hash, so
+// fnv1a(b, fnv1a(a)) == fnv1a(a + b).
+inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
+[[nodiscard]] std::uint64_t fnv1a(std::string_view data,
+                                  std::uint64_t h = kFnvOffsetBasis);
 
 // 16 lowercase hex characters of `bits`.
 [[nodiscard]] std::string hex64(std::uint64_t bits);
@@ -71,5 +78,10 @@ void write_envelope(report::JsonValue& root, const char* schema,
 // digest disagrees.
 void check_envelope(const report::JsonValue& value, const char* schema,
                     const std::string& digest, const char* context);
+// The same for a simulator that reads several schema versions; returns the
+// index in `schemas` of the one the snapshot carries.
+std::size_t check_envelope(const report::JsonValue& value,
+                           std::initializer_list<const char*> schemas,
+                           const std::string& digest, const char* context);
 
 }  // namespace sustainai::engine

@@ -2,8 +2,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <utility>
 
+#include "engine/journal.h"
 #include "fault/recovery.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -44,6 +46,29 @@ const std::vector<ParamDoc>& top_level_params() {
 }
 
 }  // namespace
+
+CheckpointRequest CheckpointRequest::on_disk(const std::string& checkpoint,
+                                             const std::string& resume) {
+  CheckpointRequest request;
+  engine::StoredCheckpoint stored;
+  if (!resume.empty()) {
+    stored = engine::read_checkpoint(resume);
+  }
+  if (!checkpoint.empty()) {
+    // Shared by both callbacks, so the request stays copyable.
+    const auto writer =
+        std::make_shared<engine::CheckpointWriter>(checkpoint, stored.journal);
+    request.append_journal = [writer](const std::string& frame) {
+      writer->append(frame);
+    };
+    request.write_snapshot = [writer](const std::string& snapshot) {
+      writer->commit(snapshot);
+    };
+  }
+  request.resume_text = std::move(stored.snapshot);
+  request.resume_journal = std::move(stored.journal);
+  return request;
+}
 
 Runner::Runner(const Registry& registry) : registry_(&registry) {}
 

@@ -36,6 +36,7 @@
 #include "datacenter/planet_sim.h"
 #include "datacenter/queue_sim.h"
 #include "datacenter/scheduler.h"
+#include "engine/journal.h"
 #include "fault/recovery.h"
 #include "fl/round_sim.h"
 #include "hw/server.h"
@@ -313,21 +314,31 @@ std::unique_ptr<datacenter::SchedulerPolicy> make_policy(
 // steps() as a stride bound). Without an active request or segments it is
 // sim.run(); otherwise it resumes or starts, then advances in segments,
 // round-tripping the snapshot through canonical JSON at every boundary (and
-// handing it to write_snapshot, when set). Returns nullopt when stop_after
-// halted the run before completion — the caller then returns
+// handing it to write_snapshot, when set). A simulator with a journal
+// (seal/live_json) round-trips its live snapshot plus the segment's frame
+// instead: records sealed earlier stay in memory, so a boundary costs the
+// live state and the new records, not the history. Returns nullopt when
+// stop_after halted the run before completion — the caller then returns
 // stopped_result(). Byte-identical to a single sim.run() by the checkpoint
 // contract (tests/resume_test.cc).
 template <typename Sim>
 auto run_checkpointable(const Sim& sim, const RunContext& ctx, long segments)
     -> std::optional<decltype(sim.run())> {
+  constexpr bool kJournaled =
+      requires(const Sim& s, const typename Sim::Checkpoint& c) { s.seal(c); };
   const CheckpointRequest& req = ctx.checkpoint;
   if (!req.active() && segments <= 1) {
     return sim.run();
   }
-  typename Sim::Checkpoint cp =
-      req.resume_text.empty()
-          ? sim.start()
-          : sim.parse_checkpoint(report::parse_json(req.resume_text));
+  typename Sim::Checkpoint cp = sim.start();
+  if (!req.resume_text.empty()) {
+    const report::JsonValue resumed = report::parse_json(req.resume_text);
+    if constexpr (kJournaled) {
+      cp = sim.parse_checkpoint(resumed, req.resume_journal, std::move(cp));
+    } else {
+      cp = sim.parse_checkpoint(resumed);
+    }
+  }
   segments = std::max(segments, req.segments);
   long stride = req.segment_steps > 0
                     ? req.segment_steps
@@ -338,12 +349,26 @@ auto run_checkpointable(const Sim& sim, const RunContext& ctx, long segments)
   long done_segments = 0;
   while (!sim.done(cp)) {
     sim.advance(cp, stride);
-    const std::string snapshot =
-        report::canonical_json(sim.checkpoint_json(cp));
-    if (req.write_snapshot) {
-      req.write_snapshot(snapshot);
+    if constexpr (kJournaled) {
+      const engine::SealedFrame sealed = sim.seal(cp);
+      const std::string snapshot =
+          report::canonical_json(sim.live_json(cp, sealed.covers));
+      if (req.append_journal && !sealed.frame.empty()) {
+        req.append_journal(sealed.frame);
+      }
+      if (req.write_snapshot) {
+        req.write_snapshot(snapshot);
+      }
+      cp = sim.parse_checkpoint(report::parse_json(snapshot), sealed.frame,
+                                std::move(cp));
+    } else {
+      const std::string snapshot =
+          report::canonical_json(sim.checkpoint_json(cp));
+      if (req.write_snapshot) {
+        req.write_snapshot(snapshot);
+      }
+      cp = sim.parse_checkpoint(report::parse_json(snapshot));
     }
-    cp = sim.parse_checkpoint(report::parse_json(snapshot));
     ++done_segments;
     if (req.stop_after > 0 && done_segments >= req.stop_after &&
         !sim.done(cp)) {
@@ -351,6 +376,19 @@ auto run_checkpointable(const Sim& sim, const RunContext& ctx, long segments)
     }
   }
   return sim.finalize(cp);
+}
+
+// Builds a fleet or planet simulator. A step whose demand rows would
+// exceed FleetRegion::Run::kMaxDemandRowBytes is reported at step_min
+// (which the CLI restates as --step-min), before any row is allocated.
+template <typename Sim, typename Config>
+std::unique_ptr<const Sim> build_stepped(const Params& params,
+                                         const Config& config) {
+  try {
+    return std::make_unique<const Sim>(config);
+  } catch (const datacenter::StepRowsTooLong& e) {
+    throw SpecError(params.path() + ".step_min: " + e.what());
+  }
 }
 
 RunResult stopped_result(std::string scenario) {
@@ -550,7 +588,8 @@ class FleetSimulation final : public Simulation {
     config.steps_per_chunk = params.integer("chunk_steps");
     parse_fleet_run(params, ctx, config);
 
-    const FleetSimulator sim(config);
+    const auto built = build_stepped<FleetSimulator>(params, config);
+    const FleetSimulator& sim = *built;
     const std::optional<FleetResult> ran =
         run_checkpointable(sim, ctx, chunk_segments(params, sim));
     if (!ran) {
@@ -681,7 +720,8 @@ class PlanetSimulation final : public Simulation {
       config.regions.push_back(std::move(parsed.config));
     }
 
-    const PlanetSimulator sim(config);
+    const auto built = build_stepped<PlanetSimulator>(params, config);
+    const PlanetSimulator& sim = *built;
     const long segments = chunk_segments(params, sim);
     const std::optional<PlanetSimulator::Result> ran =
         run_checkpointable(sim, ctx, segments);

@@ -27,7 +27,10 @@ namespace sustainai::scenario {
 // segment boundary the simulator's snapshot round-trips through canonical
 // JSON (and is handed to `write_snapshot`, when set), so the path a killed
 // and resumed run takes is exercised — byte-identical to an uninterrupted
-// run by the engine checkpoint contract (DESIGN.md §11).
+// run by the engine checkpoint contract (DESIGN.md §11). A simulator with
+// history (queue, planet) also seals the records each segment finished
+// into one journal frame (engine/journal.h), handed to `append_journal`
+// before the snapshot that names it.
 struct CheckpointRequest {
   // Split the run into this many equal segments (1 = unsegmented). A
   // sim-level "checkpoint_segments" param may raise this further.
@@ -41,12 +44,26 @@ struct CheckpointRequest {
   // Snapshot JSON to resume from instead of starting fresh. The embedded
   // config digest must match the spec's simulator configuration.
   std::string resume_text;
+  // The journal bytes a live resume_text names (empty for a snapshot that
+  // carries its records inline); bytes past the named prefix are ignored.
+  std::string resume_journal;
+  // Called with each non-empty journal frame, before the snapshot naming it.
+  std::function<void(const std::string&)> append_journal;
   // Called with the canonical snapshot at every segment boundary.
   std::function<void(const std::string&)> write_snapshot;
 
+  // Resumes from the checkpoint files at `resume` (when not empty) and
+  // writes to `checkpoint` (when not empty): the snapshot and its
+  // `.journal`, in engine::CheckpointWriter's commit order. This is what
+  // `sustainai run --checkpoint --resume` does. Throws
+  // std::invalid_argument when the files at `resume` cannot be read.
+  [[nodiscard]] static CheckpointRequest on_disk(const std::string& checkpoint,
+                                                 const std::string& resume);
+
   [[nodiscard]] bool active() const {
     return segments > 1 || segment_steps > 0 || stop_after > 0 ||
-           !resume_text.empty() || static_cast<bool>(write_snapshot);
+           !resume_text.empty() || static_cast<bool>(append_journal) ||
+           static_cast<bool>(write_snapshot);
   }
 };
 

@@ -341,11 +341,30 @@ report::JsonValue without(const report::JsonValue& object, const char* key) {
   return out;
 }
 
-// A mid-run snapshot of the faulted FIFO queue, as a DOM to mutate.
+// A mid-run snapshot of the faulted FIFO queue in the v1 layout, as a DOM
+// to mutate: outcomes inline and five job-sized fault lanes. v1 snapshots
+// still resume, so their rejection texts stay pinned; QueueJournal.* pins
+// the v2 ones.
 report::JsonValue queue_snapshot(const QueueSim& sim) {
   auto cp = sim.start();
   sim.advance(cp, 29);
-  return report::parse_json(report::canonical_json(sim.checkpoint_json(cp)));
+  report::JsonValue root = sim.checkpoint_json(cp);
+  root.set("schema", report::JsonValue::string("sustainai-queue-checkpoint-v1"));
+  report::JsonValue faults = without(*root.find("faults"), "jobs");
+  const auto lane = [&faults](const char* key, const auto& values) {
+    report::JsonValue a = report::JsonValue::array();
+    for (const auto v : values) {
+      a.append(report::JsonValue::number(static_cast<double>(v)));
+    }
+    faults.set(key, std::move(a));
+  };
+  lane("preserved_s", cp.faults.preserved_s);
+  lane("prior_carbon_g", cp.faults.prior_carbon_g);
+  lane("earliest_restart_s", cp.faults.earliest_restart_s);
+  lane("first_start_s", cp.faults.first_start_s);
+  lane("preempt_count", cp.faults.preempt_count);
+  root.set("faults", std::move(faults));
+  return report::parse_json(report::canonical_json(root));
 }
 
 // Messages are built only on the throwing path; these texts must not drift.

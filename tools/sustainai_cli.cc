@@ -537,32 +537,11 @@ int run_spec(const scenario::Spec& spec, const Command& cmd,
         "written to); pass --checkpoint " +
         resume + " to continue updating the same file");
   }
-  scenario::CheckpointRequest request;
+  scenario::CheckpointRequest request =
+      scenario::CheckpointRequest::on_disk(checkpoint, resume);
   if (checkpointable) {
     request.segment_steps = own.integer("segment_steps");
     request.stop_after = own.integer("stop_after");
-  }
-  if (!resume.empty()) {
-    std::string text;
-    try {
-      text = read_text_file(resume);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("cannot resume: checkpoint file '" + resume +
-                                  "' is missing or unreadable");
-    }
-    try {
-      request.resume_text = report::canonical_json(report::parse_json(text));
-    } catch (const report::JsonParseError& e) {
-      throw std::invalid_argument(
-          "cannot resume from '" + resume + "': not valid JSON (" +
-          std::string(e.what()) +
-          "); the checkpoint file may be truncated or corrupt");
-    }
-  }
-  if (!checkpoint.empty()) {
-    request.write_snapshot = [&checkpoint](const std::string& snapshot) {
-      write_text_file(checkpoint, snapshot + "\n");
-    };
   }
 
   scenario::Bundle bundle;
