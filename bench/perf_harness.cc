@@ -415,8 +415,8 @@ void bm_dlrm_predict(benchmark::State& state, bool batched) {
 
 // A queue-checkpoint-shaped document of about 1 MB: the envelope and
 // scalars, running jobs, a queue of indices, one outcome object per
-// finished job and five per-job fault lanes (the layout of
-// QueueSim::checkpoint_json), filled with seeded values.
+// finished job and five per-job fault lanes (the layout of a v1 queue
+// checkpoint, which still resumes), filled with seeded values.
 constexpr int kSnapshotJobs = 4600;
 
 report::JsonValue queue_snapshot_document() {

@@ -4,9 +4,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <utility>
+#include <vector>
 
 namespace sustainai::engine {
 
@@ -125,8 +128,59 @@ namespace {
 
 constexpr const char* kStampKey = "snapshot_fnv1a";
 
+template <typename T>
+std::uint64_t feed(const T& bits, std::uint64_t h) {
+  return fnv1a(std::string_view(reinterpret_cast<const char*>(&bits),
+                                sizeof(bits)),
+               h);
+}
+
+std::uint64_t feed(const std::string& text, std::uint64_t h) {
+  return fnv1a(text, feed(static_cast<std::uint64_t>(text.size()), h));
+}
+
+// FNV-1a over a canonical image of `v`, with no text rendered: a kind
+// byte, then a number's bits, a string's bytes, an array's items, or an
+// object's members in key order (the order canonical_json writes). A
+// top-level member named `skip` is left out.
+std::uint64_t digest(const report::JsonValue& v, std::uint64_t h,
+                     const char* skip = nullptr) {
+  h = feed(static_cast<unsigned char>(v.kind()), h);
+  switch (v.kind()) {
+    case report::JsonValue::Kind::kNull:
+      return h;
+    case report::JsonValue::Kind::kBool:
+      return feed(static_cast<unsigned char>(v.as_bool()), h);
+    case report::JsonValue::Kind::kNumber:
+      return feed(std::bit_cast<std::uint64_t>(v.as_number()), h);
+    case report::JsonValue::Kind::kString:
+      return feed(v.as_string(), h);
+    case report::JsonValue::Kind::kArray:
+      for (const report::JsonValue& item : v.items()) {
+        h = digest(item, h);
+      }
+      return feed(static_cast<std::uint64_t>(v.items().size()), h);
+    case report::JsonValue::Kind::kObject: {
+      std::vector<const report::JsonValue::Member*> members;
+      members.reserve(v.members().size());
+      for (const report::JsonValue::Member& m : v.members()) {
+        if (skip == nullptr || m.first != skip) {
+          members.push_back(&m);
+        }
+      }
+      std::sort(members.begin(), members.end(),
+                [](const auto* a, const auto* b) { return a->first < b->first; });
+      for (const report::JsonValue::Member* m : members) {
+        h = digest(m->second, feed(m->first, h));
+      }
+      return feed(static_cast<std::uint64_t>(members.size()), h);
+    }
+  }
+  return h;
+}
+
 std::string stamp_of(const report::JsonValue& root) {
-  return hex64(fnv1a(report::canonical_json(root)));
+  return hex64(digest(root, kFnvOffsetBasis, kStampKey));
 }
 
 }  // namespace
@@ -143,13 +197,7 @@ std::optional<JournalPrefix> live_prefix(const report::JsonValue& value,
     return std::nullopt;
   }
   const report::JsonValue& stamp = require_member(value, kStampKey, context);
-  report::JsonValue body = report::JsonValue::object();
-  for (const report::JsonValue::Member& m : value.members()) {
-    if (m.first != kStampKey) {
-      body.set(m.first, m.second);
-    }
-  }
-  if (!stamp.is_string() || stamp.as_string() != stamp_of(body)) {
+  if (!stamp.is_string() || stamp.as_string() != stamp_of(value)) {
     throw JournalError(std::string(context) +
                        ": snapshot differs from its snapshot_fnv1a stamp");
   }
@@ -279,54 +327,64 @@ StoredCheckpoint read_checkpoint(const std::string& path) {
 CheckpointWriter::CheckpointWriter(std::string path, std::string resumed)
     : path_(std::move(path)), resumed_(std::move(resumed)) {}
 
+CheckpointWriter::~CheckpointWriter() {
+  if (journal_fd_ >= 0) {
+    ::close(journal_fd_);
+  }
+}
+
 void CheckpointWriter::start_journal() {
   // Starts the journal as exactly the resumed prefix. When the file already
   // begins with it (it is the resumed journal), only the tail a killed run
   // appended is cut, so the old snapshot stays resumable throughout.
   const std::string journal = journal_path(path_);
-  const int fd = ::open(journal.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd < 0) {
+  journal_fd_ = ::open(journal.c_str(),
+                       O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
+  if (journal_fd_ < 0) {
     throw std::invalid_argument("cannot open '" + journal + "' for writing");
   }
+  // Truncate only what is there to cut: on ext4 a truncation forces the
+  // file's data out at close, which a fresh journal need not pay for.
+  const auto cut = [this](std::size_t size) {
+    struct stat st{};
+    return ::fstat(journal_fd_, &st) == 0 &&
+           (static_cast<std::size_t>(st.st_size) == size ||
+            ::ftruncate(journal_fd_, static_cast<off_t>(size)) == 0);
+  };
   std::string head;
-  const bool same = read_prefix(fd, resumed_.size(), head) && head == resumed_;
-  const bool ok =
-      same ? ::ftruncate(fd, static_cast<off_t>(resumed_.size())) == 0
-           : ::ftruncate(fd, 0) == 0 && write_all(fd, resumed_);
-  if (::close(fd) != 0 || !ok) {
+  const bool same =
+      read_prefix(journal_fd_, resumed_.size(), head) && head == resumed_;
+  const bool ok = same ? cut(resumed_.size())
+                       : cut(0) && write_all(journal_fd_, resumed_);
+  if (!ok) {
     throw std::invalid_argument("cannot write '" + journal + "'");
   }
   resumed_.clear();
   resumed_.shrink_to_fit();
-  started_ = true;
 }
 
 void CheckpointWriter::append(std::string_view frame) {
-  if (!started_) {
+  if (journal_fd_ < 0) {
     start_journal();
   }
-  if (frame.empty()) {
-    return;
-  }
-  const std::string journal = journal_path(path_);
-  const int fd =
-      ::open(journal.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    throw std::invalid_argument("cannot open '" + journal + "' for writing");
-  }
-  const bool ok = write_all(fd, frame);
-  if (::close(fd) != 0 || !ok) {
-    throw std::invalid_argument("cannot write '" + journal + "'");
+  if (!write_all(journal_fd_, frame)) {
+    throw std::invalid_argument("cannot write '" + journal_path(path_) + "'");
   }
 }
 
 void CheckpointWriter::commit(const std::string& snapshot) {
+  // The snapshot names at least the resumed prefix, so it must be on disk
+  // before the first rename even when no frame came yet.
+  if (journal_fd_ < 0 && !resumed_.empty()) {
+    start_journal();
+  }
   // A path that exists but is not a regular file (a device, a pipe) is
   // written in place: renaming over it would replace the node itself.
-  struct stat st{};
-  const bool in_place =
-      ::stat(path_.c_str(), &st) == 0 && !S_ISREG(st.st_mode);
-  const std::string target = in_place ? path_ : path_ + ".tmp";
+  if (!in_place_) {
+    struct stat st{};
+    in_place_ = ::stat(path_.c_str(), &st) == 0 && !S_ISREG(st.st_mode);
+  }
+  const std::string target = *in_place_ ? path_ : path_ + ".tmp";
   const int fd = ::open(target.c_str(),
                         O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) {
@@ -336,7 +394,7 @@ void CheckpointWriter::commit(const std::string& snapshot) {
   if (::close(fd) != 0 || !ok) {
     throw std::invalid_argument("cannot write '" + path_ + "'");
   }
-  if (!in_place && std::rename(target.c_str(), path_.c_str()) != 0) {
+  if (!*in_place_ && std::rename(target.c_str(), path_.c_str()) != 0) {
     throw std::invalid_argument("cannot write '" + path_ + "'");
   }
 }

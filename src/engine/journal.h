@@ -63,9 +63,10 @@ struct JournalPrefix {
 };
 
 // Completes a live snapshot: the "journal" member naming `covers`, then
-// "snapshot_fnv1a", an FNV-1a over the canonical JSON of everything else.
-// The stamp makes any edit of the live state a named error instead of a
-// silently different run.
+// "snapshot_fnv1a", an FNV-1a over a canonical image of every other member
+// (their values' bits in key order; no text is rendered). The stamp makes
+// any edit of the live state a named error instead of a silently
+// different run, and whitespace alone changes nothing.
 void finish_live(report::JsonValue& root, const JournalPrefix& covers);
 
 // The journal prefix a live snapshot names, after checking its stamp;
@@ -124,6 +125,9 @@ struct StoredCheckpoint {
 class CheckpointWriter {
  public:
   CheckpointWriter(std::string path, std::string resumed);
+  ~CheckpointWriter();
+  CheckpointWriter(const CheckpointWriter&) = delete;
+  CheckpointWriter& operator=(const CheckpointWriter&) = delete;
 
   // Appends one frame (an empty frame appends nothing).
   void append(std::string_view frame);
@@ -135,7 +139,8 @@ class CheckpointWriter {
 
   std::string path_;
   std::string resumed_;
-  bool started_ = false;
+  int journal_fd_ = -1;  // open from the first append on
+  std::optional<bool> in_place_;  // decided at the first commit
 };
 
 }  // namespace sustainai::engine

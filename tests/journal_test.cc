@@ -440,6 +440,22 @@ TEST(CheckpointFiles, EveryKillStateResumesByteIdentical) {
   }
 }
 
+// A resume into a second path whose first segment seals nothing still
+// leaves that path a complete checkpoint: the snapshot names the resumed
+// prefix, so the journal is written before the snapshot.
+TEST(CheckpointFiles, ResumeIntoSecondPathBeforeAnyNewRecord) {
+  const std::string whole = run(kQueueSpec);
+  const fs::path dir = scratch_dir("second");
+  const fs::path a = dir / "a.json";
+  const fs::path b = dir / "b.json";
+  ASSERT_EQ(run_on_disk(kQueueSpec, a, "", 97, 2), "");
+  const std::string journal = read_file(engine::journal_path(a.string()));
+  ASSERT_EQ(run_on_disk(kQueueSpec, b, a, 1, 1), "");
+  EXPECT_EQ(read_file(engine::journal_path(b.string())), journal);
+  EXPECT_EQ(run_on_disk(kQueueSpec, b, b, 97), whole);
+  fs::remove_all(dir);
+}
+
 TEST(CheckpointFiles, MissingOrShortJournalIsNamed) {
   const fs::path dir = scratch_dir("short");
   const fs::path a = dir / "a.json";
@@ -679,6 +695,31 @@ TEST(FlatSnapshot, QueueSnapshotsHoldLiveStateOnly) {
           << "boundary " << i;
     }
   }
+}
+
+// The fault state a snapshot carries is per unfinished job: at most one
+// entry per running or queued job, none once every job has finished.
+TEST(FlatSnapshot, QueueFaultEntriesCoverUnfinishedJobsOnly) {
+  CheckpointRequest request;
+  request.segment_steps = 97;
+  std::vector<std::string> snapshots;
+  request.write_snapshot = [&snapshots](const std::string& snap) {
+    snapshots.push_back(snap);
+  };
+  ASSERT_FALSE(run(kQueueSpec, request).empty());
+  std::size_t most = 0;
+  for (const std::string& snap : snapshots) {
+    const JsonValue live = report::parse_json(snap);
+    const std::size_t entries =
+        live.find("faults")->find("jobs")->items().size();
+    EXPECT_LE(entries, live.find("running")->items().size() +
+                           live.find("queue")->items().size());
+    most = std::max(most, entries);
+  }
+  EXPECT_GT(most, 0u);
+  EXPECT_EQ(report::parse_json(snapshots.back())
+                .find("faults")->find("jobs")->items().size(),
+            0u);
 }
 
 TEST(FlatSnapshot, PlanetSnapshotsDoNotGrowWithTheSeries) {
