@@ -128,15 +128,19 @@ namespace {
 
 constexpr const char* kStampKey = "snapshot_fnv1a";
 
-template <typename T>
-std::uint64_t feed(const T& bits, std::uint64_t h) {
-  return fnv1a(std::string_view(reinterpret_cast<const char*>(&bits),
-                                sizeof(bits)),
-               h);
+// Feeds `bits` least significant byte first, so the stamp is the same on
+// any byte order.
+std::uint64_t feed(std::uint64_t bits, std::uint64_t h) {
+  char bytes[8];
+  for (char& b : bytes) {
+    b = static_cast<char>(bits & 0xff);
+    bits >>= 8;
+  }
+  return fnv1a(std::string_view(bytes, sizeof(bytes)), h);
 }
 
 std::uint64_t feed(const std::string& text, std::uint64_t h) {
-  return fnv1a(text, feed(static_cast<std::uint64_t>(text.size()), h));
+  return fnv1a(text, feed(text.size(), h));
 }
 
 // FNV-1a over a canonical image of `v`, with no text rendered: a kind
@@ -145,12 +149,12 @@ std::uint64_t feed(const std::string& text, std::uint64_t h) {
 // top-level member named `skip` is left out.
 std::uint64_t digest(const report::JsonValue& v, std::uint64_t h,
                      const char* skip = nullptr) {
-  h = feed(static_cast<unsigned char>(v.kind()), h);
+  h = feed(static_cast<std::uint64_t>(v.kind()), h);
   switch (v.kind()) {
     case report::JsonValue::Kind::kNull:
       return h;
     case report::JsonValue::Kind::kBool:
-      return feed(static_cast<unsigned char>(v.as_bool()), h);
+      return feed(static_cast<std::uint64_t>(v.as_bool()), h);
     case report::JsonValue::Kind::kNumber:
       return feed(std::bit_cast<std::uint64_t>(v.as_number()), h);
     case report::JsonValue::Kind::kString:
@@ -159,7 +163,7 @@ std::uint64_t digest(const report::JsonValue& v, std::uint64_t h,
       for (const report::JsonValue& item : v.items()) {
         h = digest(item, h);
       }
-      return feed(static_cast<std::uint64_t>(v.items().size()), h);
+      return feed(v.items().size(), h);
     case report::JsonValue::Kind::kObject: {
       std::vector<const report::JsonValue::Member*> members;
       members.reserve(v.members().size());
@@ -173,7 +177,7 @@ std::uint64_t digest(const report::JsonValue& v, std::uint64_t h,
       for (const report::JsonValue::Member* m : members) {
         h = digest(m->second, feed(m->first, h));
       }
-      return feed(static_cast<std::uint64_t>(members.size()), h);
+      return feed(members.size(), h);
     }
   }
   return h;
