@@ -5,9 +5,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "datacenter/fleet_sim.h"
 #include "datacenter/planet_sim.h"
 #include "datagen/rng.h"
+#include "exec/thread_pool.h"
 #include "hw/server.h"
 #include "obs/metrics.h"
 #include "oracles/fleet_reference.h"
@@ -575,10 +578,31 @@ void register_kernel_benchmarks(bool smoke) {
   add("json_snapshot_roundtrip", bm_json_snapshot_roundtrip);
 }
 
+// The machine and build a trail was measured on: ns/op compare only
+// between trails with the same block.
+void write_machine(report::JsonWriter& w) {
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "GCC " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+  const char* threads = std::getenv("SUSTAINAI_THREADS");
+  w.begin_object("machine");
+  w.field("nproc", static_cast<long>(std::thread::hardware_concurrency()));
+  w.field("compiler", compiler);
+  w.field("build_type", SUSTAINAI_BUILD_TYPE);
+  w.field("SUSTAINAI_THREADS", threads != nullptr ? threads : "unset");
+  w.field("pool_threads", static_cast<long>(exec::ThreadPool::global().size()));
+  w.end_object();
+}
+
 std::string render_bench_json(const std::vector<BenchRecord>& records) {
   report::JsonWriter w;
   w.begin_object();
   w.field("schema", "sustainai-bench-v1");
+  write_machine(w);
   w.begin_array("benchmarks");
   for (const BenchRecord& r : records) {
     w.begin_object();

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <iterator>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -81,6 +83,27 @@ struct GroupConsts {
   double step_s, pue, target;
 };
 
+GroupConsts group_consts(const FleetSoA& soa, std::size_t g, double pue) {
+  GroupConsts c;
+  c.cnt = soa.count[g];
+  c.h_idle = soa.host_idle_w[g];
+  c.h_span = soa.host_span_w[g];
+  c.a_idle = soa.acc_idle_w[g];
+  c.a_span = soa.acc_span_w[g];
+  c.a_n = soa.acc_count[g];
+  c.idle_e = soa.idle_energy_j[g];
+  c.opp_e = soa.opp_energy_j[g];
+  c.opp_mask = soa.opp_mask[g];
+  c.min_active = soa.min_active[g];
+  c.max_freed = soa.max_freed[g];
+  c.min_active_frac = soa.min_active_frac;
+  c.max_freed_frac = soa.max_freed_frac;
+  c.step_s = soa.step_s;
+  c.pue = pue;
+  c.target = soa.target_utilization;
+  return c;
+}
+
 // Whole-server step energy per server at utilization u: the exact
 // ServerSku::energy tree with the SKU constants hoisted.
 inline double step_energy(const GroupConsts& c, double u) {
@@ -110,35 +133,48 @@ inline ScaleDecision scale_step(const GroupConsts& c, double total,
   return d;
 }
 
-// The four strip bodies: {static, autoscaled} x {fault-free, crash-aware}.
-// Each processes one step, whose demand is `d` and grid intensity `ci`,
-// into lane `l` of `acc`; the crash-aware ones with `dn` hosts offline.
-// With dn == 0 a crash-aware body adds exactly what its fault-free twin
-// adds, plus +0.0 to the fault sections, so the kernel takes the fault-free
-// body wherever no host is down.
+// What a fault-free step of one group adds to every section but location
+// carbon, which also needs the step's intensity. A pure function of the
+// step's demand `d`, so build_fleet_soa evaluates it once per demand-row
+// slot into the step rows, and the kernel evaluates it per step only where
+// the rows span the horizon.
+struct StepValues {
+  double energy_j, util, freed_h, opp_j, opp_h;
+};
 
-inline void static_step(const GroupConsts& c, double d, double ci, int l,
-                        GroupLanes& acc) {
-  const double ge = step_energy(c, d) * c.cnt;
-  acc.add(kGroupEnergy, l, ge);
-  acc.add(kUtilWeight, l, d);
-  acc.add(kLocationG, l, ge * c.pue * ci);
+template <bool kScaled>
+inline StepValues fault_free_step(const GroupConsts& c, double d) {
+  if constexpr (kScaled) {
+    const ScaleDecision sd =
+        scale_step(c, c.cnt, d, c.min_active, c.max_freed);
+    const double e_active = step_energy(c, sd.util) * sd.active;
+    const double opp = c.opp_e * sd.freed;  // exact +0.0 when harvesting is off
+    const double fh = sd.freed * c.step_s / kSecondsPerHour;
+    return {e_active + opp, sd.util, fh, opp, fh * c.opp_mask};
+  } else {
+    return {step_energy(c, d) * c.cnt, d, 0.0, 0.0, 0.0};
+  }
 }
 
-inline void scaled_step(const GroupConsts& c, double d, double ci, int l,
-                        GroupLanes& acc) {
-  const ScaleDecision sd =
-      scale_step(c, c.cnt, d, c.min_active, c.max_freed);
-  const double e_active = step_energy(c, sd.util) * sd.active;
-  const double opp = c.opp_e * sd.freed;  // exact +0.0 when harvesting is off
-  const double ge = e_active + opp;
-  const double fh = sd.freed * c.step_s / kSecondsPerHour;
-  acc.add(kGroupEnergy, l, ge);
-  acc.add(kUtilWeight, l, sd.util);
-  acc.add(kFreedHours, l, fh);
-  acc.add(kOppEnergy, l, opp);
-  acc.add(kOppHours, l, fh * c.opp_mask);
-  acc.add(kLocationG, l, ge * c.pue * ci);
+// The strip bodies: the fault-free step of a static or an autoscaled group
+// and their crash-aware twins. Each adds one step, whose grid intensity is
+// `ci`, into lane `l` of `acc`; the crash-aware ones take the step's demand
+// `d` and the `dn` hosts offline. With dn == 0 a crash-aware body adds
+// exactly what its fault-free twin adds, plus +0.0 to the fault sections,
+// so the kernel takes the fault-free body wherever no host is down. A
+// static group adds nothing to the freed and opportunistic sections.
+
+template <bool kScaled>
+inline void fault_free_add(const StepValues& v, double pue, double ci, int l,
+                           GroupLanes& acc) {
+  acc.add(kGroupEnergy, l, v.energy_j);
+  acc.add(kUtilWeight, l, v.util);
+  if constexpr (kScaled) {
+    acc.add(kFreedHours, l, v.freed_h);
+    acc.add(kOppEnergy, l, v.opp_j);
+    acc.add(kOppHours, l, v.opp_h);
+  }
+  acc.add(kLocationG, l, v.energy_j * pue * ci);
 }
 
 inline void static_step_down(const GroupConsts& c, double d, double ci,
@@ -188,35 +224,112 @@ inline void scaled_step_down(const GroupConsts& c, double d, double ci,
   acc.add(kFaultLost, l, dn * c.step_s / kSecondsPerHour);
 }
 
-// Calls body(lane, demand, intensity) for the n steps s0 + i of one piece,
-// in ascending order, on lane (s - chunk_begin) % kStepLanes: the steps
-// before the next lane-0 step one at a time, then whole kStepLanes-wide
-// strips, then the tail. Demand is contiguous from `dem`; the intensity is
-// contiguous from `ci`, or the one value *ci when kHeld.
-template <bool kHeld, typename Body>
-inline void run_piece(long chunk_begin, long s0, long n, const double* dem,
-                      const double* ci, Body&& body) {
+// The intensity of step i of a piece: contiguous from `ci`, or the one
+// held value *ci.
+template <bool kHeld>
+inline double ci_at(const double* ci, long i) {
+  if constexpr (kHeld) {
+    return *ci;
+  } else {
+    return ci[i];
+  }
+}
+
+// Calls body(lane, i, intensity) for the n steps s0 + i of one piece, in
+// ascending order, on lane (s - chunk_begin) % kStepLanes: the steps before
+// the next lane-0 step one at a time, then whole kStepLanes-wide strips,
+// then the tail. strips(i0, i1), where given, runs the strips [i0, i1)
+// (i0 on lane 0) in place of body.
+template <bool kHeld, typename Body, typename Strips = std::nullptr_t>
+inline void run_piece(long chunk_begin, long s0, long n, const double* ci,
+                      Body&& body, Strips&& strips = nullptr) {
   const auto lane_of = [chunk_begin](long s) {
     return static_cast<int>((s - chunk_begin) % kStepLanes);
   };
-  const auto ci_at = [ci](long i) {
-    if constexpr (kHeld) {
-      return *ci;
-    } else {
-      return ci[i];
-    }
-  };
   long i = 0;
   for (; i < n && lane_of(s0 + i) != 0; ++i) {
-    body(lane_of(s0 + i), dem[i], ci_at(i));
+    body(lane_of(s0 + i), i, ci_at<kHeld>(ci, i));
   }
-  for (; i + kStepLanes <= n; i += kStepLanes) {
-    for (int l = 0; l < kStepLanes; ++l) {
-      body(l, dem[i + l], ci_at(i + l));
+  if constexpr (std::is_null_pointer_v<std::remove_cvref_t<Strips>>) {
+    for (; i + kStepLanes <= n; i += kStepLanes) {
+      for (int l = 0; l < kStepLanes; ++l) {
+        body(l, i + l, ci_at<kHeld>(ci, i + l));
+      }
+    }
+  } else {
+    const long i1 = i + (n - i) / kStepLanes * kStepLanes;
+    if (i < i1) {
+      strips(i, i1);
+      i = i1;
     }
   }
   for (; i < n; ++i) {
-    body(lane_of(s0 + i), dem[i], ci_at(i));
+    body(lane_of(s0 + i), i, ci_at<kHeld>(ci, i));
+  }
+}
+
+// The strips [i0, i1) of a fault-free piece, step i adding values(i). The
+// lanes ride in local arrays, which the compiler keeps in registers (and
+// packs pairwise); each lane still adds its steps in ascending order.
+template <bool kHeld, bool kScaled, typename Values>
+inline void fault_free_strips(const Values& values, const double* ci,
+                              double pue, long i0, long i1, GroupLanes& acc) {
+  double e[kStepLanes], u[kStepLanes], fh[kStepLanes], oj[kStepLanes],
+      oh[kStepLanes], loc[kStepLanes];
+  for (int l = 0; l < kStepLanes; ++l) {
+    e[l] = acc.lane[kGroupEnergy][l];
+    u[l] = acc.lane[kUtilWeight][l];
+    fh[l] = acc.lane[kFreedHours][l];
+    oj[l] = acc.lane[kOppEnergy][l];
+    oh[l] = acc.lane[kOppHours][l];
+    loc[l] = acc.lane[kLocationG][l];
+  }
+  for (long i = i0; i < i1; i += kStepLanes) {
+    for (int l = 0; l < kStepLanes; ++l) {
+      const StepValues v = values(i + l);
+      e[l] += v.energy_j;
+      u[l] += v.util;
+      if constexpr (kScaled) {
+        fh[l] += v.freed_h;
+        oj[l] += v.opp_j;
+        oh[l] += v.opp_h;
+      }
+      loc[l] += v.energy_j * pue * ci_at<kHeld>(ci, i + l);
+    }
+  }
+  for (int l = 0; l < kStepLanes; ++l) {
+    acc.lane[kGroupEnergy][l] = e[l];
+    acc.lane[kUtilWeight][l] = u[l];
+    acc.lane[kFreedHours][l] = fh[l];
+    acc.lane[kOppEnergy][l] = oj[l];
+    acc.lane[kOppHours][l] = oh[l];
+    acc.lane[kLocationG][l] = loc[l];
+  }
+}
+
+// One fault-free piece, step i adding values(i).
+template <bool kHeld, bool kScaled, typename Values>
+inline void fault_free_piece(long chunk_begin, long s0, long n,
+                             const double* ci, double pue, const Values& values,
+                             GroupLanes& acc) {
+  run_piece<kHeld>(
+      chunk_begin, s0, n, ci,
+      [&](int l, long i, double x) {
+        fault_free_add<kScaled>(values(i), pue, x, l, acc);
+      },
+      [&](long i0, long i1) {
+        fault_free_strips<kHeld, kScaled>(values, ci, pue, i0, i1, acc);
+      });
+}
+
+// Calls f(std::bool_constant<flag>{}): a runtime flag picks a compile-time
+// specialization.
+template <typename F>
+inline void with_flag(bool flag, F&& f) {
+  if (flag) {
+    f(std::true_type{});
+  } else {
+    f(std::false_type{});
   }
 }
 
@@ -236,10 +349,11 @@ std::pair<const Run*, const Run*> runs_after(const std::vector<Run>* runs,
 // Walks steps [begin, end) of one group in pieces over which the demand
 // row, the down count and the intensity source do not change: a piece ends
 // at a row wrap or a crash- or gap-run boundary. Calls
-// piece(s0, n, dem, down, ci, held) for each, in ascending order.
+// piece(s0, n, r, down, ci, held) for each, in ascending order, where r is
+// the row slot of step s0.
 template <typename Piece>
-inline void walk_pieces(const FleetStepInputs& in, const double* row,
-                        long row_len, const std::vector<DownRun>* down,
+inline void walk_pieces(const FleetStepInputs& in, long row_len,
+                        const std::vector<DownRun>* down,
                         long begin, long end, Piece&& piece) {
   auto [dr, dr_end] = runs_after(down, begin);
   auto [hr, hr_end] = runs_after(in.held, begin);
@@ -267,7 +381,7 @@ inline void walk_pieces(const FleetStepInputs& in, const double* row,
     }
     const double* ci =
         held != nullptr ? held : in.intensity + (s - in.intensity_first);
-    piece(s, stop - s, row + r, dn, ci, held != nullptr);
+    piece(s, stop - s, r, dn, ci, held != nullptr);
     r += stop - s;
     if (r == row_len) {
       r = 0;
@@ -293,62 +407,63 @@ FleetPartial soa_chunk(const FleetStepInputs& in, std::size_t begin_u,
     return out;
   }
 
+  const auto row_len = static_cast<std::size_t>(soa.row_len);
+  const bool step_rows = soa.has_step_rows();
   for (std::size_t g = 0; g < num_groups; ++g) {
     if (soa.count[g] == 0.0) {
       continue;
     }
-    GroupConsts c;
-    c.cnt = soa.count[g];
-    c.h_idle = soa.host_idle_w[g];
-    c.h_span = soa.host_span_w[g];
-    c.a_idle = soa.acc_idle_w[g];
-    c.a_span = soa.acc_span_w[g];
-    c.a_n = soa.acc_count[g];
-    c.idle_e = soa.idle_energy_j[g];
-    c.opp_e = soa.opp_energy_j[g];
-    c.opp_mask = soa.opp_mask[g];
-    c.min_active = soa.min_active[g];
-    c.max_freed = soa.max_freed[g];
-    c.min_active_frac = soa.min_active_frac;
-    c.max_freed_frac = soa.max_freed_frac;
-    c.step_s = soa.step_s;
-    c.pue = in.pue;
-    c.target = soa.target_utilization;
-
-    const double* row = soa.demand.data() + g * static_cast<std::size_t>(soa.row_len);
+    const GroupConsts c = group_consts(soa, g, in.pue);
+    const double* row = soa.demand.data() + g * row_len;
     const std::vector<DownRun>* down =
         in.down != nullptr && !in.down->empty() ? &(*in.down)[g] : nullptr;
     const bool scaled = soa.autoscaled[g] != 0;
     GroupLanes lanes;
-    const auto piece = [&](long s0, long n, const double* dem, int down_now,
+    const auto piece = [&](long s0, long n, long r, int down_now,
                            const double* ci, bool held) {
-      const auto run = [&](auto&& body) {
-        if (held) {
-          run_piece<true>(begin, s0, n, dem, ci, body);
-        } else {
-          run_piece<false>(begin, s0, n, dem, ci, body);
+      const double* dem = row + r;
+      const std::size_t at = g * row_len + static_cast<std::size_t>(r);
+      with_flag(held, [&](auto held_flag) {
+        constexpr bool kHeld = decltype(held_flag)::value;
+        if (down_now != 0) {
+          const double dn = static_cast<double>(down_now);
+          if (scaled) {
+            run_piece<kHeld>(begin, s0, n, ci, [&](int l, long i, double x) {
+              scaled_step_down(c, dem[i], x, dn, l, lanes);
+            });
+          } else {
+            run_piece<kHeld>(begin, s0, n, ci, [&](int l, long i, double x) {
+              static_step_down(c, dem[i], x, dn, l, lanes);
+            });
+          }
+          return;
         }
-      };
-      const double dn = static_cast<double>(down_now);
-      if (scaled) {
-        if (down_now == 0) {
-          run([&](int l, double d, double x) { scaled_step(c, d, x, l, lanes); });
-        } else {
-          run([&](int l, double d, double x) {
-            scaled_step_down(c, d, x, dn, l, lanes);
-          });
-        }
-      } else {
-        if (down_now == 0) {
-          run([&](int l, double d, double x) { static_step(c, d, x, l, lanes); });
-        } else {
-          run([&](int l, double d, double x) {
-            static_step_down(c, d, x, dn, l, lanes);
-          });
-        }
-      }
+        // Fault-free: read the step rows, or evaluate the step inline where
+        // the rows span the horizon and each slot is read once.
+        with_flag(scaled, [&](auto scaled_flag) {
+          constexpr bool kScaled = decltype(scaled_flag)::value;
+          if (step_rows) {
+            const double* e = soa.row_energy_j.data() + at;
+            const double* u = soa.row_util.data() + at;
+            const double* fh = soa.row_freed_h.data() + at;
+            const double* oj = soa.row_opp_j.data() + at;
+            const double* oh = soa.row_opp_h.data() + at;
+            fault_free_piece<kHeld, kScaled>(
+                begin, s0, n, ci, c.pue,
+                [=](long i) -> StepValues {
+                  return {e[i], u[i], fh[i], oj[i], oh[i]};
+                },
+                lanes);
+          } else {
+            fault_free_piece<kHeld, kScaled>(
+                begin, s0, n, ci, c.pue,
+                [&](long i) { return fault_free_step<kScaled>(c, dem[i]); },
+                lanes);
+          }
+        });
+      });
     };
-    walk_pieces(in, row, soa.row_len, down, begin, end, piece);
+    walk_pieces(in, soa.row_len, down, begin, end, piece);
     flush_group(lanes, out, g);
   }
   return out;
@@ -582,6 +697,31 @@ FleetSoA build_fleet_soa(const Cluster& cluster,
     for (long s = 0; s < soa.row_len; ++s) {
       const double t_s = step_s * static_cast<double>(s);
       row[s] = load_slots.get(s, std::fmod(t_s, kSecondsPerDay), diurnal);
+    }
+  }
+
+  // Step rows: the fault-free step at every slot of a day-long row, each
+  // slot read once per day of the horizon. Horizon-long rows would read
+  // each slot once, so there the kernel evaluates the step inline.
+  if (soa.row_len < steps) {
+    for (std::vector<double>* r : {&soa.row_energy_j, &soa.row_util,
+                                   &soa.row_freed_h, &soa.row_opp_j,
+                                   &soa.row_opp_h}) {
+      r->resize(n * row_len);
+    }
+    for (std::size_t g = 0; g < n; ++g) {
+      // The fault-free step does not read the PUE; any value serves.
+      const GroupConsts c = group_consts(soa, g, 1.0);
+      for (std::size_t i = g * row_len; i < (g + 1) * row_len; ++i) {
+        const StepValues v = soa.autoscaled[g] != 0
+                                 ? fault_free_step<true>(c, soa.demand[i])
+                                 : fault_free_step<false>(c, soa.demand[i]);
+        soa.row_energy_j[i] = v.energy_j;
+        soa.row_util[i] = v.util;
+        soa.row_freed_h[i] = v.freed_h;
+        soa.row_opp_j[i] = v.opp_j;
+        soa.row_opp_h[i] = v.opp_h;
+      }
     }
   }
   return soa;

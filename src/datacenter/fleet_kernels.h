@@ -6,8 +6,15 @@
 // structure-of-arrays state (per-group constants and demand rows, one day
 // long when the day repeats on the step grid, as contiguous lanes), reads
 // the grid intensity from a per-segment window and faults from sorted runs,
-// and blocks the inner loop into kStepLanes-wide strips that the compiler
-// vectorizes.
+// and blocks the inner loop into kStepLanes-wide strips.
+//
+// A fault-free step is a pure function of its demand-row slot, so where the
+// rows are one day long build_fleet_soa evaluates it once per slot into
+// step rows, and the kernel's fault-free strips only add row values (plus
+// the intensity product for location carbon) into lanes held in registers.
+// The step math itself compiles to scalar SSE2 code, with no packed
+// arithmetic in its strips (GCC 12, -O3); only the row strips' additions
+// and intensity products pack.
 //
 // Its results are defined by an accumulation-order contract (DESIGN.md §6),
 // which the object-based reference kernel in tests/oracles/ follows too, so
@@ -80,6 +87,21 @@ struct FleetSoA {
   // DiurnalProfile::utilization_at. A day-long row holds the same double at
   // s % row_len as a horizon-long row at s, so one row per day suffices.
   std::vector<double> demand;
+  // Step rows, laid out like `demand`: what the fault-free step of group g
+  // at slot r adds to its group energy, utilization, freed hours,
+  // opportunistic energy and opportunistic hours (zero freed and
+  // opportunistic values for a static group). Location carbon also needs
+  // the step's intensity, so the kernel computes it per step as
+  // (row_energy_j[r] * pue) * ci. Built only for day-long rows
+  // (row_len < steps), whose slots repeat every day; otherwise empty, and
+  // the kernel evaluates the same step function inline.
+  std::vector<double> row_energy_j;
+  std::vector<double> row_util;
+  std::vector<double> row_freed_h;
+  std::vector<double> row_opp_j;
+  std::vector<double> row_opp_h;
+
+  [[nodiscard]] bool has_step_rows() const { return !row_energy_j.empty(); }
 
   double target_utilization = 0.75;
   double min_active_frac = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <unordered_map>
 
 #include "core/check.h"
@@ -140,9 +141,13 @@ FleetStepInputs FleetRegion::inputs(const IntensityWindow& window) const {
 }
 
 std::size_t FleetRegion::state_bytes() const {
-  std::size_t bytes = soa_.demand.capacity() * sizeof(double) +
-                      down_.capacity() * sizeof(std::vector<DownRun>) +
+  std::size_t bytes = down_.capacity() * sizeof(std::vector<DownRun>) +
                       held_.capacity() * sizeof(HeldRun);
+  for (const std::vector<double>* row :
+       {&soa_.demand, &soa_.row_energy_j, &soa_.row_util, &soa_.row_freed_h,
+        &soa_.row_opp_j, &soa_.row_opp_h}) {
+    bytes += row->capacity() * sizeof(double);
+  }
   for (const std::vector<DownRun>& runs : down_) {
     bytes += runs.capacity() * sizeof(DownRun);
   }
@@ -327,6 +332,14 @@ const IntensityWindow& IntensityWindows::of(std::size_t region) const {
   return grids_[grid_of_[region]].window;
 }
 
+long IntensityWindows::points(long segment_steps) const {
+  long reach = 0;
+  for (const Grid& grid : grids_) {
+    reach = std::max(reach, grid.reach);
+  }
+  return segment_steps + reach;
+}
+
 std::size_t IntensityWindows::bytes() const {
   std::size_t bytes = 0;
   for (const Grid& grid : grids_) {
@@ -353,6 +366,7 @@ FleetSimulator::FleetSimulator(Config config)
   rcfg.step_seconds = region_.run().step_s;
   rcfg.context = "fleet checkpoint";
   rcfg.segment_span = "fleet.segment";
+  rcfg.chunk_span = "fleet.chunk";
   runner_ = engine::ShardedRun<FleetPartial>(rcfg);
   config_digest_ = compute_config_digest();
 }
@@ -371,12 +385,8 @@ void FleetSimulator::advance(Checkpoint& cp, long max_steps) const {
   // each just before it steps, instead of by a pass of its own.
   const bool stale = end > cp.next_step && windows_.place(cp.next_step, end);
   const FleetStepInputs inputs = region_.inputs(windows_.of(0));
-  const double step_s = region_.run().step_s;
   runner_.advance(cp.next_step, cp.shards, max_steps,
                   [&](std::size_t, long begin, long end) -> FleetPartial {
-                    obs::Span chunk_span(
-                        "fleet.chunk", step_s * static_cast<double>(begin),
-                        step_s * static_cast<double>(end));
                     if (stale) {
                       windows_.fill_points(0, begin, end);
                     }
@@ -469,6 +479,12 @@ FleetSimulator::Checkpoint FleetSimulator::parse_checkpoint(
 std::size_t FleetSimulator::state_bytes() const {
   const std::lock_guard<std::mutex> lock(windows_mu_);
   return region_.state_bytes() + windows_.bytes();
+}
+
+double FleetSimulator::window_bytes(long max_steps) const {
+  const std::lock_guard<std::mutex> lock(windows_mu_);
+  const long points = windows_.points(runner_.segment_end(0, max_steps));
+  return static_cast<double>(points) * static_cast<double>(sizeof(double));
 }
 
 std::string FleetSimulator::compute_config_digest() const {

@@ -147,7 +147,7 @@ class FleetRegion {
   // s + offset_steps(). The window must outlive the returned inputs.
   [[nodiscard]] FleetStepInputs inputs(const IntensityWindow& window) const;
 
-  // Bytes of the region's step state: demand rows and fault runs.
+  // Bytes of the region's step state: demand and step rows, fault runs.
   [[nodiscard]] std::size_t state_bytes() const;
 
   // Folds the region's partial over all steps into its result.
@@ -184,6 +184,16 @@ class IntensityWindows {
   // the global pool).
   IntensityWindows(const std::vector<const SharedIntensityTable*>& tables,
                    const std::vector<long>& offsets, exec::ThreadPool* pool);
+
+  // Most bytes one window may take. An unsegmented run holds a window over
+  // the whole horizon: a decade of 1 s steps would ask for about 2.5 GB.
+  // The scenario adapters reject a segment whose window would be larger by
+  // name, at their step param, before any window is placed.
+  static constexpr double kMaxWindowBytes = 0x1p28;  // 256 MiB
+
+  // Grid points of the longest window a segment of `segment_steps` steps
+  // places: the segment plus the largest offset.
+  [[nodiscard]] long points(long segment_steps) const;
 
   // Makes region r's window span steps [begin, end + offset_r) for every
   // region r. A filled window that already holds its range is kept and
@@ -295,9 +305,12 @@ class FleetSimulator {
     return config_digest_;
   }
 
-  // Bytes of the step state: demand rows, fault runs and the intensity
-  // window with its table.
+  // Bytes of the step state: demand and step rows, fault runs and the
+  // intensity window with its table.
   [[nodiscard]] std::size_t state_bytes() const;
+  // Bytes of the longest intensity window an advance of up to `max_steps`
+  // steps places (see IntensityWindows::kMaxWindowBytes).
+  [[nodiscard]] double window_bytes(long max_steps) const;
 
  private:
   [[nodiscard]] std::string compute_config_digest() const;

@@ -27,8 +27,8 @@
 //     chunk; each shard walks its chunks serially.
 //   * kChunkMajor (fleet): a single shard whose time chunks run in
 //     parallel, one time chunk per exec chunk — the same plan
-//     exec::parallel_reduce would build, so exec work counters and chunk
-//     spans are unchanged for an unsegmented run. Segments shorter than
+//     exec::parallel_reduce would build, so exec work counters are
+//     unchanged for an unsegmented run. Segments shorter than
 //     kInlineSegmentSteps run the same chunks inline on the caller.
 //
 // The Partial type must be default-constructible at merge identity and
@@ -84,9 +84,12 @@ class ShardedRun {
     double step_seconds = 0.0;  // sim-time scale for the obs spans
     // Error-message prefix, e.g. "planet checkpoint".
     const char* context = "checkpoint";
-    // Optional obs span names; nullptr emits none.
+    // Optional obs span names; nullptr emits none. A shard or chunk span
+    // stands in for the exec.chunk span of its exec chunk, which covers the
+    // same interval.
     const char* segment_span = nullptr;          // one per advance()
     const char* shard_span = nullptr;            // one per shard (kShardMajor)
+    const char* chunk_span = nullptr;            // one per chunk (kChunkMajor)
   };
 
   // cell(shard, begin, end): simulate steps [begin, end) of `shard`.
@@ -172,14 +175,11 @@ class ShardedRun {
     }
 
     if (config_.topology == Topology::kShardMajor) {
-      exec::ParallelOptions options;
-      options.pool = config_.pool;
       // One shard per exec chunk: each shard is one deterministic obs track
       // and one unit of scheduling, whatever the pool size.
-      options.chunk_size = 1;
-      exec::parallel_for(
-          config_.shards,
-          [&](std::size_t r) {
+      exec::run_chunks(
+          config_.pool, exec::plan_chunks(config_.shards, 1),
+          [&](std::size_t r, std::size_t, std::size_t) {
             std::optional<obs::Span> shard_span;
             if (config_.shard_span != nullptr) {
               shard_span.emplace(
@@ -198,7 +198,7 @@ class ShardedRun {
               acc.merge(partial);
             }
           },
-          options);
+          config_.shard_span != nullptr ? nullptr : exec::kChunkSpan);
     } else {
       // One time chunk per exec chunk. For a whole-horizon advance this is
       // exactly the plan exec::parallel_reduce would build, and the serial
@@ -212,13 +212,22 @@ class ShardedRun {
                             options.chunk_size, options.chunk_align);
       std::vector<Partial> partials(plan.num_chunks());
       const auto body = [&](std::size_t c, std::size_t b, std::size_t e) {
-        partials[c] = cell(0, begin + static_cast<long>(b),
-                           begin + static_cast<long>(e));
+        const long cb = begin + static_cast<long>(b);
+        const long ce = begin + static_cast<long>(e);
+        std::optional<obs::Span> chunk_span;
+        if (config_.chunk_span != nullptr) {
+          chunk_span.emplace(config_.chunk_span,
+                             config_.step_seconds * static_cast<double>(cb),
+                             config_.step_seconds * static_cast<double>(ce));
+        }
+        partials[c] = cell(0, cb, ce);
       };
+      const char* exec_span =
+          config_.chunk_span != nullptr ? nullptr : exec::kChunkSpan;
       if (end - begin < kInlineSegmentSteps) {
-        exec::run_chunks_inline(plan, body);
+        exec::run_chunks_inline(plan, body, exec_span);
       } else {
-        exec::run_chunks(config_.pool, plan, body);
+        exec::run_chunks(config_.pool, plan, body, exec_span);
       }
       Partial& acc = shards[0];
       for (std::size_t i = 0; i < partials.size(); ++i) {

@@ -6,6 +6,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "obs/trace.h"
 
@@ -89,7 +90,8 @@ void reset_counters() {
 
 void run_chunks_inline(
     const ChunkPlan& plan,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
+    const char* chunk_span) {
   const std::size_t num_chunks = plan.num_chunks();
   if (num_chunks == 0) {
     return;
@@ -102,7 +104,10 @@ void run_chunks_inline(
     try {
       if (traced) {
         obs::TaskScope scope(obs::chunk_track(trace_region, c));
-        obs::Span span("exec.chunk");
+        std::optional<obs::Span> span;
+        if (chunk_span != nullptr) {
+          span.emplace(chunk_span);
+        }
         body(c, r.begin, r.end);
       } else {
         body(c, r.begin, r.end);
@@ -120,7 +125,8 @@ void run_chunks_inline(
 }
 
 void run_chunks(ThreadPool* pool, const ChunkPlan& plan,
-                const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+                const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
+                const char* chunk_span) {
   const std::size_t num_chunks = plan.num_chunks();
   if (num_chunks == 0) {
     return;
@@ -130,7 +136,7 @@ void run_chunks(ThreadPool* pool, const ChunkPlan& plan,
   // Chunks run inline in ascending order when parallelism cannot help; this
   // is the canonical sequential path the parallel one must match bit-exactly.
   if (executor.size() <= 1 || num_chunks == 1) {
-    run_chunks_inline(plan, body);
+    run_chunks_inline(plan, body, chunk_span);
     return;
   }
 
@@ -142,22 +148,26 @@ void run_chunks(ThreadPool* pool, const ChunkPlan& plan,
   struct Region {
     explicit Region(const ChunkPlan& p,
                     std::function<void(std::size_t, std::size_t, std::size_t)> b,
-                    bool traced_in, std::uint64_t trace_region_in)
+                    bool traced_in, std::uint64_t trace_region_in,
+                    const char* chunk_span_in)
         : plan(p),
           body(std::move(b)),
           traced(traced_in),
-          trace_region(trace_region_in) {}
+          trace_region(trace_region_in),
+          chunk_span(chunk_span_in) {}
     ChunkPlan plan;
     std::function<void(std::size_t, std::size_t, std::size_t)> body;
     bool traced;
     std::uint64_t trace_region;
+    const char* chunk_span;
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::mutex mu;
     std::condition_variable cv;
     std::exception_ptr error;  // first failure only; guarded by mu
   };
-  auto region = std::make_shared<Region>(plan, body, traced, trace_region);
+  auto region =
+      std::make_shared<Region>(plan, body, traced, trace_region, chunk_span);
 
   auto drain = [region] {
     const std::size_t total_chunks = region->plan.num_chunks();
@@ -171,7 +181,10 @@ void run_chunks(ThreadPool* pool, const ChunkPlan& plan,
         if (region->traced) {
           obs::TaskScope scope(
               obs::chunk_track(region->trace_region, c));
-          obs::Span span("exec.chunk");
+          std::optional<obs::Span> span;
+          if (region->chunk_span != nullptr) {
+            span.emplace(region->chunk_span);
+          }
           region->body(c, r.begin, r.end);
         } else {
           region->body(c, r.begin, r.end);

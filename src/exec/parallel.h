@@ -71,22 +71,29 @@ struct CounterSnapshot {
 [[nodiscard]] CounterSnapshot counters();
 void reset_counters();  // test hook
 
+// The span a traced chunk records by default.
+inline constexpr const char* kChunkSpan = "exec.chunk";
+
 // Runs body(chunk_id, begin, end) for every chunk of `plan`, blocking until
 // all chunks finish. `pool` of nullptr means ThreadPool::global(); the
 // calling thread always participates, so nesting a region inside a pool
 // worker cannot deadlock. With a 1-thread pool the chunks run inline on the
 // caller in ascending order. The first exception thrown by `body` is
-// rethrown after the region completes.
+// rethrown after the region completes. While tracing, each chunk runs on
+// its own track and records a `chunk_span` span; nullptr records none, for
+// a body that records its own span over the chunk.
 void run_chunks(ThreadPool* pool, const ChunkPlan& plan,
-                const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
+                const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
+                const char* chunk_span = kChunkSpan);
 
 // The sequential path of run_chunks: every chunk inline on the caller in
-// ascending order, with the same exec.chunk spans, chunk tracks and work
+// ascending order, with the same chunk spans, chunk tracks and work
 // counters a parallel run records. For regions too small to be worth waking
 // pool helpers for.
 void run_chunks_inline(
     const ChunkPlan& plan,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
+    const char* chunk_span = kChunkSpan);
 
 struct ParallelOptions {
   ThreadPool* pool = nullptr;  // nullptr => ThreadPool::global()

@@ -9,10 +9,11 @@ namespace sustainai::obs {
 namespace {
 
 // Per-thread recording state. The buffer is registered with the tracer on
-// first use and outlives the thread (shared_ptr), so collect() can read
-// buffers of threads that have already exited.
+// first use and owned by it, so collect() can read buffers of threads that
+// have already exited; the thread keeps a plain pointer, so a record does
+// not touch a reference count.
 struct ThreadState {
-  std::shared_ptr<void> buffer;  // actually Tracer::ThreadBuffer
+  void* buffer = nullptr;  // actually Tracer::ThreadBuffer
   std::uint64_t track = kSerialTrack;
   std::uint64_t next_seq = 0;
   std::uint32_t depth = 0;
@@ -51,20 +52,19 @@ void Tracer::clear() {
 }
 
 Tracer::ThreadBuffer& Tracer::local_buffer() {
-  auto buffer = std::static_pointer_cast<ThreadBuffer>(t_state.buffer);
-  if (buffer == nullptr) {
-    buffer = std::make_shared<ThreadBuffer>();
+  if (t_state.buffer == nullptr) {
+    auto buffer = std::make_unique<ThreadBuffer>();
     // Amortize the first growth steps: a traced run emits thousands of
     // spans per thread, so starting at a real capacity keeps early records
     // off the allocator.
     buffer->spans.reserve(256);
     buffer->thread_index =
         next_thread_index_.fetch_add(1, std::memory_order_relaxed);
-    t_state.buffer = buffer;
+    t_state.buffer = buffer.get();
     std::lock_guard<std::mutex> lock(mu_);
-    buffers_.push_back(buffer);
+    buffers_.push_back(std::move(buffer));
   }
-  return *buffer;
+  return *static_cast<ThreadBuffer*>(t_state.buffer);
 }
 
 void Tracer::record(SpanRecord&& rec) {

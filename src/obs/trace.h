@@ -130,7 +130,7 @@ class Tracer {
   std::atomic<int> next_thread_index_{0};
   std::uint64_t epoch_ns_ = 0;
   mutable std::mutex mu_;  // guards buffers_ registration and collect()
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
+  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
 };
 
 // RAII span over Tracer::global(). The ordering key is taken at

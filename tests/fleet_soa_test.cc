@@ -9,9 +9,13 @@
 // crash-aware strip bodies, and either intensity lane of the oracle.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/units.h"
+#include "datacenter/autoscaler.h"
 #include "datacenter/fleet_kernels.h"
 #include "datacenter/fleet_sim.h"
 #include "exec/parallel.h"
@@ -209,6 +213,95 @@ TEST(FleetSoa, DemandRowsHoldOneDay) {
     SCOPED_TRACE(testing::Message() << "steps=" << steps);
     const std::size_t row = tc.day_rows ? 24u : static_cast<std::size_t>(steps);
     EXPECT_EQ(region.soa().demand.size(), region.num_groups() * row);
+  }
+}
+
+TEST(FleetSoa, StepRowsMatchTheStepBodyBitForBit) {
+  // Every step-row value is what the reference's step body (DiurnalProfile,
+  // AutoScaler and ServerSku calls) computes for the first step at that
+  // slot, bit for bit: autoscaled and static groups, harvesting on and off,
+  // hourly, 15-min and 1-min day rows.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const Duration step : {hours(1.0), minutes(15.0), minutes(1.0)}) {
+    for (const bool opportunistic : {true, false}) {
+      FleetSimulator::Config c = base_config(7);
+      c.step = step;
+      c.horizon = days(2.5);
+      c.opportunistic_training = opportunistic;
+      const datacenter::FleetRegion region = oracles::fleet_region(c);
+      const datacenter::FleetRegion::Run& run = region.run();
+      const datacenter::FleetSoA& soa = region.soa();
+      const auto row_len = static_cast<std::size_t>(soa.row_len);
+      SCOPED_TRACE(testing::Message() << "step_s=" << run.step_s
+                                      << " opportunistic=" << opportunistic);
+      ASSERT_EQ(soa.row_len, static_cast<long>(86400.0 / run.step_s));
+      ASSERT_TRUE(soa.has_step_rows());
+      const datacenter::AutoScaler scaler(run.autoscaler);
+      const auto& groups = region.cluster().groups();
+      for (std::size_t g = 0; g < groups.size(); ++g) {
+        const datacenter::ServerGroup& grp = groups[g];
+        for (std::size_t r = 0; r < row_len; ++r) {
+          const std::size_t i = g * row_len + r;
+          const double demand = grp.load.utilization_at(
+              seconds(run.step_s * static_cast<double>(r)));
+          ASSERT_EQ(bits(soa.demand[i]), bits(demand))
+              << grp.name << " slot " << r;
+          double energy = 0.0;
+          double util = demand;
+          double freed_h = 0.0;
+          double opp_j = 0.0;
+          double opp_h = 0.0;
+          if (grp.autoscalable && run.enable_autoscaler) {
+            const datacenter::AutoScaler::Decision d =
+                scaler.step(grp.count, demand);
+            util = d.active_utilization;
+            Energy e = grp.sku.energy(util, util, step) *
+                       static_cast<double>(d.active_servers);
+            freed_h = d.freed_servers * run.step_s / kSecondsPerHour;
+            if (opportunistic && d.freed_servers > 0) {
+              const Energy opp =
+                  grp.sku.energy(run.opportunistic_utilization,
+                                 run.opportunistic_utilization, step) *
+                  static_cast<double>(d.freed_servers);
+              opp_j = to_joules(opp);
+              opp_h = freed_h;
+              e += opp;
+            }
+            energy = to_joules(e);
+          } else {
+            energy = to_joules(grp.sku.energy(demand, demand, step) *
+                               static_cast<double>(grp.count));
+          }
+          const double stored[] = {soa.row_energy_j[i], soa.row_util[i],
+                                   soa.row_freed_h[i], soa.row_opp_j[i],
+                                   soa.row_opp_h[i]};
+          const double expected[] = {energy, util, freed_h, opp_j, opp_h};
+          for (std::size_t q = 0; q < 5; ++q) {
+            ASSERT_EQ(bits(stored[q]), bits(expected[q]))
+                << grp.name << " slot " << r << " row " << q;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FleetSoa, HorizonLongRowsEvaluateTheStepInline) {
+  // Where a row spans the horizon each slot is read once, so no step rows
+  // are built: 7 minutes does not divide the day, 22.5 s is not a whole
+  // number of seconds, and a one-day run's row is the whole horizon.
+  for (const auto& [step, horizon] :
+       {std::pair{minutes(7.0), days(3.0)}, std::pair{seconds(22.5), days(2.0)},
+        std::pair{hours(1.0), days(1.0)}}) {
+    FleetSimulator::Config c = base_config(5);
+    c.step = step;
+    c.horizon = horizon;
+    const datacenter::FleetRegion region = oracles::fleet_region(c);
+    SCOPED_TRACE(testing::Message() << "steps=" << region.run().steps);
+    EXPECT_EQ(region.soa().row_len, region.run().steps);
+    EXPECT_FALSE(region.soa().has_step_rows());
+    EXPECT_TRUE(region.soa().row_util.empty());
+    expect_identical(reference(c), simulate(c));
   }
 }
 

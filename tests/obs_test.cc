@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -264,6 +265,34 @@ TEST(ObsFleet, TraceAndMetricsAreByteIdenticalAcrossThreadCounts) {
         << "trace diverged at " << threads << " threads";
     EXPECT_EQ(got.metrics_text, reference.metrics_text)
         << "metrics diverged at " << threads << " threads";
+  }
+}
+
+// A time chunk records one span, fleet.chunk with its sim interval, in
+// place of an exec.chunk span over the same interval.
+TEST(ObsFleet, EachChunkRecordsOneSpan) {
+  ObsGuard guard;
+  Tracer::global().clear();
+  Tracer::global().set_enabled(true);
+  exec::ThreadPool pool(2);
+  (void)datacenter::FleetSimulator(fleet_config(&pool)).run();
+  std::map<std::uint64_t, int> chunk_spans;
+  std::size_t exec_spans = 0;
+  for (const SpanRecord& s : Tracer::global().collect()) {
+    if (s.name == "exec.chunk") {
+      ++exec_spans;
+    } else if (s.name == "fleet.chunk") {
+      ++chunk_spans[s.track];
+      EXPECT_EQ(s.depth, 0u);
+      EXPECT_TRUE(s.has_sim);
+    }
+  }
+  EXPECT_EQ(exec_spans, 0u);
+  // 4 days of 15-minute steps in chunks of 32.
+  EXPECT_EQ(chunk_spans.size(), 12u);
+  for (const auto& [track, count] : chunk_spans) {
+    EXPECT_NE(track, kSerialTrack);
+    EXPECT_EQ(count, 1) << track;
   }
 }
 

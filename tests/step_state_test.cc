@@ -14,6 +14,7 @@
 #include "datacenter/fleet_sim.h"
 #include "datacenter/planet_sim.h"
 #include "hw/server.h"
+#include "oracles/fleet_reference.h"
 
 namespace sustainai {
 namespace {
@@ -62,6 +63,8 @@ TEST(StateBytes, FiveYearMinuteFleetStaysUnderOneMegabyte) {
   constexpr std::size_t kLimit = std::size_t{1} << 20;
 
   const FleetSimulator sim(config);
+  // The demand row and five step rows of 1440 slots per group count too.
+  EXPECT_GE(sim.state_bytes(), 6 * 2 * 1440 * sizeof(double));
   EXPECT_LT(sim.state_bytes(), kLimit);
   const long stride = (sim.steps() + 63) / 64;
   FleetSimulator::Checkpoint cp = sim.start();
@@ -76,6 +79,35 @@ TEST(StateBytes, FiveYearMinuteFleetStaysUnderOneMegabyte) {
   const FleetSimulator::Result result = sim.finalize(cp);
   EXPECT_GT(result.faults.host_crashes, 0);
   EXPECT_GT(result.faults.grid_gaps, 0);
+}
+
+TEST(StateBytes, StepRowsOnlyForDayLongRows) {
+  // A region's built state is its demand row plus, where the row is one day
+  // long, five step rows: 6 x 2 groups x row_len doubles with no faults. A
+  // row over the whole horizon keeps the demand row alone: step rows there
+  // would multiply horizon-sized state by six.
+  struct Case {
+    Duration step;
+    Duration horizon;
+    std::size_t rows;
+    std::size_t row_len;
+  };
+  const Case cases[] = {
+      {hours(1.0), years(10.0), 6, 24},
+      {minutes(1.0), days(1826.25), 6, 1440},
+      {minutes(7.0), days(3.0), 1, 617},
+      {seconds(22.5), days(2.0), 1, 7680},
+  };
+  for (const Case& tc : cases) {
+    FleetSimulator::Config config;
+    config.cluster = web_train_cluster(400, 24);
+    config.step = tc.step;
+    config.horizon = tc.horizon;
+    const datacenter::FleetRegion region = oracles::fleet_region(config);
+    SCOPED_TRACE(testing::Message() << "steps=" << region.run().steps);
+    EXPECT_EQ(static_cast<std::size_t>(region.soa().row_len), tc.row_len);
+    EXPECT_EQ(region.state_bytes(), tc.rows * 2 * tc.row_len * sizeof(double));
+  }
 }
 
 TEST(StateBytes, PlanetWindowsFollowTheSegment) {
