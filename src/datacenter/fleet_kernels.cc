@@ -238,11 +238,10 @@ inline double ci_at(const double* ci, long i) {
 // Calls body(lane, i, intensity) for the n steps s0 + i of one piece, in
 // ascending order, on lane (s - chunk_begin) % kStepLanes: the steps before
 // the next lane-0 step one at a time, then whole kStepLanes-wide strips,
-// then the tail. strips(i0, i1), where given, runs the strips [i0, i1)
-// (i0 on lane 0) in place of body.
-template <bool kHeld, typename Body, typename Strips = std::nullptr_t>
+// then the tail.
+template <bool kHeld, typename Body>
 inline void run_piece(long chunk_begin, long s0, long n, const double* ci,
-                      Body&& body, Strips&& strips = nullptr) {
+                      Body&& body) {
   const auto lane_of = [chunk_begin](long s) {
     return static_cast<int>((s - chunk_begin) % kStepLanes);
   };
@@ -250,60 +249,13 @@ inline void run_piece(long chunk_begin, long s0, long n, const double* ci,
   for (; i < n && lane_of(s0 + i) != 0; ++i) {
     body(lane_of(s0 + i), i, ci_at<kHeld>(ci, i));
   }
-  if constexpr (std::is_null_pointer_v<std::remove_cvref_t<Strips>>) {
-    for (; i + kStepLanes <= n; i += kStepLanes) {
-      for (int l = 0; l < kStepLanes; ++l) {
-        body(l, i + l, ci_at<kHeld>(ci, i + l));
-      }
-    }
-  } else {
-    const long i1 = i + (n - i) / kStepLanes * kStepLanes;
-    if (i < i1) {
-      strips(i, i1);
-      i = i1;
+  for (; i + kStepLanes <= n; i += kStepLanes) {
+    for (int l = 0; l < kStepLanes; ++l) {
+      body(l, i + l, ci_at<kHeld>(ci, i + l));
     }
   }
   for (; i < n; ++i) {
     body(lane_of(s0 + i), i, ci_at<kHeld>(ci, i));
-  }
-}
-
-// The strips [i0, i1) of a fault-free piece, step i adding values(i). The
-// lanes ride in local arrays, which the compiler keeps in registers (and
-// packs pairwise); each lane still adds its steps in ascending order.
-template <bool kHeld, bool kScaled, typename Values>
-inline void fault_free_strips(const Values& values, const double* ci,
-                              double pue, long i0, long i1, GroupLanes& acc) {
-  double e[kStepLanes], u[kStepLanes], fh[kStepLanes], oj[kStepLanes],
-      oh[kStepLanes], loc[kStepLanes];
-  for (int l = 0; l < kStepLanes; ++l) {
-    e[l] = acc.lane[kGroupEnergy][l];
-    u[l] = acc.lane[kUtilWeight][l];
-    fh[l] = acc.lane[kFreedHours][l];
-    oj[l] = acc.lane[kOppEnergy][l];
-    oh[l] = acc.lane[kOppHours][l];
-    loc[l] = acc.lane[kLocationG][l];
-  }
-  for (long i = i0; i < i1; i += kStepLanes) {
-    for (int l = 0; l < kStepLanes; ++l) {
-      const StepValues v = values(i + l);
-      e[l] += v.energy_j;
-      u[l] += v.util;
-      if constexpr (kScaled) {
-        fh[l] += v.freed_h;
-        oj[l] += v.opp_j;
-        oh[l] += v.opp_h;
-      }
-      loc[l] += v.energy_j * pue * ci_at<kHeld>(ci, i + l);
-    }
-  }
-  for (int l = 0; l < kStepLanes; ++l) {
-    acc.lane[kGroupEnergy][l] = e[l];
-    acc.lane[kUtilWeight][l] = u[l];
-    acc.lane[kFreedHours][l] = fh[l];
-    acc.lane[kOppEnergy][l] = oj[l];
-    acc.lane[kOppHours][l] = oh[l];
-    acc.lane[kLocationG][l] = loc[l];
   }
 }
 
@@ -312,14 +264,9 @@ template <bool kHeld, bool kScaled, typename Values>
 inline void fault_free_piece(long chunk_begin, long s0, long n,
                              const double* ci, double pue, const Values& values,
                              GroupLanes& acc) {
-  run_piece<kHeld>(
-      chunk_begin, s0, n, ci,
-      [&](int l, long i, double x) {
-        fault_free_add<kScaled>(values(i), pue, x, l, acc);
-      },
-      [&](long i0, long i1) {
-        fault_free_strips<kHeld, kScaled>(values, ci, pue, i0, i1, acc);
-      });
+  run_piece<kHeld>(chunk_begin, s0, n, ci, [&](int l, long i, double x) {
+    fault_free_add<kScaled>(values(i), pue, x, l, acc);
+  });
 }
 
 // Calls f(std::bool_constant<flag>{}): a runtime flag picks a compile-time

@@ -10,11 +10,11 @@
 //
 // A fault-free step is a pure function of its demand-row slot, so where the
 // rows are one day long build_fleet_soa evaluates it once per slot into
-// step rows, and the kernel's fault-free strips only add row values (plus
-// the intensity product for location carbon) into lanes held in registers.
-// The step math itself compiles to scalar SSE2 code, with no packed
-// arithmetic in its strips (GCC 12, -O3); only the row strips' additions
-// and intensity products pack.
+// step rows, and the kernel's fault-free pieces only add row values (plus
+// the intensity product for location carbon) into their lanes. The strips
+// fix the order of the additions, not the instructions: the kernel
+// compiles to scalar SSE2 code (GCC 12, -O3: one packed add and no packed
+// multiply in the object).
 //
 // Its results are defined by an accumulation-order contract (DESIGN.md §6),
 // which the object-based reference kernel in tests/oracles/ follows too, so

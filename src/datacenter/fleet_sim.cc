@@ -259,6 +259,21 @@ IntensityWindows::IntensityWindows(
 }
 
 bool IntensityWindows::place(long begin, long end) {
+  double bytes = 0.0;
+  for (const Grid& grid : grids_) {
+    bytes += static_cast<double>(end + grid.reach - begin) *
+             static_cast<double>(sizeof(double));
+  }
+  if (bytes > kMaxWindowBytes) {
+    const std::size_t n = grids_.size();
+    throw WindowsTooLong(
+        "a segment of " + std::to_string(end - begin) + " steps places " +
+        std::to_string(n) + (n == 1 ? " intensity window" : " intensity windows") +
+        " of " + report::shortest_double(bytes) + " bytes in all, over the " +
+        report::shortest_double(kMaxWindowBytes) +
+        "-byte bound; split the run into shorter segments, or use a longer "
+        "step");
+  }
   bool any_stale = false;
   for (Grid& grid : grids_) {
     if (!grid.stale && grid.window.holds(begin, end + grid.reach)) {
@@ -332,14 +347,6 @@ const IntensityWindow& IntensityWindows::of(std::size_t region) const {
   return grids_[grid_of_[region]].window;
 }
 
-long IntensityWindows::points(long segment_steps) const {
-  long reach = 0;
-  for (const Grid& grid : grids_) {
-    reach = std::max(reach, grid.reach);
-  }
-  return segment_steps + reach;
-}
-
 std::size_t IntensityWindows::bytes() const {
   std::size_t bytes = 0;
   for (const Grid& grid : grids_) {
@@ -366,7 +373,6 @@ FleetSimulator::FleetSimulator(Config config)
   rcfg.step_seconds = region_.run().step_s;
   rcfg.context = "fleet checkpoint";
   rcfg.segment_span = "fleet.segment";
-  rcfg.chunk_span = "fleet.chunk";
   runner_ = engine::ShardedRun<FleetPartial>(rcfg);
   config_digest_ = compute_config_digest();
 }
@@ -385,8 +391,12 @@ void FleetSimulator::advance(Checkpoint& cp, long max_steps) const {
   // each just before it steps, instead of by a pass of its own.
   const bool stale = end > cp.next_step && windows_.place(cp.next_step, end);
   const FleetStepInputs inputs = region_.inputs(windows_.of(0));
+  const double step_s = region_.run().step_s;
   runner_.advance(cp.next_step, cp.shards, max_steps,
                   [&](std::size_t, long begin, long end) -> FleetPartial {
+                    obs::Span chunk_span(
+                        "fleet.chunk", step_s * static_cast<double>(begin),
+                        step_s * static_cast<double>(end));
                     if (stale) {
                       windows_.fill_points(0, begin, end);
                     }
@@ -479,12 +489,6 @@ FleetSimulator::Checkpoint FleetSimulator::parse_checkpoint(
 std::size_t FleetSimulator::state_bytes() const {
   const std::lock_guard<std::mutex> lock(windows_mu_);
   return region_.state_bytes() + windows_.bytes();
-}
-
-double FleetSimulator::window_bytes(long max_steps) const {
-  const std::lock_guard<std::mutex> lock(windows_mu_);
-  const long points = windows_.points(runner_.segment_end(0, max_steps));
-  return static_cast<double>(points) * static_cast<double>(sizeof(double));
 }
 
 std::string FleetSimulator::compute_config_digest() const {

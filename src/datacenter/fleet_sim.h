@@ -185,20 +185,18 @@ class IntensityWindows {
   IntensityWindows(const std::vector<const SharedIntensityTable*>& tables,
                    const std::vector<long>& offsets, exec::ThreadPool* pool);
 
-  // Most bytes one window may take. An unsegmented run holds a window over
-  // the whole horizon: a decade of 1 s steps would ask for about 2.5 GB.
-  // The scenario adapters reject a segment whose window would be larger by
-  // name, at their step param, before any window is placed.
+  // Most bytes the windows of one segment may take together. An
+  // unsegmented run holds a window per distinct grid over the whole
+  // horizon: a decade of 1 s steps would ask for about 2.5 GB a grid.
   static constexpr double kMaxWindowBytes = 0x1p28;  // 256 MiB
-
-  // Grid points of the longest window a segment of `segment_steps` steps
-  // places: the segment plus the largest offset.
-  [[nodiscard]] long points(long segment_steps) const;
 
   // Makes region r's window span steps [begin, end + offset_r) for every
   // region r. A filled window that already holds its range is kept and
   // read in place; the others are resized to start at `begin` and are
-  // stale until filled. Returns whether any window is stale.
+  // stale until filled. Returns whether any window is stale. Throws
+  // WindowsTooLong, before any window is touched, when the windows of
+  // [begin, end) (each grid's end - begin + reach points) would exceed
+  // kMaxWindowBytes together.
   [[nodiscard]] bool place(long begin, long end);
   // Fills every stale window, together, in one pass over the pool.
   void fill();
@@ -308,9 +306,6 @@ class FleetSimulator {
   // Bytes of the step state: demand and step rows, fault runs and the
   // intensity window with its table.
   [[nodiscard]] std::size_t state_bytes() const;
-  // Bytes of the longest intensity window an advance of up to `max_steps`
-  // steps places (see IntensityWindows::kMaxWindowBytes).
-  [[nodiscard]] double window_bytes(long max_steps) const;
 
  private:
   [[nodiscard]] std::string compute_config_digest() const;
@@ -328,6 +323,14 @@ class FleetSimulator {
 // exceed FleetRegion::Run::kMaxDemandRowBytes: an error in the step, which
 // the scenario adapters report at their step param.
 class StepRowsTooLong : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+// Thrown by IntensityWindows::place when a segment's windows would exceed
+// IntensityWindows::kMaxWindowBytes: the run needs shorter segments or a
+// longer step, which the scenario adapters report at their step param.
+class WindowsTooLong : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
 };

@@ -290,12 +290,6 @@ void PlanetSimulator::read_series(const report::JsonValue& records,
   }
 }
 
-double PlanetSimulator::window_bytes(long max_steps) const {
-  const std::lock_guard<std::mutex> lock(windows_mu_);
-  const long points = windows_.points(runner_.segment_end(0, max_steps));
-  return static_cast<double>(points) * static_cast<double>(sizeof(double));
-}
-
 std::size_t PlanetSimulator::state_bytes() const {
   const std::lock_guard<std::mutex> lock(windows_mu_);
   std::size_t bytes = windows_.bytes();

@@ -162,9 +162,6 @@ class PlanetSimulator {
   // Bytes of the step state: every region's demand and step rows and
   // fault runs, and the intensity windows with their tables.
   [[nodiscard]] std::size_t state_bytes() const;
-  // Bytes of the longest intensity window an advance of up to `max_steps`
-  // steps places (see IntensityWindows::kMaxWindowBytes).
-  [[nodiscard]] double window_bytes(long max_steps) const;
 
  private:
   [[nodiscard]] std::string compute_config_digest() const;

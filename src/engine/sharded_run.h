@@ -28,8 +28,10 @@
 //   * kChunkMajor (fleet): a single shard whose time chunks run in
 //     parallel, one time chunk per exec chunk — the same plan
 //     exec::parallel_reduce would build, so exec work counters are
-//     unchanged for an unsegmented run. Segments shorter than
-//     kInlineSegmentSteps run the same chunks inline on the caller.
+//     unchanged for an unsegmented run. The exec layer records no chunk
+//     span: the cell records its own over the same interval. Segments
+//     shorter than kInlineSegmentSteps run the same chunks inline on the
+//     caller.
 //
 // The Partial type must be default-constructible at merge identity and
 // provide merge(const Partial&), buffer() -> iterable of double, and
@@ -84,12 +86,11 @@ class ShardedRun {
     double step_seconds = 0.0;  // sim-time scale for the obs spans
     // Error-message prefix, e.g. "planet checkpoint".
     const char* context = "checkpoint";
-    // Optional obs span names; nullptr emits none. A shard or chunk span
-    // stands in for the exec.chunk span of its exec chunk, which covers the
-    // same interval.
+    // Optional obs span names; nullptr emits none. A shard span stands in
+    // for the exec.chunk span of its exec chunk, which covers the same
+    // interval.
     const char* segment_span = nullptr;          // one per advance()
     const char* shard_span = nullptr;            // one per shard (kShardMajor)
-    const char* chunk_span = nullptr;            // one per chunk (kChunkMajor)
   };
 
   // cell(shard, begin, end): simulate steps [begin, end) of `shard`.
@@ -198,7 +199,7 @@ class ShardedRun {
               acc.merge(partial);
             }
           },
-          config_.shard_span != nullptr ? nullptr : exec::kChunkSpan);
+          /*record_chunk_span=*/config_.shard_span == nullptr);
     } else {
       // One time chunk per exec chunk. For a whole-horizon advance this is
       // exactly the plan exec::parallel_reduce would build, and the serial
@@ -212,22 +213,13 @@ class ShardedRun {
                             options.chunk_size, options.chunk_align);
       std::vector<Partial> partials(plan.num_chunks());
       const auto body = [&](std::size_t c, std::size_t b, std::size_t e) {
-        const long cb = begin + static_cast<long>(b);
-        const long ce = begin + static_cast<long>(e);
-        std::optional<obs::Span> chunk_span;
-        if (config_.chunk_span != nullptr) {
-          chunk_span.emplace(config_.chunk_span,
-                             config_.step_seconds * static_cast<double>(cb),
-                             config_.step_seconds * static_cast<double>(ce));
-        }
-        partials[c] = cell(0, cb, ce);
+        partials[c] = cell(0, begin + static_cast<long>(b),
+                           begin + static_cast<long>(e));
       };
-      const char* exec_span =
-          config_.chunk_span != nullptr ? nullptr : exec::kChunkSpan;
       if (end - begin < kInlineSegmentSteps) {
-        exec::run_chunks_inline(plan, body, exec_span);
+        exec::run_chunks_inline(plan, body, /*record_chunk_span=*/false);
       } else {
-        exec::run_chunks(config_.pool, plan, body, exec_span);
+        exec::run_chunks(config_.pool, plan, body, /*record_chunk_span=*/false);
       }
       Partial& acc = shards[0];
       for (std::size_t i = 0; i < partials.size(); ++i) {

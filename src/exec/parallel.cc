@@ -91,7 +91,7 @@ void reset_counters() {
 void run_chunks_inline(
     const ChunkPlan& plan,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
-    const char* chunk_span) {
+    bool record_chunk_span) {
   const std::size_t num_chunks = plan.num_chunks();
   if (num_chunks == 0) {
     return;
@@ -105,8 +105,8 @@ void run_chunks_inline(
       if (traced) {
         obs::TaskScope scope(obs::chunk_track(trace_region, c));
         std::optional<obs::Span> span;
-        if (chunk_span != nullptr) {
-          span.emplace(chunk_span);
+        if (record_chunk_span) {
+          span.emplace("exec.chunk");
         }
         body(c, r.begin, r.end);
       } else {
@@ -126,7 +126,7 @@ void run_chunks_inline(
 
 void run_chunks(ThreadPool* pool, const ChunkPlan& plan,
                 const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
-                const char* chunk_span) {
+                bool record_chunk_span) {
   const std::size_t num_chunks = plan.num_chunks();
   if (num_chunks == 0) {
     return;
@@ -136,7 +136,7 @@ void run_chunks(ThreadPool* pool, const ChunkPlan& plan,
   // Chunks run inline in ascending order when parallelism cannot help; this
   // is the canonical sequential path the parallel one must match bit-exactly.
   if (executor.size() <= 1 || num_chunks == 1) {
-    run_chunks_inline(plan, body, chunk_span);
+    run_chunks_inline(plan, body, record_chunk_span);
     return;
   }
 
@@ -149,25 +149,25 @@ void run_chunks(ThreadPool* pool, const ChunkPlan& plan,
     explicit Region(const ChunkPlan& p,
                     std::function<void(std::size_t, std::size_t, std::size_t)> b,
                     bool traced_in, std::uint64_t trace_region_in,
-                    const char* chunk_span_in)
+                    bool record_chunk_span_in)
         : plan(p),
           body(std::move(b)),
           traced(traced_in),
           trace_region(trace_region_in),
-          chunk_span(chunk_span_in) {}
+          record_chunk_span(record_chunk_span_in) {}
     ChunkPlan plan;
     std::function<void(std::size_t, std::size_t, std::size_t)> body;
     bool traced;
     std::uint64_t trace_region;
-    const char* chunk_span;
+    bool record_chunk_span;
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::mutex mu;
     std::condition_variable cv;
     std::exception_ptr error;  // first failure only; guarded by mu
   };
-  auto region =
-      std::make_shared<Region>(plan, body, traced, trace_region, chunk_span);
+  auto region = std::make_shared<Region>(plan, body, traced, trace_region,
+                                         record_chunk_span);
 
   auto drain = [region] {
     const std::size_t total_chunks = region->plan.num_chunks();
@@ -182,8 +182,8 @@ void run_chunks(ThreadPool* pool, const ChunkPlan& plan,
           obs::TaskScope scope(
               obs::chunk_track(region->trace_region, c));
           std::optional<obs::Span> span;
-          if (region->chunk_span != nullptr) {
-            span.emplace(region->chunk_span);
+          if (region->record_chunk_span) {
+            span.emplace("exec.chunk");
           }
           region->body(c, r.begin, r.end);
         } else {

@@ -71,20 +71,17 @@ struct CounterSnapshot {
 [[nodiscard]] CounterSnapshot counters();
 void reset_counters();  // test hook
 
-// The span a traced chunk records by default.
-inline constexpr const char* kChunkSpan = "exec.chunk";
-
 // Runs body(chunk_id, begin, end) for every chunk of `plan`, blocking until
 // all chunks finish. `pool` of nullptr means ThreadPool::global(); the
 // calling thread always participates, so nesting a region inside a pool
 // worker cannot deadlock. With a 1-thread pool the chunks run inline on the
 // caller in ascending order. The first exception thrown by `body` is
 // rethrown after the region completes. While tracing, each chunk runs on
-// its own track and records a `chunk_span` span; nullptr records none, for
-// a body that records its own span over the chunk.
+// its own track and records an exec.chunk span, unless `record_chunk_span`
+// is false, for a body that records its own span over the chunk.
 void run_chunks(ThreadPool* pool, const ChunkPlan& plan,
                 const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
-                const char* chunk_span = kChunkSpan);
+                bool record_chunk_span = true);
 
 // The sequential path of run_chunks: every chunk inline on the caller in
 // ascending order, with the same chunk spans, chunk tracks and work
@@ -93,7 +90,7 @@ void run_chunks(ThreadPool* pool, const ChunkPlan& plan,
 void run_chunks_inline(
     const ChunkPlan& plan,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
-    const char* chunk_span = kChunkSpan);
+    bool record_chunk_span = true);
 
 struct ParallelOptions {
   ThreadPool* pool = nullptr;  // nullptr => ThreadPool::global()

@@ -321,40 +321,13 @@ std::unique_ptr<datacenter::SchedulerPolicy> make_policy(
 // stop_after halted the run before completion — the caller then returns
 // stopped_result(). Byte-identical to a single sim.run() by the checkpoint
 // contract (tests/resume_test.cc).
-//
-// A fleet or planet segment places an intensity window per distinct grid,
-// the segment plus the grid's largest offset long. A stride whose window
-// would exceed IntensityWindows::kMaxWindowBytes is reported at step_min
-// (which the CLI restates as --step-min) before any window is placed.
 template <typename Sim>
-auto run_checkpointable(const Sim& sim, const Params& params,
-                        const RunContext& ctx, long segments)
+auto run_checkpointable(const Sim& sim, const RunContext& ctx, long segments)
     -> std::optional<decltype(sim.run())> {
   constexpr bool kJournaled =
       requires(const Sim& s, const typename Sim::Checkpoint& c) { s.seal(c); };
   const CheckpointRequest& req = ctx.checkpoint;
-  const bool segmented = req.active() || segments > 1;
-  segments = std::max(segments, req.segments);
-  long stride = req.segment_steps > 0
-                    ? req.segment_steps
-                    : (sim.steps() + segments - 1) / std::max(1L, segments);
-  if (!segmented || stride <= 0) {
-    stride = sim.steps();
-  }
-  if constexpr (requires { sim.window_bytes(stride); }) {
-    const double bytes = sim.window_bytes(stride);
-    if (bytes > datacenter::IntensityWindows::kMaxWindowBytes) {
-      throw SpecError(
-          params.path() + ".step_min: a segment of " + std::to_string(stride) +
-          " steps reads an intensity window of " +
-          report::shortest_double(bytes) + " bytes, over the " +
-          report::shortest_double(
-              datacenter::IntensityWindows::kMaxWindowBytes) +
-          "-byte bound; split the run into shorter segments "
-          "(checkpoint_segments, or --segment-steps), or use a longer step");
-    }
-  }
-  if (!segmented) {
+  if (!req.active() && segments <= 1) {
     return sim.run();
   }
   typename Sim::Checkpoint cp = sim.start();
@@ -365,6 +338,13 @@ auto run_checkpointable(const Sim& sim, const Params& params,
     } else {
       cp = sim.parse_checkpoint(resumed);
     }
+  }
+  segments = std::max(segments, req.segments);
+  long stride = req.segment_steps > 0
+                    ? req.segment_steps
+                    : (sim.steps() + segments - 1) / std::max(1L, segments);
+  if (stride <= 0) {
+    stride = sim.steps();
   }
   long done_segments = 0;
   while (!sim.done(cp)) {
@@ -398,17 +378,27 @@ auto run_checkpointable(const Sim& sim, const Params& params,
   return sim.finalize(cp);
 }
 
-// Builds a fleet or planet simulator. A step whose demand rows would
-// exceed FleetRegion::Run::kMaxDemandRowBytes is reported at step_min
-// (which the CLI restates as --step-min), before any row is allocated.
+// Calls f() for a fleet or planet simulator and reports a step too fine
+// for its bounded buffers at step_min (which the CLI restates as
+// --step-min): demand rows over FleetRegion::Run::kMaxDemandRowBytes, or a
+// segment's intensity windows over IntensityWindows::kMaxWindowBytes. Both
+// are thrown before the buffer is allocated.
+template <typename F>
+auto at_step_min(const Params& params, F&& f) -> decltype(f()) {
+  try {
+    return f();
+  } catch (const datacenter::StepRowsTooLong& e) {
+    throw SpecError(params.path() + ".step_min: " + e.what());
+  } catch (const datacenter::WindowsTooLong& e) {
+    throw SpecError(params.path() + ".step_min: " + e.what());
+  }
+}
+
 template <typename Sim, typename Config>
 std::unique_ptr<const Sim> build_stepped(const Params& params,
                                          const Config& config) {
-  try {
-    return std::make_unique<const Sim>(config);
-  } catch (const datacenter::StepRowsTooLong& e) {
-    throw SpecError(params.path() + ".step_min: " + e.what());
-  }
+  return at_step_min(params,
+                     [&] { return std::make_unique<const Sim>(config); });
 }
 
 RunResult stopped_result(std::string scenario) {
@@ -610,8 +600,9 @@ class FleetSimulation final : public Simulation {
 
     const auto built = build_stepped<FleetSimulator>(params, config);
     const FleetSimulator& sim = *built;
-    const std::optional<FleetResult> ran =
-        run_checkpointable(sim, params, ctx, chunk_segments(params, sim));
+    const std::optional<FleetResult> ran = at_step_min(params, [&] {
+      return run_checkpointable(sim, ctx, chunk_segments(params, sim));
+    });
     if (!ran) {
       return stopped_result(name());
     }
@@ -743,8 +734,8 @@ class PlanetSimulation final : public Simulation {
     const auto built = build_stepped<PlanetSimulator>(params, config);
     const PlanetSimulator& sim = *built;
     const long segments = chunk_segments(params, sim);
-    const std::optional<PlanetSimulator::Result> ran =
-        run_checkpointable(sim, params, ctx, segments);
+    const std::optional<PlanetSimulator::Result> ran = at_step_min(
+        params, [&] { return run_checkpointable(sim, ctx, segments); });
     if (!ran) {
       return stopped_result(name());
     }
@@ -887,7 +878,7 @@ class QueueScheduleSimulation final : public Simulation {
       }
       const QueueSim sim(jobs, config, policy);
       const std::optional<QueueSimResult> ran =
-          run_checkpointable(sim, params, ctx, segments);
+          run_checkpointable(sim, ctx, segments);
       if (!ran) {
         return stopped_result(name());
       }
