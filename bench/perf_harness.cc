@@ -38,6 +38,9 @@ namespace {
 // day-periodic solar cache is active (the common production configuration).
 constexpr int kLookups = 4096;
 constexpr double kStepSeconds = 900.0;
+// The planet and fleet presets' step: each wind harmonic's sin argument
+// moves furthest between points, so the block fill gains most here.
+constexpr double kHourlyStepSeconds = 3600.0;
 
 IntermittentGrid::Config bench_grid_config() {
   IntermittentGrid::Config cfg;
@@ -80,12 +83,13 @@ constexpr long kFleetSteps = 960;  // days(10) / minutes(15)
 
 // --- Benchmark bodies ------------------------------------------------------
 
-void bm_intensity_direct(benchmark::State& state) {
+// kLookups points on a grid of step_s seconds, evaluated one at a time.
+void bm_intensity_direct(benchmark::State& state, double step_s) {
   const IntermittentGrid grid(bench_grid_config());
   for (auto _ : state) {
     double acc = 0.0;
     for (int k = 0; k < kLookups; ++k) {
-      acc += grid.intensity_at(seconds(kStepSeconds * k)).base();
+      acc += grid.intensity_at(seconds(step_s * k)).base();
     }
     benchmark::DoNotOptimize(acc);
   }
@@ -106,10 +110,11 @@ void bm_intensity_table_lookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kLookups);
 }
 
-void bm_intensity_table_build(benchmark::State& state) {
+// The same points as bm_intensity_direct, through a new table's block fill.
+void bm_intensity_table_build(benchmark::State& state, double step_s) {
   const IntermittentGrid grid(bench_grid_config());
   for (auto _ : state) {
-    IntensityTable table(grid, seconds(0.0), seconds(kStepSeconds));
+    IntensityTable table(grid, seconds(0.0), seconds(step_s));
     table.prebuild(kLookups);
     benchmark::DoNotOptimize(table.at_index(kLookups - 1));
   }
@@ -172,8 +177,10 @@ void bm_fleet_step_obs(benchmark::State& state, bool tracer_on) {
     benchmark::DoNotOptimize(sim.run());
     if (tracer_on) {
       state.PauseTiming();
-      tracer.clear();  // keep buffers bounded; not part of the traced cost
-      obs::MetricsRegistry::global().clear();
+      // Keeps buffers bounded; not part of the traced cost. The metrics
+      // stay registered: a run that re-registers them after a clear pays a
+      // cost the tracer-off side never does.
+      tracer.clear();
       state.ResumeTiming();
     }
   }
@@ -536,9 +543,16 @@ void register_kernel_benchmarks(bool smoke) {
       b->Iterations(1);
     }
   };
-  add("intensity_direct", bm_intensity_direct);
+  add("intensity_direct",
+      [](benchmark::State& s) { bm_intensity_direct(s, kStepSeconds); });
   add("intensity_table_lookup", bm_intensity_table_lookup);
-  add("intensity_table_build", bm_intensity_table_build);
+  add("intensity_table_build",
+      [](benchmark::State& s) { bm_intensity_table_build(s, kStepSeconds); });
+  add("intensity_direct_hourly",
+      [](benchmark::State& s) { bm_intensity_direct(s, kHourlyStepSeconds); });
+  add("intensity_table_build_hourly", [](benchmark::State& s) {
+    bm_intensity_table_build(s, kHourlyStepSeconds);
+  });
   add("fleet_step_direct", [](benchmark::State& s) {
     bm_fleet_step_oracle(s, oracles::LaneSource::kDirect);
   });
@@ -643,6 +657,9 @@ std::string render_bench_json(const std::vector<BenchRecord>& records) {
       {"dense_gemv", "dense_forward_batch", "dense_gemm_speedup"},
       {"dense_gemv_wide", "dense_simd", "dense_simd_speedup"},
       {"dlrm_predict_loop", "dlrm_predict_batch", "dlrm_predict_speedup"},
+      // Per-point evaluation over the table's block fill, hourly points.
+      {"intensity_direct_hourly", "intensity_table_build_hourly",
+       "intensity_fill_speedup"},
   };
   // Overhead ratios are the inverse orientation: path ns/op over baseline
   // ns/op, so 1.0 means free and the guard asserts an upper bound.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/check.h"
-#include "core/day_slots.h"
 
 namespace sustainai {
 namespace grids {
@@ -112,6 +111,25 @@ double IntermittentGrid::wind_term(double seconds) const {
   return std::clamp(0.5 + 0.5 * v, 0.0, 1.0);
 }
 
+void IntermittentGrid::wind_terms(const double* seconds, long n,
+                                  double* out) const {
+  // The same sin calls as wind_term, added to 0.0 in the same harmonic
+  // order, then the same scaling: only the loop nest is swapped.
+  std::fill(out, out + n, 0.0);
+  for (size_t i = 0; i < wind_phase_.size(); ++i) {
+    const double freq = wind_freq_[i];
+    const double phase = wind_phase_[i];
+    for (long j = 0; j < n; ++j) {
+      out[j] += std::sin(freq * seconds[j] + phase);
+    }
+  }
+  const double harmonics = static_cast<double>(wind_phase_.size());
+  for (long j = 0; j < n; ++j) {
+    const double v = out[j] / harmonics;
+    out[j] = std::clamp(0.5 + 0.5 * v, 0.0, 1.0);
+  }
+}
+
 double IntermittentGrid::solar_availability(Duration t) const {
   return solar_term(std::fmod(to_seconds(t), kSecondsPerDay));
 }
@@ -142,26 +160,6 @@ CarbonIntensity IntermittentGrid::intensity_at(Duration t) const {
   const double t_s = to_seconds(t);
   return intensity_from_terms(solar_term(std::fmod(t_s, kSecondsPerDay)),
                               wind_term(t_s));
-}
-
-std::vector<CarbonIntensity> IntermittentGrid::intensity_series(
-    Duration start, Duration step, long n) const {
-  check_arg(n >= 0, "intensity_series: n must be >= 0");
-  check_arg(to_seconds(step) > 0.0, "intensity_series: step must be positive");
-  const double start_s = to_seconds(start);
-  const double step_s = to_seconds(step);
-  // Solar depends on t only through the second-of-day (core/day_slots.h).
-  DaySlotCache solar_slots(step_s);
-  std::vector<CarbonIntensity> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (long k = 0; k < n; ++k) {
-    const double t_s = start_s + step_s * static_cast<double>(k);
-    const double sec_of_day = std::fmod(t_s, kSecondsPerDay);
-    const double solar = solar_slots.get(
-        k, sec_of_day, [this](double sec) { return solar_term(sec); });
-    out.push_back(intensity_from_terms(solar, wind_term(t_s)));
-  }
-  return out;
 }
 
 CarbonIntensity IntermittentGrid::mean_intensity(Duration start, Duration window,

@@ -87,14 +87,6 @@ class IntermittentGrid {
   [[nodiscard]] CarbonIntensity mean_intensity(Duration start, Duration window,
                                                int steps = 64) const;
 
-  // Batch evaluation at t_k = start + step * k for k in [0, n): bit-identical
-  // to calling intensity_at(t_k) per k, but the harmonics are evaluated in a
-  // single pass and the day-periodic solar term is cached and reused whenever
-  // a timestamp's second-of-day repeats exactly.
-  [[nodiscard]] std::vector<CarbonIntensity> intensity_series(Duration start,
-                                                              Duration step,
-                                                              long n) const;
-
   // Decomposed evaluation, for batch fast paths (see core/intensity_table.h):
   // intensity_at(t) == intensity_from_terms(
   //     solar_term(fmod(to_seconds(t), kSecondsPerDay)),
@@ -103,6 +95,10 @@ class IntermittentGrid {
   // cached per day-slot; the wind term is the expensive harmonic sum.
   [[nodiscard]] double solar_term(double seconds_of_day) const;
   [[nodiscard]] double wind_term(double seconds) const;
+  // out[j] = wind_term(seconds[j]) for j in [0, n), bit for bit. Each
+  // harmonic runs over the whole batch before the next, so consecutive sin
+  // arguments advance by one step of one harmonic (DESIGN.md §6).
+  void wind_terms(const double* seconds, long n, double* out) const;
   [[nodiscard]] CarbonIntensity intensity_from_terms(double solar,
                                                      double wind) const;
 

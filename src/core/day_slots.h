@@ -71,6 +71,12 @@ class DaySlotCache {
     return slot.sec == sec_of_day ? slot.value : f(sec_of_day);
   }
 
+  // The value slot `slot` (in [0, period)) holds, unchecked: for a caller
+  // that has proved its point has the second-of-day the slot was filled at.
+  [[nodiscard]] double slot_value(long slot) const {
+    return slots_[static_cast<std::size_t>(slot)].value;
+  }
+
   // Forgets every slot, so the cache can serve a different f.
   void clear() { std::fill(slots_.begin(), slots_.end(), Slot{}); }
 

@@ -12,6 +12,8 @@ namespace {
 
 constexpr long kMinGrowth = 1024;
 constexpr std::size_t kMaxMemoEntries = 1u << 20;
+// Points fill_values evaluates per harmonic pass: two 2 KiB stack arrays.
+constexpr long kFillBlock = 256;
 
 std::uint64_t bits_of(double v) {
   std::uint64_t b = 0;
@@ -26,7 +28,10 @@ IntensityTable::IntensityTable(const IntermittentGrid& grid, Duration start,
     : grid_(grid),
       start_s_(to_seconds(start)),
       step_s_(to_seconds(step)),
-      solar_day_(step_s_) {
+      solar_day_(step_s_),
+      whole_seconds_(solar_day_.period() > 0 && start_s_ >= 0.0 &&
+                     std::floor(start_s_) == start_s_ &&
+                     std::floor(step_s_) == step_s_) {
   check_arg(step_s_ > 0.0, "IntensityTable: step must be positive");
   for (long k = 0; k < solar_day_.period(); ++k) {
     const double t_s = start_s_ + step_s_ * static_cast<double>(k);
@@ -45,15 +50,46 @@ void IntensityTable::extend(long n) const {
 }
 
 void IntensityTable::fill_values(long begin, long end, double* out) const {
-  // Same second-of-day reuse rule as IntermittentGrid::intensity_series,
-  // read from the day filled at construction.
-  for (long k = begin; k < end; ++k) {
-    const double t_s = start_s_ + step_s_ * static_cast<double>(k);
-    const double solar = solar_day_.lookup(
-        k, std::fmod(t_s, kSecondsPerDay),
-        [this](double sec) { return grid_.solar_term(sec); });
-    out[k - begin] =
-        grid_.intensity_from_terms(solar, grid_.wind_term(t_s)).base();
+  // A block at a time: each point's t once, then every wind harmonic over
+  // the whole block (IntermittentGrid::wind_terms), then the solar term and
+  // the blend per point. The same doubles as intensity_at(t_k) at any block
+  // edge, so any split of [begin, end) still fills the same values.
+  //
+  // With a whole-second start >= 0 and step and every t_k below 2^53, t_k
+  // is an exact integer and differs from t_{k % period} by whole days, so
+  // slot k % period holds exactly k's second-of-day: it is read without
+  // the fmod that would confirm it. Otherwise DaySlotCache::lookup checks.
+  const long period = solar_day_.period();
+  const bool exact_slots =
+      whole_seconds_ && begin >= 0 && begin < end &&
+      start_s_ + step_s_ * static_cast<double>(end - 1) < 0x1p53;
+  long slot = exact_slots ? begin % period : 0;
+  double t[kFillBlock];
+  double wind[kFillBlock];
+  for (long b = begin; b < end; b += kFillBlock) {
+    const long n = std::min(kFillBlock, end - b);
+    for (long j = 0; j < n; ++j) {
+      t[j] = start_s_ + step_s_ * static_cast<double>(b + j);
+    }
+    grid_.wind_terms(t, n, wind);
+    double* block = out + (b - begin);
+    if (exact_slots) {
+      for (long j = 0; j < n; ++j) {
+        block[j] =
+            grid_.intensity_from_terms(solar_day_.slot_value(slot), wind[j])
+                .base();
+        if (++slot == period) {
+          slot = 0;
+        }
+      }
+    } else {
+      for (long j = 0; j < n; ++j) {
+        const double solar = solar_day_.lookup(
+            b + j, std::fmod(t[j], kSecondsPerDay),
+            [this](double sec) { return grid_.solar_term(sec); });
+        block[j] = grid_.intensity_from_terms(solar, wind[j]).base();
+      }
+    }
   }
 }
 

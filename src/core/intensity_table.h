@@ -10,8 +10,10 @@
 // Every value is a pure function of its index. The table computes one day
 // of solar terms once, at construction, in a day-slot cache
 // (core/day_slots.h) that every fill only reads; a slot is reused only on
-// an exact second-of-day match. So any split of an index range yields the
-// same doubles, and a caller may fill ranges of its own buffer
+// an exact second-of-day match. Fills evaluate the wind harmonics in
+// fixed-size blocks, harmonic by harmonic, with the same calls in the same
+// add order as the per-point path. So any split of an index range yields
+// the same doubles, and a caller may fill ranges of its own buffer
 // concurrently (fill_values).
 #pragma once
 
@@ -80,6 +82,9 @@ class IntensityTable {
   double step_s_ = 0.0;
   // One day of solar terms, filled at construction and only read after.
   DaySlotCache solar_day_;
+  // The day is cached and start >= 0 and step are whole seconds:
+  // fill_values may read slots without checking them (see there).
+  bool whole_seconds_ = false;
   mutable std::vector<double> values_;
   mutable std::unordered_map<std::uint64_t, double> memo_;
 };

@@ -7,9 +7,10 @@
 #include <algorithm>
 #include <bit>
 #include <cerrno>
-#include <cstdio>
 #include <utility>
 #include <vector>
+
+#include "core/atomic_file.h"
 
 namespace sustainai::engine {
 
@@ -20,21 +21,6 @@ constexpr std::size_t kMaxHeaderDigits = 19;
 
 [[noreturn]] void journal_error(const char* context, const std::string& what) {
   throw JournalError(std::string(context) + ": journal " + what);
-}
-
-// Writes all of `data` to `fd`, retrying short writes; false on an error.
-bool write_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::write(fd, data.data(), data.size());
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
 }
 
 // Reads up to `limit` bytes of `fd` from offset 0 into `out`.
@@ -382,25 +368,7 @@ void CheckpointWriter::commit(const std::string& snapshot) {
   if (journal_fd_ < 0 && !resumed_.empty()) {
     start_journal();
   }
-  // A path that exists but is not a regular file (a device, a pipe) is
-  // written in place: renaming over it would replace the node itself.
-  if (!in_place_) {
-    struct stat st{};
-    in_place_ = ::stat(path_.c_str(), &st) == 0 && !S_ISREG(st.st_mode);
-  }
-  const std::string target = *in_place_ ? path_ : path_ + ".tmp";
-  const int fd = ::open(target.c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    throw std::invalid_argument("cannot open '" + path_ + "' for writing");
-  }
-  const bool ok = write_all(fd, snapshot) && write_all(fd, "\n");
-  if (::close(fd) != 0 || !ok) {
-    throw std::invalid_argument("cannot write '" + path_ + "'");
-  }
-  if (!*in_place_ && std::rename(target.c_str(), path_.c_str()) != 0) {
-    throw std::invalid_argument("cannot write '" + path_ + "'");
-  }
+  write_file_atomically(path_, {snapshot, "\n"});
 }
 
 }  // namespace sustainai::engine

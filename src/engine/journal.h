@@ -131,7 +131,8 @@ class CheckpointWriter {
 
   // Appends one frame (an empty frame appends nothing).
   void append(std::string_view frame);
-  // Replaces the snapshot: `<path>.tmp`, then rename over `<path>`.
+  // Replaces the snapshot: `<path>.tmp`, then rename over `<path>`
+  // (write_file_atomically).
   void commit(const std::string& snapshot);
 
  private:
@@ -140,7 +141,6 @@ class CheckpointWriter {
   std::string path_;
   std::string resumed_;
   int journal_fd_ = -1;  // open from the first append on
-  std::optional<bool> in_place_;  // decided at the first commit
 };
 
 }  // namespace sustainai::engine

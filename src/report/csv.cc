@@ -1,9 +1,10 @@
 #include "report/csv.h"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
+#include <stdexcept>
 
+#include "core/atomic_file.h"
 #include "core/check.h"
 
 namespace sustainai::report {
@@ -61,12 +62,12 @@ std::string CsvWriter::to_string() const {
 }
 
 bool CsvWriter::write_file(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) {
+  try {
+    write_file_atomically(path, {to_string()});
+  } catch (const std::invalid_argument&) {
     return false;
   }
-  f << to_string();
-  return static_cast<bool>(f);
+  return true;
 }
 
 }  // namespace sustainai::report

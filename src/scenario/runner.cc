@@ -1,10 +1,11 @@
 #include "scenario/runner.h"
 
 #include <filesystem>
-#include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
+#include "core/atomic_file.h"
 #include "engine/journal.h"
 #include "fault/recovery.h"
 #include "obs/export.h"
@@ -250,12 +251,12 @@ bool Runner::write(const Bundle& bundle, const std::string& dir,
     return false;
   }
   for (const Artifact& f : bundle.files) {
-    const std::filesystem::path path = std::filesystem::path(dir) / f.filename;
-    std::ofstream out(path, std::ios::binary);
-    out << f.content;
-    if (!out) {
+    try {
+      write_file_atomically((std::filesystem::path(dir) / f.filename).string(),
+                            {f.content});
+    } catch (const std::invalid_argument& e) {
       if (error != nullptr) {
-        *error = "cannot write '" + path.string() + "'";
+        *error = e.what();
       }
       return false;
     }

@@ -1,8 +1,8 @@
 // Bit-exactness contract of the carbon-intensity fast paths: the prebuilt
-// IntensityTable and IntermittentGrid::intensity_series must reproduce
-// intensity_at exactly (byte-identical doubles, no tolerances), and the
-// simulators that consume the table must emit the bytes the test-side
-// table-free oracle (tests/oracles/) computes.
+// IntensityTable and its block fill must reproduce
+// IntermittentGrid::intensity_at exactly (byte-identical doubles, no
+// tolerances), and the simulators that consume the table must emit the
+// bytes the test-side table-free oracle (tests/oracles/) computes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -81,8 +81,8 @@ TEST(IntensityTable, NonPeriodicAndOffsetStepsMatchDirect) {
 
 TEST(IntensityTable, RangeFillMatchesSerialBitForBit) {
   // Ranges of 37 points, which no day length divides, filled on 1, 2 and 8
-  // threads after a short serial start, equal intensity_series bit for bit;
-  // lazy at_index growth past the end continues the same series.
+  // threads after a short serial start, equal per-point intensity_at bit
+  // for bit; lazy at_index growth past the end continues the same series.
   const IntermittentGrid grid(mixed_grid_config());
   struct Case {
     double start_s;
@@ -92,8 +92,11 @@ TEST(IntensityTable, RangeFillMatchesSerialBitForBit) {
   constexpr long kFilled = 96 * 9 + 5;
   constexpr long kGrown = kFilled + 1500;
   for (const Case& c : cases) {
-    const std::vector<CarbonIntensity> direct = grid.intensity_series(
-        seconds(c.start_s), seconds(c.step_s), kGrown);
+    std::vector<CarbonIntensity> direct;
+    for (long k = 0; k < kGrown; ++k) {
+      direct.push_back(grid.intensity_at(
+          seconds(c.start_s + c.step_s * static_cast<double>(k))));
+    }
     for (const int threads : {1, 2, 8}) {
       SCOPED_TRACE(testing::Message() << "start=" << c.start_s << " step="
                                       << c.step_s << " threads=" << threads);
@@ -128,6 +131,63 @@ TEST(IntensityTable, RangeFillMatchesSerialBitForBit) {
   }
 }
 
+TEST(IntensityTable, BlockFillMatchesPointEvaluation) {
+  // fill_values works in fixed-size blocks, harmonic by harmonic, and reads
+  // the solar day slot by index when start and step are whole seconds. Each
+  // case fills ranges that start and end mid-block and span several blocks,
+  // concurrently, and compares every value with intensity_at bit for bit.
+  const IntermittentGrid grid(mixed_grid_config());
+  struct Case {
+    double start_s;
+    double step_s;
+    long first;  // first grid index of the checked span
+  };
+  const Case cases[] = {
+      {0.0, 3600.0, 87'660 - 700},  // hourly, about ten years in
+      {12345.0, 3600.0, 87'660 - 700},
+      {0.0, 60.0, 0},
+      {12345.0, 60.0, 1'000'003},
+      {0.5, 60.0, 17},              // fractional start: slots are checked
+      {0.1, 3600.0, 87'660 - 700},  // t rounds: seconds-of-day drift
+      {0.0, 0.6, 250'001},          // fractional step: slots are checked
+  };
+  constexpr long kSpan = 1500;         // several blocks
+  constexpr std::size_t kRange = 333;  // no block size divides it
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << "start=" << c.start_s << " step=" << c.step_s);
+    const IntensityTable table(grid, seconds(c.start_s), seconds(c.step_s));
+    std::vector<std::uint64_t> direct;
+    for (long k = c.first; k < c.first + kSpan; ++k) {
+      const Duration t = seconds(c.start_s + c.step_s * static_cast<double>(k));
+      direct.push_back(
+          std::bit_cast<std::uint64_t>(grid.intensity_at(t).base()));
+    }
+    const auto expect_direct = [&](const std::vector<double>& filled) {
+      for (std::size_t i = 0; i < filled.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(filled[i]), direct[i])
+            << "k=" << c.first + static_cast<long>(i);
+      }
+    };
+    std::vector<double> filled(static_cast<std::size_t>(kSpan));
+    table.fill_values(c.first, c.first + kSpan, filled.data());
+    expect_direct(filled);
+    for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads);
+      exec::ThreadPool pool(threads);
+      std::fill(filled.begin(), filled.end(), -1.0);
+      exec::run_chunks(
+          &pool, exec::plan_chunks(static_cast<std::size_t>(kSpan), kRange),
+          [&](std::size_t, std::size_t b, std::size_t e) {
+            table.fill_values(c.first + static_cast<long>(b),
+                              c.first + static_cast<long>(e),
+                              filled.data() + b);
+          });
+      expect_direct(filled);
+    }
+  }
+}
+
 TEST(IntensityTable, SeriesSpanMatchesDirect) {
   const IntermittentGrid grid(mixed_grid_config());
   IntensityTable table(grid, hours(6.0), minutes(5.0));
@@ -143,8 +203,8 @@ TEST(IntensityTable, SeriesSpanMatchesDirect) {
 TEST(IntensityTable, GridIntensitySeriesMatchesPointEvaluation) {
   const IntermittentGrid grid(mixed_grid_config());
   for (const double step_s : {900.0, 701.0}) {
-    const std::vector<CarbonIntensity> series =
-        grid.intensity_series(seconds(0.0), seconds(step_s), 600);
+    const IntensityTable table(grid, seconds(0.0), seconds(step_s));
+    const std::vector<CarbonIntensity> series = table.series(600);
     ASSERT_EQ(series.size(), 600u);
     for (long k = 0; k < 600; ++k) {
       const Duration t = seconds(step_s * static_cast<double>(k));

@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/atomic_file.h"
 #include "datacenter/planet_sim.h"
 #include "datacenter/scheduler.h"
 #include "engine/snapshot.h"
@@ -74,18 +75,6 @@ int cmd_grids() {
   }
   std::printf("%s", t.to_string().c_str());
   return 0;
-}
-
-void write_text_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::invalid_argument("cannot open '" + path + "' for writing");
-  }
-  out << content;
-  out.close();  // flushes, so a full device fails here
-  if (!out) {
-    throw std::invalid_argument("cannot write '" + path + "'");
-  }
 }
 
 std::string read_text_file(const std::string& path) {
@@ -613,7 +602,7 @@ int run_spec(const scenario::Spec& spec, const Command& cmd,
         f.artifact.empty() ? nullptr : bundle.find(f.artifact);
     if (artifact != nullptr) {
       const std::string path = own.text(f.param);
-      write_text_file(path, artifact->content);
+      write_file_atomically(path, {artifact->content});
       std::printf("wrote %s to %s\n", f.artifact.c_str(), path.c_str());
     }
   }
