@@ -26,6 +26,7 @@
 #include "obs/trace.h"
 #include "recsys/mlp.h"
 #include "recsys/trainer.h"
+#include "report/csv.h"
 #include "report/json.h"
 #include "scenario/runner.h"
 
@@ -499,6 +500,50 @@ void bm_json_snapshot_roundtrip(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes));
 }
 
+// The queue_<policy>.csv of an 8 000-job queue run, as the queue adapter
+// writes it: a job id and five shortest_double cells a row, streamed
+// through CsvWriter.
+constexpr int kCsvRows = 8000;
+
+void bm_csv_queue_rows(benchmark::State& state) {
+  struct Row {
+    std::string id;
+    double arrival_s, start_s, finish_s, carbon_g;
+  };
+  datagen::Rng rng(27);
+  std::vector<Row> rows;
+  rows.reserve(kCsvRows);
+  for (int i = 0; i < kCsvRows; ++i) {
+    const double arrival = std::floor(rng.uniform(0.0, 5e6) / 60.0) * 60.0;
+    const double start =
+        arrival + std::floor(rng.uniform(0.0, 3e5) / 300.0) * 300.0;
+    const double finish = start + rng.uniform(600.0, 7200.0);
+    rows.push_back({"job-" + std::to_string(i), arrival, start, finish,
+                    rng.uniform(10.0, 5e4)});
+  }
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    report::CsvWriter csv(
+        {"id", "arrival_s", "start_s", "finish_s", "wait_s", "carbon_g"});
+    for (const Row& r : rows) {
+      csv.cell(r.id)
+          .cell(r.arrival_s)
+          .cell(r.start_s)
+          .cell(r.finish_s)
+          .cell(r.start_s - r.arrival_s)
+          .cell(r.carbon_g)
+          .end_row();
+    }
+    const std::string text = std::move(csv).to_string();
+    bytes = text.size();
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kCsvRows);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+
 }  // namespace
 
 void JsonTrailReporter::ReportRuns(const std::vector<Run>& reports) {
@@ -590,6 +635,7 @@ void register_kernel_benchmarks(bool smoke) {
   add("dlrm_predict_batch",
       [](benchmark::State& s) { bm_dlrm_predict(s, true); });
   add("json_snapshot_roundtrip", bm_json_snapshot_roundtrip);
+  add("csv_queue_rows", bm_csv_queue_rows);
 }
 
 // The machine and build a trail was measured on: ns/op compare only

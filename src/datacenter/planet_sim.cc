@@ -208,11 +208,21 @@ report::JsonValue PlanetSimulator::checkpoint_json(const Checkpoint& cp) const {
 }
 
 engine::SealedFrame PlanetSimulator::seal(const Checkpoint& cp) const {
-  report::JsonValue records = report::JsonValue::array();
+  // sample_json's records, streamed in key order without a DOM.
+  report::CanonicalWriter w;
+  w.begin_array();
   for (std::size_t i = cp.journal.records; i < cp.series.size(); ++i) {
-    records.append(sample_json(cp.series[i]));
+    const SeriesSample& s = cp.series[i];
+    w.begin_object()
+        .key("facility_energy_j").number(s.facility_energy_j)
+        .key("location_carbon_g").number(s.location_carbon_g)
+        .key("t_begin_s").number(s.t_begin_s)
+        .key("t_end_s").number(s.t_end_s)
+        .end_object();
   }
-  return engine::seal_frame(records, cp.journal);
+  w.end_array();
+  return engine::seal_frame(std::move(w).finish(),
+                            cp.series.size() - cp.journal.records, cp.journal);
 }
 
 report::JsonValue PlanetSimulator::live_json(

@@ -446,11 +446,21 @@ report::JsonValue QueueSim::checkpoint_json(const Checkpoint& cp) const {
 }
 
 engine::SealedFrame QueueSim::seal(const Checkpoint& cp) const {
-  report::JsonValue records = report::JsonValue::array();
+  // outcome_json's records, streamed in key order without a DOM.
+  report::CanonicalWriter w;
+  w.begin_array();
   for (std::size_t i = cp.journal.records; i < cp.sealed.size(); ++i) {
-    records.append(outcome_json(cp.sealed[i], cp.outcomes[cp.sealed[i]]));
+    const JobOutcome& out = cp.outcomes[cp.sealed[i]];
+    w.begin_object()
+        .key("carbon_g").number(out.carbon_g)
+        .key("finish_s").number(out.finish_s)
+        .key("job").number(static_cast<double>(cp.sealed[i]))
+        .key("start_s").number(out.start_s)
+        .end_object();
   }
-  return engine::seal_frame(records, cp.journal);
+  w.end_array();
+  return engine::seal_frame(std::move(w).finish(),
+                            cp.sealed.size() - cp.journal.records, cp.journal);
 }
 
 report::JsonValue QueueSim::live_json(

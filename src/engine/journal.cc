@@ -194,19 +194,19 @@ std::optional<JournalPrefix> live_prefix(const report::JsonValue& value,
   return JournalPrefix::parse(*named, context);
 }
 
-SealedFrame seal_frame(const report::JsonValue& records,
+SealedFrame seal_frame(std::string_view payload, std::uint64_t records,
                        const JournalPrefix& from) {
   SealedFrame sealed;
   sealed.covers = from;
-  if (records.items().empty()) {
+  if (records == 0) {
     return sealed;
   }
-  const std::string payload = report::canonical_json(records);
   sealed.frame = std::to_string(payload.size());
+  sealed.frame.reserve(sealed.frame.size() + payload.size() + 2);
   sealed.frame += '\n';
   sealed.frame += payload;
   sealed.frame += '\n';
-  sealed.covers = from.then(sealed.frame, records.items().size());
+  sealed.covers = from.then(sealed.frame, records);
   return sealed;
 }
 

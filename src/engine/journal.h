@@ -83,8 +83,11 @@ struct SealedFrame {
   JournalPrefix covers;
 };
 
-// Frames `records` (a JSON array) after the prefix `from`.
-[[nodiscard]] SealedFrame seal_frame(const report::JsonValue& records,
+// Frames `payload`, the canonical JSON of an array of `records` records
+// (written through report::CanonicalWriter), after the prefix `from`. No
+// record means no frame.
+[[nodiscard]] SealedFrame seal_frame(std::string_view payload,
+                                     std::uint64_t records,
                                      const JournalPrefix& from);
 
 // Reads the frames that extend prefix `from` to prefix `to` out of `tail`,

@@ -23,7 +23,7 @@ std::string hex64(std::uint64_t bits) {
 }
 
 ConfigDigest& ConfigDigest::add_double(double v) {
-  data_ += report::shortest_double(v);
+  report::append_shortest_double(data_, v);
   data_ += '|';
   return *this;
 }
@@ -40,42 +40,58 @@ ConfigDigest& ConfigDigest::add_string(const std::string& s) {
   return *this;
 }
 
+namespace {
+
+// `<context>: "<key>" <what>`.
+[[noreturn]] void member_error(const char* context, std::string_view key,
+                               const char* what) {
+  std::string message(context);
+  message += ": \"";
+  message += key;
+  message += "\" ";
+  message += what;
+  throw std::invalid_argument(message);
+}
+
+}  // namespace
+
 // Each helper builds its message only on the throwing branch: snapshot
 // parsing reads tens of thousands of fields, and an eagerly concatenated
 // message costs an allocation per read.
 const report::JsonValue& require_member(const report::JsonValue& object,
-                                        const char* key, const char* context) {
+                                        std::string_view key,
+                                        const char* context) {
   const report::JsonValue* member = object.find(key);
   if (member == nullptr) {
-    throw std::invalid_argument(std::string(context) + ": missing \"" + key +
-                                "\" member");
+    std::string message(context);
+    message += ": missing \"";
+    message += key;
+    message += "\" member";
+    throw std::invalid_argument(message);
   }
   return *member;
 }
 
-double require_number(const report::JsonValue& object, const char* key,
+double require_number(const report::JsonValue& object, std::string_view key,
                       const char* context) {
   const report::JsonValue& member = require_member(object, key, context);
   if (!member.is_number()) {
-    throw std::invalid_argument(std::string(context) + ": \"" + key +
-                                "\" must be a number");
+    member_error(context, key, "must be a number");
   }
   return member.as_number();
 }
 
-long require_integer(const report::JsonValue& object, const char* key,
+long require_integer(const report::JsonValue& object, std::string_view key,
                      const char* context) {
   const double v = require_number(object, key, context);
   // Range first: casting a double outside long's range is undefined.
   // [-2^63, 2^63) is exactly long's range, and both bounds are doubles.
   if (!(v >= -9.223372036854775808e18 && v < 9.223372036854775808e18)) {
-    throw std::invalid_argument(std::string(context) + ": \"" + key +
-                                "\" is out of range");
+    member_error(context, key, "is out of range");
   }
   const long n = static_cast<long>(v);
   if (static_cast<double>(n) != v) {
-    throw std::invalid_argument(std::string(context) + ": \"" + key +
-                                "\" must be an integer");
+    member_error(context, key, "must be an integer");
   }
   return n;
 }

@@ -61,12 +61,13 @@ class SnapshotDigestMismatch : public std::invalid_argument {
 // The required-member dance every parse_checkpoint repeats per field.
 // `context` prefixes the error message (e.g. "planet checkpoint").
 [[nodiscard]] const report::JsonValue& require_member(
-    const report::JsonValue& object, const char* key, const char* context);
+    const report::JsonValue& object, std::string_view key,
+    const char* context);
 [[nodiscard]] double require_number(const report::JsonValue& object,
-                                    const char* key, const char* context);
+                                    std::string_view key, const char* context);
 // A number that must be integral; returns it as long.
 [[nodiscard]] long require_integer(const report::JsonValue& object,
-                                   const char* key, const char* context);
+                                   std::string_view key, const char* context);
 
 // Writes the `schema` + `config_digest` members into `root`.
 void write_envelope(report::JsonValue& root, const char* schema,

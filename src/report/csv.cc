@@ -1,69 +1,83 @@
 #include "report/csv.h"
 
-#include <cstdio>
-#include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/atomic_file.h"
 #include "core/check.h"
+#include "report/json.h"
 
 namespace sustainai::report {
 
-CsvWriter::CsvWriter(std::vector<std::string> headers)
-    : headers_(std::move(headers)) {
-  check_arg(!headers_.empty(), "CsvWriter: need at least one column");
+CsvWriter::CsvWriter(const std::vector<std::string>& headers)
+    : columns_(headers.size()) {
+  check_arg(!headers.empty(), "CsvWriter: need at least one column");
+  for (const std::string& h : headers) {
+    cell(h);
+  }
+  end_row();
+}
+
+void CsvWriter::separate() {
+  if (cells_ > 0) {
+    out_ += ',';
+  }
+  ++cells_;
+}
+
+CsvWriter& CsvWriter::cell(std::string_view text) {
+  separate();
+  if (text.find_first_of(",\"\n") == std::string_view::npos) {
+    out_ += text;
+    return *this;
+  }
+  out_ += '"';
+  for (const char ch : text) {
+    if (ch == '"') {
+      out_ += '"';
+    }
+    out_ += ch;
+  }
+  out_ += '"';
+  return *this;
+}
+
+CsvWriter& CsvWriter::cell(double value) {
+  separate();
+  append_shortest_double(out_, value);
+  return *this;
+}
+
+void CsvWriter::end_row() {
+  check_arg(cells_ == columns_, "CsvWriter::add_row: arity mismatch");
+  out_ += '\n';
+  cells_ = 0;
 }
 
 void CsvWriter::add_row(const std::vector<std::string>& cells) {
-  check_arg(cells.size() == headers_.size(), "CsvWriter::add_row: arity mismatch");
-  rows_.push_back(cells);
+  check_arg(cells.size() == columns_, "CsvWriter::add_row: arity mismatch");
+  for (const std::string& c : cells) {
+    cell(c);
+  }
+  end_row();
 }
 
 void CsvWriter::add_row_values(const std::vector<double>& values) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (double v : values) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-    cells.emplace_back(buf);
+  check_arg(values.size() == columns_, "CsvWriter::add_row: arity mismatch");
+  for (const double v : values) {
+    separate();
+    append_general10(out_, v);
   }
-  add_row(cells);
+  end_row();
 }
 
-std::string CsvWriter::escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) {
-    return cell;
-  }
-  std::string out = "\"";
-  for (char ch : cell) {
-    if (ch == '"') {
-      out += "\"\"";
-    } else {
-      out += ch;
-    }
-  }
-  out += '"';
-  return out;
-}
+std::string CsvWriter::to_string() const& { return out_; }
 
-std::string CsvWriter::to_string() const {
-  std::ostringstream out;
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    out << (c ? "," : "") << escape(headers_[c]);
-  }
-  out << "\n";
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      out << (c ? "," : "") << escape(row[c]);
-    }
-    out << "\n";
-  }
-  return out.str();
-}
+std::string CsvWriter::to_string() && { return std::move(out_); }
 
 bool CsvWriter::write_file(const std::string& path) const {
   try {
-    write_file_atomically(path, {to_string()});
+    write_file_atomically(path, {out_});
   } catch (const std::invalid_argument&) {
     return false;
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -15,39 +16,36 @@ namespace sustainai::report {
 
 JsonValue JsonValue::boolean(bool b) {
   JsonValue v;
-  v.kind_ = Kind::kBool;
-  v.bool_ = b;
+  v.data_ = b;
   return v;
 }
 
 JsonValue JsonValue::number(double value) {
   JsonValue v;
-  v.kind_ = Kind::kNumber;
-  v.number_ = value;
+  v.data_ = value;
   return v;
 }
 
 JsonValue JsonValue::string(std::string value) {
   JsonValue v;
-  v.kind_ = Kind::kString;
-  v.string_ = std::move(value);
+  v.data_ = std::move(value);
   return v;
 }
 
 JsonValue JsonValue::array() {
   JsonValue v;
-  v.kind_ = Kind::kArray;
+  v.data_.emplace<std::vector<JsonValue>>();
   return v;
 }
 
 JsonValue JsonValue::object() {
   JsonValue v;
-  v.kind_ = Kind::kObject;
+  v.data_.emplace<std::vector<Member>>();
   return v;
 }
 
 const char* JsonValue::kind_name() const {
-  switch (kind_) {
+  switch (kind()) {
     case Kind::kNull:
       return "null";
     case Kind::kBool:
@@ -80,38 +78,38 @@ bool JsonValue::as_bool() const {
   if (!is_bool()) {
     wrong_kind(kind_name(), " is not a bool");
   }
-  return bool_;
+  return *std::get_if<bool>(&data_);
 }
 
 double JsonValue::as_number() const {
   if (!is_number()) {
     wrong_kind(kind_name(), " is not a number");
   }
-  return number_;
+  return *std::get_if<double>(&data_);
 }
 
 const std::string& JsonValue::as_string() const {
   if (!is_string()) {
     wrong_kind(kind_name(), " is not a string");
   }
-  return string_;
+  return *std::get_if<std::string>(&data_);
 }
 
 const std::vector<JsonValue>& JsonValue::items() const {
   if (!is_array()) {
     wrong_kind(kind_name(), " is not an array");
   }
-  return items_;
+  return *std::get_if<std::vector<JsonValue>>(&data_);
 }
 
 const std::vector<JsonValue::Member>& JsonValue::members() const {
   if (!is_object()) {
     wrong_kind(kind_name(), " is not an object");
   }
-  return members_;
+  return *std::get_if<std::vector<Member>>(&data_);
 }
 
-const JsonValue* JsonValue::find(const std::string& key) const {
+const JsonValue* JsonValue::find(std::string_view key) const {
   for (const Member& m : members()) {
     if (m.first == key) {
       return &m.second;
@@ -120,7 +118,7 @@ const JsonValue* JsonValue::find(const std::string& key) const {
   return nullptr;
 }
 
-JsonValue* JsonValue::find(const std::string& key) {
+JsonValue* JsonValue::find(std::string_view key) {
   return const_cast<JsonValue*>(std::as_const(*this).find(key));
 }
 
@@ -129,7 +127,7 @@ JsonValue& JsonValue::append(JsonValue element) {
     throw std::invalid_argument(std::string("JsonValue: cannot append to ") +
                                 kind_name());
   }
-  items_.push_back(std::move(element));
+  std::get_if<std::vector<JsonValue>>(&data_)->push_back(std::move(element));
   return *this;
 }
 
@@ -138,13 +136,13 @@ JsonValue& JsonValue::set(const std::string& key, JsonValue value) {
     throw std::invalid_argument(std::string("JsonValue: cannot set key on ") +
                                 kind_name());
   }
-  for (Member& m : members_) {
-    if (m.first == key) {
-      m.second = std::move(value);
-      return *this;
-    }
+  JsonValue* existing = find(key);
+  if (existing != nullptr) {
+    *existing = std::move(value);
+  } else {
+    std::get_if<std::vector<Member>>(&data_)->emplace_back(key,
+                                                           std::move(value));
   }
-  members_.emplace_back(key, std::move(value));
   return *this;
 }
 
@@ -172,36 +170,15 @@ double parse_double(const char* first, const char* last) {
   return std::strtod(token.c_str(), nullptr);
 }
 
-// Longest canonical number text: "-1.7976931348623157e+308" is 24 chars.
-constexpr std::size_t kNumberChars = 32;
+bool is_digit(char ch) { return ch >= '0' && ch <= '9'; }
 
-// Writes the canonical text of finite `value` into `buf` and returns its
-// end: "%.0f" for integral doubles inside the exactly representable range
-// (canonical specs should read naturally), otherwise the first of "%.15g",
-// "%.16g", "%.17g" that parses back to the same double. std::to_chars with
-// an explicit format and precision is specified to produce exactly
-// printf's text for that conversion, so these are the bytes snprintf wrote
-// (tests/oracles/json_reference.h keeps that version).
-char* format_shortest(char (&buf)[kNumberChars], double value) {
-  check_arg(std::isfinite(value), "shortest_double: value must be finite");
-  char* const last = buf + kNumberChars;
-  if (value == std::floor(value) && std::fabs(value) < 9.007199254740992e15) {
-    return std::to_chars(buf, last, value, std::chars_format::fixed, 0).ptr;
-  }
-  char* end = buf;
-  for (int precision = 15; precision <= 17; ++precision) {
-    end = std::to_chars(buf, last, value, std::chars_format::general, precision)
-              .ptr;
-    if (parse_double(buf, end) == value) {
-      break;
-    }
-  }
-  return end;
-}
+}  // namespace
 
 // Strict recursive-descent parser over the RFC 8259 grammar. Tracks only
 // the byte offset; the 1-based line/column of an error are counted from
-// the text when it is thrown.
+// the text when it is thrown. Whitespace, digits and the plain bytes of a
+// string are consumed in runs; containers are filled in place (a friend of
+// JsonValue), so a member costs one duplicate scan and no key copy.
 class JsonParser {
  public:
   JsonParser(std::string_view text, int max_depth)
@@ -248,17 +225,22 @@ class JsonParser {
            (eof() ? " but reached end of input"
                   : std::string(" but found '") + peek() + "'"));
     }
-    advance();
+    ++pos_;
   }
 
   void skip_whitespace() {
-    while (!eof()) {
-      const char ch = peek();
-      if (ch == ' ' || ch == '\t' || ch == '\n' || ch == '\r') {
-        advance();
-      } else {
+    while (pos_ < text_.size()) {
+      const char ch = text_[pos_];
+      if (ch != ' ' && ch != '\n' && ch != '\t' && ch != '\r') {
         return;
       }
+      ++pos_;
+    }
+  }
+
+  void skip_digits() {
+    while (pos_ < text_.size() && is_digit(text_[pos_])) {
+      ++pos_;
     }
   }
 
@@ -267,7 +249,7 @@ class JsonParser {
       if (eof() || peek() != *p) {
         fail(std::string("invalid literal (expected '") + keyword + "')");
       }
-      advance();
+      ++pos_;
     }
   }
 
@@ -292,7 +274,7 @@ class JsonParser {
         expect_keyword("null");
         return JsonValue::null();
       default:
-        if (peek() == '-' || (peek() >= '0' && peek() <= '9')) {
+        if (peek() == '-' || is_digit(peek())) {
           return JsonValue::number(parse_number());
         }
         if (eof()) {
@@ -307,9 +289,10 @@ class JsonParser {
     JsonValue obj = JsonValue::object();
     skip_whitespace();
     if (peek() == '}') {
-      advance();
+      ++pos_;
       return obj;
     }
+    auto& members = *std::get_if<std::vector<JsonValue::Member>>(&obj.data_);
     while (true) {
       skip_whitespace();
       if (peek() != '"') {
@@ -320,13 +303,16 @@ class JsonParser {
       skip_whitespace();
       expect(':', "after object key");
       skip_whitespace();
-      if (obj.find(key) != nullptr) {
-        fail("duplicate object key \"" + key + "\"");
+      for (const JsonValue::Member& m : members) {
+        if (m.first == key) {
+          fail("duplicate object key \"" + key + "\"");
+        }
       }
-      obj.set(key, parse_value(depth + 1));
+      JsonValue value = parse_value(depth + 1);
+      members.emplace_back(std::move(key), std::move(value));
       skip_whitespace();
       if (peek() == ',') {
-        advance();
+        ++pos_;
         skip_whitespace();
         if (peek() == '}') {
           fail("trailing comma before '}'");
@@ -343,15 +329,16 @@ class JsonParser {
     JsonValue arr = JsonValue::array();
     skip_whitespace();
     if (peek() == ']') {
-      advance();
+      ++pos_;
       return arr;
     }
+    auto& items = *std::get_if<std::vector<JsonValue>>(&arr.data_);
     while (true) {
       skip_whitespace();
-      arr.append(parse_value(depth + 1));
+      items.push_back(parse_value(depth + 1));
       skip_whitespace();
       if (peek() == ',') {
-        advance();
+        ++pos_;
         skip_whitespace();
         if (peek() == ']') {
           fail("trailing comma before ']'");
@@ -407,19 +394,25 @@ class JsonParser {
     expect('"', "to open a string");
     std::string out;
     while (true) {
+      // The run of bytes that need no decoding, appended at once.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const auto ch = static_cast<unsigned char>(text_[pos_]);
+        if (ch == '"' || ch == '\\' || ch < 0x20) {
+          break;
+        }
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
       if (eof()) {
         fail("unterminated string");
       }
-      const char ch = advance();
+      const char ch = text_[pos_++];
       if (ch == '"') {
         return out;
       }
-      if (static_cast<unsigned char>(ch) < 0x20) {
-        fail("raw control character in string (use \\u escapes)");
-      }
       if (ch != '\\') {
-        out += ch;
-        continue;
+        fail("raw control character in string (use \\u escapes)");
       }
       if (eof()) {
         fail("unterminated escape sequence");
@@ -482,41 +475,35 @@ class JsonParser {
   double parse_number() {
     const std::size_t start = pos_;
     if (peek() == '-') {
-      advance();
+      ++pos_;
     }
     // Integer part: a single 0, or [1-9][0-9]*.
     if (peek() == '0') {
-      advance();
-      if (peek() >= '0' && peek() <= '9') {
+      ++pos_;
+      if (is_digit(peek())) {
         fail("numbers may not have leading zeros");
       }
-    } else if (peek() >= '1' && peek() <= '9') {
-      while (peek() >= '0' && peek() <= '9') {
-        advance();
-      }
+    } else if (is_digit(peek())) {
+      skip_digits();
     } else {
       fail("invalid number (expected a digit)");
     }
     if (peek() == '.') {
-      advance();
-      if (!(peek() >= '0' && peek() <= '9')) {
+      ++pos_;
+      if (!is_digit(peek())) {
         fail("invalid number (expected a digit after '.')");
       }
-      while (peek() >= '0' && peek() <= '9') {
-        advance();
-      }
+      skip_digits();
     }
     if (peek() == 'e' || peek() == 'E') {
-      advance();
+      ++pos_;
       if (peek() == '+' || peek() == '-') {
-        advance();
+        ++pos_;
       }
-      if (!(peek() >= '0' && peek() <= '9')) {
+      if (!is_digit(peek())) {
         fail("invalid number (expected an exponent digit)");
       }
-      while (peek() >= '0' && peek() <= '9') {
-        advance();
-      }
+      skip_digits();
     }
     const std::string_view token = text_.substr(start, pos_ - start);
     const double value =
@@ -532,125 +519,94 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
-// Appends 2*indent spaces without materializing a pad string; leaf nodes
-// (the vast majority) never pay for indentation at all.
-void append_indent(std::string& out, int indent) {
-  out.append(static_cast<std::size_t>(indent) * 2, ' ');
+JsonValue parse_json(std::string_view text, int max_depth) {
+  return JsonParser(text, max_depth).parse_document();
 }
 
-void canonical_render(const JsonValue& value, int indent, std::string& out) {
-  switch (value.kind()) {
-    case JsonValue::Kind::kNull:
-      out += "null";
-      return;
-    case JsonValue::Kind::kBool:
-      out += value.as_bool() ? "true" : "false";
-      return;
-    case JsonValue::Kind::kNumber: {
-      char buf[kNumberChars];
-      out.append(buf, format_shortest(buf, value.as_number()));
-      return;
+// --- Number text ------------------------------------------------------------
+
+namespace {
+
+// Longest canonical number text: "-1.7976931348623157e+308" is 24 chars.
+constexpr std::size_t kNumberChars = 32;
+
+// Writes the canonical text of finite `value` into `buf` and returns its
+// end. The bytes are the snprintf/strtod version's
+// (tests/oracles/json_reference.h): "%.0f" for integral doubles inside the
+// exactly representable range, otherwise the first of "%.15g", "%.16g",
+// "%.17g" that parses back to the same double. Three shortcuts reach them
+// with less work:
+//   * an integral |value| < 2^53 is an exact int64, and its decimal digits
+//     are "%.0f"'s; only -0.0 needs its sign spelled out;
+//   * a "%.{p}g" with p below d, the digit count of the shortest
+//     round-trip form, cannot read back (a shorter form would exist), so
+//     the search starts at max(15, d);
+//   * 17 significant digits always read back, so "%.17g" is not checked.
+// std::to_chars with an explicit format and precision is specified to
+// produce exactly printf's text for that conversion.
+char* format_shortest(char (&buf)[kNumberChars], double value) {
+  check_arg(std::isfinite(value), "shortest_double: value must be finite");
+  char* const last = buf + kNumberChars;
+  if (value == std::floor(value) && std::fabs(value) < 9.007199254740992e15) {
+    if (value == 0.0 && std::signbit(value)) {
+      buf[0] = '-';
+      buf[1] = '0';
+      return buf + 2;
     }
-    case JsonValue::Kind::kString:
-      quote_json_string_to(out, value.as_string());
-      return;
-    case JsonValue::Kind::kArray: {
-      if (value.items().empty()) {
-        out += "[]";
-        return;
-      }
-      out += "[\n";
-      bool first = true;
-      for (const JsonValue& item : value.items()) {
-        if (!first) {
-          out += ",\n";
-        }
-        first = false;
-        append_indent(out, indent + 1);
-        canonical_render(item, indent + 1, out);
-      }
-      out += '\n';
-      append_indent(out, indent);
-      out += ']';
-      return;
-    }
-    case JsonValue::Kind::kObject: {
-      if (value.members().empty()) {
-        out += "{}";
-        return;
-      }
-      std::vector<const JsonValue::Member*> sorted;
-      sorted.reserve(value.members().size());
-      for (const JsonValue::Member& m : value.members()) {
-        sorted.push_back(&m);
-      }
-      std::sort(sorted.begin(), sorted.end(),
-                [](const JsonValue::Member* a, const JsonValue::Member* b) {
-                  return a->first < b->first;
-                });
-      out += "{\n";
-      bool first = true;
-      for (const JsonValue::Member* m : sorted) {
-        if (!first) {
-          out += ",\n";
-        }
-        first = false;
-        append_indent(out, indent + 1);
-        quote_json_string_to(out, m->first);
-        out += ": ";
-        canonical_render(m->second, indent + 1, out);
-      }
-      out += '\n';
-      append_indent(out, indent);
-      out += '}';
-      return;
+    return std::to_chars(buf, last, static_cast<std::int64_t>(value)).ptr;
+  }
+  char* end =
+      std::to_chars(buf, last, value, std::chars_format::scientific).ptr;
+  int digits = 0;
+  for (const char* p = buf; p != end && *p != 'e'; ++p) {
+    digits += is_digit(*p) ? 1 : 0;
+  }
+  for (int precision = std::max(15, digits);; ++precision) {
+    end = std::to_chars(buf, last, value, std::chars_format::general, precision)
+              .ptr;
+    if (precision >= 17 || parse_double(buf, end) == value) {
+      return end;
     }
   }
 }
 
 }  // namespace
 
-JsonValue parse_json(std::string_view text, int max_depth) {
-  return JsonParser(text, max_depth).parse_document();
-}
-
 std::string shortest_double(double value) {
   char buf[kNumberChars];
   return std::string(buf, format_shortest(buf, value));
 }
 
-std::string canonical_json(const JsonValue& value) {
-  std::string out;
-  canonical_render(value, 0, out);
-  out += '\n';
-  return out;
+void append_shortest_double(std::string& out, double value) {
+  char buf[kNumberChars];
+  out.append(buf, format_shortest(buf, value));
 }
 
-JsonWriter::JsonWriter() = default;
-
-void JsonWriter::comma() {
-  if (!needs_comma_.empty()) {
-    if (needs_comma_.back()) {
-      out_ += ',';
-    }
-    needs_comma_.back() = true;
-  }
+void append_general10(std::string& out, double value) {
+  char buf[kNumberChars];
+  out.append(buf, std::to_chars(buf, buf + kNumberChars, value,
+                                std::chars_format::general, 10)
+                      .ptr);
 }
 
-void JsonWriter::write_string(const std::string& s) {
-  quote_json_string_to(out_, s);
-}
-
-std::string quote_json_string(const std::string& s) {
+std::string quote_json_string(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
   quote_json_string_to(out, s);
   return out;
 }
 
-void quote_json_string_to(std::string& out, const std::string& s) {
+void quote_json_string_to(std::string& out, std::string_view s) {
   out += '"';
-  for (char ch : s) {
+  // Bytes that need no escape are appended a run at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char ch = s[i];
+    if (static_cast<unsigned char>(ch) >= 0x20 && ch != '"' && ch != '\\') {
+      continue;
+    }
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (ch) {
       case '"':
         out += "\\\"";
@@ -667,17 +623,190 @@ void quote_json_string_to(std::string& out, const std::string& s) {
       case '\r':
         out += "\\r";
         break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
+        out += buf;
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out += '"';
+}
+
+// --- CanonicalWriter --------------------------------------------------------
+
+void CanonicalWriter::before_value() {
+  if (depth_ == 0) {
+    check_arg(!root_written_, "CanonicalWriter: a second root value");
+    root_written_ = true;
+    return;
+  }
+  Level& level = levels_[depth_ - 1];
+  if (level.object) {
+    check_arg(level.keyed, "CanonicalWriter: object value without a key");
+    level.keyed = false;
+    return;
+  }
+  out_ += level.empty ? "\n" : ",\n";
+  level.empty = false;
+  out_.append(depth_ * 2, ' ');
+}
+
+void CanonicalWriter::open(char bracket, bool object) {
+  before_value();
+  out_ += bracket;
+  if (levels_.size() == depth_) {
+    levels_.emplace_back();
+  }
+  Level& level = levels_[depth_++];
+  level.object = object;
+  level.empty = true;
+  level.keyed = false;
+}
+
+void CanonicalWriter::close(char bracket, bool object) {
+  check_arg(depth_ > 0 && levels_[depth_ - 1].object == object &&
+                !levels_[depth_ - 1].keyed,
+            "CanonicalWriter: unbalanced end of a container");
+  const bool empty = levels_[depth_ - 1].empty;
+  --depth_;
+  if (!empty) {
+    out_ += '\n';
+    out_.append(depth_ * 2, ' ');
+  }
+  out_ += bracket;
+}
+
+CanonicalWriter& CanonicalWriter::begin_object() {
+  open('{', true);
+  return *this;
+}
+
+CanonicalWriter& CanonicalWriter::end_object() {
+  close('}', true);
+  return *this;
+}
+
+CanonicalWriter& CanonicalWriter::begin_array() {
+  open('[', false);
+  return *this;
+}
+
+CanonicalWriter& CanonicalWriter::end_array() {
+  close(']', false);
+  return *this;
+}
+
+CanonicalWriter& CanonicalWriter::key(std::string_view key) {
+  check_arg(depth_ > 0 && levels_[depth_ - 1].object &&
+                !levels_[depth_ - 1].keyed,
+            "CanonicalWriter: key outside an object");
+  Level& level = levels_[depth_ - 1];
+  if (!level.empty && !(level.last_key < key)) {
+    throw std::invalid_argument(
+        "CanonicalWriter: key \"" + std::string(key) + "\" after \"" +
+        level.last_key + "\" is not in ascending byte order");
+  }
+  out_ += level.empty ? "\n" : ",\n";
+  out_.append(depth_ * 2, ' ');
+  quote_json_string_to(out_, key);
+  out_ += ": ";
+  level.empty = false;
+  level.keyed = true;
+  level.last_key.assign(key);
+  return *this;
+}
+
+CanonicalWriter& CanonicalWriter::null() {
+  before_value();
+  out_ += "null";
+  return *this;
+}
+
+CanonicalWriter& CanonicalWriter::boolean(bool b) {
+  before_value();
+  out_ += b ? "true" : "false";
+  return *this;
+}
+
+CanonicalWriter& CanonicalWriter::number(double value) {
+  before_value();
+  append_shortest_double(out_, value);
+  return *this;
+}
+
+CanonicalWriter& CanonicalWriter::string(std::string_view s) {
+  before_value();
+  quote_json_string_to(out_, s);
+  return *this;
+}
+
+CanonicalWriter& CanonicalWriter::value(const JsonValue& v) {
+  switch (v.kind()) {
+    case JsonValue::Kind::kNull:
+      return null();
+    case JsonValue::Kind::kBool:
+      return boolean(v.as_bool());
+    case JsonValue::Kind::kNumber:
+      return number(v.as_number());
+    case JsonValue::Kind::kString:
+      return string(v.as_string());
+    case JsonValue::Kind::kArray:
+      begin_array();
+      for (const JsonValue& item : v.items()) {
+        value(item);
+      }
+      return end_array();
+    case JsonValue::Kind::kObject: {
+      std::vector<const JsonValue::Member*> sorted;
+      sorted.reserve(v.members().size());
+      for (const JsonValue::Member& m : v.members()) {
+        sorted.push_back(&m);
+      }
+      std::sort(sorted.begin(), sorted.end(),
+                [](const JsonValue::Member* a, const JsonValue::Member* b) {
+                  return a->first < b->first;
+                });
+      begin_object();
+      for (const JsonValue::Member* m : sorted) {
+        key(m->first);
+        value(m->second);
+      }
+      return end_object();
+    }
+  }
+  return *this;
+}
+
+std::string CanonicalWriter::finish() && {
+  check_arg(root_written_ && depth_ == 0,
+            "CanonicalWriter: document is not complete");
+  out_ += '\n';
+  return std::move(out_);
+}
+
+std::string canonical_json(const JsonValue& value) {
+  CanonicalWriter w;
+  w.value(value);
+  return std::move(w).finish();
+}
+
+// --- JsonWriter -------------------------------------------------------------
+
+JsonWriter::JsonWriter() = default;
+
+void JsonWriter::comma() {
+  if (!needs_comma_.empty()) {
+    if (needs_comma_.back()) {
+      out_ += ',';
+    }
+    needs_comma_.back() = true;
+  }
+}
+
+void JsonWriter::write_string(std::string_view s) {
+  quote_json_string_to(out_, s);
 }
 
 JsonWriter& JsonWriter::begin_object() {
@@ -732,13 +861,12 @@ JsonWriter& JsonWriter::field(const std::string& key, const char* value) {
 JsonWriter& JsonWriter::field(const std::string& key, double value) {
   comma();
   write_string(key);
-  char buf[64];
+  out_ += ':';
   if (std::isfinite(value)) {
-    std::snprintf(buf, sizeof(buf), ":%.10g", value);
+    append_general10(out_, value);
   } else {
-    std::snprintf(buf, sizeof(buf), ":null");
+    out_ += "null";
   }
-  out_ += buf;
   return *this;
 }
 
@@ -758,9 +886,7 @@ JsonWriter& JsonWriter::field(const std::string& key, bool value) {
 
 JsonWriter& JsonWriter::element(double value) {
   comma();
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.10g", value);
-  out_ += buf;
+  append_general10(out_, value);
   return *this;
 }
 

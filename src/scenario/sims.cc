@@ -26,6 +26,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -783,13 +784,14 @@ class PlanetSimulation final : public Simulation {
     report::CsvWriter csv({"t_begin_s", "t_end_s", "facility_energy_j",
                            "location_carbon_g", "intensity_g_per_j"});
     for (const PlanetSimulator::SeriesSample& s : result.series) {
-      csv.add_row({report::shortest_double(s.t_begin_s),
-                   report::shortest_double(s.t_end_s),
-                   report::shortest_double(s.facility_energy_j),
-                   report::shortest_double(s.location_carbon_g),
-                   report::shortest_double(s.intensity_g_per_j())});
+      csv.cell(s.t_begin_s)
+          .cell(s.t_end_s)
+          .cell(s.facility_energy_j)
+          .cell(s.location_carbon_g)
+          .cell(s.intensity_g_per_j())
+          .end_row();
     }
-    out.csv_series.emplace_back("planet_series", csv.to_string());
+    out.csv_series.emplace_back("planet_series", std::move(csv).to_string());
 
     out.notes = total_notes(result, "");
     out.notes.insert(out.notes.begin(),
@@ -914,13 +916,16 @@ class QueueScheduleSimulation final : public Simulation {
       report::CsvWriter csv({"id", "arrival_s", "start_s", "finish_s",
                              "wait_s", "carbon_g"});
       for (const CompletedJob& j : r.jobs) {
-        csv.add_row({j.job.id, report::shortest_double(to_seconds(j.job.arrival)),
-                     report::shortest_double(to_seconds(j.start)),
-                     report::shortest_double(to_seconds(j.finish)),
-                     report::shortest_double(to_seconds(j.wait())),
-                     report::shortest_double(to_grams_co2e(j.carbon))});
+        csv.cell(j.job.id)
+            .cell(to_seconds(j.job.arrival))
+            .cell(to_seconds(j.start))
+            .cell(to_seconds(j.finish))
+            .cell(to_seconds(j.wait()))
+            .cell(to_grams_co2e(j.carbon))
+            .end_row();
       }
-      out.csv_series.emplace_back("queue_" + policy_name, csv.to_string());
+      out.csv_series.emplace_back("queue_" + policy_name,
+                                  std::move(csv).to_string());
     }
     out.report.set("machines", num(static_cast<double>(config.machines)));
     out.report.set("policies", std::move(policies));
@@ -1032,13 +1037,17 @@ class CrossRegionScheduleSimulation final : public Simulation {
 
     report::CsvWriter csv({"id", "region", "arrival_s", "start_s", "carbon_g"});
     for (const ScheduledJob& j : result.jobs) {
-      const std::size_t at = j.job.id.rfind('@');
-      csv.add_row({j.job.id.substr(0, at), j.job.id.substr(at + 1),
-                   report::shortest_double(to_seconds(j.job.arrival)),
-                   report::shortest_double(to_seconds(j.start)),
-                   report::shortest_double(to_grams_co2e(j.carbon))});
+      const std::string_view id = j.job.id;
+      const std::size_t at = id.rfind('@');
+      csv.cell(id.substr(0, at))
+          .cell(id.substr(at + 1))
+          .cell(to_seconds(j.job.arrival))
+          .cell(to_seconds(j.start))
+          .cell(to_grams_co2e(j.carbon))
+          .end_row();
     }
-    out.csv_series.emplace_back("cross_region_jobs", csv.to_string());
+    out.csv_series.emplace_back("cross_region_jobs",
+                                std::move(csv).to_string());
 
     JsonValue& rep = out.report;
     rep.set("policy", str(result.policy_name));
@@ -1417,7 +1426,7 @@ class ScalingSweepSimulation final : public Simulation {
       jp.set("normalized_entropy", num(p.normalized_entropy));
       points.append(std::move(jp));
     }
-    out.csv_series.emplace_back("scaling_grid", csv.to_string());
+    out.csv_series.emplace_back("scaling_grid", std::move(csv).to_string());
 
     JsonValue& rep = out.report;
     rep.set("frontier_power_exponent", num(exponent));

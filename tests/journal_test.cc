@@ -132,16 +132,23 @@ JsonValue records(std::initializer_list<double> values) {
   return a;
 }
 
+// The frame sealing records({values}) after `from`.
+engine::SealedFrame seal(std::initializer_list<double> values,
+                         const JournalPrefix& from) {
+  return engine::seal_frame(report::canonical_json(records(values)),
+                            values.size(), from);
+}
+
 TEST(EngineJournal, FramesSplitAndPrefixesChain) {
-  const engine::SealedFrame a = engine::seal_frame(records({1, 2}), {});
-  const engine::SealedFrame b = engine::seal_frame(records({3}), a.covers);
+  const engine::SealedFrame a = seal({1, 2}, {});
+  const engine::SealedFrame b = seal({3}, a.covers);
   const std::string payload = report::canonical_json(records({1, 2}));
   EXPECT_EQ(a.frame, std::to_string(payload.size()) + "\n" + payload + "\n");
   EXPECT_EQ(a.covers.bytes, a.frame.size());
   EXPECT_EQ(b.covers.records, 3u);
   EXPECT_EQ(b.covers.fnv, engine::fnv1a(a.frame + b.frame));
   // A segment that sealed nothing appends nothing.
-  const engine::SealedFrame none = engine::seal_frame(JsonValue::array(), b.covers);
+  const engine::SealedFrame none = seal({}, b.covers);
   EXPECT_TRUE(none.frame.empty());
   EXPECT_EQ(none.covers, b.covers);
 
@@ -174,7 +181,7 @@ std::string frames_error(const std::string& journal, const JournalPrefix& to) {
 }
 
 TEST(EngineJournal, RejectsJournalsThatDoNotHoldTheNamedPrefix) {
-  const engine::SealedFrame a = engine::seal_frame(records({1, 2}), {});
+  const engine::SealedFrame a = seal({1, 2}, {});
   const std::string& j = a.frame;
   EXPECT_EQ(frames_error(j, a.covers), "accepted");
   EXPECT_EQ(frames_error(j.substr(0, j.size() - 1), a.covers),
@@ -204,7 +211,7 @@ TEST(EngineJournal, RejectsJournalsThatDoNotHoldTheNamedPrefix) {
 TEST(EngineJournal, LiveSnapshotStampCatchesEdits) {
   JsonValue live = JsonValue::object();
   live.set("now_s", JsonValue::number(900));
-  engine::finish_live(live, engine::seal_frame(records({1}), {}).covers);
+  engine::finish_live(live, seal({1}, {}).covers);
   const JsonValue parsed = report::parse_json(report::canonical_json(live));
   ASSERT_TRUE(engine::live_prefix(parsed, "test").has_value());
   EXPECT_EQ(engine::live_prefix(parsed, "test")->records, 1u);

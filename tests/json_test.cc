@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <random>
+#include <string>
+
 #include "core/operational.h"
 #include "telemetry/tracker.h"
 
@@ -52,6 +61,43 @@ TEST(Json, NonFiniteBecomesNull) {
   JsonWriter json;
   json.begin_object().field("bad", 1.0 / 0.0).end_object();
   EXPECT_EQ(json.str(), "{\"bad\":null}");
+}
+
+// JsonWriter formats numbers with std::to_chars (general, precision 10),
+// which the standard defines as printf's "%.10g": trace.json's bytes
+// (pinned by bundle_digest_*) depend on the two agreeing.
+TEST(Json, NumbersMatchPrintfTenDigits) {
+  const auto printf_text = [](double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.10g", v);
+    return std::string(buf);
+  };
+  long failures = 0;
+  const auto check = [&](double v) {
+    JsonWriter w;
+    w.begin_object().field("k", v).begin_array("a").element(v).end_array();
+    w.end_object();
+    const std::string want = "{\"k\":" +
+                             (std::isfinite(v) ? printf_text(v) : "null") +
+                             ",\"a\":[" + printf_text(v) + "]}";
+    if (w.str() != want && ++failures <= 10) {
+      ADD_FAILURE() << "bits " << std::hex << std::bit_cast<std::uint64_t>(v)
+                    << ": " << w.str() << " != " << want;
+    }
+  };
+  std::mt19937_64 rng(10);
+  for (int i = 0; i < 300'000; ++i) {
+    check(std::bit_cast<double>(rng()));
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const double v : {0.0, -0.0, 1.0, 0.1, 1e10, 9999999999.5, 1e-5,
+                         123456.78901234, 5e-324, DBL_MIN, DBL_MAX, kInf,
+                         -kInf, kNan, -kNan}) {
+    check(v);
+    check(-v);
+  }
+  EXPECT_EQ(failures, 0);
 }
 
 TEST(Json, UnbalancedThrows) {

@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "report/ascii_chart.h"
 #include "report/csv.h"
@@ -91,6 +94,70 @@ TEST(Csv, WritesValuesAndFile) {
   EXPECT_EQ(header, "x,y");
   EXPECT_EQ(row, "1.5,2.5");
   std::remove(path.c_str());
+}
+
+// The bytes of the writer that kept every row as copied strings and joined
+// them through an ostringstream at the end.
+std::string copying_csv(const std::vector<std::vector<std::string>>& rows) {
+  const auto escape = [](const std::string& cell) {
+    if (cell.find_first_of(",\"\n") == std::string::npos) {
+      return cell;
+    }
+    std::string out = "\"";
+    for (const char ch : cell) {
+      out += ch == '"' ? std::string("\"\"") : std::string(1, ch);
+    }
+    return out + '"';
+  };
+  std::ostringstream out;
+  for (const auto& row : rows) {
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      out << (c ? "," : "") << escape(row[c]);
+    }
+    out << "\n";
+  }
+  return out.str();
+}
+
+TEST(Csv, StreamedBytesMatchTheCopyingWriter) {
+  const std::vector<std::vector<std::string>> rows = {
+      {"id", "note, with comma", "q\"uote"},
+      {"plain", "a,b", "say \"hi\"\nline2"},
+      {"", "\"", "\n"},
+      {"trailing,", ",", "cr\r"},
+      {"\"\"", "\",\"", "x"}};
+  CsvWriter by_row(rows[0]);
+  CsvWriter by_cell(rows[0]);
+  for (std::size_t r = 1; r < rows.size(); ++r) {
+    by_row.add_row(rows[r]);
+    for (const std::string& cell : rows[r]) {
+      by_cell.cell(cell);
+    }
+    by_cell.end_row();
+  }
+  EXPECT_EQ(by_row.to_string(), copying_csv(rows));
+  EXPECT_EQ(by_cell.to_string(), copying_csv(rows));
+  EXPECT_EQ(by_row.to_string(),
+            "id,\"note, with comma\",\"q\"\"uote\"\n"
+            "plain,\"a,b\",\"say \"\"hi\"\"\nline2\"\n"
+            ",\"\"\"\",\"\n\"\n"
+            "\"trailing,\",\",\",cr\r\n"
+            "\"\"\"\"\"\",\"\"\",\"\"\",x\n");
+
+  // A double cell is shortest_double's text; add_row_values is "%.10g".
+  CsvWriter numbers({"a", "b", "c"});
+  numbers.cell(0.1).cell(-0.0).cell(1.0 / 3.0).end_row();
+  numbers.add_row_values({0.1, -0.0, 1.0 / 3.0});
+  EXPECT_EQ(std::move(numbers).to_string(),
+            "a,b,c\n0.1,-0,0.3333333333333333\n0.1,-0,0.3333333333\n");
+}
+
+TEST(Csv, StreamedRowsCheckTheirArity) {
+  CsvWriter csv({"a", "b"});
+  csv.cell("1");
+  EXPECT_THROW(csv.end_row(), std::invalid_argument);
+  CsvWriter values({"a", "b"});
+  EXPECT_THROW(values.add_row_values({1.0}), std::invalid_argument);
 }
 
 TEST(Csv, RejectsArityMismatch) {

@@ -266,6 +266,62 @@ TEST(QueueResume, KillResumeByteIdenticalBothPolicies) {
   }
 }
 
+// QueueSim::seal streams its journal records through CanonicalWriter. The
+// frame must hold the bytes canonical_json gives the outcome_json records
+// of checkpoint_json (the self-contained form), for no, one and many
+// records, -0.0, large job indices and a real run's outcomes.
+TEST(QueueResume, SealedFrameIsCanonicalJsonOfTheOutcomeRecords) {
+  const QueueSim sim(queue_jobs(10), queue_config(/*with_faults=*/false),
+                     QueuePolicy::kGreedyGreen);
+  const auto expect_frame = [&sim](const QueueSim::Checkpoint& cp) {
+    const engine::SealedFrame sealed = sim.seal(cp);
+    const report::JsonValue all = *sim.checkpoint_json(cp).find("outcomes");
+    report::JsonValue fresh = report::JsonValue::array();
+    for (std::size_t i = cp.journal.records; i < all.items().size(); ++i) {
+      fresh.append(all.items()[i]);
+    }
+    const std::uint64_t records = fresh.items().size();
+    if (records == 0) {
+      EXPECT_EQ(sealed.frame, "");
+      EXPECT_EQ(sealed.covers, cp.journal);
+      return;
+    }
+    const std::string payload = report::canonical_json(fresh);
+    EXPECT_EQ(sealed.frame,
+              std::to_string(payload.size()) + "\n" + payload + "\n");
+    EXPECT_EQ(sealed.covers, cp.journal.then(sealed.frame, records));
+  };
+
+  QueueSim::Checkpoint cp = sim.start();
+  expect_frame(cp);
+  // seal() and checkpoint_json() read only `outcomes` and `sealed`, so a
+  // hand-made checkpoint can name a job index no 10-job queue has.
+  cp.outcomes.resize(1'000'001);
+  const auto finish = [&cp](std::size_t job, double start, double end,
+                            double carbon) {
+    cp.outcomes[job] = {true, start, end, carbon};
+    cp.sealed.push_back(job);
+  };
+  finish(3, 3600.0, 7200.0, 1.0 / 3.0);
+  expect_frame(cp);
+  finish(1'000'000, -0.0, 0.1, -0.0);
+  finish(0, 1e300, 5e-324, 22272.72540175003);
+  finish(999'999, 4503599627370495.5, 9007199254740993.0, -1e-7);
+  expect_frame(cp);
+  // After a frame, only the records sealed since are framed.
+  cp.journal = sim.seal(cp).covers;
+  expect_frame(cp);
+  finish(7, 0.0, 86400.0, 12.5);
+  expect_frame(cp);
+
+  QueueSim::Checkpoint run = sim.start();
+  while (!sim.done(run)) {
+    sim.advance(run, 7);
+  }
+  ASSERT_EQ(run.sealed.size(), 10u);
+  expect_frame(run);
+}
+
 TEST(QueueResume, WastedEnergySurvivesResume) {
   const QueueSim sim(queue_jobs(10), queue_config(/*with_faults=*/true),
                      QueuePolicy::kFifo);

@@ -3,11 +3,13 @@
 // byte-identical-bundle determinism contract across thread counts.
 #include <bit>
 #include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <initializer_list>
 #include <map>
 #include <random>
@@ -371,7 +373,152 @@ TEST(CanonicalJson, ShortestDoubleMatchesPrintfOracle) {
   EXPECT_EQ(shortest_double(-0.0), "-0");
   EXPECT_EQ(shortest_double(5e-324), "4.94065645841247e-324");
   EXPECT_EQ(shortest_double(DBL_MAX), "1.7976931348623157e+308");
+
+  // The integer path ends at |v| < 2^53; the %g search takes over there.
+  for (const double v :
+       {9007199254740991.0, 9007199254740992.0, 9007199254740994.0,
+        4503599627370495.5, 4503599627370496.0, 1e15, 1e16, 1e17, 1e22,
+        123456789012345.0, 999999999999999.0, 0.5, 1.0, 0.0}) {
+    expect_oracle(v);
+    expect_oracle(-v);
+  }
+  EXPECT_EQ(shortest_double(9007199254740991.0), "9007199254740991");
+  EXPECT_EQ(shortest_double(-9007199254740991.0), "-9007199254740991");
+  EXPECT_EQ(shortest_double(9007199254740992.0), "9007199254740992");
+  EXPECT_EQ(shortest_double(-9007199254740994.0), "-9007199254740994");
+  // Two steps either side of every power of two, where the round-trip
+  // interval is lopsided.
+  for (int e = -1074; e <= 1023; e += 7) {
+    const double p = std::ldexp(1.0, e);
+    for (const double v :
+         {std::nextafter(std::nextafter(p, 0.0), 0.0),
+          std::nextafter(std::nextafter(p, HUGE_VAL), HUGE_VAL)}) {
+      expect_oracle(v);
+      expect_oracle(-v);
+    }
+  }
+  // Values whose shortest round-trip form has exactly 15, 16 and 17
+  // significant digits: the search starts at that count, and only 15 and
+  // 16 are read back. Random k-digit decimals land in all three buckets.
+  std::vector<long> by_digits(18, 0);
+  std::mt19937_64 rng(1517);
+  for (int k = 15; k <= 17; ++k) {
+    for (int i = 0; i < 40'000; ++i) {
+      std::string text(1, static_cast<char>('1' + rng() % 9));
+      text += '.';
+      for (int d = 1; d < k; ++d) {
+        text += static_cast<char>('0' + rng() % 10);
+      }
+      text += 'e' + std::to_string(static_cast<int>(rng() % 600) - 300);
+      const double v = std::strtod(text.c_str(), nullptr);
+      char buf[32];
+      const char* end = std::to_chars(buf, buf + sizeof(buf), v,
+                                      std::chars_format::scientific)
+                            .ptr;
+      int digits = 0;
+      for (const char* c = buf; c != end && *c != 'e'; ++c) {
+        digits += (*c >= '0' && *c <= '9') ? 1 : 0;
+      }
+      ++by_digits[static_cast<std::size_t>(digits)];
+      expect_oracle(v);
+      expect_oracle(-v);
+    }
+  }
+  EXPECT_GE(by_digits[15], 30'000);
+  EXPECT_GE(by_digits[16], 30'000);
+  EXPECT_GE(by_digits[17], 10'000);
   EXPECT_EQ(failures, 0);
+}
+
+// --- CanonicalWriter -----------------------------------------------------
+
+TEST(CanonicalWriter, StreamedTextEqualsCanonicalJsonOfTheDom) {
+  report::CanonicalWriter w;
+  w.begin_object()
+      .key("B").number(-0.0)
+      .key("a").begin_array()
+          .number(1)
+          .string("x\"y\n")
+          .null()
+          .boolean(false)
+          .begin_object().end_object()
+          .begin_array().end_array()
+          .begin_object().key("k").number(0.1).end_object()
+      .end_array()
+      .key("ab").number(9007199254740993.0)
+      .end_object();
+  const JsonValue dom = parse_json(
+      R"({"ab": 9007199254740993, "a": [1, "x\"y\n", null, false, {}, [],)"
+      R"( {"k": 0.1}], "B": -0})");
+  const std::string text = std::move(w).finish();
+  EXPECT_EQ(text, canonical_json(dom));
+  EXPECT_EQ(canonical_json(parse_json(text)), text);
+
+  report::CanonicalWriter scalar;
+  scalar.number(2.5);
+  EXPECT_EQ(std::move(scalar).finish(), "2.5\n");
+}
+
+TEST(CanonicalWriter, RejectsKeysOutOfOrderAndBrokenStructure) {
+  using Steps = std::function<void(report::CanonicalWriter&)>;
+  const auto error = [](const Steps& f) {
+    report::CanonicalWriter w;
+    try {
+      f(w);
+      (void)std::move(w).finish();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(error([](auto& w) {
+              w.begin_object().key("b").number(1).key("a").number(2);
+            }),
+            "CanonicalWriter: key \"a\" after \"b\" is not in ascending "
+            "byte order");
+  EXPECT_EQ(error([](auto& w) {
+              w.begin_object().key("a").number(1).key("a").number(2);
+            }),
+            "CanonicalWriter: key \"a\" after \"a\" is not in ascending "
+            "byte order");
+  // Byte order: "B" (0x42) sorts before "a" (0x61), "a" before "ab".
+  EXPECT_NE(error([](auto& w) {
+              w.begin_object().key("a").null().key("B").null();
+            }),
+            "accepted");
+  EXPECT_EQ(error([](auto& w) {
+              w.begin_object().key("B").null().key("a").null().key("ab").null();
+              w.end_object();
+            }),
+            "accepted");
+  // Order is per object: a nested object starts afresh.
+  EXPECT_EQ(error([](auto& w) {
+              w.begin_object().key("m").begin_object().key("z").null();
+              w.end_object().key("n").begin_object().key("a").null();
+              w.end_object().end_object();
+            }),
+            "accepted");
+  EXPECT_EQ(error([](auto& w) { w.begin_object().number(1); }),
+            "CanonicalWriter: object value without a key");
+  EXPECT_EQ(error([](auto& w) { w.begin_array().key("a"); }),
+            "CanonicalWriter: key outside an object");
+  EXPECT_EQ(error([](auto& w) { w.key("a"); }),
+            "CanonicalWriter: key outside an object");
+  EXPECT_EQ(error([](auto& w) { w.begin_object().key("a").key("b"); }),
+            "CanonicalWriter: key outside an object");
+  EXPECT_EQ(error([](auto& w) { w.begin_object().key("a").end_object(); }),
+            "CanonicalWriter: unbalanced end of a container");
+  EXPECT_EQ(error([](auto& w) { w.begin_array().end_object(); }),
+            "CanonicalWriter: unbalanced end of a container");
+  EXPECT_EQ(error([](auto& w) { w.end_array(); }),
+            "CanonicalWriter: unbalanced end of a container");
+  EXPECT_EQ(error([](auto& w) { w.number(1).number(2); }),
+            "CanonicalWriter: a second root value");
+  EXPECT_EQ(error([](auto& w) { w.begin_array(); }),
+            "CanonicalWriter: document is not complete");
+  EXPECT_EQ(error([](auto&) {}), "CanonicalWriter: document is not complete");
+  EXPECT_EQ(error([](auto& w) { w.number(HUGE_VAL); }),
+            "shortest_double: value must be finite");
 }
 
 // --- Spec: typed extraction with path-qualified errors --------------------
