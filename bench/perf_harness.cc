@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/carbon_intensity.h"
+#include "core/intensity_cache.h"
 #include "core/intensity_table.h"
 #include "core/units.h"
 #include "datacenter/fleet_sim.h"
@@ -249,6 +250,41 @@ void bm_planet_build_state(benchmark::State& state) {
     benchmark::DoNotOptimize(&sim);
   }
   state.SetItemsProcessed(state.iterations() * kPlanetRegions);
+}
+
+// One hourly planet segment's intensity windows: the six catalog grids on
+// one seed (one wind process, as a scenario's regions get by default) at
+// UTC offsets of 3 to 23 hours, a quarter decade of steps each. The
+// iterations alternate between the decade's first two segments, so every
+// placement leaves every window stale, and fill them
+// (IntensityWindows::fill). Recorded only; no guard reads it.
+constexpr long kWindowSegmentSteps = 21'915;  // 10 years / 4, hourly
+
+void bm_intensity_windows_fill(benchmark::State& state) {
+  IntensityCache cache;
+  std::vector<std::shared_ptr<SharedIntensityTable>> tables;
+  std::vector<const SharedIntensityTable*> region_tables;
+  std::vector<long> offsets;
+  for (const GridProfile& profile : grids::all()) {
+    IntermittentGrid::Config cfg = bench_grid_config();
+    cfg.profile = profile;
+    tables.push_back(cache.get(cfg, hours(1.0), 0));
+    region_tables.push_back(tables.back().get());
+    offsets.push_back(static_cast<long>(4 * region_tables.size() - 1));
+  }
+  datacenter::IntensityWindows windows(region_tables, offsets, nullptr);
+  long begin = 0;
+  for (auto _ : state) {
+    if (!windows.place(begin, begin + kWindowSegmentSteps)) {
+      state.SkipWithError("intensity_windows_fill: a window was kept");
+      break;
+    }
+    windows.fill();
+    benchmark::DoNotOptimize(windows.of(0).values.data());
+    begin = kWindowSegmentSteps - begin;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(tables.size()) * kWindowSegmentSteps);
 }
 
 // The scenario-runner contract (scenario/runner.h): driving a simulator
@@ -608,6 +644,7 @@ void register_kernel_benchmarks(bool smoke) {
   add("fleet_build_state", bm_fleet_build_state);
   add("planet_step", bm_planet_step);
   add("planet_build_state", bm_planet_build_state);
+  add("intensity_windows_fill", bm_intensity_windows_fill);
   add("fleet_step_tracer_off",
       [](benchmark::State& s) { bm_fleet_step_obs(s, false); });
   add("fleet_step_tracer_on",

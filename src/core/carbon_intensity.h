@@ -103,6 +103,11 @@ class IntermittentGrid {
                                                      double wind) const;
 
   [[nodiscard]] const GridProfile& profile() const { return config_.profile; }
+  // The wind harmonics' angular frequencies (rad/s) and phases, in harmonic
+  // order: everything wind_term reads. Grids whose vectors are equal bit
+  // for bit have bit-identical wind terms at every time.
+  [[nodiscard]] const std::vector<double>& wind_freq() const { return wind_freq_; }
+  [[nodiscard]] const std::vector<double>& wind_phase() const { return wind_phase_; }
 
  private:
   [[nodiscard]] double solar_availability(Duration t) const;

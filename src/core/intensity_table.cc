@@ -50,47 +50,93 @@ void IntensityTable::extend(long n) const {
 }
 
 void IntensityTable::fill_values(long begin, long end, double* out) const {
+  const FillTarget target{this, end, out};
+  fill_values_shared(begin, {&target, 1});
+}
+
+void IntensityTable::fill_values_shared(long begin,
+                                        std::span<const FillTarget> targets) {
+  check_arg(begin >= 0, "IntensityTable::fill_values: begin must be >= 0");
+  long end = begin;
+  for (const FillTarget& target : targets) {
+    check_arg(target.end >= begin,
+              "IntensityTable::fill_values: end must be >= begin");
+    check_arg(target.table == targets.front().table ||
+                  target.table->shares_wind(*targets.front().table),
+              "IntensityTable::fill_values_shared: every table must share "
+              "the first's grid times and wind harmonics");
+    end = std::max(end, target.end);
+  }
+  if (end == begin) {
+    return;
+  }
   // A block at a time: each point's t once, then every wind harmonic over
-  // the whole block (IntermittentGrid::wind_terms), then the solar term and
-  // the blend per point. The same doubles as intensity_at(t_k) at any block
-  // edge, so any split of [begin, end) still fills the same values.
+  // the whole block (IntermittentGrid::wind_terms), then each target's own
+  // solar term and blend per point, up to that target's end. The same
+  // doubles as intensity_at(t_k) at any block edge, so any split of
+  // [begin, end) still fills the same values.
   //
   // With a whole-second start >= 0 and step and every t_k below 2^53, t_k
   // is an exact integer and differs from t_{k % period} by whole days, so
   // slot k % period holds exactly k's second-of-day: it is read without
   // the fmod that would confirm it. Otherwise DaySlotCache::lookup checks.
-  const long period = solar_day_.period();
-  const bool exact_slots =
-      whole_seconds_ && begin >= 0 && begin < end &&
-      start_s_ + step_s_ * static_cast<double>(end - 1) < 0x1p53;
-  long slot = exact_slots ? begin % period : 0;
+  const IntensityTable& lead = *targets.front().table;
+  const long period = lead.solar_day_.period();
   double t[kFillBlock];
   double wind[kFillBlock];
   for (long b = begin; b < end; b += kFillBlock) {
     const long n = std::min(kFillBlock, end - b);
     for (long j = 0; j < n; ++j) {
-      t[j] = start_s_ + step_s_ * static_cast<double>(b + j);
+      t[j] = lead.start_s_ + lead.step_s_ * static_cast<double>(b + j);
     }
-    grid_.wind_terms(t, n, wind);
-    double* block = out + (b - begin);
-    if (exact_slots) {
-      for (long j = 0; j < n; ++j) {
-        block[j] =
-            grid_.intensity_from_terms(solar_day_.slot_value(slot), wind[j])
-                .base();
-        if (++slot == period) {
-          slot = 0;
-        }
+    lead.grid_.wind_terms(t, n, wind);
+    for (const FillTarget& target : targets) {
+      const long count = std::min(n, target.end - b);
+      if (count <= 0) {
+        continue;
       }
-    } else {
-      for (long j = 0; j < n; ++j) {
-        const double solar = solar_day_.lookup(
-            b + j, std::fmod(t[j], kSecondsPerDay),
-            [this](double sec) { return grid_.solar_term(sec); });
-        block[j] = grid_.intensity_from_terms(solar, wind[j]).base();
+      const IntensityTable& table = *target.table;
+      const IntermittentGrid& grid = table.grid_;
+      double* block = target.out + (b - begin);
+      const bool exact_slots =
+          table.whole_seconds_ &&
+          table.start_s_ + table.step_s_ * static_cast<double>(target.end - 1) <
+              0x1p53;
+      if (exact_slots) {
+        long slot = b % period;
+        for (long j = 0; j < count; ++j) {
+          block[j] =
+              grid.intensity_from_terms(table.solar_day_.slot_value(slot),
+                                        wind[j])
+                  .base();
+          if (++slot == period) {
+            slot = 0;
+          }
+        }
+      } else {
+        for (long j = 0; j < count; ++j) {
+          const double solar = table.solar_day_.lookup(
+              b + j, std::fmod(t[j], kSecondsPerDay),
+              [&grid](double sec) { return grid.solar_term(sec); });
+          block[j] = grid.intensity_from_terms(solar, wind[j]).base();
+        }
       }
     }
   }
+}
+
+bool IntensityTable::shares_wind(const IntensityTable& other) const {
+  const auto same_bits = [](const std::vector<double>& a,
+                            const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(), [](double x, double y) {
+             return bits_of(x) == bits_of(y);
+           });
+  };
+  return bits_of(start_s_) == bits_of(other.start_s_) &&
+         bits_of(step_s_) == bits_of(other.step_s_) &&
+         same_bits(grid_.wind_freq(), other.grid_.wind_freq()) &&
+         same_bits(grid_.wind_phase(), other.grid_.wind_phase());
 }
 
 std::size_t IntensityTable::bytes() const {

@@ -14,11 +14,13 @@
 // fixed-size blocks, harmonic by harmonic, with the same calls in the same
 // add order as the per-point path. So any split of an index range yields
 // the same doubles, and a caller may fill ranges of its own buffer
-// concurrently (fill_values).
+// concurrently (fill_values). Tables whose grids share a wind process on
+// the same time grid share each block's wind pass (fill_values_shared).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -55,8 +57,30 @@ class IntensityTable {
 
   // Writes the base-unit intensities of grid points [begin, end) to
   // out[0, end - begin) without extending the table: the same doubles the
-  // table holds or would hold there. Safe to call concurrently.
+  // table holds or would hold there. Safe to call concurrently. Throws
+  // std::invalid_argument, before any write, unless 0 <= begin <= end.
   void fill_values(long begin, long end, double* out) const;
+
+  // One table's part of a shared fill: its grid points [begin, end) go to
+  // out[0, end - begin), where `begin` is the fill's.
+  struct FillTarget {
+    const IntensityTable* table = nullptr;
+    long end = 0;
+    double* out = nullptr;
+  };
+  // fill_values for several tables at once: each target gets exactly what
+  // target.table->fill_values(begin, target.end, target.out) writes, but
+  // each block's times and wind terms are computed once for all of them.
+  // Every table must share its wind with the first (shares_wind). Throws
+  // std::invalid_argument, before any write, unless begin >= 0, every
+  // target's end >= begin and the tables share their wind.
+  static void fill_values_shared(long begin,
+                                 std::span<const FillTarget> targets);
+  // Whether this table and `other` have bit-identical grid times (start
+  // and step) and wind harmonics, and so bit-identical wind terms at every
+  // grid point. The seed and the grid name are not compared: they decide
+  // no byte once the harmonics are known.
+  [[nodiscard]] bool shares_wind(const IntensityTable& other) const;
   // Bytes the table holds: its points, the solar day and the memo.
   [[nodiscard]] std::size_t bytes() const;
 

@@ -293,18 +293,36 @@ bool IntensityWindows::place(long begin, long end) {
 }
 
 void IntensityWindows::fill() {
-  // The stale windows, laid end to end: window i takes flat indices
-  // [starts[i], starts[i + 1]).
-  std::vector<Grid*> refill;
-  std::vector<std::size_t> starts{0};
+  // The stale windows in groups on one wind process (shares_wind) and one
+  // first point, each group filled by one wind pass per block. A group is
+  // as long as its longest window; the groups, laid end to end, take flat
+  // indices [starts[g], starts[g + 1]).
+  std::vector<std::vector<Grid*>> groups;
   for (Grid& grid : grids_) {
-    if (grid.stale) {
-      refill.push_back(&grid);
-      starts.push_back(starts.back() + grid.window.values.size());
+    if (!grid.stale) {
+      continue;
+    }
+    const auto group = std::find_if(
+        groups.begin(), groups.end(), [&grid](const std::vector<Grid*>& g) {
+          return g.front()->window.first == grid.window.first &&
+                 g.front()->table->table.shares_wind(grid.table->table);
+        });
+    if (group == groups.end()) {
+      groups.push_back({&grid});
+    } else {
+      group->push_back(&grid);
     }
   }
-  if (refill.empty()) {
+  if (groups.empty()) {
     return;
+  }
+  std::vector<std::size_t> starts{0};
+  for (const std::vector<Grid*>& group : groups) {
+    std::size_t longest = 0;
+    for (const Grid* grid : group) {
+      longest = std::max(longest, grid->window.values.size());
+    }
+    starts.push_back(starts.back() + longest);
   }
   const std::size_t total = starts.back();
   const std::size_t range = std::max(
@@ -312,16 +330,26 @@ void IntensityWindows::fill() {
   exec::run_chunks(
       pool_, exec::plan_chunks(total, range),
       [&](std::size_t, std::size_t b, std::size_t e) {
-        std::size_t i = static_cast<std::size_t>(
+        std::vector<IntensityTable::FillTarget> targets;
+        std::size_t g = static_cast<std::size_t>(
             std::upper_bound(starts.begin(), starts.end(), b) - starts.begin() - 1);
-        for (; b < e; ++i) {
-          const std::size_t stop = std::min(e, starts[i + 1]);
-          IntensityWindow& window = refill[i]->window;
-          const auto lo = static_cast<long>(b - starts[i]);
-          const auto hi = static_cast<long>(stop - starts[i]);
-          refill[i]->table->table.fill_values(
-              window.first + lo, window.first + hi,
-              window.values.data() + lo);
+        for (; b < e; ++g) {
+          const std::size_t stop = std::min(e, starts[g + 1]);
+          const auto lo = static_cast<long>(b - starts[g]);
+          const auto hi = static_cast<long>(stop - starts[g]);
+          // Each window gets the points of [lo, hi) it holds.
+          targets.clear();
+          for (Grid* grid : groups[g]) {
+            IntensityWindow& window = grid->window;
+            const auto size = static_cast<long>(window.values.size());
+            if (size > lo) {
+              targets.push_back({&grid->table->table,
+                                 window.first + std::min(hi, size),
+                                 window.values.data() + lo});
+            }
+          }
+          IntensityTable::fill_values_shared(groups[g].front()->window.first + lo,
+                                             targets);
           b = stop;
         }
       });

@@ -198,7 +198,10 @@ class IntensityWindows {
   // [begin, end) (each grid's end - begin + reach points) would exceed
   // kMaxWindowBytes together.
   [[nodiscard]] bool place(long begin, long end);
-  // Fills every stale window, together, in one pass over the pool.
+  // Fills every stale window, together, in one pass over the pool. Windows
+  // whose tables share a wind process (IntensityTable::shares_wind) and a
+  // first point share each block's wind terms, so N grids on one seed cost
+  // one harmonic sum per point, not N.
   void fill();
   // For a caller that fills stale windows from the tasks that read them:
   // fill_points writes grid points [first, last) of region r's window

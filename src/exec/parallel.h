@@ -74,9 +74,11 @@ void reset_counters();  // test hook
 // Runs body(chunk_id, begin, end) for every chunk of `plan`, blocking until
 // all chunks finish. `pool` of nullptr means ThreadPool::global(); the
 // calling thread always participates, so nesting a region inside a pool
-// worker cannot deadlock. With a 1-thread pool the chunks run inline on the
-// caller in ascending order. The first exception thrown by `body` is
-// rethrown after the region completes. While tracing, each chunk runs on
+// worker cannot deadlock. It submits min(pool size, chunks - 1) helper
+// tasks, so a pool of N >= 2 workers (SUSTAINAI_THREADS=N) runs a region on
+// up to N + 1 threads: the helpers and the caller. With a 1-thread pool the
+// chunks run inline on the caller in ascending order. The first exception
+// thrown by `body` is rethrown after the region completes. While tracing, each chunk runs on
 // its own track and records an exec.chunk span, unless `record_chunk_span`
 // is false, for a body that records its own span over the chunk.
 void run_chunks(ThreadPool* pool, const ChunkPlan& plan,

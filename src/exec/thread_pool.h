@@ -5,6 +5,11 @@
 // optional `ThreadPool*` and fall back to the process-wide pool, whose size
 // is the SUSTAINAI_THREADS environment variable when set, otherwise
 // std::thread::hardware_concurrency().
+//
+// The size is the worker count, not the number of running threads:
+// run_chunks (parallel.h) submits min(size(), chunks - 1) helpers and the
+// calling thread drains chunks too, so a pool of N >= 2 runs up to N + 1
+// threads at once, and a pool of 1 runs every region inline on the caller.
 #pragma once
 
 #include <atomic>

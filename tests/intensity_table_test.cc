@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -438,6 +440,76 @@ TEST(IntensityTable, QueueGridLookupsMatchDirectBitForBit) {
   }
 }
 
+TEST(IntensityTable, SharedFillWritesEachTargetUpToItsOwnEnd) {
+  // fill_values_shared straight: three tables on one wind process, each
+  // writing a different length from a first point 6 short of a block edge
+  // into its own buffer, which ends in sentinels the fill must not touch.
+  // Each must hold exactly what its own one-table fill writes.
+  IntermittentGrid::Config a;
+  a.profile = grids::us_average();
+  IntermittentGrid::Config b = a;
+  b.sunrise_hour = 7.0;
+  IntermittentGrid::Config c = a;
+  c.profile = grids::nordic_hydro();
+  c.solar_share = 0.3;
+  const IntermittentGrid ga(a);
+  const IntermittentGrid gb(b);
+  const IntermittentGrid gc(c);
+  const IntensityTable ta(ga, seconds(0.0), minutes(15.0));
+  const IntensityTable tb(gb, seconds(0.0), minutes(15.0));
+  const IntensityTable tc(gc, seconds(0.0), minutes(15.0));
+  ASSERT_TRUE(ta.shares_wind(tb));
+  ASSERT_TRUE(ta.shares_wind(tc));
+
+  constexpr long kBegin = 250;
+  constexpr long kSentinels = 300;
+  const std::vector<const IntensityTable*> members = {&ta, &tb, &tc};
+  const std::vector<long> ends = {kBegin + 10, kBegin + 700, kBegin + 300};
+  std::vector<std::vector<double>> outs;
+  std::vector<IntensityTable::FillTarget> targets;
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    outs.emplace_back(static_cast<std::size_t>(ends[m] - kBegin + kSentinels),
+                      std::numeric_limits<double>::quiet_NaN());
+  }
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    targets.push_back({members[m], ends[m], outs[m].data()});
+  }
+  IntensityTable::fill_values_shared(kBegin, targets);
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    SCOPED_TRACE(testing::Message() << "member=" << m);
+    std::vector<double> own(static_cast<std::size_t>(ends[m] - kBegin));
+    members[m]->fill_values(kBegin, ends[m], own.data());
+    for (std::size_t i = 0; i < own.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(outs[m][i]),
+                std::bit_cast<std::uint64_t>(own[i]))
+          << "k=" << kBegin + static_cast<long>(i);
+    }
+    for (std::size_t i = own.size(); i < outs[m].size(); ++i) {
+      ASSERT_TRUE(std::isnan(outs[m][i])) << "written past the end at " << i;
+    }
+  }
+
+  // A grid on another seed, or the same grid on another step, has other
+  // wind terms: rejected before any write.
+  IntermittentGrid::Config own_seed = a;
+  own_seed.seed = 7;
+  const IntermittentGrid gd(own_seed);
+  const IntensityTable td(gd, seconds(0.0), minutes(15.0));
+  const IntensityTable te(ga, seconds(0.0), minutes(30.0));
+  EXPECT_FALSE(ta.shares_wind(td));
+  EXPECT_FALSE(ta.shares_wind(te));
+  for (const IntensityTable* other : {&td, &te}) {
+    std::vector<double> first(4, -1.0);
+    std::vector<double> second(4, -1.0);
+    const std::vector<IntensityTable::FillTarget> mixed = {
+        {&ta, 4, first.data()}, {other, 4, second.data()}};
+    EXPECT_THROW(IntensityTable::fill_values_shared(0, mixed),
+                 std::invalid_argument);
+    EXPECT_EQ(first, std::vector<double>(4, -1.0));
+    EXPECT_EQ(second, std::vector<double>(4, -1.0));
+  }
+}
+
 // --- Guard rails -----------------------------------------------------------
 
 TEST(IntensityTable, RejectsNonPositiveStep) {
@@ -446,6 +518,32 @@ TEST(IntensityTable, RejectsNonPositiveStep) {
                std::invalid_argument);
   EXPECT_THROW(IntensityTable(grid, seconds(0.0), seconds(-1.0)),
                std::invalid_argument);
+}
+
+TEST(IntensityTable, FillValuesRejectsNegativeRange) {
+  // A negative first point would index the solar day cache before its
+  // start; a reversed range has no points. Both are rejected by name
+  // before any write, as at_index rejects a negative index.
+  const IntermittentGrid grid(mixed_grid_config());
+  const IntensityTable table(grid, seconds(0.0), seconds(60.0));
+  std::vector<double> out(16, -1.0);
+  try {
+    table.fill_values(-5, 5, out.data());
+    ADD_FAILURE() << "a negative begin was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "IntensityTable::fill_values: begin must be >= 0");
+  }
+  try {
+    table.fill_values(5, 4, out.data());
+    ADD_FAILURE() << "end < begin was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "IntensityTable::fill_values: end must be >= begin");
+  }
+  EXPECT_EQ(out, std::vector<double>(16, -1.0));
+  table.fill_values(5, 5, out.data());  // empty: writes nothing
+  EXPECT_EQ(out, std::vector<double>(16, -1.0));
+  table.fill_values(0, 16, out.data());
+  EXPECT_EQ(out[3], grid.intensity_at(seconds(180.0)).base());
 }
 
 }  // namespace

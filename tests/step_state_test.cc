@@ -13,6 +13,7 @@
 #include "core/units.h"
 #include "datacenter/fleet_sim.h"
 #include "datacenter/planet_sim.h"
+#include "exec/thread_pool.h"
 #include "hw/server.h"
 #include "oracles/fleet_reference.h"
 
@@ -208,6 +209,80 @@ TEST(IntensityWindows, FillOncePerSegmentAndReadInPlace) {
   expect_table(0, ta);
   expect_table(1, tb);
   EXPECT_THROW(windows.fill_points(1, 5199, 5201), std::invalid_argument);
+}
+
+TEST(IntensityWindows, SharedWindFillMatchesPerTableFill) {
+  // Six tables on one step. Five are on one seed, so one wind process, and
+  // differ in profile, solar_share, firm_share or sunrise_hour: their
+  // windows share each block's wind pass. The sixth is a us-average grid on
+  // its own seed and must keep its own wind. The regions' offsets give the
+  // windows reaches from 0 to 1380 steps, so the grouped fill writes each
+  // window only up to its own end. Every value must equal per-point
+  // intensity_at bit for bit at 1, 2 and 8 threads, for a whole-second step
+  // (slots read by index) and a fractional one (slots checked by lookup),
+  // over ranges that cross many 256-point blocks.
+  std::vector<IntermittentGrid::Config> configs(6);
+  for (IntermittentGrid::Config& c : configs) {
+    c.profile = grids::us_average();
+    c.solar_share = 0.5;
+    c.wind_share = 0.15;
+    c.firm_share = 0.1;
+  }
+  configs[1].profile = grids::asia_pacific();
+  configs[2].solar_share = 0.3;
+  configs[3].firm_share = 0.25;
+  configs[4].sunrise_hour = 7.0;
+  configs[5].seed = 7;
+  // Region r reads table table_of[r] at offset offsets[r]; regions 0 and 6
+  // share table 0's window.
+  const std::vector<std::size_t> table_of = {0, 1, 2, 3, 4, 5, 0};
+  const std::vector<long> offsets = {3, 0, 5, 300, 60, 1380, 1380};
+
+  for (const Duration step : {seconds(60.0), seconds(37.5)}) {
+    IntensityCache cache;
+    std::vector<std::shared_ptr<SharedIntensityTable>> tables;
+    for (const IntermittentGrid::Config& c : configs) {
+      tables.push_back(cache.get(c, step, 0));
+    }
+    ASSERT_EQ(cache.size(), 6u);
+    std::vector<const SharedIntensityTable*> region_tables;
+    for (const std::size_t t : table_of) {
+      region_tables.push_back(tables[t].get());
+    }
+    const double step_s = to_seconds(step);
+    for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE(testing::Message()
+                   << "step=" << step_s << " threads=" << threads);
+      exec::ThreadPool pool(threads);
+      IntensityWindows windows(region_tables, offsets, &pool);
+      const auto expect_direct = [&](long begin, long end) {
+        for (std::size_t r = 0; r < table_of.size(); ++r) {
+          const IntensityWindow& w = windows.of(r);
+          ASSERT_EQ(w.first, begin);
+          ASSERT_GE(static_cast<long>(w.values.size()), end - begin + offsets[r]);
+          const IntermittentGrid& grid = tables[table_of[r]]->grid;
+          for (std::size_t i = 0; i < w.values.size(); ++i) {
+            const long k = w.first + static_cast<long>(i);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(w.values[i]),
+                      std::bit_cast<std::uint64_t>(
+                          grid.intensity_at(seconds(step_s * static_cast<double>(k)))
+                              .base()))
+                << "region=" << r << " k=" << k;
+          }
+        }
+      };
+      ASSERT_TRUE(windows.place(100, 5000));
+      windows.fill();
+      expect_direct(100, 5000);
+      // Held already: kept and read in place, not refilled.
+      EXPECT_FALSE(windows.place(2000, 3000));
+      expect_direct(100, 5000);
+      // Re-placed from a first point that is not a block multiple.
+      ASSERT_TRUE(windows.place(5000, 5301));
+      windows.fill();
+      expect_direct(5000, 5301);
+    }
+  }
 }
 
 }  // namespace
