@@ -75,13 +75,20 @@ datacenter::FleetSimulator::Config fleet_bench_config() {
   FleetSimulator::Config c;
   c.cluster = cluster;
   c.grid = bench_grid_config();
-  c.horizon = days(10.0);
+  // 512-step chunks: a chunk's crash-free steps add little beyond their
+  // location carbon once its phase sums are filled, so shorter chunks would
+  // leave the fixed cost of a chunk and its span most of the run, and the
+  // obs overhead ratios would measure that cost alone. 40 days are 7 such
+  // chunks and a tail on 3 phases of the 96-slot day (no more full chunks
+  // than phases would build no phase table), below the inline-segment
+  // limit.
+  c.horizon = days(40.0);
   c.step = minutes(15.0);
-  c.steps_per_chunk = 64;
+  c.steps_per_chunk = 512;
   return c;
 }
 
-constexpr long kFleetSteps = 960;  // days(10) / minutes(15)
+constexpr long kFleetSteps = 3840;  // days(40) / minutes(15)
 
 // --- Benchmark bodies ------------------------------------------------------
 
@@ -303,7 +310,7 @@ constexpr const char* kScenarioFleetSpec = R"({
   "params": {
     "days": 120,
     "step_min": 15,
-    "chunk_steps": 64,
+    "chunk_steps": 512,
     "web_servers": 300,
     "train_servers": 12,
     "train_utilization": 0.5,

@@ -5,6 +5,9 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iterator>
+#include <memory>
+#include <mutex>
+#include <numeric>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -55,15 +58,25 @@ enum Section : std::size_t {
   kFaultLost = 7,
 };
 
-void flush_group(const GroupLanes& lanes, FleetPartial& out, std::size_t g) {
-  out.group_energy_j()[g] += lanes.reduce(kGroupEnergy);
-  out.util_weight()[g] += lanes.reduce(kUtilWeight);
-  out.freed_hours()[g] += lanes.reduce(kFreedHours);
-  out.opp_energy_j()[g] += lanes.reduce(kOppEnergy);
-  out.opp_hours()[g] += lanes.reduce(kOppHours);
-  out.location_g()[g] += lanes.reduce(kLocationG);
-  out.fault_wasted_j()[g] += lanes.reduce(kFaultWasted);
-  out.fault_lost_hours()[g] += lanes.reduce(kFaultLost);
+static_assert(ChunkPhaseSums::kRowSections == kLocationG,
+              "the phase table holds the sections before location carbon");
+
+// Adds one group's chunk sums to `out`: each section's lanes reduced, or,
+// for the step-row sections, row_sums[q] where a phase table holds them.
+void flush_group(const GroupLanes& lanes, const double* row_sums,
+                 FleetPartial& out, std::size_t g) {
+  const auto sum = [&](Section q) {
+    return row_sums != nullptr && q < kLocationG ? row_sums[q]
+                                                 : lanes.reduce(q);
+  };
+  out.group_energy_j()[g] += sum(kGroupEnergy);
+  out.util_weight()[g] += sum(kUtilWeight);
+  out.freed_hours()[g] += sum(kFreedHours);
+  out.opp_energy_j()[g] += sum(kOppEnergy);
+  out.opp_hours()[g] += sum(kOppHours);
+  out.location_g()[g] += sum(kLocationG);
+  out.fault_wasted_j()[g] += sum(kFaultWasted);
+  out.fault_lost_hours()[g] += sum(kFaultLost);
 }
 
 // ---------------------------------------------------------------------------
@@ -164,7 +177,13 @@ inline StepValues fault_free_step(const GroupConsts& c, double d) {
 // so the kernel takes the fault-free body wherever no host is down. A
 // static group adds nothing to the freed and opportunistic sections.
 
-template <bool kScaled>
+// The sections a fault-free step adds to: all of them, or only those the
+// step rows give (a phase-table fill; location_piece adds the rest).
+// Sections are independent accumulators, so a split adds the same values
+// in the same lane order.
+enum class Adds { kAll, kRows };
+
+template <bool kScaled, Adds kAdds>
 inline void fault_free_add(const StepValues& v, double pue, double ci, int l,
                            GroupLanes& acc) {
   acc.add(kGroupEnergy, l, v.energy_j);
@@ -174,7 +193,9 @@ inline void fault_free_add(const StepValues& v, double pue, double ci, int l,
     acc.add(kOppEnergy, l, v.opp_j);
     acc.add(kOppHours, l, v.opp_h);
   }
-  acc.add(kLocationG, l, v.energy_j * pue * ci);
+  if constexpr (kAdds == Adds::kAll) {
+    acc.add(kLocationG, l, v.energy_j * pue * ci);
+  }
 }
 
 inline void static_step_down(const GroupConsts& c, double d, double ci,
@@ -259,13 +280,46 @@ inline void run_piece(long chunk_begin, long s0, long n, const double* ci,
   }
 }
 
+// The location carbon of one crash-free piece whose step energies are
+// e[0, n): run_piece's walk with location_g's lanes, `lane`, held in locals
+// through the whole strips, so the per-step adds do not wait on memory.
+template <bool kHeld>
+inline void location_piece(long chunk_begin, long s0, long n, const double* ci,
+                           const double* e, double pue, double* lane) {
+  static_assert(kStepLanes == 4, "the strip below is four lanes wide");
+  const auto lane_of = [chunk_begin](long s) {
+    return static_cast<int>((s - chunk_begin) % kStepLanes);
+  };
+  long i = 0;
+  for (; i < n && lane_of(s0 + i) != 0; ++i) {
+    lane[lane_of(s0 + i)] += e[i] * pue * ci_at<kHeld>(ci, i);
+  }
+  double a0 = lane[0];
+  double a1 = lane[1];
+  double a2 = lane[2];
+  double a3 = lane[3];
+  for (; i + kStepLanes <= n; i += kStepLanes) {
+    a0 += e[i] * pue * ci_at<kHeld>(ci, i);
+    a1 += e[i + 1] * pue * ci_at<kHeld>(ci, i + 1);
+    a2 += e[i + 2] * pue * ci_at<kHeld>(ci, i + 2);
+    a3 += e[i + 3] * pue * ci_at<kHeld>(ci, i + 3);
+  }
+  lane[0] = a0;
+  lane[1] = a1;
+  lane[2] = a2;
+  lane[3] = a3;
+  for (; i < n; ++i) {
+    lane[lane_of(s0 + i)] += e[i] * pue * ci_at<kHeld>(ci, i);
+  }
+}
+
 // One fault-free piece, step i adding values(i).
-template <bool kHeld, bool kScaled, typename Values>
+template <bool kHeld, bool kScaled, Adds kAdds, typename Values>
 inline void fault_free_piece(long chunk_begin, long s0, long n,
                              const double* ci, double pue, const Values& values,
                              GroupLanes& acc) {
   run_piece<kHeld>(chunk_begin, s0, n, ci, [&](int l, long i, double x) {
-    fault_free_add<kScaled>(values(i), pue, x, l, acc);
+    fault_free_add<kScaled, kAdds>(values(i), pue, x, l, acc);
   });
 }
 
@@ -343,35 +397,26 @@ inline void walk_pieces(const FleetStepInputs& in, long row_len,
   }
 }
 
-FleetPartial soa_chunk(const FleetStepInputs& in, std::size_t begin_u,
-                       std::size_t end_u) {
+// Adds steps [begin, end) of group g into `lanes`, to the sections kAdds
+// picks. `down` is the group's crash runs (nullptr: none); only kAll reads
+// them, so a kRows fill takes every step as fault-free.
+template <Adds kAdds>
+void step_group(const FleetStepInputs& in, std::size_t g,
+                const std::vector<DownRun>* down, long begin, long end,
+                GroupLanes& lanes) {
   const FleetSoA& soa = *in.soa;
-  const std::size_t num_groups = soa.num_groups;
-  FleetPartial out(num_groups);
-  const auto begin = static_cast<long>(begin_u);
-  const auto end = static_cast<long>(end_u);
-  if (end <= begin) {
-    return out;
-  }
-
   const auto row_len = static_cast<std::size_t>(soa.row_len);
+  const GroupConsts c = group_consts(soa, g, in.pue);
+  const double* row = soa.demand.data() + g * row_len;
+  const bool scaled = soa.autoscaled[g] != 0;
   const bool step_rows = soa.has_step_rows();
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    if (soa.count[g] == 0.0) {
-      continue;
-    }
-    const GroupConsts c = group_consts(soa, g, in.pue);
-    const double* row = soa.demand.data() + g * row_len;
-    const std::vector<DownRun>* down =
-        in.down != nullptr && !in.down->empty() ? &(*in.down)[g] : nullptr;
-    const bool scaled = soa.autoscaled[g] != 0;
-    GroupLanes lanes;
-    const auto piece = [&](long s0, long n, long r, int down_now,
-                           const double* ci, bool held) {
-      const double* dem = row + r;
-      const std::size_t at = g * row_len + static_cast<std::size_t>(r);
-      with_flag(held, [&](auto held_flag) {
-        constexpr bool kHeld = decltype(held_flag)::value;
+  const auto piece = [&](long s0, long n, long r, int down_now,
+                         const double* ci, bool held) {
+    const double* dem = row + r;
+    const std::size_t at = g * row_len + static_cast<std::size_t>(r);
+    with_flag(held, [&](auto held_flag) {
+      constexpr bool kHeld = decltype(held_flag)::value;
+      if constexpr (kAdds == Adds::kAll) {
         if (down_now != 0) {
           const double dn = static_cast<double>(down_now);
           if (scaled) {
@@ -385,33 +430,109 @@ FleetPartial soa_chunk(const FleetStepInputs& in, std::size_t begin_u,
           }
           return;
         }
-        // Fault-free: read the step rows, or evaluate the step inline where
-        // the rows span the horizon and each slot is read once.
-        with_flag(scaled, [&](auto scaled_flag) {
-          constexpr bool kScaled = decltype(scaled_flag)::value;
-          if (step_rows) {
-            const double* e = soa.row_energy_j.data() + at;
-            const double* u = soa.row_util.data() + at;
-            const double* fh = soa.row_freed_h.data() + at;
-            const double* oj = soa.row_opp_j.data() + at;
-            const double* oh = soa.row_opp_h.data() + at;
-            fault_free_piece<kHeld, kScaled>(
-                begin, s0, n, ci, c.pue,
-                [=](long i) -> StepValues {
-                  return {e[i], u[i], fh[i], oj[i], oh[i]};
-                },
-                lanes);
-          } else {
-            fault_free_piece<kHeld, kScaled>(
-                begin, s0, n, ci, c.pue,
-                [&](long i) { return fault_free_step<kScaled>(c, dem[i]); },
-                lanes);
-          }
-        });
+      }
+      // Fault-free: read the step rows, or evaluate the step inline where
+      // the rows span the horizon and each slot is read once.
+      with_flag(scaled, [&](auto scaled_flag) {
+        constexpr bool kScaled = decltype(scaled_flag)::value;
+        if (step_rows) {
+          const double* e = soa.row_energy_j.data() + at;
+          const double* u = soa.row_util.data() + at;
+          const double* fh = soa.row_freed_h.data() + at;
+          const double* oj = soa.row_opp_j.data() + at;
+          const double* oh = soa.row_opp_h.data() + at;
+          fault_free_piece<kHeld, kScaled, kAdds>(
+              begin, s0, n, ci, c.pue,
+              [=](long i) -> StepValues {
+                return {e[i], u[i], fh[i], oj[i], oh[i]};
+              },
+              lanes);
+        } else {
+          fault_free_piece<kHeld, kScaled, kAdds>(
+              begin, s0, n, ci, c.pue,
+              [&](long i) { return fault_free_step<kScaled>(c, dem[i]); },
+              lanes);
+        }
       });
-    };
-    walk_pieces(in, soa.row_len, down, begin, end, piece);
-    flush_group(lanes, out, g);
+    });
+  };
+  walk_pieces(in, soa.row_len, down, begin, end, piece);
+}
+
+// Adds the location carbon of group g's steps [begin, end), all crash-free
+// and read from its step rows, into `lanes`.
+void location_group(const FleetStepInputs& in, std::size_t g, long begin,
+                    long end, GroupLanes& lanes) {
+  const FleetSoA& soa = *in.soa;
+  const double* e = soa.row_energy_j.data() +
+                    g * static_cast<std::size_t>(soa.row_len);
+  const auto piece = [&](long s0, long n, long r, int, const double* ci,
+                         bool held) {
+    with_flag(held, [&](auto held_flag) {
+      location_piece<decltype(held_flag)::value>(
+          begin, s0, n, ci, e + r, in.pue, lanes.lane[kLocationG]);
+    });
+  };
+  walk_pieces(in, soa.row_len, nullptr, begin, end, piece);
+}
+
+// Whether any of a group's crash runs overlaps steps [begin, end).
+bool any_down(const std::vector<DownRun>* down, long begin, long end) {
+  const auto [dr, dr_end] = runs_after(down, begin);
+  return dr != dr_end && dr->begin < end;
+}
+
+// The step-row sums of every group over chunk [begin, end), each taken as
+// crash-free: the adds of the chunk's own fault-free pieces, held or not,
+// in the same lane order, reduced. Gap runs split pieces but change no
+// step-row value, so they are dropped here.
+void fill_row_sums(const FleetStepInputs& in, long begin, long end,
+                   double* sums) {
+  FleetStepInputs fault_free = in;
+  fault_free.held = nullptr;
+  const FleetSoA& soa = *in.soa;
+  for (std::size_t g = 0; g < soa.num_groups; ++g) {
+    if (soa.count[g] == 0.0) {
+      continue;
+    }
+    GroupLanes lanes;
+    step_group<Adds::kRows>(fault_free, g, nullptr, begin, end, lanes);
+    for (std::size_t q = 0; q < ChunkPhaseSums::kRowSections; ++q) {
+      sums[g * ChunkPhaseSums::kRowSections + q] = lanes.reduce(q);
+    }
+  }
+}
+
+FleetPartial soa_chunk(const FleetStepInputs& in, std::size_t begin_u,
+                       std::size_t end_u) {
+  const FleetSoA& soa = *in.soa;
+  const std::size_t num_groups = soa.num_groups;
+  FleetPartial out(num_groups);
+  const auto begin = static_cast<long>(begin_u);
+  const auto end = static_cast<long>(end_u);
+  if (end <= begin) {
+    return out;
+  }
+
+  const long slot = in.phases != nullptr ? in.phases->slot_of(begin, end) : -1;
+  const double* row_sums =
+      slot < 0 ? nullptr : in.phases->sums(slot, [&](double* sums) {
+        fill_row_sums(in, begin, end, sums);
+      });
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    if (soa.count[g] == 0.0) {
+      continue;
+    }
+    const std::vector<DownRun>* down =
+        in.down != nullptr && !in.down->empty() ? &(*in.down)[g] : nullptr;
+    GroupLanes lanes;
+    if (row_sums != nullptr && !any_down(down, begin, end)) {
+      location_group(in, g, begin, end, lanes);
+      flush_group(lanes, row_sums + g * ChunkPhaseSums::kRowSections, out, g);
+    } else {
+      step_group<Adds::kAll>(in, g, down, begin, end, lanes);
+      flush_group(lanes, nullptr, out, g);
+    }
   }
   return out;
 }
@@ -482,6 +603,42 @@ std::vector<DownRun> down_runs(std::vector<std::pair<long, int>>& edges,
 }
 
 }  // namespace
+
+ChunkPhaseSums::ChunkPhaseSums(const FleetSoA& soa, long chunk_steps) {
+  check_arg(chunk_steps >= 1, "ChunkPhaseSums: chunk_steps must be >= 1");
+  if (!soa.has_step_rows()) {
+    return;
+  }
+  const long phase_step = std::gcd(soa.row_len, chunk_steps);
+  const long phases = soa.row_len / phase_step;
+  if (soa.steps / chunk_steps <= phases) {
+    return;
+  }
+  steps_ = soa.steps;
+  row_len_ = soa.row_len;
+  chunk_steps_ = chunk_steps;
+  phase_step_ = phase_step;
+  slots_ = static_cast<std::size_t>(phases) +
+           (soa.steps % chunk_steps != 0 ? 1 : 0);
+  stride_ = soa.num_groups * kRowSections;
+  sums_.assign(slots_ * stride_, 0.0);
+  once_ = std::make_unique<std::once_flag[]>(slots_);
+}
+
+long ChunkPhaseSums::slot_of(long begin, long end) const {
+  if (empty() || begin % chunk_steps_ != 0 || end - begin > chunk_steps_) {
+    return -1;
+  }
+  if (end - begin == chunk_steps_) {
+    return begin % row_len_ / phase_step_;
+  }
+  // The short last chunk, on the tail slot after the phases.
+  return end == steps_ ? static_cast<long>(slots_) - 1 : -1;
+}
+
+std::size_t ChunkPhaseSums::bytes() const {
+  return sums_.capacity() * sizeof(double) + slots_ * sizeof(std::once_flag);
+}
 
 FleetPartial::FleetPartial(std::size_t num_groups)
     : num_groups_(num_groups), buf_(kSections * num_groups, 0.0) {}

@@ -11,7 +11,10 @@
 // A fault-free step is a pure function of its demand-row slot, so where the
 // rows are one day long build_fleet_soa evaluates it once per slot into
 // step rows, and the kernel's fault-free pieces only add row values (plus
-// the intensity product for location carbon) into their lanes. The strips
+// the intensity product for location carbon) into their lanes. The row sums
+// of a crash-free chunk depend only on its phase in the day, so each phase
+// is summed once (ChunkPhaseSums) and later chunks add only location
+// carbon. The strips
 // fix the order of the additions, not the instructions: the kernel
 // compiles to scalar SSE2 code (GCC 12, -O3: one packed add and no packed
 // multiply in the object).
@@ -37,6 +40,9 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "datacenter/autoscaler.h"
@@ -201,6 +207,55 @@ struct HeldRun {
   double value = 0.0;
 };
 
+// The step-row sums of crash-free chunks, one set per chunk phase
+// (DESIGN.md §6, "Chunk phase sums"). Group energy, utilization weight,
+// freed hours, opportunistic energy and opportunistic hours read no
+// intensity, so what a crash-free chunk [b, e) adds to them depends only on
+// b % row_len and e - b. Chunks start on multiples of their length, so a run
+// has row_len / gcd(row_len, chunk_steps) full-length phases plus at most one
+// short tail. Each phase is filled once, by the first chunk that reads it,
+// with the adds that chunk would make; later chunks of the phase add only
+// their location carbon.
+class ChunkPhaseSums {
+ public:
+  // Sections 0..4 of FleetPartial: the ones the step rows give.
+  static constexpr std::size_t kRowSections = 5;
+
+  ChunkPhaseSums() = default;
+  // The table of `soa`'s run cut into chunks of `chunk_steps` steps, as
+  // its engine::ShardedRun plans them. Empty without step rows, or when no
+  // phase repeats: then every chunk is the only one of its phase, and a
+  // table would only add a pass.
+  ChunkPhaseSums(const FleetSoA& soa, long chunk_steps);
+
+  [[nodiscard]] bool empty() const { return slots_ == 0; }
+  // The slot of chunk [begin, end): its phase when it is a full chunk of
+  // the grid, the tail slot when it is the short last one, else -1.
+  [[nodiscard]] long slot_of(long begin, long end) const;
+  // The slot's sums, group-major: at [g * kRowSections + q]. The first
+  // caller of a slot writes them with fill(sums); every caller returns
+  // once they are written.
+  template <typename Fill>
+  [[nodiscard]] const double* sums(long slot, Fill&& fill) const {
+    const auto i = static_cast<std::size_t>(slot);
+    double* dst = sums_.data() + i * stride_;
+    std::call_once(once_[i], std::forward<Fill>(fill), dst);
+    return dst;
+  }
+  // Bytes of the sums and their once-flags.
+  [[nodiscard]] std::size_t bytes() const;
+
+ private:
+  long steps_ = 0;
+  long row_len_ = 0;
+  long chunk_steps_ = 0;
+  long phase_step_ = 0;  // gcd(row_len, chunk_steps)
+  std::size_t slots_ = 0;
+  std::size_t stride_ = 0;  // num_groups * kRowSections
+  mutable std::vector<double> sums_;
+  std::unique_ptr<std::once_flag[]> once_;
+};
+
 // Read-only inputs shared by every chunk of one segment.
 struct FleetStepInputs {
   const FleetSoA* soa = nullptr;
@@ -214,12 +269,17 @@ struct FleetStepInputs {
   // Gap runs, sorted; their steps read the held value, not `intensity`.
   // nullptr when there are none.
   const std::vector<HeldRun>* held = nullptr;
+  // The phase table of `soa` on the run's chunk grid; nullptr steps every
+  // chunk in full.
+  const ChunkPhaseSums* phases = nullptr;
 };
 
 // Simulate steps [begin, end) of one chunk under the lane contract. Each
 // group's steps split at row wraps and at crash- and gap-run boundaries;
 // within a piece the down count is a constant and the intensity is either
-// contiguous or one held value.
+// contiguous or one held value. A group with no crash run in the chunk
+// takes its step-row sums from `in.phases` where the chunk has a slot
+// there, and adds only its location carbon per step.
 [[nodiscard]] FleetPartial run_fleet_chunk(const FleetStepInputs& in,
                                            std::size_t begin, std::size_t end);
 

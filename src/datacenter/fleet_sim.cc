@@ -48,8 +48,7 @@ Energy FleetResult::it_energy_for(Tier tier) const {
 
 // --- FleetRegion ---------------------------------------------------------
 
-void FleetRegion::Run::digest(engine::ConfigDigest& d,
-                              long steps_per_chunk) const {
+void FleetRegion::Run::digest(engine::ConfigDigest& d) const {
   d.add_double(step_s);
   d.add_long(steps);
   d.add_long(steps_per_chunk);
@@ -120,6 +119,7 @@ FleetRegion::FleetRegion(FleetRegionConfig config, const Run& run,
                          run_.opportunistic_training,
                          run_.opportunistic_utilization, run_.steps,
                          run_.step_s);
+  phases_ = ChunkPhaseSums(soa_, run_.steps_per_chunk);
   for (const ServerGroup& g : cluster_.groups()) {
     if (g.tier == Tier::kAiTraining) {
       train_servers_ += static_cast<double>(g.count);
@@ -137,12 +137,13 @@ FleetStepInputs FleetRegion::inputs(const IntensityWindow& window) const {
   in.intensity_first = window.first;
   in.down = down_.empty() ? nullptr : &down_;
   in.held = held_.empty() ? nullptr : &held_;
+  in.phases = phases_.empty() ? nullptr : &phases_;
   return in;
 }
 
 std::size_t FleetRegion::state_bytes() const {
   std::size_t bytes = down_.capacity() * sizeof(std::vector<DownRun>) +
-                      held_.capacity() * sizeof(HeldRun);
+                      held_.capacity() * sizeof(HeldRun) + phases_.bytes();
   for (const std::vector<double>* row :
        {&soa_.demand, &soa_.row_energy_j, &soa_.row_util, &soa_.row_freed_h,
         &soa_.row_opp_j, &soa_.row_opp_h}) {
@@ -391,9 +392,9 @@ FleetSimulator::FleetSimulator(Config config)
       windows_({region_.table()}, {region_.offset_steps()}, config.pool) {
   engine::ShardedRun<FleetPartial>::Config rcfg;
   rcfg.steps = steps();
-  rcfg.steps_per_chunk = config.steps_per_chunk;
   // Interior chunk boundaries stay on lane-block multiples, so every chunk
   // fills its lanes in the same pattern regardless of where it starts.
+  rcfg.steps_per_chunk = region_.run().steps_per_chunk;
   rcfg.chunk_align = kStepLanes;
   rcfg.shards = 1;
   rcfg.pool = config.pool;
@@ -522,7 +523,7 @@ std::size_t FleetSimulator::state_bytes() const {
 std::string FleetSimulator::compute_config_digest() const {
   const FleetRegionConfig& rc = region_.config();
   engine::ConfigDigest d;
-  region_.run().digest(d, runner_.steps_per_chunk());
+  region_.run().digest(d);
   d.add_double(rc.pue);
   d.add_double(rc.cfe_coverage);
   d.add_string(IntensityCache::key_of(rc.grid, region_.run().step));

@@ -105,6 +105,9 @@ class FleetRegion {
     AutoScaler::Config autoscaler;
     bool opportunistic_training = true;
     double opportunistic_utilization = 0.90;
+    // Steps per time chunk: the config's steps_per_chunk rounded up to a
+    // kStepLanes multiple, so interior chunk boundaries fall on lane blocks.
+    long steps_per_chunk = 0;
 
     // Most bytes one demand row may take (see demand_row_len). A step that
     // is not a whole number of seconds dividing the day keeps one row entry
@@ -117,7 +120,7 @@ class FleetRegion {
     // validated; `who` prefixes the error messages.
     template <typename Config>
     static Run of(const Config& config, const char* who);
-    void digest(engine::ConfigDigest& d, long steps_per_chunk) const;
+    void digest(engine::ConfigDigest& d) const;
   };
 
   // Validates `config` against `run` and returns the region's UTC offset
@@ -147,7 +150,8 @@ class FleetRegion {
   // s + offset_steps(). The window must outlive the returned inputs.
   [[nodiscard]] FleetStepInputs inputs(const IntensityWindow& window) const;
 
-  // Bytes of the region's step state: demand and step rows, fault runs.
+  // Bytes of the region's step state: demand and step rows, the chunk
+  // phase table, fault runs.
   [[nodiscard]] std::size_t state_bytes() const;
 
   // Folds the region's partial over all steps into its result.
@@ -162,6 +166,7 @@ class FleetRegion {
   long offset_steps_ = 0;
   std::shared_ptr<const SharedIntensityTable> table_;
   FleetSoA soa_;
+  ChunkPhaseSums phases_;  // filled by the chunks that read it
   fault::FaultPlan plan_;
   // The plan's crash runs per group (empty without crashes) and its gap
   // runs with the intensity each holds.
@@ -389,6 +394,8 @@ FleetRegion::Run FleetRegion::Run::of(const Config& config, const char* who) {
   run.autoscaler = config.autoscaler;
   run.opportunistic_training = config.opportunistic_training;
   run.opportunistic_utilization = config.opportunistic_utilization;
+  run.steps_per_chunk =
+      (config.steps_per_chunk + kStepLanes - 1) / kStepLanes * kStepLanes;
   return run;
 }
 

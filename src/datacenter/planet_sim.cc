@@ -53,7 +53,7 @@ PlanetSimulator::PlanetSimulator(Config config) {
 
   engine::ShardedRun<FleetPartial>::Config rcfg;
   rcfg.steps = run_.steps;
-  rcfg.steps_per_chunk = config.steps_per_chunk;
+  rcfg.steps_per_chunk = run_.steps_per_chunk;
   // Interior chunk boundaries stay on lane-block multiples, exactly like
   // FleetSimulator's plan, so a 1-region planet reproduces the fleet's
   // chunk fold bit-for-bit.
@@ -311,7 +311,7 @@ std::size_t PlanetSimulator::state_bytes() const {
 
 std::string PlanetSimulator::compute_config_digest() const {
   engine::ConfigDigest d;
-  run_.digest(d, steps_per_chunk());
+  run_.digest(d);
   for (const FleetRegion& region : regions_) {
     const RegionConfig& rc = region.config();
     d.add_string(rc.name);

@@ -53,11 +53,11 @@ class ReferenceFleet {
   // Every chunk, merged in ascending order, folded by region.summarize.
   [[nodiscard]] datacenter::FleetResult run() const;
 
- private:
   // Steps [begin, end) of one chunk under the lane contract.
   [[nodiscard]] datacenter::FleetPartial chunk(std::size_t begin,
                                                std::size_t end) const;
 
+ private:
   const datacenter::FleetRegion& region_;
   long steps_per_chunk_;
   datacenter::AutoScaler scaler_;

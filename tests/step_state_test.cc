@@ -6,6 +6,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -86,19 +87,27 @@ TEST(StateBytes, StepRowsOnlyForDayLongRows) {
   // A region's built state is its demand row plus, where the row is one day
   // long, five step rows: 6 x 2 groups x row_len doubles with no faults. A
   // row over the whole horizon keeps the demand row alone: step rows there
-  // would multiply horizon-sized state by six.
+  // would multiply horizon-sized state by six. Day-long rows add a chunk
+  // phase table: per slot, five sums per group and a once-flag. With the
+  // default 256-step chunks an hourly row has 24 / gcd(24, 256) = 3 phases
+  // and a minute row 1440 / 32 = 45, each plus a short tail chunk (87660 and
+  // 2629800 steps are not multiples of 256).
   struct Case {
     Duration step;
     Duration horizon;
     std::size_t rows;
     std::size_t row_len;
+    std::size_t phase_slots;
   };
   const Case cases[] = {
-      {hours(1.0), years(10.0), 6, 24},
-      {minutes(1.0), days(1826.25), 6, 1440},
-      {minutes(7.0), days(3.0), 1, 617},
-      {seconds(22.5), days(2.0), 1, 7680},
+      {hours(1.0), years(10.0), 6, 24, 4},
+      {minutes(1.0), days(1826.25), 6, 1440, 46},
+      {minutes(7.0), days(3.0), 1, 617, 0},
+      {seconds(22.5), days(2.0), 1, 7680, 0},
   };
+  constexpr std::size_t kSlotBytes =
+      2 * datacenter::ChunkPhaseSums::kRowSections * sizeof(double) +
+      sizeof(std::once_flag);
   for (const Case& tc : cases) {
     FleetSimulator::Config config;
     config.cluster = web_train_cluster(400, 24);
@@ -107,7 +116,8 @@ TEST(StateBytes, StepRowsOnlyForDayLongRows) {
     const datacenter::FleetRegion region = oracles::fleet_region(config);
     SCOPED_TRACE(testing::Message() << "steps=" << region.run().steps);
     EXPECT_EQ(static_cast<std::size_t>(region.soa().row_len), tc.row_len);
-    EXPECT_EQ(region.state_bytes(), tc.rows * 2 * tc.row_len * sizeof(double));
+    EXPECT_EQ(region.state_bytes(), tc.rows * 2 * tc.row_len * sizeof(double) +
+                                        tc.phase_slots * kSlotBytes);
   }
 }
 
