@@ -659,10 +659,10 @@ void FleetPartial::merge(const FleetPartial& other) {
   }
 }
 
-void FleetPartial::set_buffer(std::vector<double> buf) {
-  check_arg(buf.size() == kSections * num_groups_,
+void FleetPartial::set_buffer(std::span<const double> buf) {
+  check_arg(buf.size() == buf_.size(),
             "FleetPartial::set_buffer: buffer size mismatch");
-  buf_ = std::move(buf);
+  std::copy(buf.begin(), buf.end(), buf_.begin());
 }
 
 FaultProjection project_faults(const fault::FaultPlan& plan,

@@ -42,6 +42,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -167,8 +168,9 @@ class FleetPartial {
 
   // Raw accumulator state, for checkpoint snapshots (planet_sim.h): the
   // kSections * num_groups flattened buffer, restorable bit-for-bit.
+  // set_buffer copies `buf` in; it must have the buffer's size.
   [[nodiscard]] const std::vector<double>& buffer() const { return buf_; }
-  void set_buffer(std::vector<double> buf);
+  void set_buffer(std::span<const double> buf);
 
   static constexpr std::size_t kSections = 8;
 

@@ -392,13 +392,9 @@ FleetSimulator::FleetSimulator(Config config)
       windows_({region_.table()}, {region_.offset_steps()}, config.pool) {
   engine::ShardedRun<FleetPartial>::Config rcfg;
   rcfg.steps = steps();
-  // Interior chunk boundaries stay on lane-block multiples, so every chunk
-  // fills its lanes in the same pattern regardless of where it starts.
   rcfg.steps_per_chunk = region_.run().steps_per_chunk;
-  rcfg.chunk_align = kStepLanes;
   rcfg.shards = 1;
   rcfg.pool = config.pool;
-  rcfg.topology = engine::ShardedRun<FleetPartial>::Topology::kChunkMajor;
   rcfg.step_seconds = region_.run().step_s;
   rcfg.context = "fleet checkpoint";
   rcfg.segment_span = "fleet.segment";

@@ -54,17 +54,11 @@ PlanetSimulator::PlanetSimulator(Config config) {
   engine::ShardedRun<FleetPartial>::Config rcfg;
   rcfg.steps = run_.steps;
   rcfg.steps_per_chunk = run_.steps_per_chunk;
-  // Interior chunk boundaries stay on lane-block multiples, exactly like
-  // FleetSimulator's plan, so a 1-region planet reproduces the fleet's
-  // chunk fold bit-for-bit.
-  rcfg.chunk_align = kStepLanes;
   rcfg.shards = regions_.size();
   rcfg.pool = config.pool;
-  rcfg.topology = engine::ShardedRun<FleetPartial>::Topology::kShardMajor;
   rcfg.step_seconds = run_.step_s;
   rcfg.context = kCheckpointContext;
   rcfg.segment_span = "planet.segment";
-  rcfg.shard_span = "planet.shard";
   runner_ = engine::ShardedRun<FleetPartial>(rcfg);
   config_digest_ = compute_config_digest();
 }
@@ -107,42 +101,39 @@ void PlanetSimulator::advance(Checkpoint& cp, long max_steps) const {
     inputs.push_back(regions_[r].inputs(windows_.of(r)));
   }
 
-  // Per-(region, window) facility energy and location carbon, written by
-  // the owning region's chunk only; merged across regions serially below.
-  std::vector<std::vector<double>> window_energy(
-      regions_.size(), std::vector<double>(static_cast<std::size_t>(windows), 0.0));
-  std::vector<std::vector<double>> window_carbon(
-      regions_.size(), std::vector<double>(static_cast<std::size_t>(windows), 0.0));
+  // One zeroed sample per chunk window; the fold adds each region's
+  // window in region order, a serial left-to-right sum whatever the
+  // thread count.
+  for (long w = 0; w < windows; ++w) {
+    const long b = (c0 + w) * cpc;
+    SeriesSample sample;
+    sample.t_begin_s = run_.step_s * static_cast<double>(b);
+    sample.t_end_s = run_.step_s * static_cast<double>(std::min(steps(), b + cpc));
+    cp.series.push_back(sample);
+  }
+  SeriesSample* const series =
+      cp.series.data() + cp.series.size() - static_cast<std::size_t>(windows);
 
-  // The engine drives segmentation and the per-region ascending chunk fold;
-  // the cell runs one fleet chunk, the observer extracts the window series.
+  // The engine runs one task per (region, chunk) and folds each region's
+  // chunks in ascending order; the task of a region's first chunk records
+  // its planet.shard span.
   runner_.advance(
       cp.next_step, cp.region_partials, max_steps,
       [&](std::size_t r, long b, long e) -> FleetPartial {
+        std::optional<obs::Span> span;
+        if (b == begin) {
+          span.emplace("planet.shard", run_.step_s * static_cast<double>(begin),
+                       run_.step_s * static_cast<double>(end));
+        }
         return run_fleet_chunk(inputs[r], static_cast<std::size_t>(b),
                                static_cast<std::size_t>(e));
       },
       [&](std::size_t r, long c, const FleetPartial& partial) {
-        window_energy[r][static_cast<std::size_t>(c - c0)] =
+        SeriesSample& sample = series[c - c0];
+        sample.facility_energy_j +=
             partial.total(partial.group_energy_j()) * regions_[r].config().pue;
-        window_carbon[r][static_cast<std::size_t>(c - c0)] =
-            partial.total(partial.location_g());
+        sample.location_carbon_g += partial.total(partial.location_g());
       });
-
-  // Cross-region series merge: ascending region order per window, appended
-  // in window order — a serial left-to-right fold, thread-count-free.
-  for (long w = 0; w < windows; ++w) {
-    const long b = (c0 + w) * cpc;
-    const long e = std::min(steps(), b + cpc);
-    SeriesSample sample;
-    sample.t_begin_s = run_.step_s * static_cast<double>(b);
-    sample.t_end_s = run_.step_s * static_cast<double>(e);
-    for (std::size_t r = 0; r < regions_.size(); ++r) {
-      sample.facility_energy_j += window_energy[r][static_cast<std::size_t>(w)];
-      sample.location_carbon_g += window_carbon[r][static_cast<std::size_t>(w)];
-    }
-    cp.series.push_back(sample);
-  }
 }
 
 PlanetSimulator::Result PlanetSimulator::finalize(const Checkpoint& cp) const {

@@ -5,9 +5,10 @@
 // region is a FleetRegion (datacenter/fleet_sim.h) with its own cluster,
 // grid, PUE, CFE coverage, fault spec and UTC offset; regions on one grid
 // share a memoized intensity table (core/intensity_cache.h), each reading
-// it at its own offset. Regions are independent, so the planet shards them
-// over src/exec/ one region per exec chunk: every region is one
-// deterministic obs track, and the cross-region merge is a serial fold in
+// it at its own offset. Regions are independent, so the planet runs each
+// segment as one (region, chunk) task per exec chunk (engine::ShardedRun's
+// task grid), each task one deterministic obs track; every region's chunks
+// fold in ascending order and the cross-region merge is a serial fold in
 // region order — byte-identical at any SUSTAINAI_THREADS.
 //
 // Runs advance in checkpointable segments whose ends round up to chunk
@@ -119,7 +120,8 @@ class PlanetSimulator {
   [[nodiscard]] Checkpoint start() const;
 
   // Advances `cp` by up to `max_steps` steps (rounded up to a chunk
-  // boundary, clipped to the horizon), sharding regions over the pool.
+  // boundary, clipped to the horizon), running (region, chunk) tasks on
+  // the pool.
   void advance(Checkpoint& cp, long max_steps) const;
 
   [[nodiscard]] bool done(const Checkpoint& cp) const {
@@ -171,7 +173,7 @@ class PlanetSimulator {
   FleetRegion::Run run_;
   std::vector<FleetRegion> regions_;
   // Generic segment/merge/snapshot driver (engine/sharded_run.h): one shard
-  // per region, shard-major topology.
+  // per region.
   engine::ShardedRun<FleetPartial> runner_;
   std::string config_digest_;
   // Scratch that advance() fills and reads under the lock, so concurrent

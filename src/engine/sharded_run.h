@@ -1,42 +1,41 @@
 // Generic checkpointable shard/merge run driver (DESIGN.md §11).
 //
 // A simulator models its horizon as `steps` fixed time steps cut into
-// chunks of `steps_per_chunk` (rounded up to a `chunk_align` multiple so
-// interior chunk boundaries never split a SIMD lane block), across one or
-// more independent *shards*. The simulator supplies one pure function —
-// the cell — that simulates chunk [begin, end) of one shard and returns a
-// Partial; the driver owns everything around it:
+// chunks of `steps_per_chunk`, across one or more independent *shards*.
+// The simulator supplies one pure function — the cell — that simulates
+// chunk [begin, end) of one shard and returns a Partial; the driver owns
+// everything around it:
 //
 //   * Segmentation: advance() runs up to `max_steps` steps, with the
 //     segment end rounded UP to a chunk boundary (clipped to the horizon),
 //     so the sequence of per-shard chunk folds — and therefore every byte
 //     of the result — is independent of how a run is cut into segments.
-//   * Deterministic merging: each chunk Partial is merged into its shard's
-//     accumulator strictly in ascending chunk order, one at a time — the
-//     exact left-to-right floating-point fold an uninterrupted
-//     exec::parallel_reduce would produce, which is what makes segmented
-//     and whole runs byte-identical.
+//   * One task grid: a segment runs as (shard, chunk) tasks, numbered
+//     shard-major, in waves of whole chunk columns holding at most
+//     kMaxWaveTasks tasks (one column when there are more shards than
+//     that). Each task is one exec chunk, so one deterministic obs track,
+//     and copies its Partial's buffer into the wave's flat slot array; a
+//     wave's memory is bounded whatever the segment's length.
+//   * Deterministic merging: after each wave the caller folds every
+//     shard's slots into its accumulator strictly in ascending chunk order,
+//     one at a time — the exact left-to-right floating-point fold an
+//     uninterrupted exec::parallel_reduce would produce, which is what
+//     makes segmented and whole runs byte-identical.
 //   * Snapshots: state_json()/parse_state() serialize (next_step, shard
 //     buffers) through canonical JSON losslessly (shortest_double), under
 //     a versioned schema string and an FNV-1a config digest
 //     (engine/snapshot.h), so a killed run resumes in a fresh process to
 //     the same bytes.
 //
-// Two topologies cover the current simulators:
-//   * kShardMajor (planet): shards run in parallel, one shard per exec
-//     chunk; each shard walks its chunks serially.
-//   * kChunkMajor (fleet): a single shard whose time chunks run in
-//     parallel, one time chunk per exec chunk — the same plan
-//     exec::parallel_reduce would build, so exec work counters are
-//     unchanged for an unsegmented run. The exec layer records no chunk
-//     span: the cell records its own over the same interval. Segments
-//     shorter than kInlineSegmentSteps run the same chunks inline on the
-//     caller.
+// The exec layer records no chunk span: a cell that wants one records its
+// own over its chunk. A wave of fewer than kInlineSegmentSteps shard-steps
+// runs its tasks inline on the caller.
 //
 // The Partial type must be default-constructible at merge identity and
-// provide merge(const Partial&), buffer() -> iterable of double, and
-// set_buffer(std::vector<double>) (throwing on a size mismatch) —
-// datacenter::FleetPartial is the canonical model.
+// provide merge(const Partial&), buffer() -> a contiguous range of double
+// (its size fixed by the Partial's shape), and
+// set_buffer(std::span<const double>) copying into that shape (throwing on
+// a size mismatch) — datacenter::FleetPartial is the canonical model.
 #pragma once
 
 #include <algorithm>
@@ -45,6 +44,7 @@
 #include <functional>
 #include <initializer_list>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -70,37 +70,33 @@ struct ShardState {
 template <typename Partial>
 class ShardedRun {
  public:
-  enum class Topology {
-    kShardMajor,  // parallel over shards, serial over each shard's chunks
-    kChunkMajor,  // single shard, parallel over its time chunks
-  };
-
   struct Config {
     long steps = 0;
-    // Rounded up to a chunk_align multiple at construction.
     long steps_per_chunk = 1;
-    long chunk_align = 1;
     std::size_t shards = 1;
     exec::ThreadPool* pool = nullptr;  // nullptr => ThreadPool::global()
-    Topology topology = Topology::kShardMajor;
     double step_seconds = 0.0;  // sim-time scale for the obs spans
     // Error-message prefix, e.g. "planet checkpoint".
     const char* context = "checkpoint";
-    // Optional obs span names; nullptr emits none. A shard span stands in
-    // for the exec.chunk span of its exec chunk, which covers the same
-    // interval.
-    const char* segment_span = nullptr;          // one per advance()
-    const char* shard_span = nullptr;            // one per shard (kShardMajor)
+    // Optional span per advance(); nullptr emits none.
+    const char* segment_span = nullptr;
   };
 
-  // cell(shard, begin, end): simulate steps [begin, end) of `shard`.
+  // cell(shard, begin, end): simulate steps [begin, end) of `shard`. Tasks
+  // run concurrently, so cells of one shard may meet on shared state.
   using CellFn = std::function<Partial(std::size_t, long, long)>;
-  // observe(shard, chunk, partial): called per chunk before its merge, on
-  // the thread that computed it (kShardMajor) or serially in ascending
-  // chunk order (kChunkMajor) — a hook for per-window series extraction.
+  // observe(shard, chunk, partial): called per chunk before its merge,
+  // serially, in ascending chunk order within each shard — a hook for
+  // per-window series extraction.
   using ObserveFn = std::function<void(std::size_t, long, const Partial&)>;
 
-  // A kChunkMajor segment shorter than this runs its chunks inline on the
+  // Most (shard, chunk) tasks one wave holds, and so the most partial
+  // buffers a segment keeps at once (unless the shards alone outnumber it):
+  // a segment of millions of chunks folds in bounded memory, and every
+  // task's obs track stays clear of the next wave's.
+  static constexpr std::size_t kMaxWaveTasks = 4096;
+
+  // A wave of fewer shard-steps than this runs its tasks inline on the
   // caller: a few thousand steps take microseconds, less than waking the
   // pool's helpers costs. The inline path records the same spans, tracks
   // and fold as the pooled one, so results and traces do not depend on it.
@@ -111,17 +107,11 @@ class ShardedRun {
   explicit ShardedRun(Config config) : config_(std::move(config)) {
     require(config_.steps >= 1, "steps must be >= 1");
     require(config_.steps_per_chunk >= 1, "steps_per_chunk must be >= 1");
-    require(config_.chunk_align >= 1, "chunk_align must be >= 1");
     require(config_.shards >= 1, "at least one shard is required");
-    require(config_.topology == Topology::kShardMajor || config_.shards == 1,
-            "kChunkMajor requires exactly one shard");
-    config_.steps_per_chunk = (config_.steps_per_chunk + config_.chunk_align - 1) /
-                              config_.chunk_align * config_.chunk_align;
   }
 
   [[nodiscard]] long steps() const { return config_.steps; }
   [[nodiscard]] long steps_per_chunk() const { return config_.steps_per_chunk; }
-  [[nodiscard]] std::size_t shard_count() const { return config_.shards; }
   [[nodiscard]] long chunk_count() const {
     return (config_.steps + config_.steps_per_chunk - 1) / config_.steps_per_chunk;
   }
@@ -165,8 +155,8 @@ class ShardedRun {
       return;
     }
     const long cpc = config_.steps_per_chunk;
-    const long c0 = begin / cpc;
     const long c1 = (end + cpc - 1) / cpc;
+    const std::size_t n_shards = config_.shards;
 
     std::optional<obs::Span> segment_span;
     if (config_.segment_span != nullptr) {
@@ -175,58 +165,56 @@ class ShardedRun {
                            config_.step_seconds * static_cast<double>(end));
     }
 
-    if (config_.topology == Topology::kShardMajor) {
-      // One shard per exec chunk: each shard is one deterministic obs track
-      // and one unit of scheduling, whatever the pool size.
-      exec::run_chunks(
-          config_.pool, exec::plan_chunks(config_.shards, 1),
-          [&](std::size_t r, std::size_t, std::size_t) {
-            std::optional<obs::Span> shard_span;
-            if (config_.shard_span != nullptr) {
-              shard_span.emplace(
-                  config_.shard_span,
-                  config_.step_seconds * static_cast<double>(begin),
-                  config_.step_seconds * static_cast<double>(end));
-            }
-            Partial& acc = shards[r];
-            for (long c = c0; c < c1; ++c) {
-              const long b = c * cpc;
-              const long e = std::min(config_.steps, b + cpc);
-              Partial partial = cell(r, b, e);
-              if (observe) {
-                observe(r, c, partial);
-              }
-              acc.merge(partial);
-            }
-          },
-          /*record_chunk_span=*/config_.shard_span == nullptr);
-    } else {
-      // One time chunk per exec chunk. For a whole-horizon advance this is
-      // exactly the plan exec::parallel_reduce would build, and the serial
-      // ascending merge below is exactly its fold — byte-identical.
-      exec::ParallelOptions options;
-      options.pool = config_.pool;
-      options.chunk_size = static_cast<std::size_t>(cpc);
-      options.chunk_align = static_cast<std::size_t>(config_.chunk_align);
-      const exec::ChunkPlan plan =
-          exec::plan_chunks(static_cast<std::size_t>(end - begin),
-                            options.chunk_size, options.chunk_align);
-      std::vector<Partial> partials(plan.num_chunks());
-      const auto body = [&](std::size_t c, std::size_t b, std::size_t e) {
-        partials[c] = cell(0, begin + static_cast<long>(b),
-                           begin + static_cast<long>(e));
-      };
-      if (end - begin < kInlineSegmentSteps) {
-        exec::run_chunks_inline(plan, body, /*record_chunk_span=*/false);
-      } else {
-        exec::run_chunks(config_.pool, plan, body, /*record_chunk_span=*/false);
+    // Shard r's slots: `width[r]` doubles a chunk, its chunks contiguous
+    // after those of the shards before it.
+    std::vector<std::size_t> width(n_shards);
+    std::size_t column_width = 0;
+    for (std::size_t r = 0; r < n_shards; ++r) {
+      width[r] = shards[r].buffer().size();
+      column_width += width[r];
+    }
+    const long columns = static_cast<long>(
+        std::max<std::size_t>(1, kMaxWaveTasks / n_shards));
+    std::vector<double> slots;
+    std::vector<std::size_t> base(n_shards);
+
+    for (long w0 = begin / cpc; w0 < c1; w0 += columns) {
+      const long w1 = std::min(c1, w0 + columns);
+      const auto cols = static_cast<std::size_t>(w1 - w0);
+      slots.resize(cols * column_width);
+      for (std::size_t r = 1; r < n_shards; ++r) {
+        base[r] = base[r - 1] + cols * width[r - 1];
       }
-      Partial& acc = shards[0];
-      for (std::size_t i = 0; i < partials.size(); ++i) {
-        if (observe) {
-          observe(0, c0 + static_cast<long>(i), partials[i]);
+      const auto task = [&](std::size_t t, std::size_t, std::size_t) {
+        const std::size_t r = t / cols;
+        const std::size_t k = t % cols;
+        const long b = (w0 + static_cast<long>(k)) * cpc;
+        const Partial partial = cell(r, b, std::min(config_.steps, b + cpc));
+        const auto& buffer = partial.buffer();
+        require(buffer.size() == width[r], "partial size mismatch");
+        std::copy(buffer.begin(), buffer.end(),
+                  slots.begin() + static_cast<std::ptrdiff_t>(base[r] + k * width[r]));
+      };
+      const exec::ChunkPlan plan = exec::plan_chunks(n_shards * cols, 1);
+      const long wave_steps = std::min(end, w1 * cpc) - w0 * cpc;
+      if (wave_steps < kInlineSegmentSteps &&
+          static_cast<long>(n_shards) * wave_steps < kInlineSegmentSteps) {
+        exec::run_chunks_inline(plan, task, /*record_chunk_span=*/false);
+      } else {
+        exec::run_chunks(config_.pool, plan, task, /*record_chunk_span=*/false);
+      }
+
+      for (std::size_t r = 0; r < n_shards; ++r) {
+        Partial& acc = shards[r];
+        Partial partial = acc;  // the shard's shape; each slot overwrites it
+        for (std::size_t k = 0; k < cols; ++k) {
+          partial.set_buffer(std::span<const double>(
+              slots.data() + base[r] + k * width[r], width[r]));
+          if (observe) {
+            observe(r, w0 + static_cast<long>(k), partial);
+          }
+          acc.merge(partial);
         }
-        acc.merge(partials[i]);
       }
     }
     next_step = end;
@@ -303,7 +291,7 @@ class ShardedRun {
         buffer.push_back(v.as_number());
       }
       Partial partial = make(r);
-      partial.set_buffer(std::move(buffer));  // throws on a size mismatch
+      partial.set_buffer(buffer);  // throws on a size mismatch
       state.shards.push_back(std::move(partial));
     }
     return state;

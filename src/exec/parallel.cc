@@ -51,21 +51,11 @@ ChunkPlan::Range ChunkPlan::chunk(std::size_t c) const {
   return {begin, std::min(total, begin + chunk_size)};
 }
 
-ChunkPlan plan_chunks(std::size_t total, std::size_t chunk_size,
-                      std::size_t chunk_align) {
+ChunkPlan plan_chunks(std::size_t total, std::size_t chunk_size) {
   ChunkPlan plan;
   plan.total = total;
   plan.chunk_size = chunk_size > 0 ? chunk_size
                                    : std::max<std::size_t>(1, total / 256);
-  if (chunk_align > 1) {
-    // Round up so every chunk boundary (except the tail) lands on an
-    // alignment multiple; lane-blocked kernels rely on this so no interior
-    // chunk ends mid-block.
-    const std::size_t rem = plan.chunk_size % chunk_align;
-    if (rem != 0) {
-      plan.chunk_size += chunk_align - rem;
-    }
-  }
   return plan;
 }
 

@@ -47,13 +47,9 @@ struct ChunkPlan {
 
 // chunk_size == 0 picks a default from `total` alone (never thread count):
 // enough chunks that any realistic pool load-balances, large enough that
-// dispatch overhead stays negligible. chunk_align > 1 rounds the chunk size
-// up to the next multiple so interior chunk boundaries never split an
-// alignment block (the fleet step kernels use this to keep exec chunks on
-// kStepLanes boundaries). The plan stays a pure function of its arguments,
-// so the determinism contract is unchanged.
-[[nodiscard]] ChunkPlan plan_chunks(std::size_t total, std::size_t chunk_size = 0,
-                                    std::size_t chunk_align = 1);
+// dispatch overhead stays negligible. A caller that needs chunk boundaries
+// on an alignment block passes a chunk_size that is a multiple of it.
+[[nodiscard]] ChunkPlan plan_chunks(std::size_t total, std::size_t chunk_size = 0);
 
 // Process-wide monotonic counters over all parallel work; surfaced to
 // telemetry consumers via telemetry::exec_work_counters(). counters() reads
@@ -97,13 +93,12 @@ void run_chunks_inline(
 struct ParallelOptions {
   ThreadPool* pool = nullptr;  // nullptr => ThreadPool::global()
   std::size_t chunk_size = 0;  // 0 => plan_chunks() default
-  std::size_t chunk_align = 1; // round chunk_size up to this multiple
 };
 
 // fn(i) for every i in [0, n). fn must only write state owned by index i.
 template <typename Fn>
 void parallel_for(std::size_t n, Fn&& fn, const ParallelOptions& options = {}) {
-  run_chunks(options.pool, plan_chunks(n, options.chunk_size, options.chunk_align),
+  run_chunks(options.pool, plan_chunks(n, options.chunk_size),
              [&fn](std::size_t, std::size_t begin, std::size_t end) {
                for (std::size_t i = begin; i < end; ++i) {
                  fn(i);
@@ -117,7 +112,7 @@ template <typename Fn>
 auto parallel_map(std::size_t n, Fn&& fn, const ParallelOptions& options = {})
     -> std::vector<std::decay_t<decltype(fn(std::size_t{}))>> {
   std::vector<std::decay_t<decltype(fn(std::size_t{}))>> out(n);
-  run_chunks(options.pool, plan_chunks(n, options.chunk_size, options.chunk_align),
+  run_chunks(options.pool, plan_chunks(n, options.chunk_size),
              [&fn, &out](std::size_t, std::size_t begin, std::size_t end) {
                for (std::size_t i = begin; i < end; ++i) {
                  out[i] = fn(i);
@@ -132,7 +127,7 @@ auto parallel_map(std::size_t n, Fn&& fn, const ParallelOptions& options = {})
 template <typename Acc, typename ChunkFn, typename MergeFn>
 Acc parallel_reduce(std::size_t n, Acc init, ChunkFn&& chunk_fn, MergeFn&& merge,
                     const ParallelOptions& options = {}) {
-  const ChunkPlan plan = plan_chunks(n, options.chunk_size, options.chunk_align);
+  const ChunkPlan plan = plan_chunks(n, options.chunk_size);
   std::vector<Acc> partials(plan.num_chunks());
   run_chunks(options.pool, plan,
              [&chunk_fn, &partials](std::size_t c, std::size_t begin, std::size_t end) {

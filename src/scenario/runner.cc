@@ -185,43 +185,27 @@ Bundle Runner::run(const Spec& spec, exec::ThreadPool* pool,
     bundle.result.scenario = scenario_name;
     bundle.files.push_back(
         {"error.json", report::canonical_json(error_json)});
-    bundle.files.push_back({"spec.json", spec.canonical()});
-    if (want_trace) {
-      bundle.files.push_back({"trace.json", std::move(trace_text)});
-    }
-    if (want_metrics) {
-      bundle.files.push_back({"metrics.prom", std::move(metrics_text)});
-    }
-    return bundle;
-  }
-
-  if (bundle.result.stopped) {
+  } else if (bundle.result.stopped) {
     // Halted at a segment boundary by stop_after: there is no result to
     // report. The snapshot handed to write_snapshot is the resume handle.
     bundle.stopped = true;
     bundle.result.scenario = scenario_name;
-    bundle.files.push_back({"spec.json", spec.canonical()});
-    if (want_trace) {
-      bundle.files.push_back({"trace.json", std::move(trace_text)});
-    }
-    if (want_metrics) {
-      bundle.files.push_back({"metrics.prom", std::move(metrics_text)});
-    }
-    return bundle;
+  } else {
+    // The report tree can be large; move it into the envelope for
+    // serialization and back out instead of deep-copying it.
+    JsonValue result_json = JsonValue::object();
+    result_json.set("schema", JsonValue::string("sustainai-scenario-v1"));
+    result_json.set("scenario", JsonValue::string(scenario_name));
+    result_json.set("seed",
+                    JsonValue::number(static_cast<double>(ctx.seed)));
+    result_json.set("report", std::move(bundle.result.report));
+
+    bundle.files.push_back(
+        {"result.json", report::canonical_json(result_json)});
+    bundle.result.report = std::move(*result_json.find("report"));
   }
 
-  // The report tree can be large; move it into the envelope for
-  // serialization and back out instead of deep-copying it.
-  JsonValue result_json = JsonValue::object();
-  result_json.set("schema", JsonValue::string("sustainai-scenario-v1"));
-  result_json.set("scenario", JsonValue::string(scenario_name));
-  result_json.set("seed",
-                  JsonValue::number(static_cast<double>(ctx.seed)));
-  result_json.set("report", std::move(bundle.result.report));
-
-  bundle.files.push_back(
-      {"result.json", report::canonical_json(result_json)});
-  bundle.result.report = std::move(*result_json.find("report"));
+  // Every outcome's tail. A failed or stopped run has no CSV series.
   bundle.files.push_back({"spec.json", spec.canonical()});
   for (const auto& [stem, csv] : bundle.result.csv_series) {
     bundle.files.push_back({stem + ".csv", csv});

@@ -693,8 +693,8 @@ class PlanetSimulation final : public Simulation {
   PlanetSimulation()
       : Simulation("planet",
                    "planetary fleet: N region-fleets (own cluster, grid, PUE, "
-                   "UTC phase offset, faults) sharded "
-                   "one-region-per-exec-chunk over a multi-year horizon, with "
+                   "UTC phase offset, faults) run as (region, chunk) tasks "
+                   "over a multi-year horizon, with "
                    "memoized intensity tables and checkpointed segments "
                    "(Sections III-C, IV-C at planetary scale)",
                    planet_params(), /*checkpointable=*/true) {}

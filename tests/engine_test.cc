@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/snapshot.h"
+#include "exec/parallel.h"
 #include "exec/thread_pool.h"
 #include "obs/export.h"
 #include "obs/trace.h"
@@ -134,11 +139,11 @@ struct ToyPartial {
     }
   }
   [[nodiscard]] const std::vector<double>& buffer() const { return lanes; }
-  void set_buffer(std::vector<double> b) {
+  void set_buffer(std::span<const double> b) {
     if (b.size() != lanes.size()) {
       throw std::invalid_argument("toy checkpoint: buffer size mismatch");
     }
-    lanes = std::move(b);
+    std::copy(b.begin(), b.end(), lanes.begin());
   }
 };
 
@@ -159,15 +164,12 @@ ToyPartial toy_cell(std::size_t shard, long begin, long end) {
   return p;
 }
 
-ToyRun::Config toy_config(ToyRun::Topology topology, std::size_t shards,
-                          exec::ThreadPool* pool = nullptr) {
+ToyRun::Config toy_config(std::size_t shards, exec::ThreadPool* pool = nullptr) {
   ToyRun::Config c;
   c.steps = 331;  // prime: the last chunk is ragged
-  c.steps_per_chunk = 14;
-  c.chunk_align = 4;  // rounds steps_per_chunk up to 16
+  c.steps_per_chunk = 16;
   c.shards = shards;
   c.pool = pool;
-  c.topology = topology;
   c.context = "toy checkpoint";
   return c;
 }
@@ -178,28 +180,38 @@ std::string state_text(const ToyRun& run, const ToyState& state) {
                      "shards"));
 }
 
-TEST(ShardedRun, ValidatesConfigAndAlignsChunks) {
-  EXPECT_EQ(ToyRun(toy_config(ToyRun::Topology::kShardMajor, 3))
-                .steps_per_chunk(),
-            16);
-  EXPECT_EQ(ToyRun(toy_config(ToyRun::Topology::kShardMajor, 3)).chunk_count(),
-            (331 + 15) / 16);
+// The fold the driver must reproduce: every shard's chunks, one at a time,
+// in ascending order on one thread.
+std::string serial_fold_text(const ToyRun& run) {
+  ToyState state = run.start();
+  for (std::size_t r = 0; r < state.shards.size(); ++r) {
+    for (long b = 0; b < run.steps(); b += run.steps_per_chunk()) {
+      state.shards[r].merge(
+          toy_cell(r, b, std::min(run.steps(), b + run.steps_per_chunk())));
+    }
+  }
+  state.next_step = run.steps();
+  return state_text(run, state);
+}
 
-  ToyRun::Config zero_steps = toy_config(ToyRun::Topology::kShardMajor, 1);
+TEST(ShardedRun, ValidatesConfigAndAlignsChunks) {
+  EXPECT_EQ(ToyRun(toy_config(3)).chunk_count(), (331 + 15) / 16);
+
+  ToyRun::Config zero_steps = toy_config(1);
   zero_steps.steps = 0;
   EXPECT_THROW((void)ToyRun{zero_steps}, std::invalid_argument);
 
-  ToyRun::Config no_shards = toy_config(ToyRun::Topology::kShardMajor, 1);
+  ToyRun::Config zero_chunk = toy_config(1);
+  zero_chunk.steps_per_chunk = 0;
+  EXPECT_THROW((void)ToyRun{zero_chunk}, std::invalid_argument);
+
+  ToyRun::Config no_shards = toy_config(1);
   no_shards.shards = 0;
   EXPECT_THROW((void)ToyRun{no_shards}, std::invalid_argument);
-
-  // kChunkMajor parallelizes over time, so it is single-shard by contract.
-  EXPECT_THROW((void)ToyRun{toy_config(ToyRun::Topology::kChunkMajor, 2)},
-               std::invalid_argument);
 }
 
 TEST(ShardedRun, SegmentEndRoundsUpToChunkBoundary) {
-  const ToyRun run(toy_config(ToyRun::Topology::kShardMajor, 2));
+  const ToyRun run(toy_config(2));
   EXPECT_EQ(run.segment_end(0, 1), 16);    // rounds a tiny segment up
   EXPECT_EQ(run.segment_end(0, 16), 16);   // exact boundary stays
   EXPECT_EQ(run.segment_end(0, 17), 32);   // one step over -> next chunk
@@ -210,24 +222,23 @@ TEST(ShardedRun, SegmentEndRoundsUpToChunkBoundary) {
   EXPECT_THROW((void)run.segment_end(0, 0), std::invalid_argument);
 }
 
-TEST(ShardedRun, SegmentationInvariantBothTopologies) {
-  for (const auto topology :
-       {ToyRun::Topology::kShardMajor, ToyRun::Topology::kChunkMajor}) {
-    const std::size_t shards =
-        topology == ToyRun::Topology::kShardMajor ? 5u : 1u;
-    const ToyRun run(toy_config(topology, shards));
+TEST(ShardedRun, SegmentationInvariantAtAnyShardCount) {
+  for (const std::size_t shards : {1u, 3u, 7u}) {
+    const ToyRun run(toy_config(shards));
 
     ToyState whole = run.start();
     run.advance(whole, run.steps(), toy_cell);
     ASSERT_TRUE(run.done(whole.next_step));
     const std::string fp_whole = state_text(run, whole);
+    EXPECT_EQ(fp_whole, serial_fold_text(run)) << "shards=" << shards;
 
     for (const long stride : {1L, 16L, 50L, 333L}) {
       ToyState seg = run.start();
       while (!run.done(seg.next_step)) {
         run.advance(seg, stride, toy_cell);
       }
-      EXPECT_EQ(state_text(run, seg), fp_whole) << "stride=" << stride;
+      EXPECT_EQ(state_text(run, seg), fp_whole)
+          << "shards=" << shards << " stride=" << stride;
     }
   }
 }
@@ -235,32 +246,74 @@ TEST(ShardedRun, SegmentationInvariantBothTopologies) {
 TEST(ShardedRun, ByteIdenticalAcrossThreadCounts) {
   exec::ThreadPool pool1(1);
   exec::ThreadPool pool8(8);
-  for (const auto topology :
-       {ToyRun::Topology::kShardMajor, ToyRun::Topology::kChunkMajor}) {
-    const std::size_t shards =
-        topology == ToyRun::Topology::kShardMajor ? 7u : 1u;
-    const ToyRun serial(toy_config(topology, shards, &pool1));
-    const ToyRun wide(toy_config(topology, shards, &pool8));
+  for (const std::size_t shards : {1u, 3u, 7u}) {
+    // Long enough that every shard count runs its waves on the pool.
+    ToyRun::Config serial_config = toy_config(shards, &pool1);
+    serial_config.steps = 3 * ToyRun::kInlineSegmentSteps + 5;
+    ToyRun::Config wide_config = serial_config;
+    wide_config.pool = &pool8;
+    const ToyRun serial(serial_config);
+    const ToyRun wide(wide_config);
     ToyState a = serial.start();
     serial.advance(a, serial.steps(), toy_cell);
     ToyState b = wide.start();
     wide.advance(b, wide.steps(), toy_cell);
-    EXPECT_EQ(state_text(serial, a), state_text(wide, b));
+    EXPECT_EQ(state_text(serial, a), state_text(wide, b)) << "shards=" << shards;
+    EXPECT_EQ(state_text(serial, a), serial_fold_text(serial))
+        << "shards=" << shards;
+  }
+}
+
+TEST(ShardedRun, WavesBoundTheTasksOfALongSegment) {
+  // 3 shards x 3,000 chunks: waves of kMaxWaveTasks / 3 = 1,365 whole chunk
+  // columns, so three exec regions of at most kMaxWaveTasks tasks, folded
+  // into the same bytes as one serial pass.
+  constexpr std::size_t kShards = 3;
+  constexpr long kChunks = 3000;
+  exec::ThreadPool pool(4);
+  ToyRun::Config c = toy_config(kShards, &pool);
+  c.steps_per_chunk = 4;
+  c.steps = kChunks * c.steps_per_chunk - 1;  // a ragged last chunk
+  const ToyRun run(c);
+  const long columns = static_cast<long>(ToyRun::kMaxWaveTasks / kShards);
+  const long waves = (kChunks + columns - 1) / columns;
+  ASSERT_GT(waves, 2);
+
+  std::vector<std::vector<long>> seen(kShards);
+  ToyState state = run.start();
+  const exec::CounterSnapshot before = exec::counters();
+  run.advance(state, run.steps(), toy_cell,
+              [&](std::size_t shard, long chunk, const ToyPartial&) {
+                seen[shard].push_back(chunk);
+              });
+  const exec::CounterSnapshot after = exec::counters();
+  EXPECT_EQ(after.parallel_regions - before.parallel_regions,
+            static_cast<std::uint64_t>(waves));
+  EXPECT_EQ(after.chunks_executed - before.chunks_executed,
+            static_cast<std::uint64_t>(kShards * kChunks));
+  EXPECT_EQ(state_text(run, state), serial_fold_text(run));
+  for (std::size_t r = 0; r < kShards; ++r) {
+    ASSERT_EQ(seen[r].size(), static_cast<std::size_t>(kChunks)) << r;
+    for (long k = 0; k < kChunks; ++k) {
+      EXPECT_EQ(seen[r][static_cast<std::size_t>(k)], k) << r;
+    }
   }
 }
 
 TEST(ShardedRun, InlineSegmentRuleKeepsPartialsAndTraces) {
-  // A chunk-major segment shorter than kInlineSegmentSteps runs on the
-  // caller, a longer one on the pool. Just below and just above that
-  // length, every thread count yields the 1-thread fold and trace.
+  // A wave of fewer shard-steps than kInlineSegmentSteps runs on the
+  // caller, a larger one on the pool. Just below and just above that size,
+  // at every shard count, every thread count yields the 1-thread fold and
+  // trace.
   constexpr long kChunk = 256;
   const auto cell = [](std::size_t shard, long begin, long end) {
     obs::Span span("toy.cell", static_cast<double>(begin),
                    static_cast<double>(end));
     return toy_cell(shard, begin, end);
   };
-  const auto traced_run = [&](exec::ThreadPool* pool, long segment) {
-    ToyRun::Config c = toy_config(ToyRun::Topology::kChunkMajor, 1, pool);
+  const auto traced_run = [&](exec::ThreadPool* pool, std::size_t shards,
+                              long segment) {
+    ToyRun::Config c = toy_config(shards, pool);
     c.steps = 3 * ToyRun::kInlineSegmentSteps;
     c.steps_per_chunk = kChunk;
     c.step_seconds = 1.0;
@@ -282,39 +335,56 @@ TEST(ShardedRun, InlineSegmentRuleKeepsPartialsAndTraces) {
   exec::ThreadPool pool1(1);
   exec::ThreadPool pool2(2);
   exec::ThreadPool pool8(8);
-  for (const long segment : {ToyRun::kInlineSegmentSteps - kChunk,
-                             ToyRun::kInlineSegmentSteps + kChunk}) {
-    const std::string serial = traced_run(&pool1, segment);
-    EXPECT_NE(serial.find("toy.cell"), std::string::npos);
-    EXPECT_EQ(traced_run(&pool2, segment), serial) << "segment=" << segment;
-    EXPECT_EQ(traced_run(&pool8, segment), serial) << "segment=" << segment;
+  for (const std::size_t shards : {1u, 3u, 7u}) {
+    // The largest whole-chunk segment below the rule, and the next one.
+    const long inline_steps =
+        ToyRun::kInlineSegmentSteps / static_cast<long>(shards);
+    const long below = (inline_steps - 1) / kChunk * kChunk;
+    for (const long segment : {below, below + kChunk}) {
+      SCOPED_TRACE(testing::Message()
+                   << "shards=" << shards << " segment=" << segment);
+      const std::string serial = traced_run(&pool1, shards, segment);
+      EXPECT_NE(serial.find("toy.cell"), std::string::npos);
+      EXPECT_EQ(traced_run(&pool2, shards, segment), serial);
+      EXPECT_EQ(traced_run(&pool8, shards, segment), serial);
+    }
   }
 }
 
 TEST(ShardedRun, ObserveSeesEveryChunkAscendingPreMerge) {
-  const ToyRun run(toy_config(ToyRun::Topology::kChunkMajor, 1));
-  std::vector<long> chunks;
-  std::vector<double> counts;
-  ToyState state = run.start();
-  run.advance(state, run.steps(), toy_cell,
-              [&](std::size_t shard, long chunk, const ToyPartial& p) {
-                EXPECT_EQ(shard, 0u);
-                chunks.push_back(chunk);
-                counts.push_back(p.lanes[2]);
-              });
-  ASSERT_EQ(chunks.size(), static_cast<std::size_t>(run.chunk_count()));
-  double total = 0.0;
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    EXPECT_EQ(chunks[i], static_cast<long>(i));
-    // Pre-merge: each partial carries only its own window's steps.
-    EXPECT_LE(counts[i], static_cast<double>(run.steps_per_chunk()));
-    total += counts[i];
+  const std::thread::id caller = std::this_thread::get_id();
+  exec::ThreadPool pool(4);
+  for (const std::size_t shards : {1u, 3u, 7u}) {
+    ToyRun::Config c = toy_config(shards, &pool);
+    c.steps = 2 * ToyRun::kInlineSegmentSteps + 3;  // runs on the pool
+    const ToyRun run(c);
+    std::vector<std::vector<long>> chunks(shards);
+    std::vector<std::vector<double>> counts(shards);
+    ToyState state = run.start();
+    run.advance(state, run.steps(), toy_cell,
+                [&](std::size_t shard, long chunk, const ToyPartial& p) {
+                  // Serial: on the caller, never on a pool worker.
+                  EXPECT_EQ(std::this_thread::get_id(), caller);
+                  chunks[shard].push_back(chunk);
+                  counts[shard].push_back(p.lanes[2]);
+                });
+    for (std::size_t r = 0; r < shards; ++r) {
+      SCOPED_TRACE(testing::Message() << "shards=" << shards << " shard=" << r);
+      ASSERT_EQ(chunks[r].size(), static_cast<std::size_t>(run.chunk_count()));
+      double total = 0.0;
+      for (std::size_t i = 0; i < chunks[r].size(); ++i) {
+        EXPECT_EQ(chunks[r][i], static_cast<long>(i));
+        // Pre-merge: each partial carries only its own window's steps.
+        EXPECT_LE(counts[r][i], static_cast<double>(run.steps_per_chunk()));
+        total += counts[r][i];
+      }
+      EXPECT_EQ(total, static_cast<double>(run.steps()));
+    }
   }
-  EXPECT_EQ(total, static_cast<double>(run.steps()));
 }
 
 TEST(ShardedRun, StateRoundTripsThroughCanonicalJson) {
-  const ToyRun run(toy_config(ToyRun::Topology::kShardMajor, 3));
+  const ToyRun run(toy_config(3));
   ToyState state = run.start();
   run.advance(state, 40, toy_cell);  // lands on a chunk boundary (48)
   ASSERT_EQ(state.next_step % run.steps_per_chunk(), 0);
@@ -333,7 +403,7 @@ TEST(ShardedRun, StateRoundTripsThroughCanonicalJson) {
 }
 
 TEST(ShardedRun, ParseStateRejectsBadSnapshots) {
-  const ToyRun run(toy_config(ToyRun::Topology::kShardMajor, 3));
+  const ToyRun run(toy_config(3));
   ToyState state = run.start();
   run.advance(state, 16, toy_cell);
   const auto make = [](std::size_t) { return ToyPartial{}; };

@@ -349,14 +349,48 @@ TEST(FleetSoa, TableOffMatchesTableOnForBothKernels) {
   }
 }
 
+TEST(FleetSoa, LongSegmentRunsInBoundedWaves) {
+  // 40 days of one-minute steps in 4-step chunks: 14,400 chunks in one
+  // segment. They run in waves of at most ShardedRun::kMaxWaveTasks tasks,
+  // each an exec region of its own, so the segment never holds more than
+  // a wave of partials, and fold to the 1-thread result.
+  FleetSimulator::Config c = base_config(3);
+  c.step = minutes(1.0);
+  c.horizon = days(40.0);
+  c.steps_per_chunk = 4;
+  exec::ThreadPool pool1(1);
+  exec::ThreadPool pool4(4);
+  const FleetSimulator::Result expected = simulate(c, &pool1);
+
+  c.pool = &pool4;
+  const FleetSimulator sim(c);
+  const exec::CounterSnapshot before = exec::counters();
+  const FleetSimulator::Result result = sim.run();
+  const exec::CounterSnapshot after = exec::counters();
+  const std::uint64_t chunks = after.chunks_executed - before.chunks_executed;
+  const std::uint64_t regions = after.parallel_regions - before.parallel_regions;
+  EXPECT_EQ(chunks, 14400u);
+  ASSERT_GT(regions, 0u);
+  EXPECT_LE(chunks / regions,
+            engine::ShardedRun<datacenter::FleetPartial>::kMaxWaveTasks);
+  expect_identical(expected, result);
+}
+
 TEST(FleetSoa, ChunkPlanRespectsLaneAlignment) {
-  for (const std::size_t chunk : {1u, 3u, 7u, 9u, 256u}) {
-    const exec::ChunkPlan plan = exec::plan_chunks(
-        1003, chunk, static_cast<std::size_t>(datacenter::kStepLanes));
-    EXPECT_EQ(plan.chunk_size % datacenter::kStepLanes, 0u) << chunk;
-    // Every interior boundary lands on a lane multiple.
-    for (std::size_t c = 0; c + 1 < plan.num_chunks(); ++c) {
-      EXPECT_EQ(plan.chunk(c).end % datacenter::kStepLanes, 0u);
+  // The simulators plan chunks of steps_per_chunk rounded up to a
+  // kStepLanes multiple, so every interior chunk boundary lands on a lane
+  // block, whatever chunk size the config asks for.
+  for (const long chunk : {1L, 3L, 7L, 9L, 256L}) {
+    FleetSimulator::Config c = base_config(3);
+    c.steps_per_chunk = chunk;
+    const long planned = FleetSimulator(c).steps_per_chunk();
+    EXPECT_EQ(planned % datacenter::kStepLanes, 0) << chunk;
+    EXPECT_GE(planned, chunk);
+    EXPECT_LT(planned - chunk, datacenter::kStepLanes) << chunk;
+    const exec::ChunkPlan plan =
+        exec::plan_chunks(1003, static_cast<std::size_t>(planned));
+    for (std::size_t k = 0; k + 1 < plan.num_chunks(); ++k) {
+      EXPECT_EQ(plan.chunk(k).end % datacenter::kStepLanes, 0u);
     }
   }
 }

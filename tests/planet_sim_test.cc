@@ -6,6 +6,7 @@
 #include <string>
 
 #include "datacenter/fleet_sim.h"
+#include "exec/parallel.h"
 #include "exec/thread_pool.h"
 #include "oracles/fleet_reference.h"
 #include "report/json.h"
@@ -164,6 +165,31 @@ TEST(PlanetSim, RegionCountEdgeCases) {
     EXPECT_GT(to_joules(result.it_energy), 0.0);
     EXPECT_GT(to_grams_co2e(result.location_carbon), 0.0);
   }
+}
+
+TEST(PlanetSim, OneRegionRunsOneTaskPerTimeChunk) {
+  // A planet with fewer regions than threads still spreads over the pool:
+  // each (region, chunk) is a task of its own. The second run() reads the
+  // intensity window the first one filled, so every exec chunk it counts
+  // is a stepping task.
+  PlanetSimulator::Config config = planet_config(1, /*with_faults=*/false);
+  config.horizon = days(60.0);  // 5,760 steps: past the inline rule
+  config.steps_per_chunk = 256;
+  exec::ThreadPool serial(1);
+  const std::string expected = run_fingerprint(config, &serial);
+
+  exec::ThreadPool pool(4);
+  config.pool = &pool;
+  const PlanetSimulator sim(std::move(config));
+  (void)sim.run();
+  const exec::CounterSnapshot before = exec::counters();
+  const std::string again = fingerprint(sim.run());
+  const exec::CounterSnapshot after = exec::counters();
+  const long chunks =
+      (sim.steps() + sim.steps_per_chunk() - 1) / sim.steps_per_chunk();
+  EXPECT_EQ(after.chunks_executed - before.chunks_executed,
+            static_cast<std::uint64_t>(chunks));
+  EXPECT_EQ(again, expected);
 }
 
 // Every field of a region result, groups and fault stats included.
