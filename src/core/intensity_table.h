@@ -20,8 +20,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/carbon_intensity.h"
@@ -30,11 +33,34 @@
 
 namespace sustainai {
 
+// An allocator whose value-less construct leaves the element uninitialized,
+// so resize() of a buffer that is written in full right after neither
+// zero-fills it nor touches its pages: the writers touch them first.
+template <typename T>
+struct UninitializedAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = UninitializedAllocator<U>;
+  };
+  UninitializedAllocator() = default;
+  template <typename U>
+  UninitializedAllocator(const UninitializedAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 // Base-unit intensities of grid points [first, first + values.size()), as
-// IntensityTable::fill_values writes them.
+// IntensityTable::fill_values writes them. A resize leaves new values
+// unset until a fill writes them.
 struct IntensityWindow {
   long first = 0;
-  std::vector<double> values;
+  std::vector<double, UninitializedAllocator<double>> values;
 
   [[nodiscard]] bool holds(long begin, long end) const {
     return first <= begin &&

@@ -281,11 +281,12 @@ bool IntensityWindows::place(long begin, long end) {
       continue;
     }
     const auto n = static_cast<std::size_t>(end + grid.reach - begin);
-    std::vector<double>& values = grid.window.values;
+    auto& values = grid.window.values;
     if (values.capacity() > 2 * n) {
-      std::vector<double>().swap(values);  // a much longer window is freed
+      // A much longer window is freed.
+      decltype(grid.window.values)().swap(values);
     }
-    values.resize(n);
+    values.resize(n);  // unset: the fill writes every point, and touches it first
     grid.window.first = begin;
     grid.stale = true;
     any_stale = true;
@@ -293,7 +294,7 @@ bool IntensityWindows::place(long begin, long end) {
   return any_stale;
 }
 
-void IntensityWindows::fill() {
+void IntensityWindows::fill(const std::function<void()>& caller_job) {
   // The stale windows in groups on one wind process (shares_wind) and one
   // first point, each group filled by one wind pass per block. A group is
   // as long as its longest window; the groups, laid end to end, take flat
@@ -313,9 +314,6 @@ void IntensityWindows::fill() {
     } else {
       group->push_back(&grid);
     }
-  }
-  if (groups.empty()) {
-    return;
   }
   std::vector<std::size_t> starts{0};
   for (const std::vector<Grid*>& group : groups) {
@@ -353,7 +351,8 @@ void IntensityWindows::fill() {
                                              targets);
           b = stop;
         }
-      });
+      },
+      /*record_chunk_span=*/true, caller_job);
   filled();
 }
 
@@ -408,7 +407,8 @@ FleetSimulator::Checkpoint FleetSimulator::start() const {
   return cp;
 }
 
-void FleetSimulator::advance(Checkpoint& cp, long max_steps) const {
+void FleetSimulator::advance(Checkpoint& cp, long max_steps,
+                             const std::function<void()>& boundary) const {
   const std::lock_guard<std::mutex> lock(windows_mu_);
   const long end = runner_.segment_end(cp.next_step, max_steps);
   // One region at offset 0: each time chunk reads exactly the window points
@@ -427,7 +427,8 @@ void FleetSimulator::advance(Checkpoint& cp, long max_steps) const {
                     }
                     return run_fleet_chunk(inputs, static_cast<std::size_t>(begin),
                                            static_cast<std::size_t>(end));
-                  });
+                  },
+                  {}, boundary);
   windows_.filled();
 }
 

@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -206,8 +207,9 @@ class IntensityWindows {
   // Fills every stale window, together, in one pass over the pool. Windows
   // whose tables share a wind process (IntensityTable::shares_wind) and a
   // first point share each block's wind terms, so N grids on one seed cost
-  // one harmonic sum per point, not N.
-  void fill();
+  // one harmonic sum per point, not N. `caller_job`, when set, runs on the
+  // calling thread while the pool fills (exec::run_chunks' caller job).
+  void fill(const std::function<void()>& caller_job = {});
   // For a caller that fills stale windows from the tasks that read them:
   // fill_points writes grid points [first, last) of region r's window
   // (concurrent calls write disjoint ranges), and filled() marks every
@@ -286,8 +288,12 @@ class FleetSimulator {
   // Advances `cp` by up to `max_steps` steps (rounded up to a chunk
   // boundary, clipped to the horizon), running time chunks in parallel and
   // merging them in ascending chunk order — segmented and whole runs are
-  // byte-identical (tests/resume_test.cc).
-  void advance(Checkpoint& cp, long max_steps) const;
+  // byte-identical (tests/resume_test.cc). `boundary`, when set, is the
+  // previous segment's checkpoint boundary: it runs once on the calling
+  // thread while the pool runs the segment's first wave and before any
+  // fold, and may replace `cp` with an equal parse-back.
+  void advance(Checkpoint& cp, long max_steps,
+               const std::function<void()>& boundary = {}) const;
   [[nodiscard]] bool done(const Checkpoint& cp) const {
     return cp.next_step >= steps();
   }

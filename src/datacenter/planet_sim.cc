@@ -81,38 +81,53 @@ PlanetSimulator::Checkpoint PlanetSimulator::start() const {
   return cp;
 }
 
-void PlanetSimulator::advance(Checkpoint& cp, long max_steps) const {
+void PlanetSimulator::advance(Checkpoint& cp, long max_steps,
+                              const std::function<void()>& boundary) const {
   const long begin = cp.next_step;
   const long end = runner_.segment_end(begin, max_steps);
   if (end <= begin) {
+    if (boundary) {
+      boundary();
+    }
     return;
   }
   const long cpc = steps_per_chunk();
   const long c0 = begin / cpc;
   const long windows = (end + cpc - 1) / cpc - c0;
 
+  // The serial start of the segment, run by the calling thread while the
+  // pool runs its first region: the boundary, which may replace `cp` with
+  // its parse-back, then one zeroed sample per chunk window. The fold adds
+  // each region's window in region order, a serial left-to-right sum
+  // whatever the thread count.
+  std::size_t first_sample = 0;
+  const auto prologue = [&] {
+    if (boundary) {
+      boundary();
+      check_arg(cp.next_step == begin,
+                "PlanetSimulator::advance: the boundary moved next_step");
+    }
+    first_sample = cp.series.size();
+    for (long w = 0; w < windows; ++w) {
+      const long b = (c0 + w) * cpc;
+      SeriesSample sample;
+      sample.t_begin_s = run_.step_s * static_cast<double>(b);
+      sample.t_end_s =
+          run_.step_s * static_cast<double>(std::min(steps(), b + cpc));
+      cp.series.push_back(sample);
+    }
+  };
+
   const std::lock_guard<std::mutex> lock(windows_mu_);
-  if (windows_.place(begin, end)) {
-    windows_.fill();
+  const bool fill = windows_.place(begin, end);
+  if (fill) {
+    windows_.fill(prologue);
   }
   std::vector<FleetStepInputs> inputs;
   inputs.reserve(regions_.size());
   for (std::size_t r = 0; r < regions_.size(); ++r) {
     inputs.push_back(regions_[r].inputs(windows_.of(r)));
   }
-
-  // One zeroed sample per chunk window; the fold adds each region's
-  // window in region order, a serial left-to-right sum whatever the
-  // thread count.
-  for (long w = 0; w < windows; ++w) {
-    const long b = (c0 + w) * cpc;
-    SeriesSample sample;
-    sample.t_begin_s = run_.step_s * static_cast<double>(b);
-    sample.t_end_s = run_.step_s * static_cast<double>(std::min(steps(), b + cpc));
-    cp.series.push_back(sample);
-  }
-  SeriesSample* const series =
-      cp.series.data() + cp.series.size() - static_cast<std::size_t>(windows);
 
   // The engine runs one task per (region, chunk) and folds each region's
   // chunks in ascending order; the task of a region's first chunk records
@@ -129,11 +144,13 @@ void PlanetSimulator::advance(Checkpoint& cp, long max_steps) const {
                                static_cast<std::size_t>(e));
       },
       [&](std::size_t r, long c, const FleetPartial& partial) {
-        SeriesSample& sample = series[c - c0];
+        SeriesSample& sample =
+            cp.series[first_sample + static_cast<std::size_t>(c - c0)];
         sample.facility_energy_j +=
             partial.total(partial.group_energy_j()) * regions_[r].config().pue;
         sample.location_carbon_g += partial.total(partial.location_g());
-      });
+      },
+      fill ? std::function<void()>() : std::function<void()>(prologue));
 }
 
 PlanetSimulator::Result PlanetSimulator::finalize(const Checkpoint& cp) const {

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -121,8 +122,13 @@ class PlanetSimulator {
 
   // Advances `cp` by up to `max_steps` steps (rounded up to a chunk
   // boundary, clipped to the horizon), running (region, chunk) tasks on
-  // the pool.
-  void advance(Checkpoint& cp, long max_steps) const;
+  // the pool. `boundary`, when set, is the previous segment's checkpoint
+  // boundary: it runs once on the calling thread while the pool runs the
+  // segment's first region (the window fill, else the first wave) and
+  // before any fold, and may replace `cp` with an equal parse-back.
+  // Nothing reads `cp` before it but next_step, checked again after it.
+  void advance(Checkpoint& cp, long max_steps,
+               const std::function<void()>& boundary = {}) const;
 
   [[nodiscard]] bool done(const Checkpoint& cp) const {
     return cp.next_step >= steps();

@@ -146,12 +146,22 @@ class ShardedRun {
   // Advances `shards` from `next_step` by up to `max_steps` steps (rounded
   // up to a chunk boundary, clipped to the horizon), merging each chunk's
   // Partial into its shard accumulator in ascending chunk order.
+  //
+  // `caller_job`, when set, runs once on the calling thread while the first
+  // wave's tasks run (exec::run_chunks' caller job), before any fold; with
+  // nothing to step it runs alone. It may replace the state `next_step` and
+  // `shards` belong to with an equal one (a checkpoint's parse-back): the
+  // tasks read neither, and next_step is checked again after it.
   void advance(long& next_step, std::vector<Partial>& shards, long max_steps,
-               const CellFn& cell, const ObserveFn& observe = {}) const {
+               const CellFn& cell, const ObserveFn& observe = {},
+               const std::function<void()>& caller_job = {}) const {
     require(shards.size() == config_.shards, "checkpoint shard count mismatch");
     const long begin = next_step;
     const long end = segment_end(begin, max_steps);
     if (end <= begin) {
+      if (caller_job) {
+        caller_job();
+      }
       return;
     }
     const long cpc = config_.steps_per_chunk;
@@ -197,11 +207,19 @@ class ShardedRun {
       };
       const exec::ChunkPlan plan = exec::plan_chunks(n_shards * cols, 1);
       const long wave_steps = std::min(end, w1 * cpc) - w0 * cpc;
+      const bool first_wave = w0 * cpc == begin;
+      const std::function<void()> no_job;
+      const std::function<void()>& job = first_wave ? caller_job : no_job;
       if (wave_steps < kInlineSegmentSteps &&
           static_cast<long>(n_shards) * wave_steps < kInlineSegmentSteps) {
-        exec::run_chunks_inline(plan, task, /*record_chunk_span=*/false);
+        exec::run_chunks_inline(plan, task, /*record_chunk_span=*/false, job);
       } else {
-        exec::run_chunks(config_.pool, plan, task, /*record_chunk_span=*/false);
+        exec::run_chunks(config_.pool, plan, task, /*record_chunk_span=*/false,
+                         job);
+      }
+      if (first_wave && caller_job) {
+        require(next_step == begin && shards.size() == n_shards,
+                "the state changed under the segment");
       }
 
       for (std::size_t r = 0; r < n_shards; ++r) {

@@ -44,6 +44,20 @@ std::uint64_t next_trace_region() {
   return tracer.enabled() ? tracer.next_region_id() : 0;
 }
 
+// Runs `job` (when set) and returns what it threw, so a region can join its
+// chunks before rethrowing.
+std::exception_ptr run_caller_job(const std::function<void()>& job) {
+  if (!job) {
+    return nullptr;
+  }
+  try {
+    job();
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 ChunkPlan::Range ChunkPlan::chunk(std::size_t c) const {
@@ -81,9 +95,13 @@ void reset_counters() {
 void run_chunks_inline(
     const ChunkPlan& plan,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
-    bool record_chunk_span) {
+    bool record_chunk_span, const std::function<void()>& caller_job) {
+  const std::exception_ptr job_error = run_caller_job(caller_job);
   const std::size_t num_chunks = plan.num_chunks();
   if (num_chunks == 0) {
+    if (job_error != nullptr) {
+      std::rethrow_exception(job_error);
+    }
     return;
   }
   const std::uint64_t trace_region = next_trace_region();
@@ -109,6 +127,9 @@ void run_chunks_inline(
     }
   }
   add_totals(1, num_chunks, plan.total);
+  if (job_error != nullptr) {
+    std::rethrow_exception(job_error);
+  }
   if (error != nullptr) {
     std::rethrow_exception(error);
   }
@@ -116,9 +137,10 @@ void run_chunks_inline(
 
 void run_chunks(ThreadPool* pool, const ChunkPlan& plan,
                 const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
-                bool record_chunk_span) {
+                bool record_chunk_span, const std::function<void()>& caller_job) {
   const std::size_t num_chunks = plan.num_chunks();
   if (num_chunks == 0) {
+    run_chunks_inline(plan, body, record_chunk_span, caller_job);
     return;
   }
 
@@ -126,7 +148,7 @@ void run_chunks(ThreadPool* pool, const ChunkPlan& plan,
   // Chunks run inline in ascending order when parallelism cannot help; this
   // is the canonical sequential path the parallel one must match bit-exactly.
   if (executor.size() <= 1 || num_chunks == 1) {
-    run_chunks_inline(plan, body, record_chunk_span);
+    run_chunks_inline(plan, body, record_chunk_span, caller_job);
     return;
   }
 
@@ -198,6 +220,9 @@ void run_chunks(ThreadPool* pool, const ChunkPlan& plan,
   for (std::size_t i = 0; i < helpers; ++i) {
     executor.submit(drain);
   }
+  // The caller's own job overlaps the helpers' first chunks; whatever it
+  // throws waits until every chunk has run.
+  const std::exception_ptr job_error = run_caller_job(caller_job);
   drain();  // the caller participates, so nested regions cannot deadlock
 
   std::unique_lock<std::mutex> lock(region->mu);
@@ -208,6 +233,9 @@ void run_chunks(ThreadPool* pool, const ChunkPlan& plan,
   // One batched update per region, taken only after every chunk has run: a
   // counter snapshot therefore always reflects whole completed regions.
   add_totals(1, num_chunks, plan.total);
+  if (job_error != nullptr) {
+    std::rethrow_exception(job_error);
+  }
   if (region->error != nullptr) {
     std::rethrow_exception(region->error);
   }

@@ -77,9 +77,17 @@ void reset_counters();  // test hook
 // thrown by `body` is rethrown after the region completes. While tracing, each chunk runs on
 // its own track and records an exec.chunk span, unless `record_chunk_span`
 // is false, for a body that records its own span over the chunk.
+//
+// `caller_job`, when set, runs once on the calling thread, on its own track
+// and outside every chunk, after the helpers are submitted and before the
+// caller drains chunks: serial work that overlaps the region instead of
+// preceding it. Inline, it runs before the first chunk. The region still
+// runs every chunk and joins them all when the job throws; the job's
+// exception is then rethrown ahead of any chunk's.
 void run_chunks(ThreadPool* pool, const ChunkPlan& plan,
                 const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
-                bool record_chunk_span = true);
+                bool record_chunk_span = true,
+                const std::function<void()>& caller_job = {});
 
 // The sequential path of run_chunks: every chunk inline on the caller in
 // ascending order, with the same chunk spans, chunk tracks and work
@@ -88,7 +96,8 @@ void run_chunks(ThreadPool* pool, const ChunkPlan& plan,
 void run_chunks_inline(
     const ChunkPlan& plan,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
-    bool record_chunk_span = true);
+    bool record_chunk_span = true,
+    const std::function<void()>& caller_job = {});
 
 struct ParallelOptions {
   ThreadPool* pool = nullptr;  // nullptr => ThreadPool::global()

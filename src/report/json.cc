@@ -1,11 +1,13 @@
 #include "report/json.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "core/check.h"
@@ -538,12 +540,21 @@ constexpr std::size_t kNumberChars = 32;
 // with less work:
 //   * an integral |value| < 2^53 is an exact int64, and its decimal digits
 //     are "%.0f"'s; only -0.0 needs its sign spelled out;
-//   * a "%.{p}g" with p below d, the digit count of the shortest
-//     round-trip form, cannot read back (a shorter form would exist), so
-//     the search starts at max(15, d);
-//   * 17 significant digits always read back, so "%.17g" is not checked.
+//   * for a normal double off a power of two, whose round-trip interval is
+//     symmetric, that text is "%.{max(15, d)}g", d the digit count of the
+//     shortest round-trip form S: "%.15g" rounds to a grid coarser than
+//     twice the double's rounding error, so it lands on S (padded with
+//     zeros, which %g strips) whenever d <= 15, and for d of 16 or 17 the
+//     d-digit rounding is at least as close as S, so it reads back and is
+//     S. The text is laid out from S's digits and exponent by %g's rules;
+//   * a power of two (a lopsided interval) or a subnormal (too few bits)
+//     searches instead: a "%.{p}g" with p below d cannot read back, so the
+//     search starts at max(15, d), and 17 significant digits always read
+//     back, so "%.17g" is not checked.
 // std::to_chars with an explicit format and precision is specified to
 // produce exactly printf's text for that conversion.
+// CanonicalJson.ShortestDoubleMatchesPrintfOracle holds both paths to the
+// oracle.
 char* format_shortest(char (&buf)[kNumberChars], double value) {
   check_arg(std::isfinite(value), "shortest_double: value must be finite");
   char* const last = buf + kNumberChars;
@@ -555,19 +566,56 @@ char* format_shortest(char (&buf)[kNumberChars], double value) {
     }
     return std::to_chars(buf, last, static_cast<std::int64_t>(value)).ptr;
   }
-  char* end =
+  // S as "[-]d[.ddd]e(+|-)xx[x]".
+  char* const end =
       std::to_chars(buf, last, value, std::chars_format::scientific).ptr;
-  int digits = 0;
-  for (const char* p = buf; p != end && *p != 'e'; ++p) {
-    digits += is_digit(*p) ? 1 : 0;
-  }
-  for (int precision = std::max(15, digits);; ++precision) {
-    end = std::to_chars(buf, last, value, std::chars_format::general, precision)
-              .ptr;
-    if (precision >= 17 || parse_double(buf, end) == value) {
-      return end;
+  const bool negative = buf[0] == '-';
+  char digits[17];
+  int d = 0;
+  const char* p = buf + (negative ? 1 : 0);
+  for (; *p != 'e'; ++p) {
+    if (is_digit(*p)) {
+      digits[d++] = *p;
     }
   }
+  constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
+  if ((std::bit_cast<std::uint64_t>(value) & kMantissa) == 0 ||
+      std::fabs(value) < std::numeric_limits<double>::min()) {
+    for (int precision = std::max(15, d);; ++precision) {
+      char* const text =
+          std::to_chars(buf, last, value, std::chars_format::general, precision)
+              .ptr;
+      if (precision >= 17 || parse_double(buf, text) == value) {
+        return text;
+      }
+    }
+  }
+  int exponent = 0;
+  for (const char* q = p + 2; q != end; ++q) {
+    exponent = exponent * 10 + (*q - '0');
+  }
+  if (p[1] == '-') {
+    exponent = -exponent;
+  }
+  // %g prints "%e" (S's own text, trailing zeros stripped) outside
+  // [-4, precision), and the fixed form inside it.
+  if (exponent < -4 || exponent >= std::max(15, d)) {
+    return end;
+  }
+  char* out = buf + (negative ? 1 : 0);
+  if (exponent < 0) {
+    *out++ = '0';
+    *out++ = '.';
+    out = std::fill_n(out, -exponent - 1, '0');
+    return std::copy_n(digits, d, out);
+  }
+  const int whole = exponent + 1;
+  out = std::copy_n(digits, std::min(d, whole), out);
+  if (d <= whole) {
+    return std::fill_n(out, whole - d, '0');
+  }
+  *out++ = '.';
+  return std::copy_n(digits + whole, d - whole, out);
 }
 
 }  // namespace

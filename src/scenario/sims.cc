@@ -22,6 +22,7 @@
 //     doubles the simulators produced.
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <optional>
@@ -322,11 +323,21 @@ std::unique_ptr<datacenter::SchedulerPolicy> make_policy(
 // stop_after halted the run before completion — the caller then returns
 // stopped_result(). Byte-identical to a single sim.run() by the checkpoint
 // contract (tests/resume_test.cc).
+//
+// A simulator whose advance takes a boundary callback runs segment k's
+// boundary while segment k + 1's first region runs on the pool (DESIGN.md
+// §11); others run it before the next advance. Either way each boundary
+// reads the state segment k left, commits in order, and runs exactly once.
+// The boundary a stop_after ends, and the last one, run alone, so no
+// segment is computed that is not folded.
 template <typename Sim>
 auto run_checkpointable(const Sim& sim, const RunContext& ctx, long segments)
     -> std::optional<decltype(sim.run())> {
   constexpr bool kJournaled =
       requires(const Sim& s, const typename Sim::Checkpoint& c) { s.seal(c); };
+  constexpr bool kOverlapped =
+      requires(const Sim& s, typename Sim::Checkpoint& c,
+               const std::function<void()>& f) { s.advance(c, 1L, f); };
   const CheckpointRequest& req = ctx.checkpoint;
   if (!req.active() && segments <= 1) {
     return sim.run();
@@ -347,9 +358,9 @@ auto run_checkpointable(const Sim& sim, const RunContext& ctx, long segments)
   if (stride <= 0) {
     stride = sim.steps();
   }
-  long done_segments = 0;
-  while (!sim.done(cp)) {
-    sim.advance(cp, stride);
+  // Seals the segment just run, commits it, and replaces `cp` with the
+  // snapshot's parse-back.
+  const auto boundary = [&] {
     if constexpr (kJournaled) {
       const engine::SealedFrame sealed = sim.seal(cp);
       const std::string snapshot =
@@ -370,10 +381,41 @@ auto run_checkpointable(const Sim& sim, const RunContext& ctx, long segments)
       }
       cp = sim.parse_checkpoint(report::parse_json(snapshot));
     }
+  };
+  bool pending = false;  // the last segment's boundary has not run yet
+  long done_segments = 0;
+  while (!sim.done(cp)) {
+    if constexpr (kOverlapped) {
+      bool ran = !pending;
+      const std::function<void()> overlapped = [&] {
+        ran = true;
+        boundary();
+      };
+      try {
+        sim.advance(cp, stride, pending ? overlapped : std::function<void()>());
+      } catch (...) {
+        // advance threw before it reached the boundary, so `cp` is still
+        // the state that boundary commits.
+        if (!ran) {
+          boundary();
+        }
+        throw;
+      }
+    } else {
+      if (pending) {
+        boundary();
+      }
+      sim.advance(cp, stride);
+    }
     ++done_segments;
-    if (req.stop_after > 0 && done_segments >= req.stop_after &&
-        !sim.done(cp)) {
-      return std::nullopt;
+    pending = true;
+    if (sim.done(cp) ||
+        (req.stop_after > 0 && done_segments >= req.stop_after)) {
+      boundary();
+      pending = false;
+      if (!sim.done(cp)) {
+        return std::nullopt;
+      }
     }
   }
   return sim.finalize(cp);

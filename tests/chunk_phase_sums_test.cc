@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -166,6 +168,40 @@ TEST(ChunkPhaseSums, EveryPhaseOfDayRowsAndTheTailMatchTheReference) {
         want.insert(p);
       }
       EXPECT_EQ(pair.check_grid(), want);
+    }
+  }
+}
+
+TEST(ChunkPhaseSums, EightThreadsOnOneEmptySlotReturnTheSamePartial) {
+  // Eight chunks of one phase start together on an empty slot: one fills
+  // it, and the others read it filled or, while it is being filled, step
+  // in full. Every partial must be the reference's, bit for bit.
+  const FleetRegion region =
+      oracles::fleet_region(config(minutes(1.0), days(26.3), 1000));
+  const ChunkPair pair(region);
+  ASSERT_NE(pair.inputs().phases, nullptr);
+  constexpr int kThreads = 8;
+  std::vector<FleetPartial> got(kThreads, FleetPartial(region.num_groups()));
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      got[static_cast<std::size_t>(t)] =
+          datacenter::run_fleet_chunk(pair.inputs(), 0, 1000);
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  const FleetPartial want = pair.check(0, 1000);  // the reference's bits
+  for (int t = 0; t < kThreads; ++t) {
+    const std::vector<double>& g = got[static_cast<std::size_t>(t)].buffer();
+    ASSERT_EQ(g.size(), want.buffer().size());
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      EXPECT_EQ(bits(g[i]), bits(want.buffer()[i])) << "thread " << t << " value " << i;
     }
   }
 }

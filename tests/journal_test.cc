@@ -24,6 +24,7 @@
 
 #include "datagen/rng.h"
 #include "engine/journal.h"
+#include "exec/parallel.h"
 #include "report/json.h"
 #include "scenario/runner.h"
 
@@ -249,6 +250,60 @@ TEST(QueueJournal, LiveSnapshotPlusJournalResumesByteIdentical) {
 
 TEST(PlanetJournal, LiveSnapshotPlusJournalResumesByteIdentical) {
   expect_resume_identical(kPlanetSpec, 1024, 3);
+}
+
+// A planet boundary overlaps the next segment's first region: one that
+// throws surfaces only after every task of that region has run, and the
+// checkpoint it left resumes to the uninterrupted run.
+TEST(PlanetSim, BoundaryErrorSurfacesAfterTheOverlappedTasks) {
+  const std::string whole = run(kPlanetSpec);
+  const fs::path dir = fs::temp_directory_path() /
+                       ("sustainai_boundary_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string ckpt = (dir / "planet.ckpt").string();
+  CheckpointRequest request = CheckpointRequest::on_disk(ckpt, "");
+  request.segment_steps = 1792;
+  const auto commit = request.write_snapshot;
+  int commits = 0;
+  exec::CounterSnapshot at_throw;
+  request.write_snapshot = [&](const std::string& snapshot) {
+    if (++commits == 2) {
+      at_throw = exec::counters();
+      throw std::runtime_error("disk full");
+    }
+    commit(snapshot);
+  };
+  EXPECT_THROW((void)run(kPlanetSpec, request), std::runtime_error);
+  const exec::CounterSnapshot after = exec::counters();
+  EXPECT_EQ(after.parallel_regions, at_throw.parallel_regions + 1);
+  EXPECT_GT(after.chunks_executed, at_throw.chunks_executed);
+
+  CheckpointRequest resumed = CheckpointRequest::on_disk("", ckpt);
+  resumed.segment_steps = 1792;
+  EXPECT_EQ(run(kPlanetSpec, resumed), whole);
+  fs::remove_all(dir);
+}
+
+// A run stopped after k segments computes exactly k segments' tasks: the
+// boundary a stop ends runs alone. 8760 hourly steps in 1792-step segments
+// are five segments of equal task counts (2 regions x 7 chunks, 2 fills).
+TEST(PlanetSim, StopAfterRunsExactlyItsSegmentsTasks) {
+  const auto chunks = [](long stop_after) {
+    CheckpointRequest request;
+    request.segment_steps = 1792;
+    request.stop_after = stop_after;
+    const exec::CounterSnapshot before = exec::counters();
+    (void)scenario::Runner().run_text(kPlanetSpec, nullptr, request);
+    return exec::counters().chunks_executed - before.chunks_executed;
+  };
+  const std::uint64_t one = chunks(1);
+  const std::uint64_t two = chunks(2);
+  const std::uint64_t all = chunks(0);
+  const std::uint64_t segment = two - one;
+  EXPECT_EQ(segment, 16u);
+  EXPECT_EQ(all - two, 3 * segment);
+  EXPECT_EQ(chunks(3), two + segment);
 }
 
 TEST(QueueJournal, SegmentedMatchesWholeAtEveryStride) {

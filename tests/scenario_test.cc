@@ -427,6 +427,35 @@ TEST(CanonicalJson, ShortestDoubleMatchesPrintfOracle) {
   EXPECT_GE(by_digits[15], 30'000);
   EXPECT_GE(by_digits[16], 30'000);
   EXPECT_GE(by_digits[17], 10'000);
+
+  // Random subnormals, which keep the read-back search, and random decimals
+  // of 1 to 17 digits laid out from their shortest digits: half with
+  // three-digit exponents, half with exponents around %g's switch between
+  // the fixed and the scientific form.
+  for (int i = 0; i < 100'000; ++i) {
+    const double v = std::bit_cast<double>(rng() & ((1ULL << 52) - 1));
+    expect_oracle(v);
+    expect_oracle(-v);
+  }
+  long three_digit_exponents = 0;
+  for (int i = 0; i < 200'000; ++i) {
+    const int k = 1 + static_cast<int>(rng() % 17);
+    std::string text(1, static_cast<char>('1' + rng() % 9));
+    text += '.';
+    for (int d = 1; d < k; ++d) {
+      text += static_cast<char>('0' + rng() % 10);
+    }
+    const int exponent =
+        i % 2 == 0 ? static_cast<int>(100 + rng() % 208) * (rng() % 2 == 0 ? 1 : -1)
+                   : static_cast<int>(rng() % 24) - 6;
+    text += 'e' + std::to_string(exponent);
+    const double v = std::strtod(text.c_str(), nullptr);
+    const std::string got = shortest_double(v);
+    three_digit_exponents += got.size() > 5 && got[got.size() - 5] == 'e' ? 1 : 0;
+    expect_oracle(v);
+    expect_oracle(-v);
+  }
+  EXPECT_EQ(three_digit_exponents, 100'000);
   EXPECT_EQ(failures, 0);
 }
 

@@ -121,7 +121,8 @@ def main():
             continue
         finished(proc, out, f"cycle {k}")
         for done in (ckpt, ckpt + ".journal"):
-            os.remove(done)
+            if os.path.exists(done):  # a fleet checkpoint has no journal
+                os.remove(done)
 
     out = os.path.join(args.work, "final")
     finished(subprocess.Popen(argv(out, True), stdout=subprocess.DEVNULL,
