@@ -101,7 +101,7 @@ void PlanetSimulator::advance(Checkpoint& cp, long max_steps,
   // each region's window in region order, a serial left-to-right sum
   // whatever the thread count.
   std::size_t first_sample = 0;
-  const auto prologue = [&] {
+  const std::function<void()> prologue = [&] {
     if (boundary) {
       boundary();
       check_arg(cp.next_step == begin,
@@ -150,7 +150,7 @@ void PlanetSimulator::advance(Checkpoint& cp, long max_steps,
             partial.total(partial.group_energy_j()) * regions_[r].config().pue;
         sample.location_carbon_g += partial.total(partial.location_g());
       },
-      fill ? std::function<void()>() : std::function<void()>(prologue));
+      fill ? std::function<void()>() : prologue);
 }
 
 PlanetSimulator::Result PlanetSimulator::finalize(const Checkpoint& cp) const {

@@ -386,21 +386,9 @@ auto run_checkpointable(const Sim& sim, const RunContext& ctx, long segments)
   long done_segments = 0;
   while (!sim.done(cp)) {
     if constexpr (kOverlapped) {
-      bool ran = !pending;
-      const std::function<void()> overlapped = [&] {
-        ran = true;
-        boundary();
-      };
-      try {
-        sim.advance(cp, stride, pending ? overlapped : std::function<void()>());
-      } catch (...) {
-        // advance threw before it reached the boundary, so `cp` is still
-        // the state that boundary commits.
-        if (!ran) {
-          boundary();
-        }
-        throw;
-      }
+      sim.advance(cp, stride,
+                  pending ? std::function<void()>(boundary)
+                          : std::function<void()>());
     } else {
       if (pending) {
         boundary();
