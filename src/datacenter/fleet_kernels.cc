@@ -6,6 +6,7 @@
 #include <initializer_list>
 #include <iterator>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <type_traits>
 #include <utility>
@@ -621,7 +622,7 @@ ChunkPhaseSums::ChunkPhaseSums(const FleetSoA& soa, long chunk_steps) {
            (soa.steps % chunk_steps != 0 ? 1 : 0);
   stride_ = soa.num_groups * kRowSections;
   sums_.assign(slots_ * stride_, 0.0);
-  state_ = std::make_unique<std::atomic<int>[]>(slots_);
+  once_ = std::make_unique<std::once_flag[]>(slots_);
 }
 
 long ChunkPhaseSums::slot_of(long begin, long end) const {
@@ -636,7 +637,7 @@ long ChunkPhaseSums::slot_of(long begin, long end) const {
 }
 
 std::size_t ChunkPhaseSums::bytes() const {
-  return sums_.capacity() * sizeof(double) + slots_ * sizeof(std::atomic<int>);
+  return sums_.capacity() * sizeof(double) + slots_ * sizeof(std::once_flag);
 }
 
 FleetPartial::FleetPartial(std::size_t num_groups)

@@ -39,9 +39,9 @@
 // accumulators — the same trick the recsys GEMM tiles use per (row, output).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
@@ -217,8 +217,7 @@ struct HeldRun {
 // has row_len / gcd(row_len, chunk_steps) full-length phases plus at most one
 // short tail. Each phase is filled once, by the first chunk that reads it,
 // with the adds that chunk would make; later chunks of the phase add only
-// their location carbon. A chunk that finds its phase being filled by
-// another task does not wait: it steps in full, which adds the same bits.
+// their location carbon.
 class ChunkPhaseSums {
  public:
   // Sections 0..4 of FleetPartial: the ones the step rows give.
@@ -236,29 +235,16 @@ class ChunkPhaseSums {
   // the grid, the tail slot when it is the short last one, else -1.
   [[nodiscard]] long slot_of(long begin, long end) const;
   // The slot's sums, group-major: at [g * kRowSections + q]. The first
-  // caller of a slot writes them with fill(sums) and returns them, as does
-  // every caller after the write; a caller that arrives during the write
-  // gets nullptr instead of waiting.
+  // caller of a slot writes them with fill(sums); every caller returns
+  // once they are written.
   template <typename Fill>
   [[nodiscard]] const double* sums(long slot, Fill&& fill) const {
     const auto i = static_cast<std::size_t>(slot);
-    std::atomic<int>& state = state_[i];
     double* dst = sums_.data() + i * stride_;
-    int seen = state.load(std::memory_order_acquire);
-    if (seen == kEmpty &&
-        state.compare_exchange_strong(seen, kFilling, std::memory_order_acquire)) {
-      try {
-        std::forward<Fill>(fill)(dst);
-      } catch (...) {
-        state.store(kEmpty, std::memory_order_release);
-        throw;
-      }
-      state.store(kFilled, std::memory_order_release);
-      return dst;
-    }
-    return seen == kFilled ? dst : nullptr;
+    std::call_once(once_[i], std::forward<Fill>(fill), dst);
+    return dst;
   }
-  // Bytes of the sums and their fill states.
+  // Bytes of the sums and their once-flags.
   [[nodiscard]] std::size_t bytes() const;
 
  private:
@@ -268,13 +254,8 @@ class ChunkPhaseSums {
   long phase_step_ = 0;  // gcd(row_len, chunk_steps)
   std::size_t slots_ = 0;
   std::size_t stride_ = 0;  // num_groups * kRowSections
-  // A slot's state: kEmpty, then kFilling while one caller writes it,
-  // then kFilled.
-  static constexpr int kEmpty = 0;
-  static constexpr int kFilling = 1;
-  static constexpr int kFilled = 2;
   mutable std::vector<double> sums_;
-  std::unique_ptr<std::atomic<int>[]> state_;
+  std::unique_ptr<std::once_flag[]> once_;
 };
 
 // Read-only inputs shared by every chunk of one segment.

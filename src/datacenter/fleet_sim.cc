@@ -409,7 +409,7 @@ FleetSimulator::Checkpoint FleetSimulator::start() const {
 
 void FleetSimulator::advance(Checkpoint& cp, long max_steps,
                              const std::function<void()>& boundary) const {
-  const std::lock_guard<std::mutex> lock(windows_mu_);
+  const WindowsMutex::Hold lock(windows_mu_, "FleetSimulator::advance");
   const long end = runner_.segment_end(cp.next_step, max_steps);
   // One region at offset 0: each time chunk reads exactly the window points
   // of its own steps, so a stale window is filled by the chunks themselves,
@@ -513,7 +513,7 @@ FleetSimulator::Checkpoint FleetSimulator::parse_checkpoint(
 }
 
 std::size_t FleetSimulator::state_bytes() const {
-  const std::lock_guard<std::mutex> lock(windows_mu_);
+  const WindowsMutex::Hold lock(windows_mu_, "FleetSimulator::state_bytes");
   return region_.state_bytes() + windows_.bytes();
 }
 

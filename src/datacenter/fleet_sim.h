@@ -15,12 +15,14 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/carbon_intensity.h"
@@ -176,6 +178,41 @@ class FleetRegion {
   double train_servers_ = 0.0;
 };
 
+// The lock a simulator holds over its intensity windows for the whole of
+// advance(), and so also while the checkpoint boundary handed to advance()
+// runs on the calling thread. Locking it again from the thread that holds
+// it (state_bytes() from inside a boundary) throws std::logic_error naming
+// `who`, where a second lock of a std::mutex would deadlock.
+class WindowsMutex {
+ public:
+  class Hold {
+   public:
+    Hold(const WindowsMutex& m, const char* who) : m_(m) {
+      if (m_.holder_.load(std::memory_order_relaxed) ==
+          std::this_thread::get_id()) {
+        throw std::logic_error(std::string(who) +
+                               ": called from inside this simulator's "
+                               "advance(), e.g. from a checkpoint boundary");
+      }
+      m_.mu_.lock();
+      m_.holder_.store(std::this_thread::get_id(), std::memory_order_relaxed);
+    }
+    ~Hold() {
+      m_.holder_.store(std::thread::id(), std::memory_order_relaxed);
+      m_.mu_.unlock();
+    }
+    Hold(const Hold&) = delete;
+    Hold& operator=(const Hold&) = delete;
+
+   private:
+    const WindowsMutex& m_;
+  };
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::atomic<std::thread::id> holder_;
+};
+
 // Per-segment intensity windows (DESIGN.md §6). For each distinct grid
 // table its regions read, the table's values over one segment's steps plus
 // the largest UTC offset of those regions. Every value is a pure function
@@ -291,7 +328,9 @@ class FleetSimulator {
   // byte-identical (tests/resume_test.cc). `boundary`, when set, is the
   // previous segment's checkpoint boundary: it runs once on the calling
   // thread while the pool runs the segment's first wave and before any
-  // fold, and may replace `cp` with an equal parse-back.
+  // fold, and may replace `cp` with an equal parse-back. It runs under
+  // windows_mu_, so it must not call this simulator's advance() or
+  // state_bytes() (they throw std::logic_error) nor open a parallel region.
   void advance(Checkpoint& cp, long max_steps,
                const std::function<void()>& boundary = {}) const;
   [[nodiscard]] bool done(const Checkpoint& cp) const {
@@ -329,7 +368,7 @@ class FleetSimulator {
   std::string config_digest_;
   // Scratch that advance() fills and reads under the lock, so concurrent
   // const calls stay safe.
-  mutable std::mutex windows_mu_;
+  WindowsMutex windows_mu_;
   mutable IntensityWindows windows_;
 };
 

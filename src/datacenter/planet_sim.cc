@@ -104,8 +104,6 @@ void PlanetSimulator::advance(Checkpoint& cp, long max_steps,
   const std::function<void()> prologue = [&] {
     if (boundary) {
       boundary();
-      check_arg(cp.next_step == begin,
-                "PlanetSimulator::advance: the boundary moved next_step");
     }
     first_sample = cp.series.size();
     for (long w = 0; w < windows; ++w) {
@@ -118,7 +116,7 @@ void PlanetSimulator::advance(Checkpoint& cp, long max_steps,
     }
   };
 
-  const std::lock_guard<std::mutex> lock(windows_mu_);
+  const WindowsMutex::Hold lock(windows_mu_, "PlanetSimulator::advance");
   const bool fill = windows_.place(begin, end);
   if (fill) {
     windows_.fill(prologue);
@@ -309,7 +307,7 @@ void PlanetSimulator::read_series(const report::JsonValue& records,
 }
 
 std::size_t PlanetSimulator::state_bytes() const {
-  const std::lock_guard<std::mutex> lock(windows_mu_);
+  const WindowsMutex::Hold lock(windows_mu_, "PlanetSimulator::state_bytes");
   std::size_t bytes = windows_.bytes();
   for (const FleetRegion& region : regions_) {
     bytes += region.state_bytes();

@@ -125,8 +125,10 @@ class PlanetSimulator {
   // the pool. `boundary`, when set, is the previous segment's checkpoint
   // boundary: it runs once on the calling thread while the pool runs the
   // segment's first region (the window fill, else the first wave) and
-  // before any fold, and may replace `cp` with an equal parse-back.
-  // Nothing reads `cp` before it but next_step, checked again after it.
+  // before any fold, and may replace `cp` with an equal parse-back:
+  // nothing reads `cp` before it but next_step. It runs under windows_mu_,
+  // so it must not call this simulator's advance() or state_bytes() (they
+  // throw std::logic_error) nor open a parallel region.
   void advance(Checkpoint& cp, long max_steps,
                const std::function<void()>& boundary = {}) const;
 
@@ -184,7 +186,7 @@ class PlanetSimulator {
   std::string config_digest_;
   // Scratch that advance() fills and reads under the lock, so concurrent
   // const calls stay safe.
-  mutable std::mutex windows_mu_;
+  WindowsMutex windows_mu_;
   mutable IntensityWindows windows_;
 };
 

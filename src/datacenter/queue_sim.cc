@@ -270,7 +270,11 @@ void QueueSim::step_once(Checkpoint& cp, obs::Gauge& depth_gauge) const {
   }
 }
 
-void QueueSim::advance(Checkpoint& cp, long max_steps) const {
+void QueueSim::advance(Checkpoint& cp, long max_steps,
+                       const std::function<void()>& boundary) const {
+  if (boundary) {
+    boundary();
+  }
   check_arg(max_steps >= 1, "QueueSim::advance: max_steps must be >= 1");
   check_arg(cp.outcomes.size() == jobs_.size(),
             "QueueSim::advance: checkpoint job count mismatch");

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -165,8 +166,11 @@ class QueueSim {
   // Advances `cp` by up to `max_steps` steps, stopping early when every
   // job has finished. Serial (the queue has a single timeline); throws
   // fault::RetriesExhaustedError / the max-horizon guard exactly where an
-  // unsegmented run would.
-  void advance(Checkpoint& cp, long max_steps) const;
+  // unsegmented run would. `boundary`, when set, is the previous segment's
+  // checkpoint boundary: with nothing to overlap it with, it runs first,
+  // and may replace `cp` with an equal parse-back.
+  void advance(Checkpoint& cp, long max_steps,
+               const std::function<void()>& boundary = {}) const;
   [[nodiscard]] bool done(const Checkpoint& cp) const {
     return cp.sealed.size() >= jobs_.size();
   }

@@ -151,7 +151,7 @@ class ShardedRun {
   // wave's tasks run (exec::run_chunks' caller job), before any fold; with
   // nothing to step it runs alone. It may replace the state `next_step` and
   // `shards` belong to with an equal one (a checkpoint's parse-back): the
-  // tasks read neither, and next_step is checked again after it.
+  // tasks read neither.
   void advance(long& next_step, std::vector<Partial>& shards, long max_steps,
                const CellFn& cell, const ObserveFn& observe = {},
                const std::function<void()>& caller_job = {}) const {
@@ -216,10 +216,6 @@ class ShardedRun {
       } else {
         exec::run_chunks(config_.pool, plan, task, /*record_chunk_span=*/false,
                          job);
-      }
-      if (first_wave && caller_job) {
-        require(next_step == begin && shards.size() == n_shards,
-                "the state changed under the segment");
       }
 
       for (std::size_t r = 0; r < n_shards; ++r) {

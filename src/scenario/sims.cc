@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "core/carbon_intensity.h"
+#include "core/check.h"
 #include "core/lifecycle.h"
 #include "core/operational.h"
 #include "datacenter/fleet_sim.h"
@@ -324,20 +325,17 @@ std::unique_ptr<datacenter::SchedulerPolicy> make_policy(
 // stopped_result(). Byte-identical to a single sim.run() by the checkpoint
 // contract (tests/resume_test.cc).
 //
-// A simulator whose advance takes a boundary callback runs segment k's
-// boundary while segment k + 1's first region runs on the pool (DESIGN.md
-// §11); others run it before the next advance. Either way each boundary
-// reads the state segment k left, commits in order, and runs exactly once.
-// The boundary a stop_after ends, and the last one, run alone, so no
-// segment is computed that is not folded.
+// Segment k's boundary is handed to the advance of segment k + 1, which
+// runs it on the calling thread: fleet and planet while the pool runs
+// that segment's first region (DESIGN.md §11), the queue first. Each
+// boundary reads the state segment k left, commits in order, and runs
+// exactly once. The boundary a stop_after ends, and the last one, run
+// alone, so no segment is computed that is not folded.
 template <typename Sim>
 auto run_checkpointable(const Sim& sim, const RunContext& ctx, long segments)
     -> std::optional<decltype(sim.run())> {
   constexpr bool kJournaled =
       requires(const Sim& s, const typename Sim::Checkpoint& c) { s.seal(c); };
-  constexpr bool kOverlapped =
-      requires(const Sim& s, typename Sim::Checkpoint& c,
-               const std::function<void()>& f) { s.advance(c, 1L, f); };
   const CheckpointRequest& req = ctx.checkpoint;
   if (!req.active() && segments <= 1) {
     return sim.run();
@@ -359,8 +357,9 @@ auto run_checkpointable(const Sim& sim, const RunContext& ctx, long segments)
     stride = sim.steps();
   }
   // Seals the segment just run, commits it, and replaces `cp` with the
-  // snapshot's parse-back.
+  // snapshot's parse-back, which must stand at the same step.
   const auto boundary = [&] {
+    const long at = cp.next_step;
     if constexpr (kJournaled) {
       const engine::SealedFrame sealed = sim.seal(cp);
       const std::string snapshot =
@@ -381,26 +380,19 @@ auto run_checkpointable(const Sim& sim, const RunContext& ctx, long segments)
       }
       cp = sim.parse_checkpoint(report::parse_json(snapshot));
     }
+    check_arg(cp.next_step == at,
+              "run_checkpointable: the snapshot's parse-back moved next_step");
   };
-  bool pending = false;  // the last segment's boundary has not run yet
   long done_segments = 0;
   while (!sim.done(cp)) {
-    if constexpr (kOverlapped) {
-      sim.advance(cp, stride,
-                  pending ? std::function<void()>(boundary)
-                          : std::function<void()>());
-    } else {
-      if (pending) {
-        boundary();
-      }
-      sim.advance(cp, stride);
-    }
+    // Every segment but the first owes the boundary of the one before it.
+    sim.advance(cp, stride,
+                done_segments > 0 ? std::function<void()>(boundary)
+                                  : std::function<void()>());
     ++done_segments;
-    pending = true;
     if (sim.done(cp) ||
         (req.stop_after > 0 && done_segments >= req.stop_after)) {
       boundary();
-      pending = false;
       if (!sim.done(cp)) {
         return std::nullopt;
       }

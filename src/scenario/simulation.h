@@ -48,6 +48,10 @@ struct CheckpointRequest {
   // carries its records inline); bytes past the named prefix are ignored.
   std::string resume_journal;
   // Called with each non-empty journal frame, before the snapshot naming it.
+  // Both callbacks may run inside the simulator's next advance(), on the
+  // calling thread while the pool runs that segment's first region: they
+  // must not call the simulator (its advance() and state_bytes() throw
+  // std::logic_error there) nor open a parallel region.
   std::function<void(const std::string&)> append_journal;
   // Called with the canonical snapshot at every segment boundary.
   std::function<void(const std::string&)> write_snapshot;

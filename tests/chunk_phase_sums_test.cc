@@ -174,8 +174,8 @@ TEST(ChunkPhaseSums, EveryPhaseOfDayRowsAndTheTailMatchTheReference) {
 
 TEST(ChunkPhaseSums, EightThreadsOnOneEmptySlotReturnTheSamePartial) {
   // Eight chunks of one phase start together on an empty slot: one fills
-  // it, and the others read it filled or, while it is being filled, step
-  // in full. Every partial must be the reference's, bit for bit.
+  // it, and the others wait for the fill and read it. Every partial must
+  // be the reference's, bit for bit.
   const FleetRegion region =
       oracles::fleet_region(config(minutes(1.0), days(26.3), 1000));
   const ChunkPair pair(region);

@@ -11,6 +11,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -374,6 +375,21 @@ TEST(FleetSoa, LongSegmentRunsInBoundedWaves) {
   EXPECT_LE(chunks / regions,
             engine::ShardedRun<datacenter::FleetPartial>::kMaxWaveTasks);
   expect_identical(expected, result);
+}
+
+TEST(FleetSoa, BoundaryThatCallsTheSimulatorThrowsInsteadOfDeadlocking) {
+  // A checkpoint boundary runs inside advance(), which holds the windows
+  // lock: state_bytes() from inside it throws instead of locking again,
+  // and advance() releases the lock as it rethrows.
+  FleetSimulator::Config c = base_config(3);
+  exec::ThreadPool pool(4);
+  c.pool = &pool;
+  const FleetSimulator sim(c);
+  FleetSimulator::Checkpoint cp = sim.start();
+  sim.advance(cp, 48);
+  EXPECT_THROW(sim.advance(cp, sim.steps(), [&] { (void)sim.state_bytes(); }),
+               std::logic_error);
+  EXPECT_GT(sim.state_bytes(), 0u);
 }
 
 TEST(FleetSoa, ChunkPlanRespectsLaneAlignment) {

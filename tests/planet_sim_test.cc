@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "datacenter/fleet_sim.h"
@@ -190,6 +191,24 @@ TEST(PlanetSim, OneRegionRunsOneTaskPerTimeChunk) {
   EXPECT_EQ(after.chunks_executed - before.chunks_executed,
             static_cast<std::uint64_t>(chunks));
   EXPECT_EQ(again, expected);
+}
+
+TEST(PlanetSim, BoundaryThatCallsTheSimulatorThrowsInsteadOfDeadlocking) {
+  // A checkpoint boundary runs inside advance(), which holds the windows
+  // lock: state_bytes() or advance() from inside it throws instead of
+  // locking again, and advance() releases the lock as it rethrows.
+  PlanetSimulator::Config config = planet_config(3, /*with_faults=*/false);
+  exec::ThreadPool pool(4);
+  config.pool = &pool;
+  const PlanetSimulator sim(std::move(config));
+  PlanetSimulator::Checkpoint cp = sim.start();
+  sim.advance(cp, sim.steps() / 2);
+  EXPECT_THROW(sim.advance(cp, sim.steps(), [&] { (void)sim.state_bytes(); }),
+               std::logic_error);
+  PlanetSimulator::Checkpoint other = sim.start();
+  EXPECT_THROW(sim.advance(cp, sim.steps(), [&] { sim.advance(other, 16); }),
+               std::logic_error);
+  EXPECT_GT(sim.state_bytes(), 0u);
 }
 
 // Every field of a region result, groups and fault stats included.
